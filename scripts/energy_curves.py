@@ -16,7 +16,8 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from ncho.config import build_scenario, parse_scenario_file
-from ncho.energy import energy_series, reality_horizon
+from ncho.energy import energy_series
+from ncho.hamiltonian import reality_horizon_time
 from ncho.spectrum import StateLabel
 
 STATES = (StateLabel(0, 0), StateLabel(1, 0), StateLabel(1, 2))
@@ -24,7 +25,7 @@ FMT = "%.12e"
 
 
 def write_curve(scenario, name: str, state: StateLabel, out_dir: pathlib.Path) -> pathlib.Path:
-    horizon = reality_horizon(scenario, state)
+    horizon = reality_horizon_time(scenario)
     t_end = 2.0 if horizon is None else min(1.5 * horizon, 40.0)
     grid = [t_end * i / 400 for i in range(401)]
     rows = energy_series(scenario, state, grid)

@@ -22,21 +22,23 @@ or cross-check failed, 2 usage/config errors.
 from __future__ import annotations
 
 import argparse
+import cmath
 import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .config import CONSTRAINT_RTOL, Scenario, build_scenario, parse_scenario_file
 from .energy import energy_series
 from .errors import NchoError, OutsideRealityWindow, ToleranceNotMet
-from .ermakov import constraint_check, ep_residual, rho_eval
+from .ermakov import ep_residual, rho_eval
 from .hamiltonian import _published_nc_squared, nc_parameters, reality_horizon_time
 from .invariant import invariant_coefficients, invariant_ode_residuals
 from .spectrum import (
     Coordinate,
-    PolarPoint,
     StateLabel,
-    hamiltonian_eigenfunction,
+    eigenfunction_grid,
     matrix_element_oracle,
     matrix_element_x_pow,
     matrix_element_y_pow,
@@ -46,17 +48,6 @@ from .spectrum import (
 )
 
 _FMT = "%.12e"
-
-# Default tolerances of the verify checks (a --tol override replaces all).
-_VERIFY_TOLS = {
-    "family-constraint": CONSTRAINT_RTOL,
-    "ep-residual": 1e-12,
-    "invariant-ode": 1e-6,
-    "invariant-identity": 1e-12,
-    "phase-crossval": 1e-7,
-    "matrix-oracle": 1e-6,
-    "orthonormality": 1e-6,
-}
 
 _GNUPLOT_ENERGY = """\
 # Plot script for the energy CSV. Redirect stdout to energy.csv, then run
@@ -83,18 +74,6 @@ class CheckResult:
         return self.worst <= self.tolerance
 
 
-@dataclass(frozen=True)
-class RunReport:
-    """What a subcommand did, for tests and for the verify summary line."""
-
-    command: str
-    scenario_summary: str
-    rows_emitted: int
-    checks_passed: int
-    checks_failed: int
-    worst_residual: float
-
-
 def _linspace(t0: float, t1: float, points: int) -> list[float]:
     if points == 1:
         return [t0]
@@ -106,9 +85,17 @@ def _load_scenario(path: str, enforce_constraint: bool = True) -> Scenario:
     return build_scenario(parse_scenario_file(path), enforce_constraint=enforce_constraint)
 
 
+def _finite(flag: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"{flag} must be a finite number, got {value!r}")
+    return value
+
+
 def _time_grid(args) -> list[float]:
     if args.points < 1:
         raise ValueError(f"--points must be a positive integer, got {args.points}")
+    _finite("--t0", args.t0)
+    _finite("--t1", args.t1)
     if args.t1 < args.t0:
         raise ValueError(f"need --t1 >= --t0, got [{args.t0:g}, {args.t1:g}]")
     return _linspace(args.t0, args.t1, args.points)
@@ -131,42 +118,37 @@ def _verify_window(scenario: Scenario) -> tuple[float, float]:
     return 0.0, t_end
 
 
-def _check_constraint(scenario: Scenario, tol: float, t0: float, t1: float) -> CheckResult:
-    return CheckResult("family-constraint", constraint_check(scenario), tol)
+# Each check returns its worst residual over the verify window [t0, t1].
+
+def _check_ep(scenario: Scenario, t0: float, t1: float) -> float:
+    return max(ep_residual(scenario, t).relative for t in _linspace(t0, t1, 200))
 
 
-def _check_ep(scenario: Scenario, tol: float, t0: float, t1: float) -> CheckResult:
-    worst = max(ep_residual(scenario, t).relative for t in _linspace(t0, t1, 200))
-    return CheckResult("ep-residual", worst, tol)
-
-
-def _check_invariant_ode(scenario: Scenario, tol: float, t0: float, t1: float) -> CheckResult:
+def _check_invariant_ode(scenario: Scenario, t0: float, t1: float) -> float:
     grid = _linspace(max(t0, 0.01), t1, 25)
-    worst = max(invariant_ode_residuals(scenario, t).worst for t in grid)
-    return CheckResult("invariant-ode", worst, tol)
+    return max(invariant_ode_residuals(scenario, t).worst for t in grid)
 
 
-def _check_invariant_identity(scenario: Scenario, tol: float, t0: float, t1: float) -> CheckResult:
+def _check_invariant_identity(scenario: Scenario, t0: float, t1: float) -> float:
     target = 4.0 * scenario.constants.xi**2
-    worst = max(
+    return max(
         abs(invariant_coefficients(scenario, t).quadratic_identity - target)
         / max(1.0, target)
         for t in _linspace(t0, t1, 25)
     )
-    return CheckResult("invariant-identity", worst, tol)
 
 
-def _check_phase(scenario: Scenario, tol: float, t0: float, t1: float) -> CheckResult:
+def _check_phase(scenario: Scenario, t0: float, t1: float) -> float:
     s = StateLabel(0, 1)
     worst = 0.0
     for t in _linspace(t0, t1, 50):
         cf = phase_closed_form(scenario, s, t).value
         qd = phase_quadrature(scenario, s, t).value
         worst = max(worst, abs(cf - qd) / max(1.0, abs(cf), abs(qd)))
-    return CheckResult("phase-crossval", worst, tol)
+    return worst
 
 
-def _check_matrix_oracle(scenario: Scenario, tol: float, t0: float, t1: float) -> CheckResult:
+def _check_matrix_oracle(scenario: Scenario, t0: float, t1: float) -> float:
     times = (t0 + 0.3 * (t1 - t0), t0 + 0.8 * (t1 - t0))
     worst = 0.0
     for t in times:
@@ -183,10 +165,10 @@ def _check_matrix_oracle(scenario: Scenario, tol: float, t0: float, t1: float) -
                             abs(closed_x - oracle_x) / max(1.0, abs(closed_x)),
                             abs(closed_y - oracle_y) / max(1.0, abs(closed_y)),
                         )
-    return CheckResult("matrix-oracle", worst, tol)
+    return worst
 
 
-def _check_orthonormality(scenario: Scenario, tol: float, t0: float, t1: float) -> CheckResult:
+def _check_orthonormality(scenario: Scenario, t0: float, t1: float) -> float:
     t = t0 + 0.5 * (t1 - t0)
     labels = [StateLabel(n, m) for n in range(3) for m in range(3)]
     worst = 0.0
@@ -194,17 +176,18 @@ def _check_orthonormality(scenario: Scenario, tol: float, t0: float, t1: float) 
         for s2 in labels[i:]:
             want = 1.0 if s1 == s2 else 0.0
             worst = max(worst, abs(overlap(scenario, t, s1, s2) - want))
-    return CheckResult("orthonormality", worst, tol)
+    return worst
 
 
+# (name, default tolerance, check); a --tol override replaces every tolerance.
 _VERIFY_CHECKS = (
-    ("family-constraint", _check_constraint),
-    ("ep-residual", _check_ep),
-    ("invariant-ode", _check_invariant_ode),
-    ("invariant-identity", _check_invariant_identity),
-    ("phase-crossval", _check_phase),
-    ("matrix-oracle", _check_matrix_oracle),
-    ("orthonormality", _check_orthonormality),
+    ("family-constraint", CONSTRAINT_RTOL, lambda scenario, t0, t1: scenario.constraint_residual),
+    ("ep-residual", 1e-12, _check_ep),
+    ("invariant-ode", 1e-6, _check_invariant_ode),
+    ("invariant-identity", 1e-12, _check_invariant_identity),
+    ("phase-crossval", 1e-7, _check_phase),
+    ("matrix-oracle", 1e-6, _check_matrix_oracle),
+    ("orthonormality", 1e-6, _check_orthonormality),
 )
 
 
@@ -212,14 +195,14 @@ def cmd_verify(args) -> int:
     scenario = _load_scenario(args.scenario, enforce_constraint=False)
     t0, t1 = _verify_window(scenario)
     results: list[CheckResult] = []
-    for name, check in _VERIFY_CHECKS:
-        tol = args.tol if args.tol is not None else _VERIFY_TOLS[name]
+    for name, default_tol, check in _VERIFY_CHECKS:
         try:
-            results.append(check(scenario, tol, t0, t1))
+            worst = check(scenario, t0, t1)
         except NchoError:
             # A failed quadrature certification or a reality-window breach is
             # a failed check, not a usage error.
-            results.append(CheckResult(name, math.inf, tol))
+            worst = math.inf
+        results.append(CheckResult(name, worst, default_tol if args.tol is None else args.tol))
 
     print(f"scenario: {scenario.summary()}")
     print(f"{'check':<22} {'worst':>12} {'tolerance':>12}   status")
@@ -230,14 +213,6 @@ def cmd_verify(args) -> int:
     failed = len(results) - passed
     worst = max(res.worst for res in results)
     print(f"{len(results)} checks: {passed} passed, {failed} failed; worst residual {worst:.3e}")
-    args.report = RunReport(
-        command="verify",
-        scenario_summary=scenario.summary(),
-        rows_emitted=len(results),
-        checks_passed=passed,
-        checks_failed=failed,
-        worst_residual=worst,
-    )
     return 0 if failed == 0 else 1
 
 
@@ -342,19 +317,23 @@ def cmd_wavefield(args) -> int:
     s = _state(args)
     if args.points < 1:
         raise ValueError(f"--points must be a positive integer, got {args.points}")
-    t = args.t0
+    t = _finite("--t0", args.t0)
     st = rho_eval(scenario, t)
     # Radius capturing the bulk of the state (the Gaussian scale times the
     # label-dependent spread), so the grid needs no extra flag.
     r_max = 4.0 * math.sqrt(scenario.hbar * st.rho**2 * (s.n + s.m + 1))
     n_grid = args.points
-    rows = []
-    for i in range(1, n_grid + 1):
-        r = r_max * i / n_grid
-        for j in range(n_grid):
-            angle = 2.0 * math.pi * j / n_grid
-            value = hamiltonian_eigenfunction(scenario, t, s, PolarPoint(r, angle))
-            rows.append(",".join((_FMT % r, _FMT % angle, _FMT % abs(value) ** 2)))
+    r = r_max * np.arange(1, n_grid + 1) / n_grid
+    angle = 2.0 * math.pi * np.arange(n_grid) / n_grid
+    # psi = e^{i Theta} phi, with the same phase as the `phase` subcommand.
+    psi_phase = cmath.exp(1j * phase_closed_form(scenario, s, t).value)
+    psi = psi_phase * eigenfunction_grid(scenario, t, s, r[:, None], angle[None, :])
+    density = np.abs(psi) ** 2
+    rows = [
+        ",".join((_FMT % ri, _FMT % aj, _FMT % dij))
+        for ri, row in zip(r.tolist(), density.tolist())
+        for aj, dij in zip(angle.tolist(), row)
+    ]
     _emit("r,angle,psi_abs_sq", rows)
     return 0
 

@@ -26,7 +26,7 @@ import enum
 import math
 from dataclasses import dataclass, field, replace
 
-from .errors import ConstraintViolation, DomainError, ProfileMismatch, ScenarioFileError
+from .errors import ConstraintViolation, DomainError, ScenarioFileError
 
 CONSTRAINT_RTOL = 1e-9
 
@@ -110,12 +110,6 @@ class DampingProfile:
             return 1.0
         return math.exp(-self.Gamma * t)
 
-    def friction(self, t: float) -> float:
-        """Friction coefficient eta(t) = -d(ln f)/dt."""
-        if self.kind is DampingKind.UNIT:
-            return 0.0
-        return self.Gamma
-
 
 @dataclass(frozen=True)
 class FrequencyProfile:
@@ -143,16 +137,13 @@ class FrequencyProfile:
 class ScenarioSpec:
     """Unvalidated scenario inputs.
 
-    ``damping``/``frequency`` may be given explicitly (they must then agree
-    with the profile table for ``kind``) or left None to be derived from the
-    kind. ``k_exp`` is the rational-family exponent, used by SetII_k only.
+    The damping and frequency profiles follow from ``kind``. ``k_exp`` is the
+    rational-family exponent, used by SetII_k only.
     """
 
     constants: PhysicalConstants
     kind: ScenarioKind
     k_exp: int = 2
-    damping: DampingProfile | None = None
-    frequency: FrequencyProfile | None = None
 
 
 @dataclass(frozen=True)
@@ -254,13 +245,10 @@ def build_scenario(spec: ScenarioSpec, enforce_constraint: bool = True) -> Scena
     """
     c = spec.constants
     kind = spec.kind
+    k_exp = spec.k_exp
 
-    if kind is ScenarioKind.SET_II_K:
-        if not isinstance(spec.k_exp, int) or spec.k_exp < 1:
-            raise DomainError(f"rational-family exponent k_exp must be an integer >= 1, got {spec.k_exp!r}")
-        k_exp = spec.k_exp
-    else:
-        k_exp = spec.k_exp
+    if kind is ScenarioKind.SET_II_K and (not isinstance(k_exp, int) or k_exp < 1):
+        raise DomainError(f"rational-family exponent k_exp must be an integer >= 1, got {k_exp!r}")
 
     if kind.is_set_one:
         if c.sigma * c.Delta <= c.vartheta**2 / 4.0:
@@ -281,15 +269,6 @@ def build_scenario(spec: ScenarioSpec, enforce_constraint: bool = True) -> Scena
             )
 
     damping, frequency = expected_profiles(kind, c)
-    if spec.damping is not None and spec.damping != damping:
-        raise ProfileMismatch(
-            f"damping profile {spec.damping} inconsistent with kind {kind.value} (expected {damping})"
-        )
-    if spec.frequency is not None and spec.frequency != frequency:
-        raise ProfileMismatch(
-            f"frequency profile {spec.frequency} inconsistent with kind {kind.value} (expected {frequency})"
-        )
-
     name, _, _, _ = family_constraint(kind, c, k_exp)
     residual = constraint_residual(kind, c, k_exp)
     if enforce_constraint and residual > CONSTRAINT_RTOL:

@@ -35,7 +35,11 @@ _CROSS_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class EnergyResult:
-    """Energy expectation value at one time; complex past the reality horizon."""
+    """Energy expectation value at one time; complex past the reality horizon.
+
+    ``real_horizon`` (None if unbounded) does not depend on the labels: for
+    m = n the coupling term drops out and the value stays real past it.
+    """
 
     value: complex
     t: float
@@ -126,18 +130,7 @@ def energy_expectation(scenario: Scenario, t: float, s: StateLabel) -> EnergyRes
                 f"assembled energy {assembled!r} and closed form {closed!r} "
                 f"disagree (rel {mismatch:.3e}) at t={t:g}"
             )
-    return EnergyResult(complex(assembled), t, reality_horizon(scenario, s), s)
-
-
-def reality_horizon(scenario: Scenario, s: StateLabel) -> float | None:
-    """Largest time with a real energy value, None if unbounded.
-
-    The published bounds track where the deformation-parameter radicals go
-    complex and do not depend on the state labels (for m = n the coupling
-    term drops out and the energy stays real past the bound; the bound is
-    still reported).
-    """
-    return reality_horizon_time(scenario)
+    return EnergyResult(complex(assembled), t, reality_horizon_time(scenario), s)
 
 
 def energy_series(

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .config import PhysicalConstants, Scenario, ScenarioKind, constraint_residual
+from .config import PhysicalConstants, Scenario, ScenarioKind
 from .errors import DomainError, StepUnderflow
 
 
@@ -121,11 +121,6 @@ def ep_residual(scenario: Scenario, t: float) -> EPResidual:
     value = math.fsum(terms)
     scale = max(abs(x) for x in terms)
     return EPResidual(value=value, scale=scale, t=t)
-
-
-def constraint_check(scenario: Scenario) -> float:
-    """Relative residual of the scenario family's constant-constraint."""
-    return constraint_residual(scenario.kind, scenario.constants, scenario.k_exp)
 
 
 def integrate_ep_numeric(scenario: Scenario, t0: float, t1: float, steps: int) -> list[RhoEval]:

@@ -24,10 +24,6 @@ class DomainError(NchoError):
     """Inputs lie outside the validated parameter/time domain."""
 
 
-class ProfileMismatch(NchoError):
-    """Damping/frequency profiles are inconsistent with the scenario kind."""
-
-
 class OutsideRealityWindow(NchoError):
     """A square-root expression turned complex at the requested time.
 
@@ -66,10 +62,6 @@ class ToleranceNotMet(NchoError):
 
 class StepUnderflow(NchoError):
     """The numerical integrator stepped into rho <= 0 territory."""
-
-
-class UnsupportedK(NchoError):
-    """A closed form is published only for rational-family exponent k = 2."""
 
 
 class InvalidLabel(NchoError):

@@ -77,16 +77,6 @@ class SymbolForm(enum.Enum):
     ABC_FORM = "ABCForm"
 
 
-def damping_factor(scenario: Scenario, t: float) -> float:
-    """f(t) of the scenario's damping profile."""
-    return scenario.damping.factor(t)
-
-
-def frequency(scenario: Scenario, t: float) -> float:
-    """omega(t) of the scenario's frequency profile."""
-    return scenario.frequency.value(t)
-
-
 def reality_horizon_time(scenario: Scenario) -> float | None:
     """Largest t for which every square root in c (and th, Om) stays real.
 
@@ -223,8 +213,8 @@ def nc_parameters(scenario: Scenario, t: float) -> NCParams:
         raise DomainError(f"deformation parameters are validated for t >= 0, got t={t!r}")
     c = scenario.constants
     M = c.mass_M
-    f = damping_factor(scenario, t)
-    w = frequency(scenario, t)
+    f = scenario.damping.factor(t)
+    w = scenario.frequency.value(t)
     if w == 0.0:
         raise DomainError("theta_nc is undefined at zero frequency (omega(t) = 0)")
     a, _ = coefficient_a(scenario, t)
@@ -296,8 +286,8 @@ def classical_symbol(scenario: Scenario, t: float, pt: PhaseSpacePoint, form: Sy
         )
     nc = nc_parameters(scenario, t)
     c = scenario.constants
-    f = damping_factor(scenario, t)
-    w = frequency(scenario, t)
+    f = scenario.damping.factor(t)
+    w = scenario.frequency.value(t)
     kin1 = pt.p1 + 0.5 * nc.omega_nc * pt.x2
     kin2 = pt.p2 - 0.5 * nc.omega_nc * pt.x1
     pos1 = pt.x1 - 0.5 * nc.theta_nc * pt.p2

@@ -15,7 +15,7 @@ from typing import Callable
 
 from scipy.integrate import quad_vec
 
-from .errors import NoConvergence, NonPolynomialCase, OutOfValidatedDomain, ToleranceNotMet
+from .errors import NoConvergence, NonPolynomialCase, OutOfValidatedDomain
 
 DEFAULT_QUAD_TOL = 1e-10
 
@@ -144,39 +144,14 @@ def laguerre_weighted_integral_exact(q: int, n1: int, zeta1: int, n2: int, zeta2
     return total
 
 
-def laguerre_weighted_integral(q: int, n1: int, zeta1: int, n2: int, zeta2: int) -> float:
-    """integral_0^inf w^q e^-w L_n1^(zeta1)(w) L_n2^(zeta2)(w) dw, exactly.
-
-    Closed-form shortcuts are applied when the orthogonality pattern
-    (q == zeta1 == zeta2) or the first-moment pattern (q == zeta+1, equal
-    indices) matches; the general case falls through to the exact expansion.
-    Shortcut use is restricted to moment order p <= 1 — the (2n+zeta+1)^p
-    form is not exact beyond that — so higher moments always take the
-    expansion route.
-    """
-    if q < 0:
-        raise ValueError(f"q must be a nonnegative integer, got {q!r}")
-    if min(n1, n2) < 0:
-        raise ValueError("polynomial degrees must be nonnegative")
-    if q == zeta1 == zeta2:
-        if n1 != n2:
-            return 0.0
-        return float(Fraction(math.factorial(n1 + q), math.factorial(n1)))
-    if zeta1 == zeta2 and n1 == n2 and zeta1 >= 0 and q == zeta1 + 1:
-        return float(
-            Fraction(math.factorial(n1 + zeta1), math.factorial(n1)) * (2 * n1 + zeta1 + 1)
-        )
-    return float(laguerre_weighted_integral_exact(q, n1, zeta1, n2, zeta2))
-
-
 def integrate_adaptive_full(
     f: Callable[[float], complex], t0: float, t1: float, tol: float = DEFAULT_QUAD_TOL
 ) -> tuple[complex, float]:
     """Adaptive quadrature of a (possibly complex) integrand on [t0, t1].
 
-    Returns (value, error_estimate) without enforcing the tolerance; the
-    wrapper below raises. Gauss-Kronrod panels with adaptive bisection,
-    absolute tolerance.
+    Returns (value, error_estimate) without enforcing the tolerance; callers
+    decide what error they accept. Gauss-Kronrod panels with adaptive
+    bisection, absolute tolerance.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
@@ -184,19 +159,3 @@ def integrate_adaptive_full(
         return complex(0.0), 0.0
     value, err = quad_vec(f, t0, t1, epsabs=tol, epsrel=0.0, norm="max")
     return complex(value), float(err)
-
-
-def integrate_adaptive(
-    f: Callable[[float], complex], t0: float, t1: float, tol: float = DEFAULT_QUAD_TOL
-) -> complex:
-    """Adaptive quadrature that enforces the absolute tolerance.
-
-    Raises ToleranceNotMet (carrying the achieved error estimate) when the
-    subdivision budget is exhausted above ``tol``.
-    """
-    value, err = integrate_adaptive_full(f, t0, t1, tol)
-    if err > tol:
-        raise ToleranceNotMet(
-            f"quadrature error estimate {err:.3e} exceeds tolerance {tol:g}", achieved=err
-        )
-    return value

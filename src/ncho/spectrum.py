@@ -12,9 +12,10 @@ time-dependent problem are e^{i Theta} phi with the evolution phase
     Theta_{n,l}(t) = (n+l) * integral_0^t (c(T) - a(T)/rho^2(T)) dT,
 
 which each scenario family admits in closed form (quadrature is kept as the
-independent cross-check). Matrix elements of x^k and y^k reduce to finite
-sums of exactly evaluated Laguerre-weighted integrals; a tensor-grid
-quadrature oracle recomputes them from the defining 2-D integral.
+independent cross-check, and stands in where no closed form is validated).
+Matrix elements of x^k and y^k reduce to finite sums of exactly evaluated
+Laguerre-weighted integrals; a tensor-grid quadrature oracle recomputes them
+from the defining 2-D integral.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from scipy.special import roots_laguerre
 
 from .config import Scenario, ScenarioKind
-from .errors import DomainError, InvalidLabel, ToleranceNotMet, UnsupportedK
+from .errors import DomainError, InvalidLabel, ToleranceNotMet
 from .ermakov import coefficient_a, rho_eval
 from .hamiltonian import c_complex
 from .specfun import (
@@ -41,9 +42,9 @@ from .specfun import (
     tricomi_u_poly,
 )
 
-#: Default absolute tolerance for phase quadrature.
+#: Absolute tolerance of the phase quadrature.
 PHASE_QUAD_TOL = 1e-10
-#: Default absolute tolerance for the 2-D quadrature oracle and overlaps.
+#: Absolute tolerance of overlaps; default of the matrix-element oracle.
 ORACLE_TOL = 1e-8
 #: Relative floor applied on top of absolute tolerances: a quadrature whose
 #: error estimate is below floor*(1 + |value|) is accepted regardless of the
@@ -246,7 +247,7 @@ def _unit_linear(scenario: Scenario, t: float) -> complex:
 
 
 @lru_cache(maxsize=4096)
-def _unit_phase_quadrature(scenario: Scenario, t: float, tol: float) -> complex:
+def _unit_phase_quadrature(scenario: Scenario, t: float) -> complex:
     """integral_0^t (c - a/rho^2) dT by adaptive quadrature, complex-valued."""
     if t == 0.0:
         return 0.0j
@@ -256,8 +257,8 @@ def _unit_phase_quadrature(scenario: Scenario, t: float, tol: float) -> complex:
         rho = rho_eval(scenario, ts).rho
         return c_complex(scenario, ts) - a / rho**2
 
-    value, err = integrate_adaptive_full(integrand, 0.0, t, tol)
-    if err > max(tol, _REL_FLOOR * (1.0 + abs(value))):
+    value, err = integrate_adaptive_full(integrand, 0.0, t, PHASE_QUAD_TOL)
+    if err > max(PHASE_QUAD_TOL, _REL_FLOOR * (1.0 + abs(value))):
         raise ToleranceNotMet(
             f"phase quadrature error {err:.3e} exceeds tolerance at t={t:g}",
             achieved=err,
@@ -266,7 +267,12 @@ def _unit_phase_quadrature(scenario: Scenario, t: float, tol: float) -> complex:
 
 
 def _unit_phase_closed(scenario: Scenario, t: float) -> complex | None:
-    """Closed-form unit phase, or None where only quadrature is validated."""
+    """Closed-form unit phase, or None where none is validated.
+
+    None for the unit-damping exponential family once the hypergeometric
+    argument leaves |z| < 1, and for rational exponents k != 2, for which
+    no closed form is published.
+    """
     kind = scenario.kind
     if kind is ScenarioKind.SET_IA:
         return _unit_exp_a(scenario, t)
@@ -275,55 +281,44 @@ def _unit_phase_closed(scenario: Scenario, t: float) -> complex | None:
     if kind is ScenarioKind.SET_IC:
         return _unit_exp_c(scenario, t)
     if kind is ScenarioKind.SET_II_K:
-        if scenario.k_exp != 2:
-            raise UnsupportedK(
-                f"closed-form phase exists only for exponent 2, got k={scenario.k_exp}"
-            )
-        return _unit_rational_k2(scenario, t)
+        return _unit_rational_k2(scenario, t) if scenario.k_exp == 2 else None
     return _unit_linear(scenario, t)
 
 
-@lru_cache(maxsize=4096)
-def _unit_phase(scenario: Scenario, t: float) -> complex:
-    """Best-available unit phase: closed form when validated, else quadrature."""
-    try:
-        unit = _unit_phase_closed(scenario, t)
-    except UnsupportedK:
-        unit = None
+def _unit_phase(scenario: Scenario, t: float) -> tuple[complex, PhaseMethod]:
+    """The unit phase and its route: closed form where validated, else quadrature.
+
+    Uncached on purpose: a closed form costs about as much as hashing the
+    scenario for a cache lookup. The quadrature route caches itself.
+    """
+    unit = _unit_phase_closed(scenario, t)
     if unit is None:
-        unit = _unit_phase_quadrature(scenario, t, PHASE_QUAD_TOL)
-    return unit
+        return _unit_phase_quadrature(scenario, t), PhaseMethod.QUADRATURE
+    return unit, PhaseMethod.CLOSED_FORM
 
 
-def phase_quadrature(
-    scenario: Scenario, s: StateLabel, t: float, tol: float = PHASE_QUAD_TOL
-) -> PhaseResult:
+def phase_quadrature(scenario: Scenario, s: StateLabel, t: float) -> PhaseResult:
     """Evolution phase by adaptive quadrature of (n+l) * (c - a/rho^2)."""
     if s.m == 0:
         return PhaseResult(0.0j, PhaseMethod.QUADRATURE, t)
-    unit = _unit_phase_quadrature(scenario, float(t), tol)
+    unit = _unit_phase_quadrature(scenario, float(t))
     return PhaseResult(s.m * unit, PhaseMethod.QUADRATURE, t)
 
 
 def phase_closed_form(scenario: Scenario, s: StateLabel, t: float) -> PhaseResult:
-    """Evolution phase from the family's closed form.
+    """Evolution phase from the family's closed form, else by quadrature.
 
-    For the unit-damping exponential family the closed form contains a
-    hypergeometric series validated only for |z| < 1; outside that region the
-    result falls back to quadrature and carries an explanatory note.
+    Where no closed form is validated (hypergeometric argument outside
+    |z| < 1, or k != 2) the result comes from quadrature, says so in
+    ``method`` and carries an explanatory note.
     """
-    unit = _unit_phase_closed(scenario, float(t))
-    if unit is None:
-        if s.m == 0:
-            return PhaseResult(0.0j, PhaseMethod.CLOSED_FORM, t)
-        unit = _unit_phase_quadrature(scenario, float(t), PHASE_QUAD_TOL)
-        return PhaseResult(
-            s.m * unit,
-            PhaseMethod.QUADRATURE,
-            t,
-            note="hypergeometric argument outside |z| < 1; quadrature fallback",
-        )
-    return PhaseResult(s.m * unit, PhaseMethod.CLOSED_FORM, t)
+    if s.m == 0:
+        return PhaseResult(0.0j, PhaseMethod.CLOSED_FORM, t)
+    unit, method = _unit_phase(scenario, float(t))
+    note = None
+    if method is PhaseMethod.QUADRATURE:
+        note = "no closed form validated here (|z| >= 1 or k != 2); quadrature fallback"
+    return PhaseResult(s.m * unit, method, t, note)
 
 
 # --------------------------------------------------------------------------
@@ -348,33 +343,46 @@ def _radial_polynomial(n: int, m: int, hr2: float, r, w):
     return scale * w ** ((m - n) / 2.0) * laguerre(n, m - n, w)
 
 
-def eigenfunction(scenario: Scenario, t: float, s: StateLabel, pt: PolarPoint) -> complex:
-    """Invariant eigenfunction phi_{n,m-n} at a polar point."""
-    st = rho_eval(scenario, t)
-    a, _ = coefficient_a(scenario, t)
-    hbar = scenario.hbar
-    hr2 = hbar * st.rho**2
-    w = pt.r**2 / hr2
+def _phi(hbar: float, rho: float, gauss: complex, s: StateLabel, r, angle) -> np.ndarray:
+    """phi_{n,m-n} with its Gaussian written exp(-gauss * w / 2), w = r^2/(hbar rho^2).
+
+    ``r`` and ``angle`` are arrays (or scalars) that broadcast together. The
+    eigenfunction has gauss = 1 - i rho rho'/a; the tensor quadrature passes
+    gauss = 0 because its Gauss-Laguerre weight e^{-w} is |Gaussian|^2.
+    """
+    hr2 = hbar * rho**2
+    w = r**2 / hr2
     pref = (
         _norm_lambda(s.n, hr2)
-        * (1j * math.sqrt(hbar) * st.rho) ** s.m
+        * (1j * math.sqrt(hbar) * rho) ** s.m
         / math.sqrt(math.factorial(s.m))
     )
-    radial = _radial_polynomial(s.n, s.m, hr2, pt.r, w)
-    phase_exp = cmath.exp(
-        1j * pt.angle * (s.m - s.n) - (1.0 - 1j * st.rho * st.rho_dot / a) * w / 2.0
-    )
-    return pref * radial * phase_exp
+    radial = pref * _radial_polynomial(s.n, s.m, hr2, r, w)
+    return radial * np.exp(1j * (s.m - s.n) * angle - gauss * w / 2.0)
+
+
+def eigenfunction_grid(scenario: Scenario, t: float, s: StateLabel, r, angle) -> np.ndarray:
+    """Invariant eigenfunction phi_{n,m-n} on arrays of radii (>= 0) and angles.
+
+    ``r`` and ``angle`` broadcast together, e.g. ``r[:, None]`` against
+    ``angle[None, :]`` for a polar grid.
+    """
+    st = rho_eval(scenario, t)
+    a, _ = coefficient_a(scenario, t)
+    return _phi(scenario.hbar, st.rho, 1.0 - 1j * st.rho * st.rho_dot / a, s, r, angle)
+
+
+def eigenfunction(scenario: Scenario, t: float, s: StateLabel, pt: PolarPoint) -> complex:
+    """Invariant eigenfunction phi_{n,m-n} at a polar point."""
+    return complex(eigenfunction_grid(scenario, t, s, pt.r, pt.angle))
 
 
 def hamiltonian_eigenfunction(
     scenario: Scenario, t: float, s: StateLabel, pt: PolarPoint
 ) -> complex:
     """Solution of the time-dependent problem: e^{i Theta_{n,m-n}} phi_{n,m-n}."""
-    phi = eigenfunction(scenario, t, s, pt)
-    if s.m == 0:
-        return phi
-    return cmath.exp(1j * s.m * _unit_phase(scenario, float(t))) * phi
+    theta = phase_closed_form(scenario, s, t).value
+    return cmath.exp(1j * theta) * eigenfunction(scenario, t, s, pt)
 
 
 # --------------------------------------------------------------------------
@@ -390,13 +398,9 @@ class _QuadGrid:
     """
 
     def __init__(self, scenario: Scenario, t: float):
-        st = rho_eval(scenario, t)
-        a, _ = coefficient_a(scenario, t)
         self.hbar = scenario.hbar
-        self.rho = st.rho
-        self.rho_dot = st.rho_dot
-        self.a = a
-        self.hr2 = self.hbar * st.rho**2
+        self.rho = rho_eval(scenario, t).rho
+        self.hr2 = self.hbar * self.rho**2
         self._nodes: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._stripped: dict[tuple[int, int, int], np.ndarray] = {}
 
@@ -414,14 +418,7 @@ class _QuadGrid:
         if key not in self._stripped:
             w, _, theta = self.nodes(res)
             r = np.sqrt(self.hr2 * w)
-            pref = (
-                _norm_lambda(s.n, self.hr2)
-                * (1j * math.sqrt(self.hbar) * self.rho) ** s.m
-                / math.sqrt(math.factorial(s.m))
-            )
-            radial = pref * _radial_polynomial(s.n, s.m, self.hr2, r, w)
-            angular = np.exp(1j * (s.m - s.n) * theta)
-            self._stripped[key] = radial[:, None] * angular[None, :]
+            self._stripped[key] = _phi(self.hbar, self.rho, 0.0, s, r[:, None], theta[None, :])
         return self._stripped[key]
 
 
@@ -444,30 +441,37 @@ def _tensor_integral(
     return complex(total * (grid.hr2 / 2.0) * (2.0 * math.pi / theta.size))
 
 
-def overlap(
-    scenario: Scenario, t: float, s1: StateLabel, s2: StateLabel, tol: float = ORACLE_TOL
+def _certified_integral(
+    scenario: Scenario, t: float, s1: StateLabel, s2: StateLabel, k_pow: int,
+    coordinate: Coordinate | None, tol: float,
 ) -> complex:
-    """2-D quadrature of conj(phi_s1) phi_s2 r dr dangle (delta on both labels)."""
+    """The high-resolution tensor integral, certified against the low one to tol."""
     grid = _quad_grid(scenario, float(t))
-    lo = _tensor_integral(grid, s1, s2, 0, None, 0)
-    hi = _tensor_integral(grid, s1, s2, 0, None, 1)
+    lo = _tensor_integral(grid, s1, s2, k_pow, coordinate, 0)
+    hi = _tensor_integral(grid, s1, s2, k_pow, coordinate, 1)
     err = abs(hi - lo)
     if err > max(tol, _REL_FLOOR * (1.0 + abs(hi))):
         raise ToleranceNotMet(
-            f"overlap quadrature disagreement {err:.3e} between resolutions",
+            f"tensor quadrature disagreement {err:.3e} between resolutions",
             achieved=err,
         )
     return hi
+
+
+def overlap(scenario: Scenario, t: float, s1: StateLabel, s2: StateLabel) -> complex:
+    """2-D quadrature of conj(phi_s1) phi_s2 r dr dangle (delta on both labels)."""
+    return _certified_integral(scenario, t, s1, s2, 0, None, ORACLE_TOL)
 
 
 # --------------------------------------------------------------------------
 # Matrix elements of coordinate powers
 # --------------------------------------------------------------------------
 
-def _check_label_int(name: str, v) -> int:
-    if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-        raise InvalidLabel(f"{name} must be a nonnegative integer, got {v!r}")
-    return v
+def _element_labels(n: int, m: int, m_prime: int, k_pow: int) -> tuple[StateLabel, StateLabel]:
+    """The bra and ket labels of <n,m-n| coord^k |n,m'-n>, with k_pow validated."""
+    if not isinstance(k_pow, int) or isinstance(k_pow, bool) or k_pow < 0:
+        raise InvalidLabel(f"k_pow must be a nonnegative integer, got {k_pow!r}")
+    return StateLabel(n, m), StateLabel(n, m_prime)
 
 
 # i^(-k) as exact Gaussian units, indexed by k mod 4.
@@ -478,10 +482,7 @@ def _matrix_element_sum(
     scenario: Scenario, t: float, n: int, m: int, m_prime: int, k_pow: int,
     x_units: bool, invariant_basis: bool,
 ) -> complex:
-    _check_label_int("n", n)
-    _check_label_int("m", m)
-    _check_label_int("m_prime", m_prime)
-    _check_label_int("k_pow", k_pow)
+    _element_labels(n, m, m_prime, k_pow)
     diff = m_prime - m
     if abs(diff) > k_pow or (diff + k_pow) % 2:
         return 0.0 + 0.0j  # selection rule: no term survives the deltas
@@ -506,7 +507,7 @@ def _matrix_element_sum(
         sign = -1.0 if (k_pow + r_idx) % 2 else 1.0
         value *= sign * _INV_I_POW[k_pow % 4]
     if diff and not invariant_basis:
-        value *= cmath.exp(1j * diff * _unit_phase(scenario, float(t)))
+        value *= cmath.exp(1j * diff * _unit_phase(scenario, float(t))[0])
     return value
 
 
@@ -539,26 +540,13 @@ def matrix_element_oracle(
     coordinate: Coordinate | str, tol: float = ORACLE_TOL,
 ) -> complex:
     """Brute-force oracle: 2-D quadrature of the defining matrix-element integral."""
-    _check_label_int("n", n)
-    _check_label_int("m", m)
-    _check_label_int("m_prime", m_prime)
-    _check_label_int("k_pow", k_pow)
+    s1, s2 = _element_labels(n, m, m_prime, k_pow)
     if n > 4 or m > 4 or m_prime > 4 or k_pow > 3:
         raise InvalidLabel(
             "oracle quadrature validated for n, m, m' <= 4 and power <= 3 only"
         )
-    coord = Coordinate(coordinate)
-    s1, s2 = StateLabel(n, m), StateLabel(n, m_prime)
-    grid = _quad_grid(scenario, float(t))
-    lo = _tensor_integral(grid, s1, s2, k_pow, coord, 0)
-    hi = _tensor_integral(grid, s1, s2, k_pow, coord, 1)
-    err = abs(hi - lo)
-    if err > max(tol, _REL_FLOOR * (1.0 + abs(hi))):
-        raise ToleranceNotMet(
-            f"oracle quadrature disagreement {err:.3e} between resolutions",
-            achieved=err,
-        )
+    value = _certified_integral(scenario, t, s1, s2, k_pow, Coordinate(coordinate), tol)
     diff = m_prime - m
     if diff:
-        hi *= cmath.exp(1j * diff * _unit_phase(scenario, float(t)))
-    return hi
+        value *= cmath.exp(1j * diff * _unit_phase(scenario, float(t))[0])
+    return value

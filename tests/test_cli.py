@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import re
 import subprocess
 import sys
@@ -9,6 +10,9 @@ import sys
 import pytest
 
 from ncho.cli import main
+from ncho.config import build_scenario, parse_scenario_file
+from ncho.ermakov import rho_eval
+from ncho.spectrum import PolarPoint, StateLabel, hamiltonian_eigenfunction
 
 from conftest import SCENARIO_DIR
 
@@ -141,6 +145,23 @@ def test_phase_quadrature_fallback_method_column(capsys):
     assert {row[3] for row in rows} == {"Quadrature"}
 
 
+def test_phase_rational_k3_falls_back_to_quadrature(capsys, tmp_path):
+    # k = 3 has no published closed form; Gamma^2 mu = 25 (sigma Delta mu - sigma^2/mu^3)
+    # holds with Delta = 1.04.
+    k3 = tmp_path / "k3.scenario"
+    k3.write_text(
+        "kind = SetII_k\nk_exp = 3\nM = 1\nomega0 = 0.5\nGamma = 1\nchi = 1\n"
+        "sigma = 1\nDelta = 1.04\nmu = 1\n"
+    )
+    code, out, _ = run_cli(
+        capsys, "phase", "--scenario", str(k3), "--m", "1", "--t1", "0.5", "--points", "4"
+    )
+    assert code == 0
+    _, rows = csv_rows(out)
+    assert len(rows) == 4
+    assert {row[3] for row in rows} == {"Quadrature"}
+
+
 # ---------------------------------------------------------------------------
 # matelem
 # ---------------------------------------------------------------------------
@@ -219,6 +240,30 @@ def test_wavefield_grid_shape(capsys):
     assert max(float(row[2]) for row in rows) > 0.0
 
 
+@pytest.mark.parametrize("n, m", [(1, 2), (2, 0)])
+def test_wavefield_matches_scalar_eigenfunction(capsys, n, m):
+    # The grid is evaluated in one array call; the scalar route is the reference.
+    # t lies past the reality horizon (~1.83), where |e^{i Theta}| != 1.
+    path = SCENARIO_DIR / "mild_iii.scenario"
+    scenario = build_scenario(parse_scenario_file(path))
+    t, points = 2.2, 64
+    code, out, _ = run_cli(
+        capsys, "wavefield", "--scenario", str(path), "--n", str(n), "--m", str(m),
+        "--t0", str(t), "--points", str(points),
+    )
+    assert code == 0
+    _, rows = csv_rows(out)
+    r_max = 4.0 * math.sqrt(scenario.hbar * rho_eval(scenario, t).rho ** 2 * (n + m + 1))
+    # Radial index 0 is the smallest radius, r_max / points, next to the origin.
+    for i, j in ((0, 0), (0, 5), (1, 17), (20, 40), (points // 2, 3), (points - 1, points - 1)):
+        r, angle = r_max * (i + 1) / points, 2.0 * math.pi * j / points
+        row = rows[i * points + j]
+        assert row[:2] == ["%.12e" % r, "%.12e" % angle]
+        psi = hamiltonian_eigenfunction(scenario, t, StateLabel(n, m), PolarPoint(r, angle))
+        want = abs(psi) ** 2
+        assert abs(float(row[2]) - want) <= 1e-12 * want, (i, j, row[2], want)
+
+
 # ---------------------------------------------------------------------------
 # Exit codes and plumbing
 # ---------------------------------------------------------------------------
@@ -228,6 +273,17 @@ def test_usage_errors_exit_two(capsys):
     assert run_cli(capsys, "nosuch", "--scenario", IB)[0] == 2
     assert run_cli(capsys, "energy", "--scenario", IB, "--points", "0")[0] == 2
     assert run_cli(capsys, "energy", "--scenario", "/nonexistent.scenario")[0] == 2
+    for cmd, flag, value in (
+        ("energy", "--t0", "nan"),
+        ("ncparams", "--t0", "nan"),
+        ("energy", "--t1", "inf"),
+        ("phase", "--t1", "nan"),
+        ("wavefield", "--t0", "nan"),
+        ("wavefield", "--t0", "inf"),
+    ):
+        code, out, err = run_cli(capsys, cmd, "--scenario", IB, flag, value)
+        assert code == 2, (cmd, flag, value)
+        assert out == "" and "must be a finite number" in err
 
 
 def test_malformed_scenario_reports_line_number(capsys, tmp_path):

@@ -13,10 +13,10 @@ from ncho.energy import (
     energy_expectation,
     energy_series,
     quadratic_expectations,
-    reality_horizon,
 )
 from ncho.ermakov import coefficient_a, rho_eval
 from ncho.errors import ConstraintGuard
+from ncho.hamiltonian import reality_horizon_time
 from ncho.spectrum import StateLabel
 
 from conftest import make_scenario
@@ -120,21 +120,21 @@ def test_general_exponent_uses_assembled_route_only():
 # ---------------------------------------------------------------------------
 
 def test_reality_horizons_match_published_bounds(fig_scenarios):
-    assert reality_horizon(fig_scenarios["Ia"], GROUND) == pytest.approx(
+    assert reality_horizon_time(fig_scenarios["Ia"]) == pytest.approx(
         math.log(1.0e7), rel=1e-14
     )
-    assert reality_horizon(fig_scenarios["Ib"], GROUND) is None
-    assert reality_horizon(fig_scenarios["Ic"], GROUND) is None
-    assert reality_horizon(fig_scenarios["II"], GROUND) == pytest.approx(
+    assert reality_horizon_time(fig_scenarios["Ib"]) is None
+    assert reality_horizon_time(fig_scenarios["Ic"]) is None
+    assert reality_horizon_time(fig_scenarios["II"]) == pytest.approx(
         2.0 * math.sqrt(1.0e7) - 1.0, rel=1e-14
     )
-    assert reality_horizon(fig_scenarios["III"], GROUND) == pytest.approx(
+    assert reality_horizon_time(fig_scenarios["III"]) == pytest.approx(
         math.sqrt(1.0e7) / 1.0e3 - 1.0, rel=1e-14
     )
 
 
 def test_energy_real_inside_window_complex_beyond(fig_iii):
-    horizon = reality_horizon(fig_iii, StateLabel(1, 0))
+    horizon = reality_horizon_time(fig_iii)
     inside = energy_expectation(fig_iii, 1.0, StateLabel(1, 0))
     assert inside.in_window
     assert inside.value.imag == 0.0
@@ -148,7 +148,7 @@ def test_energy_real_inside_window_complex_beyond(fig_iii):
 
 
 def test_in_window_boundary_is_inclusive(fig_iii):
-    horizon = reality_horizon(fig_iii, GROUND)
+    horizon = reality_horizon_time(fig_iii)
     assert energy_expectation(fig_iii, horizon, GROUND).in_window
     assert EnergyResult(0j, 1.0, None, GROUND).in_window
 

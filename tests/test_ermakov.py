@@ -11,7 +11,6 @@ from ncho.config import ScenarioKind
 from ncho.ermakov import (
     coefficient_a,
     coefficient_b,
-    constraint_check,
     ep_residual,
     integrate_ep_numeric,
     rho_eval,
@@ -107,12 +106,6 @@ def test_ep_residual_tiny_on_figures(fig_scenarios):
 def test_ep_residual_large_when_constraint_broken():
     scenario = make_scenario(ScenarioKind.SET_IB, mu=1.05, enforce=False)
     assert ep_residual(scenario, 0.5).relative > 1e-4
-
-
-def test_constraint_check_matches_build(fig_scenarios):
-    for scenario in fig_scenarios.values():
-        assert constraint_check(scenario) == scenario.constraint_residual
-        assert constraint_check(scenario) <= 1e-9
 
 
 def test_rk4_tracks_analytic_rho(mild_scenarios):

@@ -16,8 +16,6 @@ from ncho.hamiltonian import (
     c_value,
     classical_symbol,
     coefficients,
-    damping_factor,
-    frequency,
     nc_parameters,
     reality_horizon_time,
 )
@@ -29,15 +27,16 @@ COORDS = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 
 def test_profiles_per_family(fig_scenarios):
     t = 0.7
-    c = fig_scenarios["Ia"].constants
-    assert damping_factor(fig_scenarios["Ia"], t) == 1.0
+    ia, ib, iii = fig_scenarios["Ia"], fig_scenarios["Ib"], fig_scenarios["III"]
+    c = ia.constants
+    assert ia.damping.factor(t) == 1.0
     assert math.isclose(
-        frequency(fig_scenarios["Ia"], t), c.omega0 * math.exp(-0.5 * c.Gamma * t), rel_tol=1e-15
+        ia.frequency.value(t), c.omega0 * math.exp(-0.5 * c.Gamma * t), rel_tol=1e-15
     )
-    assert math.isclose(damping_factor(fig_scenarios["Ib"], t), math.exp(-c.Gamma * t), rel_tol=1e-15)
-    assert frequency(fig_scenarios["Ib"], t) == c.omega0
+    assert math.isclose(ib.damping.factor(t), math.exp(-c.Gamma * t), rel_tol=1e-15)
+    assert ib.frequency.value(t) == c.omega0
     assert math.isclose(
-        frequency(fig_scenarios["III"], t), c.omega0 / (c.Gamma * t + c.chi), rel_tol=1e-15
+        iii.frequency.value(t), c.omega0 / (c.Gamma * t + c.chi), rel_tol=1e-15
     )
 
 

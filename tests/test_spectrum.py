@@ -7,10 +7,11 @@ import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 
 from ncho.config import ScenarioKind
 from ncho.ermakov import coefficient_a, rho_eval
-from ncho.errors import DomainError, InvalidLabel, UnsupportedK
+from ncho.errors import DomainError, InvalidLabel
 from ncho.hamiltonian import c_value
 from ncho.spectrum import (
     Coordinate,
@@ -117,11 +118,13 @@ def test_phase_rational_wrong_exponent_has_no_closed_form():
         ScenarioKind.SET_II_K, k_exp=3, omega0=0.5, sigma=1.0, Delta=1.0, mu=1.0,
         enforce=False,
     )
-    with pytest.raises(UnsupportedK):
-        phase_closed_form(scenario, UNIT, 0.5)
-    # Quadrature still works for any exponent.
-    val = phase_quadrature(scenario, UNIT, 0.5).value
-    assert cmath.isfinite(val)
+    # No closed form is published for k != 2: the phase falls back to the
+    # quadrature route, which works for any exponent.
+    res = phase_closed_form(scenario, UNIT, 0.5)
+    assert res.method is PhaseMethod.QUADRATURE
+    assert "quadrature fallback" in res.note
+    assert res.value == phase_quadrature(scenario, UNIT, 0.5).value
+    assert cmath.isfinite(res.value)
 
 
 @given(n=st.integers(0, 3), m=st.integers(0, 4), frac=st.floats(0.1, 1.0))
@@ -180,6 +183,19 @@ def test_orthonormality_small_grid(fig_ia, fig_iii):
                 want = 1.0 if s1 == s2 else 0.0
                 got = overlap(scenario, t, s1, s2)
                 assert abs(got - want) <= 1e-10, (s1, s2)
+
+
+def test_eigenfunction_norm_pins_gaussian_width(fig_ii):
+    # overlap() strips the Gaussian, so integrate |phi|^2 r dr dangle of the
+    # eigenfunction itself: |phi| is angle-independent, leaving a radial quad.
+    t = 0.6
+    r_max = 12.0 * math.sqrt(fig_ii.hbar) * rho_eval(fig_ii, t).rho
+    for s in (StateLabel(0, 0), StateLabel(1, 2), StateLabel(2, 0)):
+        norm, _ = quad(
+            lambda r: 2.0 * math.pi * r * abs(eigenfunction(fig_ii, t, s, PolarPoint(r, 0.0))) ** 2,
+            0.0, r_max, epsabs=1e-13, epsrel=1e-12,
+        )
+        assert abs(norm - 1.0) <= 1e-9, (s, norm)
 
 
 def test_hamiltonian_eigenfunction_phase_wiring(fig_ib):
