@@ -8,10 +8,6 @@ numerical cross-check.
 """
 
 from .config import (
-    DampingKind,
-    DampingProfile,
-    FrequencyKind,
-    FrequencyProfile,
     PhysicalConstants,
     Scenario,
     ScenarioKind,
@@ -23,10 +19,6 @@ from .config import (
 from . import errors
 
 __all__ = [
-    "DampingKind",
-    "DampingProfile",
-    "FrequencyKind",
-    "FrequencyProfile",
     "PhysicalConstants",
     "Scenario",
     "ScenarioKind",

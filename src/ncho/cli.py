@@ -33,7 +33,7 @@ from .config import CONSTRAINT_RTOL, Scenario, build_scenario, parse_scenario_fi
 from .energy import energy_series
 from .errors import NchoError, OutsideRealityWindow, ToleranceNotMet
 from .ermakov import ep_residual, rho_eval
-from .hamiltonian import _published_nc_squared, nc_parameters, reality_horizon_time
+from .hamiltonian import nc_parameters, published_nc_squared, reality_horizon_time
 from .invariant import invariant_coefficients, invariant_ode_residuals
 from .spectrum import (
     Coordinate,
@@ -221,10 +221,12 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _emit(header: str, rows: list[str]) -> None:
-    out = sys.stdout
-    out.write(header + "\n")
-    for row in rows:
-        out.write(row + "\n")
+    # Fields are %.12e numbers, 0/1 flags and method names, so only a
+    # non-finite number prints as inf or nan.
+    body = "".join(row + "\n" for row in rows)
+    if "inf" in body or "nan" in body:
+        raise ArithmeticError("a value is not finite; no table written")
+    sys.stdout.write(header + "\n" + body)
 
 
 def cmd_energy(args) -> int:
@@ -300,7 +302,7 @@ def cmd_ncparams(args) -> int:
         except OutsideRealityWindow:
             # Beyond the window report magnitudes of the (now complex)
             # closed forms, flagged per column; never NaN.
-            theta2, omega2 = _published_nc_squared(scenario, t)
+            theta2, omega2 = published_nc_squared(scenario, t)
             theta, omega = math.sqrt(abs(theta2)), math.sqrt(abs(omega2))
             theta_real, omega_real = int(theta2 >= 0.0), int(omega2 >= 0.0)
         rows.append(
@@ -431,6 +433,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except NchoError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:  # e.g. a finite time of 1e308 overflows
+        print(f"error: inputs out of numerical range: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,19 +1,10 @@
 """Scenario definition, validation, and the flat key-value scenario file format.
 
 A *scenario* binds the physical constants to one of five damped-oscillator
-setups. Each setup couples a damping profile f(t), a frequency profile
-omega(t), and one analytic family of the auxiliary nonlinear equation that
-drives the invariant machinery:
-
-============  ==========  ============================  =======================
-kind          damping     frequency                     scale-function family
-============  ==========  ============================  =======================
-``SetIa``     f = 1       omega0*exp(-Gamma*t/2)        exponential
-``SetIb``     exp(-G t)   omega0 (constant)             exponential
-``SetIc``     exp(-G t)   omega0*exp(-Gamma*t/2)        exponential
-``SetII_k``   f = 1       omega0/(Gamma*t + chi)        rational, exponent k
-``SetIII``    f = 1       omega0/(Gamma*t + chi)        linear ("elementary")
-============  ==========  ============================  =======================
+setups, named by its ``ScenarioKind``. Each kind maps to one class of the
+family table in ``families``, which holds every closed form of that setup;
+`build_scenario` binds that class to the constants once and stores it as
+``Scenario.family``.
 
 Every accepted scenario satisfies its family's constant-constraint relation to
 a relative residual <= 1e-9; the residual is stored on the scenario for
@@ -27,19 +18,9 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .errors import ConstraintViolation, DomainError, ScenarioFileError
+from .families import Family, SetIa, SetIb, SetIc, SetIII, SetIIk
 
 CONSTRAINT_RTOL = 1e-9
-
-
-class DampingKind(enum.Enum):
-    UNIT = "Unit"
-    EXP_DECAY = "ExpDecay"
-
-
-class FrequencyKind(enum.Enum):
-    CONSTANT = "Constant"
-    EXP_DECAY = "ExpDecay"
-    RATIONAL = "Rational"
 
 
 class ScenarioKind(enum.Enum):
@@ -48,10 +29,6 @@ class ScenarioKind(enum.Enum):
     SET_IC = "SetIc"
     SET_II_K = "SetII_k"
     SET_III = "SetIII"
-
-    @property
-    def is_set_one(self) -> bool:
-        return self in (ScenarioKind.SET_IA, ScenarioKind.SET_IB, ScenarioKind.SET_IC)
 
 
 @dataclass(frozen=True)
@@ -98,47 +75,10 @@ class PhysicalConstants:
 
 
 @dataclass(frozen=True)
-class DampingProfile:
-    """Damping factor f(t) = exp(-integral of the friction coefficient)."""
-
-    kind: DampingKind
-    Gamma: float = 0.0
-
-    def factor(self, t: float) -> float:
-        """f(t); equals 1 for the undamped profile, exp(-Gamma*t) otherwise."""
-        if self.kind is DampingKind.UNIT:
-            return 1.0
-        return math.exp(-self.Gamma * t)
-
-
-@dataclass(frozen=True)
-class FrequencyProfile:
-    """Angular frequency omega(t) of the oscillator."""
-
-    kind: FrequencyKind
-    omega0: float
-    Gamma: float = 0.0
-    chi: float = 0.0
-
-    def value(self, t: float) -> float:
-        if self.kind is FrequencyKind.CONSTANT:
-            return self.omega0
-        if self.kind is FrequencyKind.EXP_DECAY:
-            return self.omega0 * math.exp(-self.Gamma * t / 2.0)
-        denom = self.Gamma * t + self.chi
-        if denom <= 0.0:
-            raise DomainError(
-                f"rational frequency profile needs Gamma*t + chi > 0; got {denom} at t={t}"
-            )
-        return self.omega0 / denom
-
-
-@dataclass(frozen=True)
 class ScenarioSpec:
     """Unvalidated scenario inputs.
 
-    The damping and frequency profiles follow from ``kind``. ``k_exp`` is the
-    rational-family exponent, used by SetII_k only.
+    ``k_exp`` is the rational-family exponent, used by SetII_k only.
     """
 
     constants: PhysicalConstants
@@ -148,14 +88,17 @@ class ScenarioSpec:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A validated scenario. Immutable; safe to share across threads."""
+    """A validated scenario. Immutable; safe to share across threads.
+
+    ``family`` is the kind's closed-form table bound to ``constants``; it is
+    derived from the other fields, so equality and hashing leave it out.
+    """
 
     constants: PhysicalConstants
-    damping: DampingProfile
-    frequency: FrequencyProfile
     kind: ScenarioKind
     k_exp: int
     constraint_residual: float = field(compare=False)
+    family: Family = field(compare=False, repr=False)
 
     @property
     def hbar(self) -> float:
@@ -174,63 +117,23 @@ class Scenario:
         return " ".join(bits)
 
 
-_PROFILE_TABLE: dict[ScenarioKind, tuple[DampingKind, FrequencyKind]] = {
-    ScenarioKind.SET_IA: (DampingKind.UNIT, FrequencyKind.EXP_DECAY),
-    ScenarioKind.SET_IB: (DampingKind.EXP_DECAY, FrequencyKind.CONSTANT),
-    ScenarioKind.SET_IC: (DampingKind.EXP_DECAY, FrequencyKind.EXP_DECAY),
-    ScenarioKind.SET_II_K: (DampingKind.UNIT, FrequencyKind.RATIONAL),
-    ScenarioKind.SET_III: (DampingKind.UNIT, FrequencyKind.RATIONAL),
+_FAMILIES: dict[ScenarioKind, type[Family]] = {
+    ScenarioKind.SET_IA: SetIa,
+    ScenarioKind.SET_IB: SetIb,
+    ScenarioKind.SET_IC: SetIc,
+    ScenarioKind.SET_II_K: SetIIk,
+    ScenarioKind.SET_III: SetIII,
 }
 
 
-def expected_profiles(kind: ScenarioKind, c: PhysicalConstants) -> tuple[DampingProfile, FrequencyProfile]:
-    """The (damping, frequency) profiles implied by a scenario kind."""
-    dk, fk = _PROFILE_TABLE[kind]
-    damping = DampingProfile(dk, Gamma=c.Gamma if dk is DampingKind.EXP_DECAY else 0.0)
-    if fk is FrequencyKind.CONSTANT:
-        frequency = FrequencyProfile(fk, omega0=c.omega0)
-    elif fk is FrequencyKind.EXP_DECAY:
-        frequency = FrequencyProfile(fk, omega0=c.omega0, Gamma=c.Gamma)
-    else:
-        frequency = FrequencyProfile(fk, omega0=c.omega0, Gamma=c.Gamma, chi=c.chi)
-    return damping, frequency
-
-
-def family_constraint(kind: ScenarioKind, c: PhysicalConstants, k_exp: int) -> tuple[str, float, float, tuple[float, ...]]:
-    """The family's constant-constraint as (name, LHS, RHS, term magnitudes).
-
-    Exponential family:  mu^4 * (sigma*Delta - vartheta^2/4) = xi^2 * sigma^2
-    Rational family:     Gamma^2*mu = (k+2)^2 * (sigma*Delta*mu - xi^2*sigma^2/mu^3)
-    Linear family:       Delta*mu^4 = xi^2*sigma
-    """
-    if kind.is_set_one:
-        lhs = c.mu**4 * (c.sigma * c.Delta - c.vartheta**2 / 4.0)
-        rhs = c.xi**2 * c.sigma**2
-        terms = (c.mu**4 * c.sigma * c.Delta, c.mu**4 * c.vartheta**2 / 4.0, rhs)
-        return "mu^4*(sigma*Delta - vartheta^2/4) = xi^2*sigma^2", lhs, rhs, terms
-    if kind is ScenarioKind.SET_II_K:
-        kk = float(k_exp)
-        lhs = c.Gamma**2 * c.mu
-        rhs = (kk + 2.0) ** 2 * (c.sigma * c.Delta * c.mu - c.xi**2 * c.sigma**2 / c.mu**3)
-        terms = (
-            lhs,
-            (kk + 2.0) ** 2 * c.sigma * c.Delta * c.mu,
-            (kk + 2.0) ** 2 * c.xi**2 * c.sigma**2 / c.mu**3,
-        )
-        return "Gamma^2*mu = (k+2)^2*(sigma*Delta*mu - xi^2*sigma^2/mu^3)", lhs, rhs, terms
-    lhs = c.Delta * c.mu**4
-    rhs = c.xi**2 * c.sigma
-    return "Delta*mu^4 = xi^2*sigma", lhs, rhs, (lhs, rhs)
-
-
-def constraint_residual(kind: ScenarioKind, c: PhysicalConstants, k_exp: int) -> float:
+def constraint_residual(family: Family) -> float:
     """Relative residual of the family constraint.
 
     The scale includes the individual term magnitudes, not just |LHS| and
     |RHS|: at figure-sized parameters the two sides cancel to machine noise
     against terms ~1e14, and the residual must reflect that cancellation.
     """
-    _, lhs, rhs, terms = family_constraint(kind, c, k_exp)
+    _, lhs, rhs, terms = family.constraint()
     scale = max(1.0, abs(lhs), abs(rhs), *[abs(x) for x in terms])
     return abs(lhs - rhs) / scale
 
@@ -243,45 +146,19 @@ def build_scenario(spec: ScenarioSpec, enforce_constraint: bool = True) -> Scena
     recorded but not gated (used by the verification CLI, which reports a
     broken constraint as a failed check rather than a config error).
     """
-    c = spec.constants
-    kind = spec.kind
-    k_exp = spec.k_exp
-
-    if kind is ScenarioKind.SET_II_K and (not isinstance(k_exp, int) or k_exp < 1):
-        raise DomainError(f"rational-family exponent k_exp must be an integer >= 1, got {k_exp!r}")
-
-    if kind.is_set_one:
-        if c.sigma * c.Delta <= c.vartheta**2 / 4.0:
-            raise DomainError(
-                "exponential family needs sigma*Delta > vartheta^2/4 "
-                f"(got sigma*Delta={c.sigma * c.Delta:g}, vartheta^2/4={c.vartheta**2 / 4.0:g})"
-            )
-        if not math.isclose(c.vartheta, c.Gamma, rel_tol=1e-12, abs_tol=0.0):
-            raise DomainError(
-                "the closed forms for the exponential-family scenarios are derived with "
-                f"vartheta == Gamma; got vartheta={c.vartheta!r}, Gamma={c.Gamma!r}"
-            )
-    else:
-        if c.chi <= 0.0:
-            raise DomainError(
-                "rational/linear families need chi > 0 so that Gamma*t + chi > 0 on t >= 0; "
-                f"got chi={c.chi!r}"
-            )
-
-    damping, frequency = expected_profiles(kind, c)
-    name, _, _, _ = family_constraint(kind, c, k_exp)
-    residual = constraint_residual(kind, c, k_exp)
+    family = _FAMILIES[spec.kind](spec.constants, spec.k_exp)
+    family.check()
+    residual = constraint_residual(family)
     if enforce_constraint and residual > CONSTRAINT_RTOL:
         raise ConstraintViolation(
-            f"family constraint {name} violated: relative residual {residual:.3e} > {CONSTRAINT_RTOL:g}"
+            f"family constraint {family.constraint()[0]} violated: relative residual {residual:.3e} > {CONSTRAINT_RTOL:g}"
         )
     return Scenario(
-        constants=c,
-        damping=damping,
-        frequency=frequency,
-        kind=kind,
-        k_exp=k_exp,
+        constants=spec.constants,
+        kind=spec.kind,
+        k_exp=spec.k_exp,
         constraint_residual=residual,
+        family=family,
     )
 
 

@@ -1,4 +1,4 @@
-"""Energy expectation values in the time-dependent eigenstates, per family.
+"""Energy expectation values in the time-dependent eigenstates.
 
 In the state with labels (n, m) the quadratic expectation values are
 
@@ -10,22 +10,20 @@ In the state with labels (n, m) the quadratic expectation values are
 
     <E_{n,m-n}> = (n+m+1)/2 * [b rho^2 + a/rho^2 + rho'^2/a] + (n-m) c(t).
 
-Each scenario family also publishes a closed form for this quantity; the two
-routes are compared on every evaluation (the closed form is algebra on the
-family's analytic rho, so disagreement means a transcription bug, not
-physics). Past a family-dependent horizon the coupling c(t) goes complex and
-so does the energy; that bound is reported alongside the value rather than
-raised as an error.
+Each scenario family also publishes a closed form for this quantity, held in
+the family table (``families``); the two routes are compared on every
+evaluation (the closed form is algebra on the family's analytic rho, so
+disagreement means a transcription bug, not physics). Past a family-dependent
+horizon the coupling c(t) goes complex and so does the energy; that bound is
+reported alongside the value rather than raised as an error.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .config import Scenario, ScenarioKind
-from .errors import ConstraintGuard
-from .ermakov import coefficient_a, coefficient_b, rho_eval, _rational_u
+from .config import Scenario
+from .ermakov import coefficient_a, coefficient_b, rho_eval
 from .hamiltonian import c_complex, reality_horizon_time
 from .spectrum import StateLabel
 
@@ -79,36 +77,6 @@ def quadratic_expectations(
     return x_sq, p_sq, xp
 
 
-def _closed_form_energy(
-    scenario: Scenario, t: float, s: StateLabel, c: complex
-) -> complex | None:
-    """Family closed form for <E>, or None where none is published (k != 2)."""
-    const = scenario.constants
-    n_plus = s.n + s.m + 1
-    n_minus = s.n - s.m
-    if scenario.kind.is_set_one:
-        if const.xi != 1.0:
-            raise ConstraintGuard(
-                "the exponential-family closed-form energy assumes xi = 1, "
-                f"got xi={const.xi!r}"
-            )
-        return n_plus * const.mu**2 * const.Delta + n_minus * c
-    u = _rational_u(const, t)
-    if scenario.kind is ScenarioKind.SET_II_K:
-        if scenario.k_exp != 2:
-            return None
-        bracket = (
-            2.0 * (const.Delta * const.mu**2 + const.sigma / const.mu**2)
-            + const.mu**2 * const.Gamma**2 / (8.0 * const.sigma)
-        )
-        return n_plus / (2.0 * u) * bracket + n_minus * c
-    bracket = (
-        (const.Delta * const.mu**2 + const.sigma / const.mu**2) / u**2
-        + const.mu**2 * const.Gamma**2 / const.sigma
-    )
-    return 0.5 * n_plus * bracket + n_minus * c
-
-
 def energy_expectation(scenario: Scenario, t: float, s: StateLabel) -> EnergyResult:
     """<E_{n,m-n}(t)> assembled from expectation values, cross-checked per family.
 
@@ -122,7 +90,7 @@ def energy_expectation(scenario: Scenario, t: float, s: StateLabel) -> EnergyRes
     c = c_complex(scenario, t)
     bracket = b * st.rho**2 + a / st.rho**2 + st.rho_dot**2 / a
     assembled = 0.5 * (s.n + s.m + 1) * bracket + (s.n - s.m) * c
-    closed = _closed_form_energy(scenario, t, s, c)
+    closed = scenario.family.energy(t, s.n + s.m + 1, s.n - s.m, c)
     if closed is not None:
         mismatch = abs(assembled - closed) / max(1.0, abs(assembled))
         if mismatch > _CROSS_RTOL:

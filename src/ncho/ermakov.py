@@ -4,9 +4,9 @@ The invariant machinery rests on a scale function rho(t) obeying
 
     rho'' - (a'/a) rho' + a*b*rho = xi^2 * a^2 / rho^3,
 
-where a(t), b(t) are the quadratic Hamiltonian coefficients. Three analytic
-families are implemented (exponential, rational with integer exponent k,
-linear), each valid only when its constants satisfy an algebraic constraint;
+where a(t), b(t) are the quadratic Hamiltonian coefficients. `rho_eval`,
+`coefficient_a` and `coefficient_b` read the analytic family (exponential,
+rational with integer exponent k, linear) from the family table;
 `ep_residual` measures how well a scenario satisfies the equation itself and
 `integrate_ep_numeric` re-solves it with a fixed-step RK4 integrator as an
 independent oracle.
@@ -17,8 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .config import PhysicalConstants, Scenario, ScenarioKind
-from .errors import DomainError, StepUnderflow
+from .config import Scenario
+from .errors import StepUnderflow
 
 
 @dataclass(frozen=True)
@@ -44,61 +44,19 @@ class EPResidual:
         return abs(self.value) / max(self.scale, 1.0)
 
 
-def _rational_u(c: PhysicalConstants, t: float) -> float:
-    u = c.Gamma * t + c.chi
-    if u <= 0.0:
-        raise DomainError(f"rational/linear family needs Gamma*t + chi > 0, got {u:g} at t={t:g}")
-    return u
-
-
 def rho_eval(scenario: Scenario, t: float) -> RhoEval:
     """Analytic rho, rho', rho'' of the scenario's family at time t."""
-    c = scenario.constants
-    kind = scenario.kind
-    if kind.is_set_one:
-        rho = c.mu * math.exp(-c.vartheta * t / 2.0)
-        return RhoEval(rho, -0.5 * c.vartheta * rho, 0.25 * c.vartheta**2 * rho, t)
-    if kind is ScenarioKind.SET_II_K:
-        k = float(scenario.k_exp)
-        u = _rational_u(c, t)
-        amp = c.mu * (1.0 + 2.0 / k) ** (1.0 / k)
-        rho = amp * u ** (-1.0 / k)
-        rho_dot = -(c.Gamma / k) * amp * u ** (-1.0 / k - 1.0)
-        rho_ddot = (c.Gamma**2 * (k + 1.0) / k**2) * amp * u ** (-1.0 / k - 2.0)
-        return RhoEval(rho, rho_dot, rho_ddot, t)
-    u = _rational_u(c, t)
-    return RhoEval(c.mu * u, c.mu * c.Gamma, 0.0, t)
+    return RhoEval(*scenario.family.rho(t), t)
 
 
 def coefficient_a(scenario: Scenario, t: float) -> tuple[float, float]:
     """Family momentum coefficient a(t) and its time derivative."""
-    c = scenario.constants
-    kind = scenario.kind
-    if kind.is_set_one:
-        a = c.sigma * math.exp(-c.vartheta * t)
-        return a, -c.vartheta * a
-    if kind is ScenarioKind.SET_II_K:
-        k = float(scenario.k_exp)
-        u = _rational_u(c, t)
-        power = (k + 2.0) / k
-        a = c.sigma * (1.0 + 2.0 / k) ** power * u ** (-power)
-        return a, -power * c.Gamma * a / u
-    return c.sigma, 0.0
+    return scenario.family.a(t)
 
 
 def coefficient_b(scenario: Scenario, t: float) -> float:
     """Family coordinate coefficient b(t)."""
-    c = scenario.constants
-    kind = scenario.kind
-    if kind.is_set_one:
-        return c.Delta * math.exp(c.vartheta * t)
-    if kind is ScenarioKind.SET_II_K:
-        k = float(scenario.k_exp)
-        u = _rational_u(c, t)
-        power = (k - 2.0) / k
-        return c.Delta * (1.0 + 2.0 / k) ** power * u ** (-power)
-    u = _rational_u(c, t)
-    return c.Delta / u**4
+    return scenario.family.b(t)
 
 
 def ep_residual(scenario: Scenario, t: float) -> EPResidual:

@@ -8,13 +8,14 @@ linear shift of canonical variables, onto a commutative Hamiltonian
 with a = f/M + M w^2 th^2/(4f), b = f Om^2/(4M) + M w^2/f and
 c = (f Om/M + M w^2 th/f)/2, where f is the damping factor, w the frequency
 profile, and (th, Om) the coordinate/momentum deformation parameters. This
-module inverts those relations for each scenario (the deformation parameters
-that realize the scenario's analytic a, b), evaluates the scenario's
-closed-form c, and exposes the two equivalent classical symbols for the
-identity check.
+module inverts those relations (the deformation parameters that realize the
+scenario's analytic a, b), assembles c from the two radicands that each
+family publishes in its table (``families``), and exposes the two
+equivalent classical symbols for the identity check.
 
 Several square roots go complex past a scenario-dependent time; the 'reality
-horizon' of those roots is computed here and attached to the errors.
+horizon' of those roots comes from the family table and is attached to the
+errors.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .config import Scenario, ScenarioKind
+from .config import Scenario
 from .errors import DomainError, OutsideRealityWindow
-from .ermakov import coefficient_a, coefficient_b, _rational_u
+from .ermakov import coefficient_a, coefficient_b
 
 RADICAND_CLAMP = 1e-12  # negative radicands within this relative margin snap to 0
 _AGREE_RTOL = 1e-12  # generic-inversion vs closed-form agreement gate
@@ -83,32 +84,7 @@ def reality_horizon_time(scenario: Scenario) -> float | None:
     None means unbounded; 0.0 means the window is empty (the reality
     conditions fail already at t = 0).
     """
-    c = scenario.constants
-    m_sigma = c.mass_M * c.sigma
-    if scenario.kind is ScenarioKind.SET_IA:
-        if c.omega0 == 0.0:
-            return None
-        if m_sigma < 1.0:
-            return 0.0
-        return math.log(m_sigma) / c.Gamma
-    if scenario.kind in (ScenarioKind.SET_IB, ScenarioKind.SET_IC):
-        if c.omega0 == 0.0:
-            return None
-        ok = (c.Delta - c.mass_M * c.omega0**2 >= 0.0) and (m_sigma >= 1.0)
-        return None if ok else 0.0
-    if scenario.kind is ScenarioKind.SET_II_K:
-        if c.omega0 == 0.0:
-            return None
-        k = float(scenario.k_exp)
-        u_max = ((k + 2.0) / k) * m_sigma ** (k / (k + 2.0))
-        return max(0.0, (u_max - c.chi) / c.Gamma)
-    # linear family: the coordinate-coefficient root closes the window
-    if c.omega0 == 0.0:
-        return None
-    if m_sigma < 1.0:
-        return 0.0
-    u_max = math.sqrt(c.Delta / c.mass_M) / c.omega0
-    return max(0.0, (u_max - c.chi) / c.Gamma)
+    return scenario.family.horizon()
 
 
 def _real_sqrt(radicand: float, scale: float, what: str, scenario: Scenario) -> float:
@@ -123,62 +99,11 @@ def _real_sqrt(radicand: float, scale: float, what: str, scenario: Scenario) -> 
     )
 
 
-def _c_terms(scenario: Scenario, t: float) -> tuple[float, float, float, float]:
-    """Radicands and scales (rad1, scale1, rad2, scale2) of the two terms of c.
-
-    c = sqrt(rad1) + omega(t)-weight * sqrt(rad2), in each family's published
-    closed form; term 2 carries the frequency weight returned by `_c_weight`.
-    """
-    c = scenario.constants
-    M, w0, G = c.mass_M, c.omega0, c.Gamma
-    kind = scenario.kind
-    if kind is ScenarioKind.SET_IA:
-        e_up, e_dn = math.exp(G * t), math.exp(-G * t)
-        rad1 = (c.Delta * e_up - M * w0**2 * e_dn) / M
-        s1 = (c.Delta * e_up + M * w0**2 * e_dn) / M
-        rad2 = M * c.sigma * e_dn - 1.0
-        s2 = M * c.sigma * e_dn + 1.0
-        return rad1, s1, rad2, s2
-    if kind is ScenarioKind.SET_IB:
-        rad1 = (c.Delta - M * w0**2) / M
-        s1 = (c.Delta + M * w0**2) / M
-        return rad1, s1, M * c.sigma - 1.0, M * c.sigma + 1.0
-    if kind is ScenarioKind.SET_IC:
-        e_dn = math.exp(-G * t)
-        rad1 = (c.Delta - M * w0**2 * e_dn) / M
-        s1 = (c.Delta + M * w0**2 * e_dn) / M
-        return rad1, s1, M * c.sigma - 1.0, M * c.sigma + 1.0
-    if kind is ScenarioKind.SET_II_K:
-        k = float(scenario.k_exp)
-        u = _rational_u(c, t)
-        ratio = (k + 2.0) / (k * u)
-        rad1 = (c.Delta / M) * ratio ** ((k - 2.0) / k) - w0**2 / u**2
-        s1 = (c.Delta / M) * ratio ** ((k - 2.0) / k) + w0**2 / u**2
-        rad2 = M * c.sigma * ratio ** ((k + 2.0) / k) - 1.0
-        s2 = M * c.sigma * ratio ** ((k + 2.0) / k) + 1.0
-        return rad1, s1, rad2, s2
-    u = _rational_u(c, t)
-    rad1 = c.Delta / (M * u**4) - w0**2 / u**2
-    s1 = c.Delta / (M * u**4) + w0**2 / u**2
-    return rad1, s1, M * c.sigma - 1.0, M * c.sigma + 1.0
-
-
-def _c_weight(scenario: Scenario, t: float) -> float:
-    """The omega-proportional weight multiplying sqrt(rad2) in c."""
-    c = scenario.constants
-    kind = scenario.kind
-    if kind is ScenarioKind.SET_IA or kind is ScenarioKind.SET_IC:
-        return c.omega0 * math.exp(-c.Gamma * t / 2.0)
-    if kind is ScenarioKind.SET_IB:
-        return c.omega0
-    return c.omega0 / _rational_u(c, t)
-
-
 def c_value(scenario: Scenario, t: float) -> float:
     """Closed-form cross-term coefficient c(t); real inside the window only."""
-    rad1, s1, rad2, s2 = _c_terms(scenario, t)
+    rad1, s1, rad2, s2 = scenario.family.c_terms(t)
     term1 = _real_sqrt(rad1, s1, "the frequency-balance root of c(t)", scenario)
-    weight = _c_weight(scenario, t)
+    weight = scenario.family.frequency(t)
     if weight == 0.0:
         return term1  # the deformation term is weighted by omega and drops out
     term2 = _real_sqrt(rad2, s2, "the deformation root of c(t)", scenario)
@@ -187,8 +112,8 @@ def c_value(scenario: Scenario, t: float) -> float:
 
 def c_complex(scenario: Scenario, t: float) -> complex:
     """c(t) continued past the reality window with principal-branch roots."""
-    rad1, _, rad2, _ = _c_terms(scenario, t)
-    weight = _c_weight(scenario, t)
+    rad1, _, rad2, _ = scenario.family.c_terms(t)
+    weight = scenario.family.frequency(t)
     term2 = 0.0 if weight == 0.0 else weight * cmath.sqrt(complex(rad2))
     return cmath.sqrt(complex(rad1)) + term2
 
@@ -213,8 +138,8 @@ def nc_parameters(scenario: Scenario, t: float) -> NCParams:
         raise DomainError(f"deformation parameters are validated for t >= 0, got t={t!r}")
     c = scenario.constants
     M = c.mass_M
-    f = scenario.damping.factor(t)
-    w = scenario.frequency.value(t)
+    f = scenario.family.damping(t)
+    w = scenario.family.frequency(t)
     if w == 0.0:
         raise DomainError("theta_nc is undefined at zero frequency (omega(t) = 0)")
     a, _ = coefficient_a(scenario, t)
@@ -228,7 +153,7 @@ def nc_parameters(scenario: Scenario, t: float) -> NCParams:
     scale_omega = 4.0 * M * (b * f + M * w**2)
     omega = _real_sqrt(rad_omega, scale_omega, "the momentum deformation omega_nc", scenario) / f
 
-    theta_pub2, omega_pub2 = _published_nc_squared(scenario, t)
+    theta_pub2, omega_pub2 = published_nc_squared(scenario, t)
     if abs(theta * theta - theta_pub2) > _AGREE_RTOL * max(scale_theta / (M * w) ** 2, 1e-300):
         raise RuntimeError(
             f"generic inversion disagrees with the closed form for theta_nc at t={t:g}"
@@ -240,34 +165,16 @@ def nc_parameters(scenario: Scenario, t: float) -> NCParams:
     return NCParams(theta_nc=theta, omega_nc=omega, t=t)
 
 
-def _published_nc_squared(scenario: Scenario, t: float) -> tuple[float, float]:
-    """Squares of the published closed-form deformation parameters."""
-    c = scenario.constants
-    M, w0, G = c.mass_M, c.omega0, c.Gamma
-    kind = scenario.kind
-    if kind is ScenarioKind.SET_IA:
-        theta2 = (2.0 / (M * w0)) ** 2 * math.exp(G * t) * (M * c.sigma * math.exp(-G * t) - 1.0)
-        omega2 = 4.0 * M * (c.Delta * math.exp(G * t) - M * w0**2 * math.exp(-G * t))
-        return theta2, omega2
-    if kind is ScenarioKind.SET_IB:
-        theta2 = (2.0 / (M * w0)) ** 2 * (M * c.sigma - 1.0) * math.exp(-2.0 * G * t)
-        omega2 = 4.0 * math.exp(2.0 * G * t) * M * (c.Delta - M * w0**2)
-        return theta2, omega2
-    if kind is ScenarioKind.SET_IC:
-        theta2 = (2.0 / (M * w0)) ** 2 * (M * c.sigma - 1.0) * math.exp(-G * t)
-        omega2 = 4.0 * math.exp(G * t) * M * (c.Delta * math.exp(G * t) - M * w0**2)
-        return theta2, omega2
-    if kind is ScenarioKind.SET_II_K:
-        k = float(scenario.k_exp)
-        u = _rational_u(c, t)
-        ratio = (k + 2.0) / (k * u)
-        theta2 = (2.0 * u / (M * w0)) ** 2 * (M * c.sigma * ratio ** ((k + 2.0) / k) - 1.0)
-        omega2 = 4.0 * (M * c.Delta * ratio ** ((k - 2.0) / k) - M**2 * w0**2 / u**2)
-        return theta2, omega2
-    u = _rational_u(c, t)
-    theta2 = (2.0 * u / (M * w0)) ** 2 * (M * c.sigma - 1.0)
-    omega2 = 4.0 * (M * c.Delta / u**4 - M**2 * w0**2 / u**2)
-    return theta2, omega2
+def published_nc_squared(scenario: Scenario, t: float) -> tuple[float, float]:
+    """Published theta_nc^2 = (2f/(M w))^2 rad2 and omega_nc^2 = (2M/f)^2 rad1.
+
+    rad1, rad2 are the radicands of c; past the horizon a square may be negative.
+    """
+    M = scenario.constants.mass_M
+    f = scenario.family.damping(t)
+    w = scenario.family.frequency(t)
+    rad1, _, rad2, _ = scenario.family.c_terms(t)
+    return (2.0 * f / (M * w)) ** 2 * rad2, (2.0 * M / f) ** 2 * rad1
 
 
 def classical_symbol(scenario: Scenario, t: float, pt: PhaseSpacePoint, form: SymbolForm) -> float:
@@ -286,8 +193,8 @@ def classical_symbol(scenario: Scenario, t: float, pt: PhaseSpacePoint, form: Sy
         )
     nc = nc_parameters(scenario, t)
     c = scenario.constants
-    f = scenario.damping.factor(t)
-    w = scenario.frequency.value(t)
+    f = scenario.family.damping(t)
+    w = scenario.family.frequency(t)
     kin1 = pt.p1 + 0.5 * nc.omega_nc * pt.x2
     kin2 = pt.p2 - 0.5 * nc.omega_nc * pt.x1
     pos1 = pt.x1 - 0.5 * nc.theta_nc * pt.p2

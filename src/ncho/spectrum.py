@@ -11,8 +11,9 @@ time-dependent problem are e^{i Theta} phi with the evolution phase
 
     Theta_{n,l}(t) = (n+l) * integral_0^t (c(T) - a(T)/rho^2(T)) dT,
 
-which each scenario family admits in closed form (quadrature is kept as the
-independent cross-check, and stands in where no closed form is validated).
+whose closed form each scenario family publishes in the family table
+(``families``); quadrature is kept as the independent cross-check, and
+stands in where no closed form is validated.
 Matrix elements of x^k and y^k reduce to finite sums of exactly evaluated
 Laguerre-weighted integrals; a tensor-grid quadrature oracle recomputes them
 from the defining 2-D integral.
@@ -30,12 +31,11 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_laguerre
 
-from .config import Scenario, ScenarioKind
+from .config import Scenario
 from .errors import DomainError, InvalidLabel, ToleranceNotMet
 from .ermakov import coefficient_a, rho_eval
 from .hamiltonian import c_complex
 from .specfun import (
-    gauss_2f1,
     integrate_adaptive_full,
     laguerre,
     laguerre_weighted_integral_exact,
@@ -104,147 +104,9 @@ class PhaseResult:
     note: str | None = None
 
 
-def _sqrt_lower(x: complex) -> complex:
-    """Square root on the branch with nonpositive imaginary part."""
-    r = cmath.sqrt(complex(x))
-    return -r if r.imag > 0.0 else r
-
-
-def _sq(x) -> complex:
-    return cmath.sqrt(complex(x))
-
-
 # --------------------------------------------------------------------------
 # Evolution phases
 # --------------------------------------------------------------------------
-
-def _unit_exp_a(scenario: Scenario, t: float) -> complex | None:
-    """Unit phase for the exponential family with unit damping.
-
-    Returns None when the hypergeometric argument leaves |z| < 1, where the
-    series representation is not validated; callers fall back to quadrature.
-    """
-    c = scenario.constants
-    mass, w0, g = c.mass_M, c.omega0, c.Gamma
-    sg, dl, mu = c.sigma, c.Delta, c.mu
-    if w0 == 0.0:
-        return None
-    z0 = dl / (mass * w0**2)
-    zt = z0 * math.exp(2.0 * g * t)
-    if not (abs(z0) < 1.0 and abs(zt) < 1.0):
-        return None
-    ms = mass * sg
-    e_gt = math.exp(g * t)
-    num = e_gt - 2.0 * ms - 2.0 * _sq(ms * (ms - e_gt))
-    den = 1.0 - 2.0 * ms - 2.0 * _sq(ms * (ms - 1.0))
-    brk1 = (
-        cmath.log(num / den)
-        - g * t
-        - 2.0 * _sq(ms * (ms * math.exp(-2.0 * g * t) - math.exp(-g * t)))
-        + 2.0 * _sq(ms * (ms - 1.0))
-    )
-    # The hypergeometric pair integrates the frequency-like radical; with
-    # principal-branch roots its prefactor is -2i*w0 (the antiderivative
-    # identity d/dw[w^(-1/4) 2F1(-1/4,1/2;3/4;w)] = -(1/4) w^(-5/4) (1-w)^(-1/2)
-    # fixes the sign, and quadrature confirms it).
-    brk2 = (
-        _sq(dl / mass * e_gt - w0**2 * math.exp(-g * t))
-        - _sq(dl / mass - w0**2)
-        - 2.0j
-        * w0
-        * (
-            math.exp(-0.5 * g * t) * gauss_2f1(-0.25, 0.5, 0.75, zt)
-            - gauss_2f1(-0.25, 0.5, 0.75, z0)
-        )
-    )
-    return w0 / (2.0 * math.sqrt(ms) * g) * brk1 + 2.0 / g * brk2 - (sg / mu**2) * t
-
-
-def _unit_exp_b(scenario: Scenario, t: float) -> complex:
-    """Unit phase for exponential damping with constant frequency: linear in t."""
-    c = scenario.constants
-    slope = (
-        -c.sigma / c.mu**2
-        + _sq((c.Delta - c.mass_M * c.omega0**2) / c.mass_M)
-        + c.omega0 * _sq(c.mass_M * c.sigma - 1.0)
-    )
-    return slope * t
-
-
-def _unit_exp_c(scenario: Scenario, t: float) -> complex:
-    """Unit phase for exponential damping with exponentially decaying frequency."""
-    c = scenario.constants
-    mass, w0, g = c.mass_M, c.omega0, c.Gamma
-    sg, dl, mu = c.sigma, c.Delta, c.mu
-    e_neg = math.exp(-g * t)
-    brk = (
-        math.sqrt(dl) * g * t
-        + 2.0 * _sq(dl - mass * w0**2)
-        - 2.0 * _sq(dl - mass * w0**2 * e_neg)
-        + 2.0
-        * math.sqrt(dl)
-        * cmath.log(
-            (dl + _sq(dl * (dl - mass * w0**2 * e_neg)))
-            / (dl + _sq(dl * (dl - mass * w0**2)))
-        )
-    )
-    lin = sg * t / mu**2 + 2.0 / g * w0 * (math.exp(-0.5 * g * t) - 1.0) * _sq(
-        mass * sg - 1.0
-    )
-    return brk / (g * math.sqrt(mass)) - lin
-
-
-def _unit_rational_k2(scenario: Scenario, t: float) -> complex:
-    """Unit phase for the rational family at k=2."""
-    c = scenario.constants
-    mass, w0, g = c.mass_M, c.omega0, c.Gamma
-    sg, mu, chi = c.sigma, c.mu, c.chi
-    dm = c.Delta / mass
-    u = g * t + chi
-    rad_u = dm * u**2 - w0**2
-    rad_chi = dm * chi**2 - w0**2
-    brk1 = (
-        w0 * cmath.atan(w0 / _sq(rad_u))
-        + _sq(rad_u)
-        - 2.0 * sg / mu**2 * cmath.log(u / chi)
-        - _sq(rad_chi)
-        - w0 * cmath.atan(w0 / _sq(rad_chi))
-    )
-    # The log pairs with the deformation radical; the lower-half-plane root
-    # makes the closed form an exact antiderivative of c - a/rho^2 (the
-    # principal branch flips the real part inside the reality window).
-    brk2 = (
-        _sq(4.0 * sg * mass - chi**2) / chi
-        - _sq(4.0 * sg * mass - u**2) / u
-        + 1.0j
-        * cmath.log(
-            (u + _sqrt_lower(u**2 - 4.0 * sg * mass))
-            / (chi + _sqrt_lower(chi**2 - 4.0 * sg * mass))
-        )
-    )
-    return brk1 / g + w0 / g * brk2
-
-
-def _unit_linear(scenario: Scenario, t: float) -> complex:
-    """Unit phase for the linear family."""
-    c = scenario.constants
-    mass, w0, g = c.mass_M, c.omega0, c.Gamma
-    sg, dl, mu, chi = c.sigma, c.Delta, c.mu, c.chi
-    u = g * t + chi
-    part1 = w0 * _sq(mass * sg - 1.0) / g * cmath.log(u / chi) - sg * t / (
-        mu**2 * chi * u
-    )
-    brk = (
-        _sq(dl / (mass * chi**2) - w0**2)
-        - _sq(dl / (mass * u**2) - w0**2)
-        + w0
-        * (
-            cmath.atan(w0 * chi / _sq(dl / mass - chi**2 * w0**2))
-            - cmath.atan(w0 * u / _sq(dl / mass - w0**2 * u**2))
-        )
-    )
-    return part1 + brk / g
-
 
 @lru_cache(maxsize=4096)
 def _unit_phase_quadrature(scenario: Scenario, t: float) -> complex:
@@ -266,32 +128,13 @@ def _unit_phase_quadrature(scenario: Scenario, t: float) -> complex:
     return complex(value)
 
 
-def _unit_phase_closed(scenario: Scenario, t: float) -> complex | None:
-    """Closed-form unit phase, or None where none is validated.
-
-    None for the unit-damping exponential family once the hypergeometric
-    argument leaves |z| < 1, and for rational exponents k != 2, for which
-    no closed form is published.
-    """
-    kind = scenario.kind
-    if kind is ScenarioKind.SET_IA:
-        return _unit_exp_a(scenario, t)
-    if kind is ScenarioKind.SET_IB:
-        return _unit_exp_b(scenario, t)
-    if kind is ScenarioKind.SET_IC:
-        return _unit_exp_c(scenario, t)
-    if kind is ScenarioKind.SET_II_K:
-        return _unit_rational_k2(scenario, t) if scenario.k_exp == 2 else None
-    return _unit_linear(scenario, t)
-
-
 def _unit_phase(scenario: Scenario, t: float) -> tuple[complex, PhaseMethod]:
     """The unit phase and its route: closed form where validated, else quadrature.
 
     Uncached on purpose: a closed form costs about as much as hashing the
     scenario for a cache lookup. The quadrature route caches itself.
     """
-    unit = _unit_phase_closed(scenario, t)
+    unit = scenario.family.unit_phase(t)
     if unit is None:
         return _unit_phase_quadrature(scenario, t), PhaseMethod.QUADRATURE
     return unit, PhaseMethod.CLOSED_FORM
@@ -351,12 +194,13 @@ def _phi(hbar: float, rho: float, gauss: complex, s: StateLabel, r, angle) -> np
     gauss = 0 because its Gauss-Laguerre weight e^{-w} is |Gaussian|^2.
     """
     hr2 = hbar * rho**2
-    w = r**2 / hr2
+    # Normalise first: rho = 0 raises ZeroDivisionError before numpy warns on r^2/0.
     pref = (
         _norm_lambda(s.n, hr2)
         * (1j * math.sqrt(hbar) * rho) ** s.m
         / math.sqrt(math.factorial(s.m))
     )
+    w = r**2 / hr2
     radial = pref * _radial_polynomial(s.n, s.m, hr2, r, w)
     return radial * np.exp(1j * (s.m - s.n) * angle - gauss * w / 2.0)
 

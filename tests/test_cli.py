@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 import re
 import subprocess
 import sys
@@ -284,6 +285,20 @@ def test_usage_errors_exit_two(capsys):
         code, out, err = run_cli(capsys, cmd, "--scenario", IB, flag, value)
         assert code == 2, (cmd, flag, value)
         assert out == "" and "must be a finite number" in err
+    # Finite but huge times overflow or underflow the closed forms; the CLI
+    # reports that instead of a traceback or a table holding inf/nan.
+    for argv in (
+        ("energy", "--scenario", IB, "--t1", "1e308"),
+        ("ncparams", "--scenario", IB, "--t1", "1e308"),
+        ("energy", "--scenario", III, "--t1", "1e308"),
+        ("wavefield", "--scenario", IB, "--t0", "1e308"),
+        ("matelem", "--scenario", IB, "--t1", "1e308"),
+        ("phase", "--scenario", IB, "--m", "1", "--t1", "1e308"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == "" and "error: inputs out of numerical range" in err, argv
+        assert "Traceback" not in err, argv
 
 
 def test_malformed_scenario_reports_line_number(capsys, tmp_path):
@@ -300,9 +315,13 @@ def test_help_exits_zero(capsys):
 
 
 def test_module_entry_point():
+    # The child finds the checkout's package even when neither an installed
+    # copy nor PYTHONPATH provides it (pytest adds src/ only in-process).
+    paths = (str(SCENARIO_DIR.parent / "src"), os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     proc = subprocess.run(
         [sys.executable, "-m", "ncho.cli", "verify", "--scenario", III],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=env,
     )
     assert proc.returncode == 0
     assert "7 passed" in proc.stdout

@@ -9,14 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from ncho.config import (
     CONSTRAINT_RTOL,
-    DampingKind,
-    FrequencyKind,
     PhysicalConstants,
     ScenarioKind,
     ScenarioSpec,
     build_scenario,
     constraint_residual,
-    expected_profiles,
     format_scenario_text,
     parse_scenario_file,
     parse_scenario_text,
@@ -109,31 +106,44 @@ def test_constants_domain_errors():
         PhysicalConstants(**{**good, "chi": math.inf})
 
 
-def test_profile_table():
-    c = PhysicalConstants(
-        mass_M=1.0, omega0=2.0, Gamma=3.0, vartheta=3.0, chi=1.0,
-        sigma=1.0, Delta=1.0, mu=1.0,
-    )
-    damping, frequency = expected_profiles(ScenarioKind.SET_IA, c)
-    assert damping.kind is DampingKind.UNIT and damping.factor(1.0) == 1.0
-    assert frequency.kind is FrequencyKind.EXP_DECAY
-    assert math.isclose(frequency.value(1.0), 2.0 * math.exp(-1.5))
+def test_family_table_is_complete():
+    """Every kind (and a k = 3 rational family) answers every table question."""
+    t = 0.3
+    families = [make_scenario(kind).family for kind in ScenarioKind]
+    families.append(make_scenario(ScenarioKind.SET_II_K, k_exp=3, enforce=False).family)
+    for family in families:
+        c = family.constants
+        name = type(family).__name__
+        family.check()
+        label, lhs, rhs, terms = family.constraint()
+        assert isinstance(label, str) and math.isfinite(lhs - rhs) and terms, name
+        assert len(family.rho(t)) == 3 and len(family.a(t)) == 2, name
+        assert math.isfinite(family.b(t)) and len(family.c_terms(t)) == 4, name
+        horizon = family.horizon()
+        assert horizon is None or horizon >= 0.0, name
+        # Nothing is published for k != 2; the SetIa series needs |z| < 1,
+        # and the figure parameters put z at Delta/(M omega0^2) = 10.
+        energy = family.energy(t, 2, 0, 0j)
+        assert (energy is None) == (family.k_exp == 3), name
+        unit = family.unit_phase(t)
+        assert (unit is None) == (name == "SetIa" or family.k_exp == 3), name
 
-    damping, frequency = expected_profiles(ScenarioKind.SET_IB, c)
-    assert damping.kind is DampingKind.EXP_DECAY
-    assert math.isclose(damping.factor(2.0), math.exp(-6.0))
-    assert frequency.value(5.0) == 2.0
-
-    _, frequency = expected_profiles(ScenarioKind.SET_III, c)
-    assert frequency.kind is FrequencyKind.RATIONAL
-    assert math.isclose(frequency.value(1.0), 2.0 / 4.0)
-    with pytest.raises(DomainError):
-        frequency.value(-1.0)
+        exp_damped = name in ("SetIb", "SetIc")
+        assert family.damping(t) == (math.exp(-c.Gamma * t) if exp_damped else 1.0), name
+        if name in ("SetIa", "SetIc"):
+            want = c.omega0 * math.exp(-0.5 * c.Gamma * t)
+        elif name == "SetIb":
+            want = c.omega0
+        else:
+            want = c.omega0 / (c.Gamma * t + c.chi)
+            with pytest.raises(DomainError):
+                family.frequency(-2.0 * c.chi / c.Gamma)
+        assert math.isclose(family.frequency(t), want, rel_tol=1e-15), name
 
 
 def test_figure_scenarios_satisfy_constraints(fig_scenarios):
     for name, scenario in fig_scenarios.items():
-        residual = constraint_residual(scenario.kind, scenario.constants, scenario.k_exp)
+        residual = constraint_residual(scenario.family)
         assert residual <= CONSTRAINT_RTOL, name
 
 

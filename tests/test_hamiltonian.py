@@ -17,27 +17,13 @@ from ncho.hamiltonian import (
     classical_symbol,
     coefficients,
     nc_parameters,
+    published_nc_squared,
     reality_horizon_time,
 )
 
 from conftest import make_scenario
 
 COORDS = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
-
-
-def test_profiles_per_family(fig_scenarios):
-    t = 0.7
-    ia, ib, iii = fig_scenarios["Ia"], fig_scenarios["Ib"], fig_scenarios["III"]
-    c = ia.constants
-    assert ia.damping.factor(t) == 1.0
-    assert math.isclose(
-        ia.frequency.value(t), c.omega0 * math.exp(-0.5 * c.Gamma * t), rel_tol=1e-15
-    )
-    assert math.isclose(ib.damping.factor(t), math.exp(-c.Gamma * t), rel_tol=1e-15)
-    assert ib.frequency.value(t) == c.omega0
-    assert math.isclose(
-        iii.frequency.value(t), c.omega0 / (c.Gamma * t + c.chi), rel_tol=1e-15
-    )
 
 
 def test_coefficients_match_ermakov_profiles(fig_scenarios):
@@ -101,6 +87,51 @@ def test_nc_parameters_inside_window(fig_ia):
     nc0 = nc_parameters(fig_ia, 0.0)
     want = (2.0 / (c.mass_M * c.omega0)) * math.sqrt(c.mass_M * c.sigma - 1.0)
     assert math.isclose(nc0.theta_nc, want, rel_tol=1e-12)
+
+
+def _published_nc_reference(scenario, t):
+    """The published theta_nc^2 and omega_nc^2, written out family by family."""
+    c = scenario.constants
+    M, w0, G = c.mass_M, c.omega0, c.Gamma
+    kind = scenario.kind
+    if kind is ScenarioKind.SET_IA:
+        theta2 = (2.0 / (M * w0)) ** 2 * math.exp(G * t) * (M * c.sigma * math.exp(-G * t) - 1.0)
+        omega2 = 4.0 * M * (c.Delta * math.exp(G * t) - M * w0**2 * math.exp(-G * t))
+        return theta2, omega2
+    if kind is ScenarioKind.SET_IB:
+        theta2 = (2.0 / (M * w0)) ** 2 * (M * c.sigma - 1.0) * math.exp(-2.0 * G * t)
+        omega2 = 4.0 * math.exp(2.0 * G * t) * M * (c.Delta - M * w0**2)
+        return theta2, omega2
+    if kind is ScenarioKind.SET_IC:
+        theta2 = (2.0 / (M * w0)) ** 2 * (M * c.sigma - 1.0) * math.exp(-G * t)
+        omega2 = 4.0 * math.exp(G * t) * M * (c.Delta * math.exp(G * t) - M * w0**2)
+        return theta2, omega2
+    u = G * t + c.chi
+    if kind is ScenarioKind.SET_II_K:
+        k = float(scenario.k_exp)
+        ratio = (k + 2.0) / (k * u)
+        theta2 = (2.0 * u / (M * w0)) ** 2 * (M * c.sigma * ratio ** ((k + 2.0) / k) - 1.0)
+        omega2 = 4.0 * (M * c.Delta * ratio ** ((k - 2.0) / k) - M**2 * w0**2 / u**2)
+        return theta2, omega2
+    theta2 = (2.0 * u / (M * w0)) ** 2 * (M * c.sigma - 1.0)
+    omega2 = 4.0 * (M * c.Delta / u**4 - M**2 * w0**2 / u**2)
+    return theta2, omega2
+
+
+def test_nc_squares_match_published_family_formulas(fig_scenarios, mild_scenarios):
+    k3 = make_scenario(ScenarioKind.SET_II_K, k_exp=3, omega0=0.5, sigma=1.0, Delta=1.0,
+                       mu=1.0, enforce=False)
+    scenarios = [*fig_scenarios.values(), *mild_scenarios.values(), k3]
+    for scenario in scenarios:
+        horizon = reality_horizon_time(scenario)
+        # Inside the window, and past the horizon where nc_parameters raises
+        # before its own agreement gate.
+        times = (0.0, 0.7, 1.9) if horizon is None else (0.0, 0.4 * horizon, 1.6 * horizon)
+        for t in times:
+            got = published_nc_squared(scenario, t)
+            want = _published_nc_reference(scenario, t)
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-12 * abs(w), (scenario.summary(), t, g, w)
 
 
 def test_nc_parameters_domain_errors(fig_ia):
