@@ -20,6 +20,7 @@ from ncho.config import (
     with_constants,
 )
 from ncho.errors import ConstraintViolation, DomainError, ScenarioFileError
+from ncho.families import SetIa, SetIb, SetIc, SetIII, SetIIk
 
 from conftest import SCENARIO_DIR, make_scenario
 
@@ -112,7 +113,6 @@ def test_family_table_is_complete():
     families = [make_scenario(kind).family for kind in ScenarioKind]
     families.append(make_scenario(ScenarioKind.SET_II_K, k_exp=3, enforce=False).family)
     for family in families:
-        c = family.constants
         name = type(family).__name__
         family.check()
         label, lhs, rhs, terms = family.constraint()
@@ -128,17 +128,28 @@ def test_family_table_is_complete():
         unit = family.unit_phase(t)
         assert (unit is None) == (name == "SetIa" or family.k_exp == 3), name
 
-        exp_damped = name in ("SetIb", "SetIc")
-        assert family.damping(t) == (math.exp(-c.Gamma * t) if exp_damped else 1.0), name
-        if name in ("SetIa", "SetIc"):
-            want = c.omega0 * math.exp(-0.5 * c.Gamma * t)
-        elif name == "SetIb":
-            want = c.omega0
-        else:
-            want = c.omega0 / (c.Gamma * t + c.chi)
-            with pytest.raises(DomainError):
-                family.frequency(-2.0 * c.chi / c.Gamma)
-        assert math.isclose(family.frequency(t), want, rel_tol=1e-15), name
+
+def test_profile_table():
+    """damping(t) and frequency(t) of each family, for constants outside any constraint."""
+    c = PhysicalConstants(
+        mass_M=1.0, omega0=2.0, Gamma=3.0, vartheta=3.0, chi=1.0,
+        sigma=1.0, Delta=1.0, mu=1.0,
+    )
+    ia, ib, ic, ii3, iii = (SetIa(c), SetIb(c), SetIc(c), SetIIk(c, 3), SetIII(c))
+    assert ia.damping(1.0) == 1.0
+    assert math.isclose(ia.frequency(1.0), 2.0 * math.exp(-1.5))
+
+    assert math.isclose(ib.damping(2.0), math.exp(-6.0))
+    assert ib.frequency(5.0) == 2.0
+
+    assert math.isclose(ic.damping(2.0), math.exp(-6.0))
+    assert math.isclose(ic.frequency(1.0), 2.0 * math.exp(-1.5))
+
+    for rational in (ii3, iii):
+        assert rational.damping(1.0) == 1.0
+        assert math.isclose(rational.frequency(1.0), 2.0 / 4.0)
+        with pytest.raises(DomainError):
+            rational.frequency(-1.0)
 
 
 def test_figure_scenarios_satisfy_constraints(fig_scenarios):

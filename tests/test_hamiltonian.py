@@ -26,6 +26,21 @@ from conftest import make_scenario
 COORDS = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 
 
+def test_profiles_per_family(fig_scenarios):
+    t = 0.7
+    ia, ib, iii = fig_scenarios["Ia"], fig_scenarios["Ib"], fig_scenarios["III"]
+    c = ia.constants
+    assert ia.family.damping(t) == 1.0
+    assert math.isclose(
+        ia.family.frequency(t), c.omega0 * math.exp(-0.5 * c.Gamma * t), rel_tol=1e-15
+    )
+    assert math.isclose(ib.family.damping(t), math.exp(-c.Gamma * t), rel_tol=1e-15)
+    assert ib.family.frequency(t) == c.omega0
+    assert math.isclose(
+        iii.family.frequency(t), c.omega0 / (c.Gamma * t + c.chi), rel_tol=1e-15
+    )
+
+
 def test_coefficients_match_ermakov_profiles(fig_scenarios):
     from ncho.ermakov import coefficient_a, coefficient_b
 
