@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import ConstraintViolation, DomainError, ScenarioFileError
 from .families import Family, SetIa, SetIb, SetIc, SetIII, SetIIk
@@ -245,27 +245,3 @@ def parse_scenario_file(path) -> ScenarioSpec:
     """Read and parse a scenario file."""
     with open(path, "r", encoding="utf-8") as handle:
         return parse_scenario_text(handle.read(), source=str(path))
-
-
-def format_scenario_text(spec: ScenarioSpec | Scenario) -> str:
-    """Serialize back to the flat key-value grammar (round-trips with parse)."""
-    c = spec.constants
-    lines = [f"kind = {spec.kind.value}"]
-    for key, value in (
-        ("M", c.mass_M), ("omega0", c.omega0), ("Gamma", c.Gamma),
-        ("vartheta", c.vartheta), ("chi", c.chi), ("sigma", c.sigma),
-        ("Delta", c.Delta), ("mu", c.mu), ("xi", c.xi), ("hbar", c.hbar),
-    ):
-        lines.append(f"{key} = {value!r}")
-    if spec.kind is ScenarioKind.SET_II_K:
-        lines.append(f"k_exp = {spec.k_exp}")
-    return "\n".join(lines) + "\n"
-
-
-def with_constants(scenario: Scenario, **changes) -> ScenarioSpec:
-    """A ScenarioSpec equal to ``scenario`` with some constants replaced."""
-    return ScenarioSpec(
-        constants=replace(scenario.constants, **changes),
-        kind=scenario.kind,
-        k_exp=scenario.k_exp,
-    )

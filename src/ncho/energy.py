@@ -81,8 +81,9 @@ def energy_expectation(scenario: Scenario, t: float, s: StateLabel) -> EnergyRes
     """<E_{n,m-n}(t)> assembled from expectation values, cross-checked per family.
 
     The assembled route and the family closed form must agree to 1e-10
-    relative (the identity is algebraic in the family's analytic rho and
-    holds beyond the reality horizon as well); a mismatch raises RuntimeError.
+    relative to the summed term magnitudes (the identity is algebraic in the
+    family's analytic rho and holds beyond the reality horizon as well); a
+    mismatch raises RuntimeError.
     """
     st = rho_eval(scenario, t)
     a, _ = coefficient_a(scenario, t)
@@ -92,12 +93,20 @@ def energy_expectation(scenario: Scenario, t: float, s: StateLabel) -> EnergyRes
     assembled = 0.5 * (s.n + s.m + 1) * bracket + (s.n - s.m) * c
     closed = scenario.family.energy(t, s.n + s.m + 1, s.n - s.m, c)
     if closed is not None:
-        mismatch = abs(assembled - closed) / max(1.0, abs(assembled))
-        if mismatch > _CROSS_RTOL:
-            raise RuntimeError(
-                f"assembled energy {assembled!r} and closed form {closed!r} "
-                f"disagree (rel {mismatch:.3e}) at t={t:g}"
-            )
+        # Judged against the term magnitudes, not |assembled|: past the
+        # horizon terms of ~1e7 can cancel to ~1e2, leaving rounding noise
+        # that is large against the result but not against the terms. Their
+        # sum bounds |assembled|, so it is formed only when that bound fails.
+        diff = abs(assembled - closed)
+        if diff > _CROSS_RTOL * max(1.0, abs(assembled)):
+            terms = (b * st.rho**2, a / st.rho**2, st.rho_dot**2 / a)
+            scale = 0.5 * (s.n + s.m + 1) * sum(map(abs, terms)) + abs((s.n - s.m) * c)
+            mismatch = diff / max(1.0, scale)
+            if mismatch > _CROSS_RTOL:
+                raise RuntimeError(
+                    f"assembled energy {assembled!r} and closed form {closed!r} "
+                    f"disagree (rel {mismatch:.3e}) at t={t:g}"
+                )
     return EnergyResult(complex(assembled), t, reality_horizon_time(scenario), s)
 
 

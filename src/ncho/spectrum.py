@@ -29,7 +29,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_laguerre
 
 from .config import Scenario
 from .errors import DomainError, InvalidLabel, ToleranceNotMet
@@ -52,6 +51,77 @@ ORACLE_TOL = 1e-8
 _REL_FLOOR = 1e-12
 
 _ORACLE_RES = ((32, 64), (48, 96))  # (radial nodes, angular nodes), low/high
+
+# Gauss-Laguerre rules (weight e^{-w} on [0, inf)) for the two oracle
+# resolutions, frozen as the exact doubles of scipy.special.roots_laguerre(32)
+# and (48). Recomputing them (numpy's laggauss, for one) moves the weights by
+# up to 5e-13 relative, and with them the last bits of every oracle sum.
+_LAGUERRE_32_NODES = (
+    0.044489365833267014, 0.23452610951961853, 0.5768846293018864,
+    1.0724487538178176, 1.7224087764446454, 2.5283367064257947,
+    3.4922132730219944, 4.616456769749767, 5.903958504174244,
+    7.358126733186241, 8.982940924212595, 10.783018632539973,
+    12.763697986742725, 14.931139755522558, 17.292454336715313,
+    19.855860940336054, 22.630889013196775, 25.628636022459247,
+    28.862101816323474, 32.346629153964734, 36.10049480575197,
+    40.14571977153944, 44.50920799575494, 49.22439498730864,
+    54.33372133339691, 59.89250916213402, 65.97537728793505,
+    72.68762809066271, 80.18744697791352, 88.7353404178924,
+    98.82954286828398, 111.7513980979377,
+)
+_LAGUERRE_32_WEIGHTS = (
+    0.10921834195238489, 0.21044310793881277, 0.23521322966984817,
+    0.195903335972881, 0.12998378628607218, 0.07057862386571725,
+    0.0317609125091751, 0.011918214834838589, 0.0037388162946115286,
+    0.0009808033066149554, 0.00021486491880136322, 3.920341967987953e-05,
+    5.9345416128686216e-06, 7.416404578667574e-07, 7.60456787912076e-08,
+    6.350602226625812e-09, 4.281382971040875e-10, 2.305899491891306e-11,
+    9.79937928872708e-13, 3.237801657729256e-14, 8.171823443420801e-16,
+    1.5421338333938595e-17, 2.1197922901636093e-19, 2.0544296737880735e-21,
+    1.3469825866374046e-23, 5.661294130397641e-26, 1.4185605454630115e-28,
+    1.913375494454057e-31, 1.1922487600982397e-34, 2.671511219239758e-38,
+    1.3386169421064689e-42, 4.510536193898936e-48,
+)
+_LAGUERRE_48_NODES = (
+    0.029811235829960116, 0.1571079906178763, 0.3862650375764556,
+    0.7175746941169723, 1.1513938340264347, 1.6881858234190472,
+    2.328527006653229, 3.073110861652639, 3.9227524130464806,
+    4.878393355921346, 5.941108054624559, 7.112110535890744,
+    8.392762599091224, 9.784583184687323, 11.289259168009528,
+    12.908657778285532, 14.644840883209707, 16.500081428964585,
+    18.476882386874113, 20.577998634022208, 22.806462290521374,
+    25.165612156439106, 27.659128044480532, 30.291071001008568,
+    33.065930662498744, 35.988681327478936, 39.06484876419777,
+    42.300590362903094, 45.70279203851147, 49.27918638283679,
+    53.03849808781666, 56.99062481480448, 61.14686478614023,
+    65.52020692901861, 70.12570623611319, 74.98097751891132,
+    80.10685735032439, 85.52831111603416, 91.27570799366809,
+    97.38666771358153, 103.90883335717626, 110.90422088497627,
+    118.45642504628363, 126.68342576888583, 135.7625895778643,
+    145.98643270946346, 157.915612022978, 172.99632814856324,
+)
+_LAGUERRE_48_WEIGHTS = (
+    0.0742620058280286, 0.15227194980935374, 0.1904090882639105,
+    0.186633059484805, 0.15342420015757793, 0.10877969280748967,
+    0.06746073860921936, 0.03688119411582121, 0.01785684426915667,
+    0.007677616514497527, 0.0029357859037394585, 0.0009990655378158807,
+    0.0003025980169922558, 8.153871180355359e-05, 1.9531587157280668e-05,
+    4.154182945052143e-06, 7.833700380277585e-07, 1.3073947749205973e-07,
+    1.9270714080170156e-08, 2.5026389371262945e-09, 2.855785508771612e-10,
+    2.854622412059143e-11, 2.4910106849372316e-12, 1.8903366069715402e-13,
+    1.2421626859491467e-14, 7.034231520212635e-16, 3.41454914859178e-17,
+    1.412315414895773e-18, 4.944218008097539e-20, 1.4539524813679322e-21,
+    3.5610683650040436e-23, 7.194055996494724e-25, 1.1855372283505853e-26,
+    1.573491357075583e-28, 1.657285440919459e-30, 1.361434162716305e-32,
+    8.546155813963491e-35, 4.000090532481309e-37, 1.3550199911030598e-39,
+    3.201636795354865e-42, 5.035869166060801e-45, 4.962487540702896e-48,
+    2.823510716120364e-51, 8.268446069503922e-55, 1.0490648478211722e-58,
+    4.346574422738575e-63, 3.434736438396534e-68, 1.3190660883980075e-74,
+)
+_LAGUERRE_RULES = {
+    32: (_LAGUERRE_32_NODES, _LAGUERRE_32_WEIGHTS),
+    48: (_LAGUERRE_48_NODES, _LAGUERRE_48_WEIGHTS),
+}
 
 
 @dataclass(frozen=True)
@@ -251,7 +321,7 @@ class _QuadGrid:
     def nodes(self, res: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if res not in self._nodes:
             n_rad, n_ang = _ORACLE_RES[res]
-            w, wt = roots_laguerre(n_rad)
+            w, wt = (np.array(v) for v in _LAGUERRE_RULES[n_rad])
             theta = np.arange(n_ang) * (2.0 * math.pi / n_ang)
             self._nodes[res] = (w, wt, theta)
         return self._nodes[res]

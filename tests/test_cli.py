@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import re
@@ -101,6 +102,18 @@ def test_energy_window_flag_flips_beyond_horizon(capsys):
     assert flags == sorted(flags, reverse=True)  # single flip
     beyond = [row for row in rows if row[4] == "0"]
     assert any(float(row[3]) != 0.0 for row in beyond)
+
+
+def test_energy_past_horizon_cancellation_passes_cross_check(capsys):
+    # Terms of ~4e7 cancel to ~465 at t = 18.89; the closed-form cross-check
+    # must judge the rounding left over against the terms, not the result.
+    code, out, err = run_cli(
+        capsys, "energy", "--scenario", IA, "--n", "1", "--m", "2",
+        "--t0", "0.16397829", "--t1", "23.0682694", "--points", "3000",
+    )
+    assert code == 0, err
+    assert err == ""
+    assert len(csv_rows(out)[1]) == 3000
 
 
 def test_energy_gnuplot_script_on_stderr(capsys):
@@ -314,14 +327,54 @@ def test_help_exits_zero(capsys):
     assert run_cli(capsys, "energy", "--help")[0] == 0
 
 
-def test_module_entry_point():
+def _child_env() -> dict[str, str]:
     # The child finds the checkout's package even when neither an installed
     # copy nor PYTHONPATH provides it (pytest adds src/ only in-process).
     paths = (str(SCENARIO_DIR.parent / "src"), os.environ.get("PYTHONPATH"))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+
+def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "ncho.cli", "verify", "--scenario", III],
-        capture_output=True, text=True, timeout=120, env=env,
+        capture_output=True, text=True, timeout=120, env=_child_env(),
     )
     assert proc.returncode == 0
     assert "7 passed" in proc.stdout
+
+
+# Runs each entry point in one fresh interpreter and prints, per step, the
+# scipy modules loaded so far (scipy is a test dependency only).
+_SCIPY_PROBE = """
+import contextlib, io, json, runpy, sys
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.startswith("scipy"))
+
+root, out_dir = sys.argv[1], sys.argv[2]
+import ncho.cli
+steps = {"import ncho.cli": scipy_modules()}
+with contextlib.redirect_stdout(io.StringIO()):
+    ncho.cli.main(["--help"])
+    steps["ncho --help"] = scipy_modules()
+    ncho.cli.main(["verify", "--scenario", root + "/scenarios/set_ia.scenario"])
+    steps["ncho verify"] = scipy_modules()
+    for script, argv in (
+        ("energy_curves.py", ["--out", out_dir]),
+        ("phase_scan.py", ["--out", out_dir, "--points", "5"]),
+    ):
+        runpy.run_path(root + "/scripts/" + script)["main"](argv)
+        steps[script] = scipy_modules()
+print(json.dumps(steps))
+"""
+
+
+def test_entry_points_do_not_import_scipy(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, str(SCENARIO_DIR.parent), str(tmp_path)],
+        capture_output=True, text=True, timeout=300, env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    steps = json.loads(proc.stdout)
+    assert len(steps) == 5
+    assert steps == {step: [] for step in steps}

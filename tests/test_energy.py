@@ -2,24 +2,25 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncho.config import ScenarioKind
+from ncho.config import ScenarioKind, build_scenario, parse_scenario_file
 from ncho.energy import (
     EnergyResult,
     energy_expectation,
     energy_series,
     quadratic_expectations,
 )
-from ncho.ermakov import coefficient_a, rho_eval
+from ncho.ermakov import coefficient_a, coefficient_b, rho_eval
 from ncho.errors import ConstraintGuard
-from ncho.hamiltonian import reality_horizon_time
+from ncho.hamiltonian import c_complex, reality_horizon_time
 from ncho.spectrum import StateLabel
 
-from conftest import make_scenario
+from conftest import SCENARIO_DIR, make_scenario
 
 GROUND = StateLabel(0, 0)
 
@@ -96,6 +97,31 @@ def test_constant_coefficient_energy_is_constant(fig_ib):
     excited = [energy_expectation(fig_ib, t, StateLabel(1, 0)).value for t in (0.0, 2.0, 10.0)]
     spread = max(abs(v - excited[0]) for v in excited)
     assert spread <= 1e-12 * abs(excited[0])
+
+
+def test_cross_check_is_relative_to_the_term_magnitudes():
+    # Past the horizon, terms of ~4e7 cancel to ~465 here; the two routes
+    # then differ by ~5e-8, rounding noise of the terms that a gate relative
+    # to |E| alone rejected.
+    scenario = build_scenario(parse_scenario_file(SCENARIO_DIR / "set_ia.scenario"))
+    t, s = 18.890661118182727, StateLabel(1, 2)
+    assert abs(energy_expectation(scenario, t, s).value) < 1e3
+    state = rho_eval(scenario, t)
+    a, _ = coefficient_a(scenario, t)
+    terms = (coefficient_b(scenario, t) * state.rho**2, a / state.rho**2, state.rho_dot**2 / a)
+    scale = 0.5 * (s.n + s.m + 1) * sum(map(abs, terms)) + abs(
+        (s.n - s.m) * c_complex(scenario, t)
+    )
+    assert scale > 1e7
+
+    # A closed form off by 1e-8 of that scale is still caught.
+    class Perturbed(type(scenario.family)):
+        def energy(self, *args):
+            return super().energy(*args) + 1e-8 * scale
+
+    family = Perturbed(scenario.family.constants, scenario.family.k_exp)
+    with pytest.raises(RuntimeError, match="disagree"):
+        energy_expectation(dataclasses.replace(scenario, family=family), t, s)
 
 
 def test_closed_form_guard_for_unit_deformation_only():

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad_vec
 
+from ncho.ermakov import coefficient_a, rho_eval
 from ncho.errors import NoConvergence, NonPolynomialCase, OutOfValidatedDomain
+from ncho.hamiltonian import c_complex
 from ncho.specfun import (
     gauss_2f1,
     integrate_adaptive_full,
@@ -184,6 +188,22 @@ def test_2f1_domain_and_parameter_errors():
         gauss_2f1(0.5, 0.5, 0.5, 0.999999, max_terms=10)
 
 
+def _set_ia_unit_phase_integrand(scenario):
+    def integrand(t):
+        a, _ = coefficient_a(scenario, t)
+        return c_complex(scenario, t) - a / rho_eval(scenario, t).rho ** 2
+
+    return integrand
+
+
+def _laguerre_weighted(w):
+    return w**2 * math.exp(-w) * laguerre(3, -1, w) * laguerre(4, 2, w)
+
+
+def _oscillating(t):
+    return math.sin(1.0 / (t + 1e-9)) / (t + 1e-9)
+
+
 def test_adaptive_quadrature_frozen_values():
     val, err = integrate_adaptive_full(math.sin, 0.0, 1.0)
     assert err <= 1e-10
@@ -199,8 +219,46 @@ def test_adaptive_quadrature_empty_interval_and_errors():
     assert value == 0.0 and err == 0.0
     with pytest.raises(ValueError):
         integrate_adaptive_full(math.sin, 0.0, 1.0, tol=0.0)
+    with pytest.raises(ValueError):
+        integrate_adaptive_full(math.exp, 0.0, math.inf)
     # An integrand that cannot converge reports an error estimate above tol.
-    _, err = integrate_adaptive_full(
-        lambda t: math.sin(1.0 / (t + 1e-9)) / (t + 1e-9), 0.0, 1.0, tol=1e-14
-    )
+    _, err = integrate_adaptive_full(_oscillating, 0.0, 1.0, tol=1e-14)
     assert err > 1e-14
+
+
+# quad_vec status: 0 converged, 1 panel limit, 2 rounding floor, 3 non-finite.
+@pytest.mark.parametrize(
+    "name, lo, hi, tol, status",
+    [
+        ("sin", 0.0, 1.0, 1e-10, 0),
+        ("cexp", 0.0, 7.5, 1e-10, 0),
+        ("set_ia_phase", 0.0, 2.0, 1e-10, 2),
+        ("laguerre_weighted", 0.0, 80.0, 1e-10, 0),
+        ("oscillating", 0.0, 1.0, 1e-14, 1),
+        ("infinite", 0.0, 1.0, 1e-10, 3),
+    ],
+)
+def test_adaptive_quadrature_is_bit_identical_to_quad_vec(name, lo, hi, tol, status, fig_ia):
+    f = {
+        "sin": math.sin,
+        "cexp": lambda t: cmath.exp(1j * t),
+        "set_ia_phase": _set_ia_unit_phase_integrand(fig_ia),
+        "laguerre_weighted": _laguerre_weighted,
+        "oscillating": _oscillating,
+        "infinite": lambda t: math.inf,
+    }[name]
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return f(t)
+
+    value, err = integrate_adaptive_full(counted, lo, hi, tol)
+    want, want_err, info = quad_vec(
+        f, lo, hi, epsabs=tol, epsrel=0.0, norm="max", full_output=True
+    )
+    assert info.status == status
+    # repr tells every bit apart, nan included.
+    assert repr(value) == repr(complex(want))
+    assert repr(err) == repr(want_err)
+    assert len(calls) == info.neval

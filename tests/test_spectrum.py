@@ -8,6 +8,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.special import roots_laguerre
 
 from ncho.config import ScenarioKind
 from ncho.ermakov import coefficient_a, rho_eval
@@ -26,6 +27,8 @@ from ncho.spectrum import (
     overlap,
     phase_closed_form,
     phase_quadrature,
+    _ORACLE_RES,
+    _QuadGrid,
 )
 
 from conftest import make_scenario
@@ -301,6 +304,15 @@ def test_oracle_agreement_sweep(fig_scenarios):
                             got = matrix_element_oracle(scenario, t, n, m, mp, k, coord)
                             err = abs(closed - got) / max(1.0, abs(closed))
                             assert err <= 1e-8, (name, n, m, mp, k, coord)
+
+
+def test_oracle_nodes_are_scipy_gauss_laguerre(fig_ib):
+    grid = _QuadGrid(fig_ib, 0.5)
+    for res, (n_rad, _) in enumerate(_ORACLE_RES):
+        nodes, weights, _ = grid.nodes(res)
+        want_nodes, want_weights = roots_laguerre(n_rad)
+        assert nodes.tolist() == want_nodes.tolist()
+        assert weights.tolist() == want_weights.tolist()
 
 
 def test_oracle_validation_limits(fig_ib):
