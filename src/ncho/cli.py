@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -91,10 +92,24 @@ def _finite(flag: str, value: float) -> float:
     return value
 
 
+def _start_time(value: float) -> float:
+    """--t0, finite and not negative: the families are defined for t >= 0 only."""
+    if _finite("--t0", value) < 0.0:
+        raise ValueError(f"--t0 must be >= 0, got {value:g}")
+    return value
+
+
+def _positive(flag: str, value: float) -> float:
+    # nan compares false with everything: as a tolerance it would certify any oracle.
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{flag} must be a finite positive number, got {value!r}")
+    return value
+
+
 def _time_grid(args) -> list[float]:
     if args.points < 1:
         raise ValueError(f"--points must be a positive integer, got {args.points}")
-    _finite("--t0", args.t0)
+    _start_time(args.t0)
     _finite("--t1", args.t1)
     if args.t1 < args.t0:
         raise ValueError(f"need --t1 >= --t0, got [{args.t0:g}, {args.t1:g}]")
@@ -192,6 +207,8 @@ _VERIFY_CHECKS = (
 
 
 def cmd_verify(args) -> int:
+    if args.tol is not None:
+        _positive("--tol", args.tol)
     scenario = _load_scenario(args.scenario, enforce_constraint=False)
     t0, t1 = _verify_window(scenario)
     results: list[CheckResult] = []
@@ -270,7 +287,7 @@ def cmd_matelem(args) -> int:
     scenario = _load_scenario(args.scenario)
     m_prime = args.m if args.mprime is None else args.mprime
     closed_fn = matrix_element_x_pow if args.coord == "x" else matrix_element_y_pow
-    tol = args.tol if args.tol is not None else 1e-8
+    tol = 1e-8 if args.tol is None else _positive("--tol", args.tol)
     rows = []
     for t in _time_grid(args):
         closed = closed_fn(scenario, t, args.n, args.m, m_prime, args.k)
@@ -319,7 +336,7 @@ def cmd_wavefield(args) -> int:
     s = _state(args)
     if args.points < 1:
         raise ValueError(f"--points must be a positive integer, got {args.points}")
-    t = _finite("--t0", args.t0)
+    t = _start_time(args.t0)
     st = rho_eval(scenario, t)
     # Radius capturing the bulk of the state (the Gaussian scale times the
     # label-dependent spread), so the grid needs no extra flag.
@@ -359,7 +376,13 @@ def _add_grid(p: argparse.ArgumentParser, points: int = 100) -> None:
     p.add_argument("--points", type=int, default=points, help=f"grid size (default {points})")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``ncho`` parser, built once per process.
+
+    Reuse is safe: each ``parse_args`` call fills a fresh namespace, and
+    every default is immutable.
+    """
     parser = argparse.ArgumentParser(
         prog="ncho",
         description="Damped oscillator on a time-dependent noncommutative "

@@ -20,7 +20,8 @@ conditions), constraint() as (name, LHS, RHS, term magnitudes), rho(t) as
 scales (rad1, s1, rad2, s2) of c = sqrt(rad1) + omega(t) sqrt(rad2),
 horizon() (None: unbounded), energy(t, n+m+1, n-m, c) and unit_phase(t),
 the integral of c - a/rho^2; the last two return None where no closed form
-is published or validated.
+is published or validated. The base class assembles c(t) itself and the
+phase integrand phase_rate(t) = c - a/rho^2 from those.
 """
 
 from __future__ import annotations
@@ -60,6 +61,17 @@ class Family:
     def horizon(self) -> float | None:
         """Last time the roots of c stay real; None (unbounded) at zero frequency."""
         return None if self.constants.omega0 == 0.0 else self._horizon()
+
+    def c(self, t: float) -> complex:
+        """c(t) continued past the reality window with principal-branch roots."""
+        rad1, _, rad2, _ = self.c_terms(t)
+        weight = self.frequency(t)
+        term2 = 0.0 if weight == 0.0 else weight * _sq(rad2)
+        return _sq(rad1) + term2
+
+    def phase_rate(self, t: float) -> complex:
+        """c - a/rho^2, the integrand of the unit phase."""
+        return self.c(t) - self.a(t)[0] / self.rho(t)[0] ** 2
 
 
 class _Exponential(Family):

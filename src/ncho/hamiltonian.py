@@ -20,7 +20,6 @@ errors.
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -112,10 +111,7 @@ def c_value(scenario: Scenario, t: float) -> float:
 
 def c_complex(scenario: Scenario, t: float) -> complex:
     """c(t) continued past the reality window with principal-branch roots."""
-    rad1, _, rad2, _ = scenario.family.c_terms(t)
-    weight = scenario.family.frequency(t)
-    term2 = 0.0 if weight == 0.0 else weight * cmath.sqrt(complex(rad2))
-    return cmath.sqrt(complex(rad1)) + term2
+    return scenario.family.c(t)
 
 
 def coefficients(scenario: Scenario, t: float) -> HamCoeffs:

@@ -13,7 +13,6 @@ central differencing, which is the computable surrogate for dI/dt = 0.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .config import Scenario

@@ -33,7 +33,6 @@ import numpy as np
 from .config import Scenario
 from .errors import DomainError, InvalidLabel, ToleranceNotMet
 from .ermakov import coefficient_a, rho_eval
-from .hamiltonian import c_complex
 from .specfun import (
     integrate_adaptive_full,
     laguerre,
@@ -183,13 +182,7 @@ def _unit_phase_quadrature(scenario: Scenario, t: float) -> complex:
     """integral_0^t (c - a/rho^2) dT by adaptive quadrature, complex-valued."""
     if t == 0.0:
         return 0.0j
-
-    def integrand(ts: float) -> complex:
-        a, _ = coefficient_a(scenario, ts)
-        rho = rho_eval(scenario, ts).rho
-        return c_complex(scenario, ts) - a / rho**2
-
-    value, err = integrate_adaptive_full(integrand, 0.0, t, PHASE_QUAD_TOL)
+    value, err = integrate_adaptive_full(scenario.family.phase_rate, 0.0, t, PHASE_QUAD_TOL)
     if err > max(PHASE_QUAD_TOL, _REL_FLOOR * (1.0 + abs(value))):
         raise ToleranceNotMet(
             f"phase quadrature error {err:.3e} exceeds tolerance at t={t:g}",
@@ -392,14 +385,15 @@ def _element_labels(n: int, m: int, m_prime: int, k_pow: int) -> tuple[StateLabe
 _INV_I_POW = (1 + 0j, -1j, -1 + 0j, 1j)
 
 
-def _matrix_element_sum(
-    scenario: Scenario, t: float, n: int, m: int, m_prime: int, k_pow: int,
-    x_units: bool, invariant_basis: bool,
-) -> complex:
-    _element_labels(n, m, m_prime, k_pow)
+@lru_cache(maxsize=1024)
+def _element_coefficient(n: int, m: int, m_prime: int, k_pow: int) -> tuple[float, int] | None:
+    """The exact, time-independent part of an element: (coefficient, r index).
+
+    None under the selection rule, where no term survives the deltas.
+    """
     diff = m_prime - m
     if abs(diff) > k_pow or (diff + k_pow) % 2:
-        return 0.0 + 0.0j  # selection rule: no term survives the deltas
+        return None
     r_idx = (diff + k_pow) // 2
     integral = laguerre_weighted_integral_exact(
         n - m - r_idx + k_pow, m, n - m, m_prime, n - m_prime
@@ -415,6 +409,19 @@ def _matrix_element_sum(
         coeff = float(base * root)
     else:
         coeff = float(base) * math.sqrt(sq_arg)
+    return coeff, r_idx
+
+
+def _matrix_element_sum(
+    scenario: Scenario, t: float, n: int, m: int, m_prime: int, k_pow: int,
+    x_units: bool, invariant_basis: bool,
+) -> complex:
+    _element_labels(n, m, m_prime, k_pow)
+    exact = _element_coefficient(n, m, m_prime, k_pow)
+    if exact is None:
+        return 0.0 + 0.0j
+    coeff, r_idx = exact
+    diff = m_prime - m
     st = rho_eval(scenario, float(t))
     value = complex(coeff * scenario.hbar ** (k_pow / 2.0) * st.rho**k_pow)
     if x_units:

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from ncho.cli import main
+from ncho.cli import build_parser, main
 from ncho.config import build_scenario, parse_scenario_file
 from ncho.ermakov import rho_eval
 from ncho.spectrum import PolarPoint, StateLabel, hamiltonian_eigenfunction
@@ -298,6 +298,30 @@ def test_usage_errors_exit_two(capsys):
         code, out, err = run_cli(capsys, cmd, "--scenario", IB, flag, value)
         assert code == 2, (cmd, flag, value)
         assert out == "" and "must be a finite number" in err
+    # The families are defined for t >= 0 only; every time flag says so.
+    for argv in (
+        ("energy", "--scenario", IB, "--t0", "-1"),
+        ("ncparams", "--scenario", IB, "--t0", "-1"),
+        ("phase", "--scenario", str(SCENARIO_DIR / "set_ii_k2.scenario"), "--m", "1",
+         "--t0", "-0.9", "--t1", "-0.5", "--points", "2"),
+        ("matelem", "--scenario", IB, "--t0", "-1", "--points", "2"),
+        ("wavefield", "--scenario", IB, "--t0", "-1", "--points", "2"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        t0 = argv[argv.index("--t0") + 1]
+        assert out == "" and err == f"error: --t0 must be >= 0, got {t0}\n", argv
+    # A tolerance must be finite and positive: nan would certify anything.
+    for argv in (
+        ("matelem", "--scenario", IB, "--tol", "nan", "--points", "2"),
+        ("matelem", "--scenario", IB, "--tol", "0"),
+        ("verify", "--scenario", IB, "--tol", "nan"),
+        ("verify", "--scenario", IB, "--tol", "-1"),
+        ("verify", "--scenario", IB, "--tol", "inf"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == "" and err.startswith("error: --tol must be a finite positive number"), argv
     # Finite but huge times overflow or underflow the closed forms; the CLI
     # reports that instead of a traceback or a table holding inf/nan.
     for argv in (
@@ -341,6 +365,33 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "7 passed" in proc.stdout
+
+
+# Runs that leave a flag out follow runs that set it, and a usage error and
+# --help come before a normal run, all in one process.
+_REUSE_SEQUENCE = (
+    ("verify", "--scenario", III, "--tol", "1e-300"),
+    ("verify", "--scenario", III),
+    ("matelem", "--scenario", IB, "--n", "1", "--mprime", "2", "--points", "3"),
+    ("matelem", "--scenario", IB, "--n", "1", "--points", "3"),
+    ("matelem", "--scenario", IB, "--coord", "z"),
+    ("--help",),
+    ("energy", "--scenario", IB, "--points", "4"),
+)
+
+
+def test_reused_parser_answers_like_a_fresh_interpreter(capsys, monkeypatch):
+    assert build_parser() is build_parser()
+    monkeypatch.setenv("COLUMNS", "80")  # the help and usage text wrap to it
+    in_process = [run_cli(capsys, *argv) for argv in _REUSE_SEQUENCE]
+    assert [code for code, _, _ in in_process] == [1, 0, 0, 0, 2, 0, 0]
+    assert in_process[2][1] != in_process[3][1]
+    for argv, got in zip(_REUSE_SEQUENCE, in_process):
+        proc = subprocess.run(
+            [sys.executable, "-m", "ncho.cli", *argv],
+            capture_output=True, text=True, timeout=120, env=_child_env(),
+        )
+        assert got == (proc.returncode, proc.stdout, proc.stderr), argv
 
 
 # Runs each entry point in one fresh interpreter and prints, per step, the

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncho.config import ScenarioKind
+from ncho.ermakov import coefficient_a, rho_eval
 from ncho.errors import DomainError, OutsideRealityWindow
 from ncho.hamiltonian import (
     PhaseSpacePoint,
@@ -61,6 +63,39 @@ def test_c_value_is_real_part_of_continuation(fig_scenarios):
             z = c_complex(scenario, t)
             assert z.imag == 0.0
             assert math.isclose(c_value(scenario, t), z.real, rel_tol=1e-14)
+
+
+def _c_composed(scenario, t):
+    # Reference: c(t) composed from the family's radicands and frequency.
+    rad1, _, rad2, _ = scenario.family.c_terms(t)
+    weight = scenario.family.frequency(t)
+    term2 = 0.0 if weight == 0.0 else weight * cmath.sqrt(complex(rad2))
+    return cmath.sqrt(complex(rad1)) + term2
+
+
+def test_family_c_and_phase_rate_are_bit_identical_to_composition(fig_scenarios):
+    scenarios = dict(fig_scenarios)
+    scenarios["II, k=3"] = make_scenario(
+        ScenarioKind.SET_II_K, k_exp=3, omega0=0.5, sigma=1.0, Delta=1.0, mu=1.0,
+        enforce=False,
+    )
+    scenarios["Ib, omega0=0"] = make_scenario(ScenarioKind.SET_IB, omega0=0.0)
+    for name, scenario in scenarios.items():
+        horizon = reality_horizon_time(scenario)
+        if horizon is None:
+            times = (0.0, 0.7, 3.0, 10.0)
+        else:  # inside the window, at its edge and past it
+            times = (0.0, 0.5 * horizon, 0.99 * horizon, 1.5 * horizon, 3.0 * horizon)
+        for t in times:
+            a, _ = coefficient_a(scenario, t)
+            rho = rho_eval(scenario, t).rho
+            want_c = _c_composed(scenario, t)
+            assert repr(c_complex(scenario, t)) == repr(want_c), (name, t)
+            assert repr(scenario.family.c(t)) == repr(want_c), (name, t)
+            want_rate = want_c - a / rho**2
+            assert repr(scenario.family.phase_rate(t)) == repr(want_rate), (name, t)
+        if horizon:
+            assert scenario.family.c(1.5 * horizon).imag != 0.0, name
 
 
 def test_c_errors_beyond_horizon(fig_ia):

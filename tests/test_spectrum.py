@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from ncho.config import ScenarioKind
 from ncho.ermakov import coefficient_a, rho_eval
 from ncho.errors import DomainError, InvalidLabel
 from ncho.hamiltonian import c_value
+from ncho.specfun import laguerre_weighted_integral_exact
 from ncho.spectrum import (
     Coordinate,
     PhaseMethod,
@@ -29,6 +31,8 @@ from ncho.spectrum import (
     phase_quadrature,
     _ORACLE_RES,
     _QuadGrid,
+    _element_coefficient,
+    _unit_phase,
 )
 
 from conftest import make_scenario
@@ -287,6 +291,44 @@ def test_elements_hermitian_in_real_regime(fig_ib):
                 left = matrix_element_x_pow(fig_ib, t, 1, m, mp, k)
                 right = matrix_element_x_pow(fig_ib, t, 1, mp, m, k)
                 assert abs(left - right.conjugate()) <= 1e-12 * max(1.0, abs(left))
+
+
+def _element_uncached(scenario, t, n, m, mp, k, x_units, invariant_basis):
+    # Reference: the exact sum recomputed on every call, with no cache.
+    diff = mp - m
+    if abs(diff) > k or (diff + k) % 2:
+        return 0.0 + 0.0j
+    r_idx = (diff + k) // 2
+    integral = laguerre_weighted_integral_exact(n - m - r_idx + k, m, n - m, mp, n - mp)
+    base = Fraction(math.comb(k, r_idx), 2**k) * integral / math.factorial(n)
+    sq_arg = math.factorial(m) * math.factorial(mp)
+    root = math.isqrt(sq_arg)
+    coeff = float(base * root) if root * root == sq_arg else float(base) * math.sqrt(sq_arg)
+    value = complex(coeff * scenario.hbar ** (k / 2.0) * rho_eval(scenario, t).rho ** k)
+    if x_units:
+        value *= (-1.0 if (k + r_idx) % 2 else 1.0) * (1 + 0j, -1j, -1 + 0j, 1j)[k % 4]
+    if diff and not invariant_basis:
+        value *= cmath.exp(1j * diff * _unit_phase(scenario, t)[0])
+    return value
+
+
+def test_cached_coefficient_is_bit_identical_to_exact_sum(fig_ib, fig_iii):
+    hbar2 = make_scenario(ScenarioKind.SET_II_K, hbar=2.0)
+    labels = [
+        (n, m, mp, k) for n in range(4) for m in range(4) for mp in range(4) for k in range(4)
+    ]
+    _element_coefficient.cache_clear()
+    for scenario, t in ((fig_ib, 0.9), (fig_iii, 0.4), (hbar2, 1.3)):
+        for n, m, mp, k in labels:
+            for basis in (False, True):
+                for fn, x_units in ((matrix_element_x_pow, True), (matrix_element_y_pow, False)):
+                    want = _element_uncached(scenario, t, n, m, mp, k, x_units, basis)
+                    got = fn(scenario, t, n, m, mp, k, invariant_basis=basis)
+                    assert repr(got) == repr(want), (n, m, mp, k, x_units, basis)
+    # Every label after the first pass was served from the cache.
+    info = _element_coefficient.cache_info()
+    assert info.currsize == len(labels)
+    assert info.hits == 12 * len(labels) - info.misses
 
 
 def test_oracle_agreement_sweep(fig_scenarios):

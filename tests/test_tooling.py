@@ -1,0 +1,80 @@
+"""Static checks over the package and script sources."""
+
+from __future__ import annotations
+
+import ast
+
+from conftest import SCENARIO_DIR
+
+ROOT = SCENARIO_DIR.parent
+SOURCES = sorted((ROOT / "src" / "ncho").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+
+
+def _module_imports(node: ast.AST):
+    """(bound name, line) of each import outside function and class bodies."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
+            continue
+        if isinstance(child, ast.Import):
+            for alias in child.names:
+                yield alias.asname or alias.name.partition(".")[0], child.lineno
+        elif isinstance(child, ast.ImportFrom):
+            if child.module == "__future__":
+                continue
+            for alias in child.names:
+                if alias.name != "*":
+                    yield alias.asname or alias.name, child.lineno
+        else:
+            yield from _module_imports(child)
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    """The strings listed in a module-level ``__all__``."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            names.update(
+                item.value for item in ast.walk(node.value)
+                if isinstance(item, ast.Constant) and isinstance(item.value, str)
+            )
+    return names
+
+
+def unused_imports(source: str) -> list[tuple[str, int]]:
+    """Module-level imports whose bound name the module never reads or exports."""
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | _exported(tree)
+    return [(name, line) for name, line in _module_imports(tree) if name not in used]
+
+
+def test_unused_import_check_sees_module_level_imports_only():
+    source = (
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import os.path as osp\n"
+        "import xml.dom\n"
+        "from math import pi, tau as turn\n"
+        "if True:\n"
+        "    import json\n"
+        "try:\n"
+        "    import csv\n"
+        "except ImportError:\n"
+        "    import io\n"
+        "__all__ = ['pi']\n"
+        "def f(x: turn):\n"
+        "    import re\n"
+        "    return xml.dom, csv\n"
+    )
+    assert unused_imports(source) == [("os", 2), ("osp", 3), ("json", 7), ("io", 11)]
+
+
+def test_no_unused_module_imports():
+    assert len(SOURCES) > 10
+    unused = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in SOURCES
+        for name, line in unused_imports(path.read_text())
+    ]
+    assert unused == []
