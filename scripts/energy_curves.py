@@ -15,31 +15,21 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
+from ncho.cli import ENERGY_TABLE, format_table
 from ncho.config import build_scenario, parse_scenario_file
 from ncho.energy import energy_series
 from ncho.hamiltonian import reality_horizon_time
 from ncho.spectrum import StateLabel
 
 STATES = (StateLabel(0, 0), StateLabel(1, 0), StateLabel(1, 2))
-FMT = "%.12e"
 
 
 def write_curve(scenario, name: str, state: StateLabel, out_dir: pathlib.Path) -> pathlib.Path:
     horizon = reality_horizon_time(scenario)
     t_end = 2.0 if horizon is None else min(1.5 * horizon, 40.0)
     grid = [t_end * i / 400 for i in range(401)]
-    rows = energy_series(scenario, state, grid)
     path = out_dir / f"energy_{name}_n{state.n}_m{state.m}.csv"
-    with path.open("w", newline="\n") as fh:
-        fh.write("t,Gamma_t,E_re_scaled,E_im_scaled,in_window\n")
-        for row in rows:
-            fh.write(
-                ",".join(
-                    (FMT % row.t, FMT % row.gamma_t, FMT % row.e_re_scaled,
-                     FMT % row.e_im_scaled, str(int(row.in_window)))
-                )
-                + "\n"
-            )
+    path.write_text(format_table(ENERGY_TABLE, energy_series(scenario, state, grid)), newline="\n")
     return path
 
 

@@ -15,35 +15,34 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
+from ncho.cli import format_table
 from ncho.config import build_scenario, parse_scenario_file
 from ncho.hamiltonian import reality_horizon_time
 from ncho.spectrum import StateLabel, phase_closed_form, phase_quadrature
 
-FMT = "%.12e"
 STATE = StateLabel(0, 1)
+TABLE = (
+    "t,closed_re,closed_im,quad_re,quad_im,method,rel_err",
+    "%.12e,%.12e,%.12e,%.12e,%.12e,%s,%.12e",
+)
 
 
 def scan(scenario, name: str, out_dir: pathlib.Path, points: int) -> float:
     horizon = reality_horizon_time(scenario)
     t_end = 2.0 if horizon is None else min(0.9 * horizon, 2.0)
     worst = 0.0
+    rows = []
+    for i in range(points):
+        t = t_end * i / (points - 1)
+        cf = phase_closed_form(scenario, STATE, t)
+        qd = phase_quadrature(scenario, STATE, t)
+        err = abs(cf.value - qd.value) / max(1.0, abs(cf.value), abs(qd.value))
+        worst = max(worst, err)
+        rows.append(
+            (t, cf.value.real, cf.value.imag, qd.value.real, qd.value.imag, cf.method.value, err)
+        )
     path = out_dir / f"phase_{name}.csv"
-    with path.open("w", newline="\n") as fh:
-        fh.write("t,closed_re,closed_im,quad_re,quad_im,method,rel_err\n")
-        for i in range(points):
-            t = t_end * i / (points - 1)
-            cf = phase_closed_form(scenario, STATE, t)
-            qd = phase_quadrature(scenario, STATE, t)
-            err = abs(cf.value - qd.value) / max(1.0, abs(cf.value), abs(qd.value))
-            worst = max(worst, err)
-            fh.write(
-                ",".join(
-                    (FMT % t, FMT % cf.value.real, FMT % cf.value.imag,
-                     FMT % qd.value.real, FMT % qd.value.imag,
-                     cf.method.value, FMT % err)
-                )
-                + "\n"
-            )
+    path.write_text(format_table(TABLE, rows), newline="\n")
     print(f"wrote {path}  worst rel err {worst:.3e}")
     return worst
 

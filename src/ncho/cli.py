@@ -14,9 +14,14 @@ matelem    -- one matrix element over a time grid, closed form next to the
 ncparams   -- deformation parameters over a time grid with reality flags.
 wavefield  -- |psi|^2 sampled on an (r, angle) grid at fixed time.
 
-CSV goes to stdout: comma separated, header row, %.12e numbers, LF endings,
-flags as 0/1 integers (never NaN). Exit codes: 0 success, 1 a verification
-or cross-check failed, 2 usage/config errors.
+CSV goes to stdout, one header row and then one comma-separated row per
+point: numbers as %.12e, flags as 0/1 integers, phase methods by name
+(ClosedForm, Quadrature), LF line endings. Every table, and the figure data
+of scripts/, is written by format_table; a value that is not finite is
+refused with exit 2 and nothing written. --points is capped at 10**6 time
+points (MAX_POINTS) and 1000 per wavefield axis (MAX_AXIS_POINTS). Exit
+codes: 0 success, 1 a verification or cross-check failed, 2 usage/config
+errors.
 """
 
 from __future__ import annotations
@@ -48,7 +53,19 @@ from .spectrum import (
     phase_quadrature,
 )
 
-_FMT = "%.12e"
+# Largest --points: time points per grid, and points per wavefield axis.
+MAX_POINTS = 10**6
+MAX_AXIS_POINTS = 1000
+
+# Each CSV table as (header, row format): one %-string formats a whole row.
+ENERGY_TABLE = ("t,Gamma_t,E_re_scaled,E_im_scaled,in_window", "%.12e,%.12e,%.12e,%.12e,%d")
+PHASE_TABLE = ("t,theta_re,theta_im,method", "%.12e,%.12e,%.12e,%s")
+MATELEM_TABLE = (
+    "t,closed_re,closed_im,oracle_re,oracle_im,abs_err",
+    "%.12e,%.12e,%.12e,%.12e,%.12e,%.12e",
+)
+NCPARAMS_TABLE = ("t,theta_nc,omega_nc,theta_real,omega_real", "%.12e,%.12e,%.12e,%d,%d")
+WAVEFIELD_TABLE = ("r,angle,psi_abs_sq", "%.12e,%.12e,%.12e")
 
 _GNUPLOT_ENERGY = """\
 # Plot script for the energy CSV. Redirect stdout to energy.csv, then run
@@ -106,9 +123,15 @@ def _positive(flag: str, value: float) -> float:
     return value
 
 
+def _points(value: int, limit: int) -> int:
+    """--points, checked before any grid is built."""
+    if not 1 <= value <= limit:
+        raise ValueError(f"--points must be an integer from 1 to {limit}, got {value}")
+    return value
+
+
 def _time_grid(args) -> list[float]:
-    if args.points < 1:
-        raise ValueError(f"--points must be a positive integer, got {args.points}")
+    _points(args.points, MAX_POINTS)
     _start_time(args.t0)
     _finite("--t1", args.t1)
     if args.t1 < args.t0:
@@ -237,32 +260,25 @@ def cmd_verify(args) -> int:
 # CSV emitters
 # ---------------------------------------------------------------------------
 
-def _emit(header: str, rows: list[str]) -> None:
+def format_table(table: tuple[str, str], rows) -> str:
+    """The CSV text of a (header, row format) table over row tuples.
+
+    Raises ArithmeticError if any value is not finite.
+    """
+    header, row_format = table
+    line = row_format + "\n"
+    body = "".join(line % row for row in rows)
     # Fields are %.12e numbers, 0/1 flags and method names, so only a
     # non-finite number prints as inf or nan.
-    body = "".join(row + "\n" for row in rows)
     if "inf" in body or "nan" in body:
         raise ArithmeticError("a value is not finite; no table written")
-    sys.stdout.write(header + "\n" + body)
+    return header + "\n" + body
 
 
 def cmd_energy(args) -> int:
     scenario = _load_scenario(args.scenario)
     grid = _time_grid(args)
-    samples = energy_series(scenario, _state(args), grid)
-    rows = [
-        ",".join(
-            (
-                _FMT % sample.t,
-                _FMT % sample.gamma_t,
-                _FMT % sample.e_re_scaled,
-                _FMT % sample.e_im_scaled,
-                str(int(sample.in_window)),
-            )
-        )
-        for sample in samples
-    ]
-    _emit("t,Gamma_t,E_re_scaled,E_im_scaled,in_window", rows)
+    sys.stdout.write(format_table(ENERGY_TABLE, energy_series(scenario, _state(args), grid)))
     if args.gnuplot:
         sys.stderr.write(_GNUPLOT_ENERGY)
     return 0
@@ -274,12 +290,8 @@ def cmd_phase(args) -> int:
     rows = []
     for t in _time_grid(args):
         res = phase_closed_form(scenario, s, t)
-        rows.append(
-            ",".join(
-                (_FMT % t, _FMT % res.value.real, _FMT % res.value.imag, res.method.value)
-            )
-        )
-    _emit("t,theta_re,theta_im,method", rows)
+        rows.append((t, res.value.real, res.value.imag, res.method.value))
+    sys.stdout.write(format_table(PHASE_TABLE, rows))
     return 0
 
 
@@ -292,19 +304,8 @@ def cmd_matelem(args) -> int:
     for t in _time_grid(args):
         closed = closed_fn(scenario, t, args.n, args.m, m_prime, args.k)
         oracle = matrix_element_oracle(scenario, t, args.n, args.m, m_prime, args.k, args.coord, tol=tol)
-        rows.append(
-            ",".join(
-                (
-                    _FMT % t,
-                    _FMT % closed.real,
-                    _FMT % closed.imag,
-                    _FMT % oracle.real,
-                    _FMT % oracle.imag,
-                    _FMT % abs(closed - oracle),
-                )
-            )
-        )
-    _emit("t,closed_re,closed_im,oracle_re,oracle_im,abs_err", rows)
+        rows.append((t, closed.real, closed.imag, oracle.real, oracle.imag, abs(closed - oracle)))
+    sys.stdout.write(format_table(MATELEM_TABLE, rows))
     return 0
 
 
@@ -314,46 +315,36 @@ def cmd_ncparams(args) -> int:
     for t in _time_grid(args):
         try:
             nc = nc_parameters(scenario, t)
-            theta, omega = nc.theta_nc, nc.omega_nc
-            theta_real, omega_real = 1, 1
+            rows.append((t, nc.theta_nc, nc.omega_nc, 1, 1))
         except OutsideRealityWindow:
             # Beyond the window report magnitudes of the (now complex)
             # closed forms, flagged per column; never NaN.
             theta2, omega2 = published_nc_squared(scenario, t)
-            theta, omega = math.sqrt(abs(theta2)), math.sqrt(abs(omega2))
-            theta_real, omega_real = int(theta2 >= 0.0), int(omega2 >= 0.0)
-        rows.append(
-            ",".join(
-                (_FMT % t, _FMT % theta, _FMT % omega, str(theta_real), str(omega_real))
+            rows.append(
+                (t, math.sqrt(abs(theta2)), math.sqrt(abs(omega2)), theta2 >= 0.0, omega2 >= 0.0)
             )
-        )
-    _emit("t,theta_nc,omega_nc,theta_real,omega_real", rows)
+    sys.stdout.write(format_table(NCPARAMS_TABLE, rows))
     return 0
 
 
 def cmd_wavefield(args) -> int:
     scenario = _load_scenario(args.scenario)
     s = _state(args)
-    if args.points < 1:
-        raise ValueError(f"--points must be a positive integer, got {args.points}")
+    n_grid = _points(args.points, MAX_AXIS_POINTS)
     t = _start_time(args.t0)
     st = rho_eval(scenario, t)
     # Radius capturing the bulk of the state (the Gaussian scale times the
     # label-dependent spread), so the grid needs no extra flag.
     r_max = 4.0 * math.sqrt(scenario.hbar * st.rho**2 * (s.n + s.m + 1))
-    n_grid = args.points
     r = r_max * np.arange(1, n_grid + 1) / n_grid
     angle = 2.0 * math.pi * np.arange(n_grid) / n_grid
     # psi = e^{i Theta} phi, with the same phase as the `phase` subcommand.
     psi_phase = cmath.exp(1j * phase_closed_form(scenario, s, t).value)
     psi = psi_phase * eigenfunction_grid(scenario, t, s, r[:, None], angle[None, :])
     density = np.abs(psi) ** 2
-    rows = [
-        ",".join((_FMT % ri, _FMT % aj, _FMT % dij))
-        for ri, row in zip(r.tolist(), density.tolist())
-        for aj, dij in zip(angle.tolist(), row)
-    ]
-    _emit("r,angle,psi_abs_sq", rows)
+    angles = angle.tolist()
+    rows = ((ri, aj, dij) for ri, row in zip(r.tolist(), density.tolist()) for aj, dij in zip(angles, row))
+    sys.stdout.write(format_table(WAVEFIELD_TABLE, rows))
     return 0
 
 

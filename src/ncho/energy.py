@@ -21,6 +21,7 @@ reported alongside the value rather than raised as an error.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import Scenario
 from .ermakov import coefficient_a, coefficient_b, rho_eval
@@ -35,8 +36,9 @@ _CROSS_RTOL = 1e-10
 class EnergyResult:
     """Energy expectation value at one time; complex past the reality horizon.
 
-    ``real_horizon`` (None if unbounded) does not depend on the labels: for
-    m = n the coupling term drops out and the value stays real past it.
+    ``real_horizon`` (None if unbounded, 0.0 if the window is empty) does
+    not depend on the labels: for m = n the coupling term drops out and the
+    value stays real past it.
     """
 
     value: complex
@@ -46,35 +48,18 @@ class EnergyResult:
 
     @property
     def in_window(self) -> bool:
-        return self.real_horizon is None or self.t <= self.real_horizon
+        # A horizon of 0.0 is an empty window, not the single point t = 0.
+        return self.real_horizon is None or (self.real_horizon > 0.0 and self.t <= self.real_horizon)
 
 
-@dataclass(frozen=True)
-class EnergySample:
-    """One row of a scaled energy table (figure-style output)."""
+class EnergySample(NamedTuple):
+    """One row of a scaled energy table (figure-style output), in column order."""
 
     t: float
     gamma_t: float
     e_re_scaled: float
     e_im_scaled: float
     in_window: bool
-
-
-def quadratic_expectations(
-    scenario: Scenario, t: float, s: StateLabel
-) -> tuple[float, float, float]:
-    """(<x_j^2>, <p_j^2>, <x_1 p_2>) in the (n, m) state, natural units.
-
-    The cross expectation is antisymmetric in its indices: <x_2 p_1> is the
-    negative of the returned value.
-    """
-    st = rho_eval(scenario, t)
-    a, _ = coefficient_a(scenario, t)
-    weight = 0.5 * (s.n + s.m + 1)
-    x_sq = st.rho**2 * weight
-    p_sq = (1.0 / st.rho**2 + st.rho_dot**2 / a**2) * weight
-    xp = 0.5 * (s.m - s.n)
-    return x_sq, p_sq, xp
 
 
 def energy_expectation(scenario: Scenario, t: float, s: StateLabel) -> EnergyResult:

@@ -10,11 +10,13 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ncho import cli
 from ncho.cli import build_parser, main
 from ncho.config import build_scenario, parse_scenario_file
 from ncho.ermakov import rho_eval
-from ncho.spectrum import PolarPoint, StateLabel, hamiltonian_eigenfunction
+from ncho.spectrum import PhaseMethod, PolarPoint, StateLabel, hamiltonian_eigenfunction
 
 from conftest import SCENARIO_DIR
 
@@ -35,6 +37,53 @@ def run_cli(capsys, *argv):
 def csv_rows(out):
     lines = out.strip("\n").split("\n")
     return lines[0], [line.split(",") for line in lines[1:]]
+
+
+# ---------------------------------------------------------------------------
+# CSV writer
+# ---------------------------------------------------------------------------
+
+TABLES = (cli.ENERGY_TABLE, cli.PHASE_TABLE, cli.MATELEM_TABLE, cli.NCPARAMS_TABLE, cli.WAVEFIELD_TABLE)
+# Each field spec, formatted the way the per-field row joins did it.
+_PER_FIELD = {"%.12e": lambda x: "%.12e" % x, "%d": lambda flag: str(int(flag)), "%s": str}
+_FIELD_VALUES = {
+    "%.12e": st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from((-0.0, 5e-324, -1e-310, 1e308, -1e308, 1.7976931348623157e308)),
+    "%d": st.sampled_from((0, 1, False, True)),
+    "%s": st.sampled_from([method.value for method in PhaseMethod]),
+}
+
+
+def _per_field_csv(table, rows):
+    header, row_format = table
+    fields = row_format.split(",")
+    return header + "\n" + "".join(
+        ",".join(_PER_FIELD[f](v) for f, v in zip(fields, row)) + "\n" for row in rows
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_format_table_matches_per_field_join(data):
+    table = data.draw(st.sampled_from(TABLES))
+    fields = table[1].split(",")
+    assert len(fields) == len(table[0].split(","))
+    rows = data.draw(st.lists(st.tuples(*(_FIELD_VALUES[f] for f in fields)), max_size=4))
+    assert cli.format_table(table, rows) == _per_field_csv(table, rows)
+
+
+@pytest.mark.parametrize("bad", (math.inf, -math.inf, math.nan))
+def test_format_table_refuses_non_finite_values(bad):
+    finite = {"%.12e": 1.5, "%d": 1, "%s": "ClosedForm"}
+    for table in TABLES:
+        fields = table[1].split(",")
+        row = [finite[f] for f in fields]
+        for i, f in enumerate(fields):
+            if f != "%.12e":
+                continue
+            rows = [tuple(row), tuple(row[:i] + [bad] + row[i + 1:])]
+            with pytest.raises(ArithmeticError):
+                cli.format_table(table, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +371,22 @@ def test_usage_errors_exit_two(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert out == "" and err.startswith("error: --tol must be a finite positive number"), argv
+    # Grid sizes are capped before any grid is built.
+    huge = "100000000000000000000"
+    for argv in (
+        ("energy", "--scenario", IB, "--points", huge),
+        ("ncparams", "--scenario", IB, "--points", huge),
+        ("phase", "--scenario", IB, "--m", "1", "--points", huge),
+        ("matelem", "--scenario", IB, "--points", huge),
+        ("wavefield", "--scenario", IB, "--points", huge),
+        ("energy", "--scenario", IB, "--points", str(cli.MAX_POINTS + 1)),
+        ("wavefield", "--scenario", IB, "--points", str(cli.MAX_AXIS_POINTS + 1)),
+        ("wavefield", "--scenario", IB, "--points", "0"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == "" and err.startswith("error: --points must be an integer from 1 to "), argv
+    assert cli._points(cli.MAX_POINTS, cli.MAX_POINTS) == cli.MAX_POINTS
     # Finite but huge times overflow or underflow the closed forms; the CLI
     # reports that instead of a traceback or a table holding inf/nan.
     for argv in (

@@ -6,15 +6,9 @@ import dataclasses
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from ncho.config import ScenarioKind, build_scenario, parse_scenario_file
-from ncho.energy import (
-    EnergyResult,
-    energy_expectation,
-    energy_series,
-    quadratic_expectations,
-)
+from ncho.energy import EnergyResult, energy_expectation, energy_series
 from ncho.ermakov import coefficient_a, coefficient_b, rho_eval
 from ncho.errors import ConstraintGuard
 from ncho.hamiltonian import c_complex, reality_horizon_time
@@ -23,37 +17,6 @@ from ncho.spectrum import StateLabel
 from conftest import SCENARIO_DIR, make_scenario
 
 GROUND = StateLabel(0, 0)
-
-
-# ---------------------------------------------------------------------------
-# Quadratic expectation values
-# ---------------------------------------------------------------------------
-
-def test_quadratic_expectations_at_unit_width(fig_ib):
-    # rho(0) = mu = 1 exactly; rho'(0) = -1/2 adds only a ~1e-15 momentum tail
-    # through rho'^2/a^2 with a = 1e7.
-    x2, p2, xp = quadratic_expectations(fig_ib, 0.0, GROUND)
-    assert x2 == 0.5
-    assert p2 == pytest.approx(0.5, rel=1e-14)
-    assert xp == 0.0
-    x2, p2, xp = quadratic_expectations(fig_ib, 0.0, StateLabel(1, 3))
-    assert x2 == 2.5
-    assert p2 == pytest.approx(2.5, rel=1e-14)
-    assert xp == 1.0
-
-
-@given(t=st.floats(0.0, 2.0), n=st.integers(0, 3), m=st.integers(0, 3))
-@settings(max_examples=60)
-def test_quadratic_expectations_track_width(t, n, m, fig_scenarios):
-    for scenario in fig_scenarios.values():
-        state = rho_eval(scenario, t)
-        a, _ = coefficient_a(scenario, t)
-        s = StateLabel(n, m)
-        x2, p2, xp = quadratic_expectations(scenario, t, s)
-        w = 0.5 * (n + m + 1)
-        assert x2 == state.rho**2 * w
-        assert p2 == (1.0 / state.rho**2 + state.rho_dot**2 / a**2) * w
-        assert xp == 0.5 * (m - n)
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +140,19 @@ def test_in_window_boundary_is_inclusive(fig_iii):
     horizon = reality_horizon_time(fig_iii)
     assert energy_expectation(fig_iii, horizon, GROUND).in_window
     assert EnergyResult(0j, 1.0, None, GROUND).in_window
+
+
+def test_empty_window_flags_no_time():
+    # Delta < M omega0^2 puts a root of c below zero from t = 0 on: the
+    # horizon is 0.0, an empty window, and the energy is complex at t = 0.
+    scenario = make_scenario(
+        ScenarioKind.SET_IB, mass_M=1.0, omega0=3.0, Gamma=1.0, sigma=1.0, Delta=1.25, mu=1.0
+    )
+    assert reality_horizon_time(scenario) == 0.0
+    rows = energy_series(scenario, StateLabel(1, 0), [0.0, 0.25, 0.5])
+    assert [row.in_window for row in rows] == [False, False, False]
+    assert rows[0].e_im_scaled != 0.0
+    assert not EnergyResult(0j, 0.0, 0.0, GROUND).in_window
 
 
 # ---------------------------------------------------------------------------

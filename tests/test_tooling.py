@@ -78,3 +78,27 @@ def test_no_unused_module_imports():
         for name, line in unused_imports(path.read_text())
     ]
     assert unused == []
+
+
+def comma_joins(source: str) -> list[int]:
+    """Lines that call ``",".join``, the hand-built form of a CSV row."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "join"
+        and isinstance(node.func.value, ast.Constant)
+        and node.func.value.value == ","
+    ]
+
+
+def test_csv_rows_are_formatted_in_one_place():
+    # Every CSV row goes through cli.format_table and its per-table format.
+    assert comma_joins('a = ",".join(x)\nb = "".join(x)\nc = ", ".join(x)\nd = s.join(x)\n') == [1]
+    joins = [
+        f"{path.relative_to(ROOT)}:{line}"
+        for path in SOURCES
+        for line in comma_joins(path.read_text())
+    ]
+    assert joins == []
