@@ -13,6 +13,8 @@ import argparse
 import pathlib
 import sys
 
+import numpy as np
+
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from ncho.cli import ENERGY_TABLE, format_table
@@ -27,7 +29,7 @@ STATES = (StateLabel(0, 0), StateLabel(1, 0), StateLabel(1, 2))
 def write_curve(scenario, name: str, state: StateLabel, out_dir: pathlib.Path) -> pathlib.Path:
     horizon = reality_horizon_time(scenario)
     t_end = 2.0 if horizon is None else min(1.5 * horizon, 40.0)
-    grid = [t_end * i / 400 for i in range(401)]
+    grid = t_end * np.arange(401) / 400
     path = out_dir / f"energy_{name}_n{state.n}_m{state.m}.csv"
     path.write_text(format_table(ENERGY_TABLE, energy_series(scenario, state, grid)), newline="\n")
     return path

@@ -16,12 +16,17 @@ wavefield  -- |psi|^2 sampled on an (r, angle) grid at fixed time.
 
 CSV goes to stdout, one header row and then one comma-separated row per
 point: numbers as %.12e, flags as 0/1 integers, phase methods by name
-(ClosedForm, Quadrature), LF line endings. Every table, and the figure data
-of scripts/, is written by format_table; a value that is not finite is
-refused with exit 2 and nothing written. --points is capped at 10**6 time
-points (MAX_POINTS) and 1000 per wavefield axis (MAX_AXIS_POINTS). Exit
-codes: 0 success, 1 a verification or cross-check failed, 2 usage/config
-errors.
+(ClosedForm, Quadrature), LF line endings. Time grids are numpy arrays,
+t0 + i*step: energy, ncparams and phase evaluate the whole grid with one
+call per family method, apply every per-point cross-check as a mask, and
+hand whole columns to format_table, which writes every table and the figure
+data of scripts/. A value that is not finite is refused with exit 2 and
+nothing written; a huge finite --t1 ends there or in an OverflowError (exit
+2), with numpy's floating-point warnings silenced. --points is capped at
+10**6 time points (MAX_POINTS) and 1000 per wavefield axis
+(MAX_AXIS_POINTS). phase notes on stderr when rows lie outside the reality
+window, and verify prints the window it checked. Exit codes: 0 success, 1 a
+verification or cross-check failed, 2 usage/config errors.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -37,12 +43,13 @@ import numpy as np
 
 from .config import CONSTRAINT_RTOL, Scenario, build_scenario, parse_scenario_file
 from .energy import energy_series
-from .errors import NchoError, OutsideRealityWindow, ToleranceNotMet
+from .errors import NchoError, ToleranceNotMet
 from .ermakov import ep_residual, rho_eval
-from .hamiltonian import nc_parameters, published_nc_squared, reality_horizon_time
+from .hamiltonian import in_reality_window, nc_table, reality_horizon_time
 from .invariant import invariant_coefficients, invariant_ode_residuals
 from .spectrum import (
     Coordinate,
+    PhaseMethod,
     StateLabel,
     eigenfunction_grid,
     matrix_element_oracle,
@@ -50,12 +57,16 @@ from .spectrum import (
     matrix_element_y_pow,
     overlap,
     phase_closed_form,
-    phase_quadrature,
+    phase_grid,
+    phase_quadrature_grid,
 )
 
 # Largest --points: time points per grid, and points per wavefield axis.
 MAX_POINTS = 10**6
 MAX_AXIS_POINTS = 1000
+
+# Rows per %-operation in format_table.
+_FORMAT_BLOCK = 4096
 
 # Each CSV table as (header, row format): one %-string formats a whole row.
 ENERGY_TABLE = ("t,Gamma_t,E_re_scaled,E_im_scaled,in_window", "%.12e,%.12e,%.12e,%.12e,%d")
@@ -92,11 +103,12 @@ class CheckResult:
         return self.worst <= self.tolerance
 
 
-def _linspace(t0: float, t1: float, points: int) -> list[float]:
+def _linspace(t0: float, t1: float, points: int) -> np.ndarray:
+    """t0 + i*step; unlike np.linspace the last point is not pinned to t1."""
     if points == 1:
-        return [t0]
+        return np.array([t0], dtype=float)
     step = (t1 - t0) / (points - 1)
-    return [t0 + i * step for i in range(points)]
+    return t0 + np.arange(points) * step
 
 
 def _load_scenario(path: str, enforce_constraint: bool = True) -> Scenario:
@@ -130,7 +142,7 @@ def _points(value: int, limit: int) -> int:
     return value
 
 
-def _time_grid(args) -> list[float]:
+def _time_grid(args) -> np.ndarray:
     _points(args.points, MAX_POINTS)
     _start_time(args.t0)
     _finite("--t1", args.t1)
@@ -159,31 +171,27 @@ def _verify_window(scenario: Scenario) -> tuple[float, float]:
 # Each check returns its worst residual over the verify window [t0, t1].
 
 def _check_ep(scenario: Scenario, t0: float, t1: float) -> float:
-    return max(ep_residual(scenario, t).relative for t in _linspace(t0, t1, 200))
+    return float(np.max(ep_residual(scenario, _linspace(t0, t1, 200)).relative))
 
 
 def _check_invariant_ode(scenario: Scenario, t0: float, t1: float) -> float:
     grid = _linspace(max(t0, 0.01), t1, 25)
-    return max(invariant_ode_residuals(scenario, t).worst for t in grid)
+    return float(np.max(invariant_ode_residuals(scenario, grid).worst))
 
 
 def _check_invariant_identity(scenario: Scenario, t0: float, t1: float) -> float:
     target = 4.0 * scenario.constants.xi**2
-    return max(
-        abs(invariant_coefficients(scenario, t).quadratic_identity - target)
-        / max(1.0, target)
-        for t in _linspace(t0, t1, 25)
-    )
+    identity = invariant_coefficients(scenario, _linspace(t0, t1, 25)).quadratic_identity
+    return float(np.max(np.abs(identity - target)) / max(1.0, target))
 
 
 def _check_phase(scenario: Scenario, t0: float, t1: float) -> float:
     s = StateLabel(0, 1)
-    worst = 0.0
-    for t in _linspace(t0, t1, 50):
-        cf = phase_closed_form(scenario, s, t).value
-        qd = phase_quadrature(scenario, s, t).value
-        worst = max(worst, abs(cf - qd) / max(1.0, abs(cf), abs(qd)))
-    return worst
+    grid = _linspace(t0, t1, 50)
+    cf, _ = phase_grid(scenario, s, grid)
+    qd = phase_quadrature_grid(scenario, s, grid)
+    scale = np.maximum(np.maximum(1.0, np.abs(cf)), np.abs(qd))
+    return float(np.max(np.abs(cf - qd) / scale))
 
 
 def _check_matrix_oracle(scenario: Scenario, t0: float, t1: float) -> float:
@@ -245,6 +253,9 @@ def cmd_verify(args) -> int:
         results.append(CheckResult(name, worst, default_tol if args.tol is None else args.tol))
 
     print(f"scenario: {scenario.summary()}")
+    print(f"window: t in [{t0:g}, {t1:g}]")
+    if reality_horizon_time(scenario) == 0.0:
+        print("reality window: empty (horizon 0); c(t) is complex on the whole window")
     print(f"{'check':<22} {'worst':>12} {'tolerance':>12}   status")
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -260,19 +271,27 @@ def cmd_verify(args) -> int:
 # CSV emitters
 # ---------------------------------------------------------------------------
 
-def format_table(table: tuple[str, str], rows) -> str:
-    """The CSV text of a (header, row format) table over row tuples.
+def format_table(table: tuple[str, str], columns) -> str:
+    """The CSV text of a (header, row format) table over whole columns.
 
-    Raises ArithmeticError if any value is not finite.
+    ``columns`` holds one array or sequence per field, in table order, all
+    of one length. Raises ArithmeticError if any value is not finite.
     """
     header, row_format = table
     line = row_format + "\n"
-    body = "".join(line % row for row in rows)
-    # Fields are %.12e numbers, 0/1 flags and method names, so only a
-    # non-finite number prints as inf or nan.
-    if "inf" in body or "nan" in body:
-        raise ArithmeticError("a value is not finite; no table written")
-    return header + "\n" + body
+    rows = len(columns[0]) if len(columns) else 0
+    parts = [header + "\n"]
+    # One %-operation per block of rows; blocks bound the per-value temporaries.
+    for start in range(0, rows, _FORMAT_BLOCK):
+        block = [c[start:start + _FORMAT_BLOCK] for c in columns]
+        values = [b.tolist() if isinstance(b, np.ndarray) else b for b in block]
+        text = (line * len(values[0])) % tuple(itertools.chain.from_iterable(zip(*values)))
+        # Fields are %.12e numbers, 0/1 flags and method names, so only a
+        # non-finite number prints as inf or nan.
+        if "inf" in text or "nan" in text:
+            raise ArithmeticError("a value is not finite; no table written")
+        parts.append(text)
+    return "".join(parts)
 
 
 def cmd_energy(args) -> int:
@@ -286,12 +305,19 @@ def cmd_energy(args) -> int:
 
 def cmd_phase(args) -> int:
     scenario = _load_scenario(args.scenario)
-    s = _state(args)
-    rows = []
-    for t in _time_grid(args):
-        res = phase_closed_form(scenario, s, t)
-        rows.append((t, res.value.real, res.value.imag, res.method.value))
-    sys.stdout.write(format_table(PHASE_TABLE, rows))
+    t = _time_grid(args)
+    theta, quadrature = phase_grid(scenario, _state(args), t)
+    methods = np.where(quadrature, PhaseMethod.QUADRATURE.value, PhaseMethod.CLOSED_FORM.value)
+    table = format_table(PHASE_TABLE, (t, theta.real, theta.imag, methods))
+    horizon = reality_horizon_time(scenario)
+    outside = np.count_nonzero(~in_reality_window(horizon, t))
+    if outside:
+        print(
+            f"note: {outside} of {t.size} rows lie outside the reality window "
+            f"(horizon {horizon:g}), where the phase is complex",
+            file=sys.stderr,
+        )
+    sys.stdout.write(table)
     return 0
 
 
@@ -300,30 +326,22 @@ def cmd_matelem(args) -> int:
     m_prime = args.m if args.mprime is None else args.mprime
     closed_fn = matrix_element_x_pow if args.coord == "x" else matrix_element_y_pow
     tol = 1e-8 if args.tol is None else _positive("--tol", args.tol)
-    rows = []
-    for t in _time_grid(args):
-        closed = closed_fn(scenario, t, args.n, args.m, m_prime, args.k)
-        oracle = matrix_element_oracle(scenario, t, args.n, args.m, m_prime, args.k, args.coord, tol=tol)
-        rows.append((t, closed.real, closed.imag, oracle.real, oracle.imag, abs(closed - oracle)))
-    sys.stdout.write(format_table(MATELEM_TABLE, rows))
+    t = _time_grid(args)
+    # The oracle is one certified 2-D quadrature per time.
+    labels = (args.n, args.m, m_prime, args.k)
+    closed = np.array([closed_fn(scenario, ti, *labels) for ti in t.tolist()])
+    oracle = np.array(
+        [matrix_element_oracle(scenario, ti, *labels, args.coord, tol=tol) for ti in t.tolist()]
+    )
+    columns = (t, closed.real, closed.imag, oracle.real, oracle.imag, np.abs(closed - oracle))
+    sys.stdout.write(format_table(MATELEM_TABLE, columns))
     return 0
 
 
 def cmd_ncparams(args) -> int:
     scenario = _load_scenario(args.scenario)
-    rows = []
-    for t in _time_grid(args):
-        try:
-            nc = nc_parameters(scenario, t)
-            rows.append((t, nc.theta_nc, nc.omega_nc, 1, 1))
-        except OutsideRealityWindow:
-            # Beyond the window report magnitudes of the (now complex)
-            # closed forms, flagged per column; never NaN.
-            theta2, omega2 = published_nc_squared(scenario, t)
-            rows.append(
-                (t, math.sqrt(abs(theta2)), math.sqrt(abs(omega2)), theta2 >= 0.0, omega2 >= 0.0)
-            )
-    sys.stdout.write(format_table(NCPARAMS_TABLE, rows))
+    t = _time_grid(args)
+    sys.stdout.write(format_table(NCPARAMS_TABLE, (t, *nc_table(scenario, t))))
     return 0
 
 
@@ -342,9 +360,8 @@ def cmd_wavefield(args) -> int:
     psi_phase = cmath.exp(1j * phase_closed_form(scenario, s, t).value)
     psi = psi_phase * eigenfunction_grid(scenario, t, s, r[:, None], angle[None, :])
     density = np.abs(psi) ** 2
-    angles = angle.tolist()
-    rows = ((ri, aj, dij) for ri, row in zip(r.tolist(), density.tolist()) for aj, dij in zip(angles, row))
-    sys.stdout.write(format_table(WAVEFIELD_TABLE, rows))
+    columns = (np.repeat(r, n_grid), np.tile(angle, n_grid), density.ravel())
+    sys.stdout.write(format_table(WAVEFIELD_TABLE, columns))
     return 0
 
 
@@ -435,7 +452,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return _DISPATCH[args.command](args)
+        # Overflow on a huge finite time gives inf/nan, which format_table
+        # refuses; numpy's warnings about it would only repeat that on stderr.
+        with np.errstate(all="ignore"):
+            return _DISPATCH[args.command](args)
     except BrokenPipeError:
         return 0
     except ToleranceNotMet as exc:

@@ -23,9 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .config import Scenario
 from .ermakov import coefficient_a, coefficient_b, rho_eval
-from .hamiltonian import c_complex, reality_horizon_time
+from .hamiltonian import c_complex, in_reality_window, reality_horizon_time
 from .spectrum import StateLabel
 
 #: Relative tolerance for the assembled-vs-closed-form agreement assertion.
@@ -34,7 +36,7 @@ _CROSS_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class EnergyResult:
-    """Energy expectation value at one time; complex past the reality horizon.
+    """Energy expectation value at a time or on a time grid; complex past the reality horizon.
 
     ``real_horizon`` (None if unbounded, 0.0 if the window is empty) does
     not depend on the labels: for m = n the coupling term drops out and the
@@ -47,80 +49,71 @@ class EnergyResult:
     state: StateLabel
 
     @property
-    def in_window(self) -> bool:
-        # A horizon of 0.0 is an empty window, not the single point t = 0.
-        return self.real_horizon is None or (self.real_horizon > 0.0 and self.t <= self.real_horizon)
+    def in_window(self):
+        return in_reality_window(self.real_horizon, self.t)
 
 
-class EnergySample(NamedTuple):
-    """One row of a scaled energy table (figure-style output), in column order."""
+class EnergySeries(NamedTuple):
+    """A scaled energy table (figure-style output): one array per column, in column order."""
 
-    t: float
-    gamma_t: float
-    e_re_scaled: float
-    e_im_scaled: float
-    in_window: bool
+    t: np.ndarray
+    gamma_t: np.ndarray
+    e_re_scaled: np.ndarray
+    e_im_scaled: np.ndarray
+    in_window: np.ndarray
 
 
-def energy_expectation(scenario: Scenario, t: float, s: StateLabel) -> EnergyResult:
-    """<E_{n,m-n}(t)> assembled from expectation values, cross-checked per family.
+def energy_expectation(scenario: Scenario, t, s: StateLabel) -> EnergyResult:
+    """<E_{n,m-n}> at a time or on a time grid, assembled from expectation
+    values and cross-checked per family.
 
     The assembled route and the family closed form must agree to 1e-10
-    relative to the summed term magnitudes (the identity is algebraic in the
-    family's analytic rho and holds beyond the reality horizon as well); a
-    mismatch raises RuntimeError.
+    relative to the summed term magnitudes at every point (the identity is
+    algebraic in the family's analytic rho and holds beyond the reality
+    horizon as well); a mismatch raises RuntimeError.
     """
     st = rho_eval(scenario, t)
     a, _ = coefficient_a(scenario, t)
     b = coefficient_b(scenario, t)
     c = c_complex(scenario, t)
-    bracket = b * st.rho**2 + a / st.rho**2 + st.rho_dot**2 / a
-    assembled = 0.5 * (s.n + s.m + 1) * bracket + (s.n - s.m) * c
+    rho2 = st.rho * st.rho
+    terms = (b * rho2, a / rho2, st.rho_dot * st.rho_dot / a)
+    assembled = 0.5 * (s.n + s.m + 1) * (terms[0] + terms[1] + terms[2]) + (s.n - s.m) * c
     closed = scenario.family.energy(t, s.n + s.m + 1, s.n - s.m, c)
     if closed is not None:
         # Judged against the term magnitudes, not |assembled|: past the
         # horizon terms of ~1e7 can cancel to ~1e2, leaving rounding noise
         # that is large against the result but not against the terms. Their
-        # sum bounds |assembled|, so it is formed only when that bound fails.
-        diff = abs(assembled - closed)
-        if diff > _CROSS_RTOL * max(1.0, abs(assembled)):
-            terms = (b * st.rho**2, a / st.rho**2, st.rho_dot**2 / a)
-            scale = 0.5 * (s.n + s.m + 1) * sum(map(abs, terms)) + abs((s.n - s.m) * c)
-            mismatch = diff / max(1.0, scale)
-            if mismatch > _CROSS_RTOL:
+        # sum bounds |assembled|, so it is formed only where that bound fails.
+        diff = np.abs(assembled - closed)
+        suspect = diff > _CROSS_RTOL * np.maximum(1.0, np.abs(assembled))
+        if np.any(suspect):
+            scale = 0.5 * (s.n + s.m + 1) * sum(map(np.abs, terms)) + np.abs((s.n - s.m) * c)
+            mismatch = diff / np.maximum(1.0, scale)
+            bad = np.ravel(suspect & (mismatch > _CROSS_RTOL))
+            if bad.any():
+                i = np.argmax(bad)
+                at = (assembled, closed, mismatch, t)
+                got, want, rel, when = (np.ravel(x)[i].item() for x in at)
                 raise RuntimeError(
-                    f"assembled energy {assembled!r} and closed form {closed!r} "
-                    f"disagree (rel {mismatch:.3e}) at t={t:g}"
+                    f"assembled energy {got!r} and closed form {want!r} "
+                    f"disagree (rel {rel:.3e}) at t={when:g}"
                 )
-    return EnergyResult(complex(assembled), t, reality_horizon_time(scenario), s)
+    return EnergyResult(assembled, t, reality_horizon_time(scenario), s)
 
 
-def energy_series(
-    scenario: Scenario, s: StateLabel, t_grid
-) -> list[EnergySample]:
+def energy_series(scenario: Scenario, s: StateLabel, t_grid) -> EnergySeries:
     """Scaled energy table over a sorted, nonnegative time grid.
 
     Values are scaled by 1/omega0 (dimensionless, as plotted); when omega0
     is zero the scale is 1.
     """
-    grid = [float(t) for t in t_grid]
-    if any(t < 0.0 for t in grid):
-        raise ValueError("time grid must be nonnegative")
-    if any(t2 < t1 for t1, t2 in zip(grid, grid[1:])):
-        raise ValueError("time grid must be sorted ascending")
+    t = np.asarray(t_grid, dtype=float)
+    # Against a leading 0, one difference test covers sign and order.
+    if np.any(np.diff(t, prepend=0.0) < 0.0):
+        raise ValueError("time grid must be nonnegative and sorted ascending")
     w0 = scenario.constants.omega0
     scale = w0 if w0 > 0.0 else 1.0
-    gamma = scenario.constants.Gamma
-    rows = []
-    for t in grid:
-        res = energy_expectation(scenario, t, s)
-        rows.append(
-            EnergySample(
-                t=t,
-                gamma_t=gamma * t,
-                e_re_scaled=res.value.real / scale,
-                e_im_scaled=res.value.imag / scale,
-                in_window=res.in_window,
-            )
-        )
-    return rows
+    res = energy_expectation(scenario, t, s)
+    gamma_t = scenario.constants.Gamma * t
+    return EnergySeries(t, gamma_t, res.value.real / scale, res.value.imag / scale, res.in_window)

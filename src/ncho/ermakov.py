@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .config import Scenario
 from .errors import StepUnderflow
 
@@ -33,7 +35,10 @@ class RhoEval:
 
 @dataclass(frozen=True)
 class EPResidual:
-    """Residual of the scale-function equation and the scale it lives on."""
+    """Residual of the scale-function equation and the scale it lives on.
+
+    Fields are floats for one time and arrays for a time grid.
+    """
 
     value: float
     scale: float
@@ -41,7 +46,7 @@ class EPResidual:
 
     @property
     def relative(self) -> float:
-        return abs(self.value) / max(self.scale, 1.0)
+        return np.abs(self.value) / np.maximum(self.scale, 1.0)
 
 
 def rho_eval(scenario: Scenario, t: float) -> RhoEval:
@@ -59,26 +64,29 @@ def coefficient_b(scenario: Scenario, t: float) -> float:
     return scenario.family.b(t)
 
 
-def ep_residual(scenario: Scenario, t: float) -> EPResidual:
-    """Residual rho'' - (a'/a) rho' + a*b*rho - xi^2*a^2/rho^3 at time t.
+def ep_residual(scenario: Scenario, t) -> EPResidual:
+    """Residual rho'' - (a'/a) rho' + a*b*rho - xi^2*a^2/rho^3 at a time or a grid.
 
     The scale is the largest magnitude among the four contributing terms, so
     `relative` reports cancellation against the dominant physics rather than
-    against 1.
+    against 1. Each point's four terms are summed exactly (math.fsum).
     """
     c = scenario.constants
     ev = rho_eval(scenario, t)
     a, a_dot = coefficient_a(scenario, t)
     b = coefficient_b(scenario, t)
-    terms = (
-        ev.rho_ddot,
-        -(a_dot / a) * ev.rho_dot,
-        a * b * ev.rho,
-        -c.xi**2 * a**2 / ev.rho**3,
+    terms = np.stack(
+        np.broadcast_arrays(
+            ev.rho_ddot,
+            -(a_dot / a) * ev.rho_dot,
+            a * b * ev.rho,
+            -c.xi**2 * (a * a) / (ev.rho * ev.rho * ev.rho),
+        ),
+        axis=-1,
     )
-    value = math.fsum(terms)
-    scale = max(abs(x) for x in terms)
-    return EPResidual(value=value, scale=scale, t=t)
+    value = np.array(list(map(math.fsum, terms.reshape(-1, 4).tolist())))
+    scale = np.abs(terms).max(axis=-1)
+    return EPResidual(value=value.reshape(scale.shape)[()], scale=scale[()], t=t)
 
 
 def integrate_ep_numeric(scenario: Scenario, t0: float, t1: float, steps: int) -> list[RhoEval]:
@@ -93,26 +101,30 @@ def integrate_ep_numeric(scenario: Scenario, t0: float, t1: float, steps: int) -
     if not t1 > t0:
         raise ValueError(f"need t1 > t0, got [{t0!r}, {t1!r}]")
     xi2 = scenario.constants.xi**2
+    h = (t1 - t0) / steps
+    starts = t0 + np.arange(steps) * h
+    # (t, a, a', b) at each RK4 stage time, from one family call per stage.
+    begin, mid, end, after = (
+        list(zip(times.tolist(), *(x.tolist() for x in coefficient_a(scenario, times)),
+                 coefficient_b(scenario, times).tolist()))
+        for times in (starts, starts + h / 2.0, starts + h, t0 + np.arange(1, steps + 1) * h)
+    )
 
-    def rhs(t: float, rho: float, v: float) -> tuple[float, float]:
+    def rhs(stage, rho: float, v: float) -> tuple[float, float]:
+        t, a, a_dot, b = stage
         if not rho > 0.0:
             raise StepUnderflow(f"rho = {rho:g} <= 0 reached near t = {t:g}")
-        a, a_dot = coefficient_a(scenario, t)
-        b = coefficient_b(scenario, t)
         return v, (a_dot / a) * v - a * b * rho + xi2 * a**2 / rho**3
 
     start = rho_eval(scenario, t0)
     rho, v = start.rho, start.rho_dot
-    h = (t1 - t0) / steps
-    out = [RhoEval(rho, v, rhs(t0, rho, v)[1], t0)]
+    out = [RhoEval(rho, v, rhs(begin[0], rho, v)[1], t0)]
     for i in range(steps):
-        t = t0 + i * h
-        k1r, k1v = rhs(t, rho, v)
-        k2r, k2v = rhs(t + h / 2.0, rho + h / 2.0 * k1r, v + h / 2.0 * k1v)
-        k3r, k3v = rhs(t + h / 2.0, rho + h / 2.0 * k2r, v + h / 2.0 * k2v)
-        k4r, k4v = rhs(t + h, rho + h * k3r, v + h * k3v)
+        k1r, k1v = rhs(begin[i], rho, v)
+        k2r, k2v = rhs(mid[i], rho + h / 2.0 * k1r, v + h / 2.0 * k1v)
+        k3r, k3v = rhs(mid[i], rho + h / 2.0 * k2r, v + h / 2.0 * k2v)
+        k4r, k4v = rhs(end[i], rho + h * k3r, v + h * k3v)
         rho += h / 6.0 * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
         v += h / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        t_next = t0 + (i + 1) * h
-        out.append(RhoEval(rho, v, rhs(t_next, rho, v)[1], t_next))
+        out.append(RhoEval(rho, v, rhs(after[i], rho, v)[1], after[i][0]))
     return out

@@ -20,16 +20,34 @@ conditions), constraint() as (name, LHS, RHS, term magnitudes), rho(t) as
 scales (rad1, s1, rad2, s2) of c = sqrt(rad1) + omega(t) sqrt(rad2),
 horizon() (None: unbounded), energy(t, n+m+1, n-m, c) and unit_phase(t),
 the integral of c - a/rho^2; the last two return None where no closed form
-is published or validated. The base class assembles c(t) itself and the
+is published or validated. unit_phase otherwise returns (value, validated),
+the flag marking the times the published form holds at (only the SetIa
+series has a bounded domain). The base class assembles c(t) itself and the
 phase integrand phase_rate(t) = c - a/rho^2 from those.
+
+Every time-dependent method takes a float or a numpy array of times and
+answers in the same shape: a float gives Python scalars, an array gives
+arrays. Each closed form is written once. Its arithmetic is + - * / on
+floats or float arrays, which round the same either way, and its exp, pow
+and complex square roots go through ``_exp``, ``_pow`` and ``_sq``,
+which evaluate an array element by element with the rounding math and cmath
+give a float. The complex phase forms are cmath code run point by point. So
+a time evaluated alone and inside a grid agree to the bit, and both agree
+with the scalar closed forms the committed figure data under out/ were made
+with: numpy's own exp, pow, complex log and arctan, and its fused complex
+products and divisions, round differently in the last bit, which would show
+in the noise columns of those files.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from .errors import ConstraintGuard, DomainError
 from .specfun import gauss_2f1
@@ -38,46 +56,143 @@ if TYPE_CHECKING:
     from .config import PhysicalConstants
 
 
+def _exp(x):
+    """math.exp of a number, or of each element of an array."""
+    if not isinstance(x, np.ndarray):
+        return math.exp(x)
+    return np.fromiter(map(math.exp, x.tolist()), float, x.size)
+
+
+def _pow(x, p: float):
+    """x**p for a number, or for each element of an array, as Python's power."""
+    if not isinstance(x, np.ndarray):
+        return x**p
+    return np.fromiter(map(pow, x.tolist(), itertools.repeat(p)), float, x.size)
+
+
+def _sq(x):
+    """Principal-branch square root of a number, or of each element of an
+    array; complex for a negative radicand. numpy's complex square root
+    rounds as cmath.sqrt does."""
+    if not isinstance(x, np.ndarray):
+        return cmath.sqrt(x)
+    return np.sqrt(x.astype(complex))
+
+
 def _sqrt_lower(x: complex) -> complex:
     """Square root on the branch with nonpositive imaginary part."""
-    r = cmath.sqrt(complex(x))
+    r = cmath.sqrt(x)
     return -r if r.imag > 0.0 else r
 
 
-def _sq(x) -> complex:
-    return cmath.sqrt(complex(x))
+def _shaped(value, size: int, shape: tuple):
+    """One output on the flat grid in the caller's shape, or a Python scalar for a float."""
+    if shape is None:
+        return value.item() if isinstance(value, (np.ndarray, np.generic)) else value
+    value = np.asarray(value)
+    if value.shape != (size,):
+        value = np.full(size, value)  # a time-independent term
+    return value.reshape(shape)
 
 
 @dataclass(frozen=True)
 class Family:
-    """Closed forms of one scenario family; ``k_exp`` is read by SetIIk only."""
+    """Closed forms of one scenario family; ``k_exp`` is read by SetIIk only.
+
+    The public time-dependent methods take a float or an array of times and
+    answer in the same shape. Each runs its ``_name`` implementation once,
+    on the float or on the times as a flat float array (``_on_grid``);
+    implementations call each other directly.
+    """
 
     constants: PhysicalConstants
     k_exp: int = 2
 
-    def damping(self, t: float) -> float:
-        return 1.0
+    def damping(self, t):
+        return self._on_grid(self._damping, t)
+
+    def frequency(self, t):
+        return self._on_grid(self._frequency, t)
+
+    def rho(self, t):
+        return self._on_grid(self._rho, t)
+
+    def a(self, t):
+        return self._on_grid(self._a, t)
+
+    def b(self, t):
+        return self._on_grid(self._b, t)
+
+    def c_terms(self, t):
+        return self._on_grid(self._c_terms, t)
+
+    def c(self, t):
+        """c(t) continued past the reality window with principal-branch roots."""
+        return self._on_grid(self._c, t)
+
+    def phase_rate(self, t):
+        """c - a/rho^2, the integrand of the unit phase."""
+        return self._on_grid(self._phase_rate, t)
+
+    def energy(self, t, n_plus: int, n_minus: int, c):
+        """Closed-form energy from the label sums n+m+1, n-m and c at the same times."""
+        return self._on_grid(self._energy, t, n_plus, n_minus, c)
+
+    def unit_phase(self, t):
+        return self._on_grid(self._unit_phase, t)
 
     def horizon(self) -> float | None:
         """Last time the roots of c stay real; None (unbounded) at zero frequency."""
         return None if self.constants.omega0 == 0.0 else self._horizon()
 
-    def c(self, t: float) -> complex:
-        """c(t) continued past the reality window with principal-branch roots."""
-        rad1, _, rad2, _ = self.c_terms(t)
-        weight = self.frequency(t)
-        term2 = 0.0 if weight == 0.0 else weight * _sq(rad2)
-        return _sq(rad1) + term2
+    def _on_grid(self, method, t, *args):
+        """Run ``method`` on a float, or on the times as a flat float array
+        (array arguments flattened alike); answer in the shape of ``t``."""
+        if isinstance(t, (int, float)):
+            t, shape, size = float(t), None, 1
+        else:
+            shape = np.shape(t)
+            t = np.asarray(t, dtype=float).reshape(-1)
+            size = t.size
+            args = [a.reshape(-1) if isinstance(a, np.ndarray) else a for a in args]
+        self._check_times(t)
+        out = method(t, *args)
+        if out is None:
+            return None
+        if isinstance(out, tuple):
+            return tuple(_shaped(x, size, shape) for x in out)
+        return _shaped(out, size, shape)
 
-    def phase_rate(self, t: float) -> complex:
-        """c - a/rho^2, the integrand of the unit phase."""
-        return self.c(t) - self.a(t)[0] / self.rho(t)[0] ** 2
+    def _check_times(self, t) -> None:
+        """Raise DomainError for times outside the family's domain (none here)."""
+
+    def _damping(self, t):
+        return 1.0
+
+    def _c(self, t):
+        rad1, _, rad2, _ = self._c_terms(t)
+        # At zero frequency the deformation root drops out: 0 * sqrt(rad2) = 0.
+        return _sq(rad1) + self._frequency(t) * _sq(rad2)
+
+    def _phase_rate(self, t):
+        return self._c(t) - self._a(t)[0] / _pow(self._rho(t)[0], 2.0)
+
+    def _unit_phase(self, t):
+        if not self._phase_published():
+            return None
+        values = [self._phase_at(x) for x in np.atleast_1d(t).tolist()]
+        validated = np.array([v is not None for v in values], dtype=bool)
+        return np.array([complex("nan") if v is None else v for v in values]), validated
+
+    def _phase_published(self) -> bool:
+        """Whether a closed-form unit phase is published for these constants."""
+        return True
 
 
 class _Exponential(Family):
-    def frequency(self, t: float) -> float:
+    def _frequency(self, t):
         c = self.constants
-        return c.omega0 * math.exp(-c.Gamma * t / 2.0)
+        return c.omega0 * _exp(-c.Gamma * t / 2.0)
 
     def check(self) -> None:
         c = self.constants
@@ -99,21 +214,21 @@ class _Exponential(Family):
         terms = (c.mu**4 * c.sigma * c.Delta, c.mu**4 * c.vartheta**2 / 4.0, rhs)
         return "mu^4*(sigma*Delta - vartheta^2/4) = xi^2*sigma^2", lhs, rhs, terms
 
-    def rho(self, t: float) -> tuple[float, float, float]:
+    def _rho(self, t):
         c = self.constants
-        rho = c.mu * math.exp(-c.vartheta * t / 2.0)
+        rho = c.mu * _exp(-c.vartheta * t / 2.0)
         return rho, -0.5 * c.vartheta * rho, 0.25 * c.vartheta**2 * rho
 
-    def a(self, t: float) -> tuple[float, float]:
+    def _a(self, t):
         c = self.constants
-        a = c.sigma * math.exp(-c.vartheta * t)
+        a = c.sigma * _exp(-c.vartheta * t)
         return a, -c.vartheta * a
 
-    def b(self, t: float) -> float:
+    def _b(self, t):
         c = self.constants
-        return c.Delta * math.exp(c.vartheta * t)
+        return c.Delta * _exp(c.vartheta * t)
 
-    def energy(self, t: float, n_plus: int, n_minus: int, c: complex) -> complex:
+    def _energy(self, t, n_plus: int, n_minus: int, c):
         const = self.constants
         if const.xi != 1.0:
             raise ConstraintGuard(
@@ -124,10 +239,10 @@ class _Exponential(Family):
 
 
 class SetIa(_Exponential):
-    def c_terms(self, t: float) -> tuple[float, float, float, float]:
+    def _c_terms(self, t):
         c = self.constants
         M, w0, G = c.mass_M, c.omega0, c.Gamma
-        e_up, e_dn = math.exp(G * t), math.exp(-G * t)
+        e_up, e_dn = _exp(G * t), _exp(-G * t)
         rad1 = (c.Delta * e_up - M * w0**2 * e_dn) / M
         s1 = (c.Delta * e_up + M * w0**2 * e_dn) / M
         rad2 = M * c.sigma * e_dn - 1.0
@@ -141,17 +256,20 @@ class SetIa(_Exponential):
             return 0.0
         return math.log(m_sigma) / c.Gamma
 
-    def unit_phase(self, t: float) -> complex | None:
-        """None once the hypergeometric argument leaves |z| < 1, where the
-        series representation is not validated."""
+    def _phase_published(self) -> bool:
+        """The hypergeometric argument z grows from Delta/(M omega0^2); the
+        series representation is validated only while |z| < 1."""
+        c = self.constants
+        return c.omega0 != 0.0 and abs(c.Delta / (c.mass_M * c.omega0**2)) < 1.0
+
+    def _phase_at(self, t: float) -> complex | None:
+        """None once the hypergeometric argument leaves |z| < 1."""
         c = self.constants
         mass, w0, g = c.mass_M, c.omega0, c.Gamma
         sg, dl, mu = c.sigma, c.Delta, c.mu
-        if w0 == 0.0:
-            return None
         z0 = dl / (mass * w0**2)
         zt = z0 * math.exp(2.0 * g * t)
-        if not (abs(z0) < 1.0 and abs(zt) < 1.0):
+        if not abs(zt) < 1.0:
             return None
         ms = mass * sg
         e_gt = math.exp(g * t)
@@ -183,8 +301,8 @@ class SetIa(_Exponential):
 class _ExpDamped(_Exponential):
     """SetIb and SetIc: roots of c real at t = 0 stay real, so the window is empty or unbounded."""
 
-    def damping(self, t: float) -> float:
-        return math.exp(-self.constants.Gamma * t)
+    def _damping(self, t):
+        return _exp(-self.constants.Gamma * t)
 
     def _horizon(self) -> float | None:
         c = self.constants
@@ -193,17 +311,17 @@ class _ExpDamped(_Exponential):
 
 
 class SetIb(_ExpDamped):
-    def frequency(self, t: float) -> float:
+    def _frequency(self, t):
         return self.constants.omega0
 
-    def c_terms(self, t: float) -> tuple[float, float, float, float]:
+    def _c_terms(self, t):
         c = self.constants
         M, w0 = c.mass_M, c.omega0
         rad1 = (c.Delta - M * w0**2) / M
         s1 = (c.Delta + M * w0**2) / M
         return rad1, s1, M * c.sigma - 1.0, M * c.sigma + 1.0
 
-    def unit_phase(self, t: float) -> complex:
+    def _phase_at(self, t: float) -> complex:
         """Linear in t."""
         c = self.constants
         slope = (
@@ -215,15 +333,15 @@ class SetIb(_ExpDamped):
 
 
 class SetIc(_ExpDamped):
-    def c_terms(self, t: float) -> tuple[float, float, float, float]:
+    def _c_terms(self, t):
         c = self.constants
         M, w0, G = c.mass_M, c.omega0, c.Gamma
-        e_dn = math.exp(-G * t)
+        e_dn = _exp(-G * t)
         rad1 = (c.Delta - M * w0**2 * e_dn) / M
         s1 = (c.Delta + M * w0**2 * e_dn) / M
         return rad1, s1, M * c.sigma - 1.0, M * c.sigma + 1.0
 
-    def unit_phase(self, t: float) -> complex:
+    def _phase_at(self, t: float) -> complex:
         c = self.constants
         mass, w0, g = c.mass_M, c.omega0, c.Gamma
         sg, dl, mu = c.sigma, c.Delta, c.mu
@@ -248,14 +366,20 @@ class SetIc(_ExpDamped):
 class _Rational(Family):
     """Unit damping and omega0/u with u = Gamma*t + chi, which must stay positive."""
 
-    def _u(self, t: float) -> float:
-        c = self.constants
-        u = c.Gamma * t + c.chi
-        if u <= 0.0:
-            raise DomainError(f"rational/linear family needs Gamma*t + chi > 0, got {u:g} at t={t:g}")
-        return u
+    def _u(self, t):
+        return self.constants.Gamma * t + self.constants.chi
 
-    def frequency(self, t: float) -> float:
+    def _check_times(self, t) -> None:
+        u = self._u(t)
+        bad = u <= 0.0
+        if bad if isinstance(bad, bool) else bad.any():
+            i = np.argmax(bad)
+            raise DomainError(
+                "rational/linear family needs Gamma*t + chi > 0, "
+                f"got {np.ravel(u)[i]:g} at t={np.ravel(t)[i]:g}"
+            )
+
+    def _frequency(self, t):
         return self.constants.omega0 / self._u(t)
 
     def check(self) -> None:
@@ -286,42 +410,40 @@ class SetIIk(_Rational):
         )
         return "Gamma^2*mu = (k+2)^2*(sigma*Delta*mu - xi^2*sigma^2/mu^3)", lhs, rhs, terms
 
-    def rho(self, t: float) -> tuple[float, float, float]:
+    def _rho(self, t):
         c = self.constants
         k = float(self.k_exp)
         u = self._u(t)
         amp = c.mu * (1.0 + 2.0 / k) ** (1.0 / k)
-        rho = amp * u ** (-1.0 / k)
-        rho_dot = -(c.Gamma / k) * amp * u ** (-1.0 / k - 1.0)
-        rho_ddot = (c.Gamma**2 * (k + 1.0) / k**2) * amp * u ** (-1.0 / k - 2.0)
+        rho = amp * _pow(u, -1.0 / k)
+        rho_dot = -(c.Gamma / k) * amp * _pow(u, -1.0 / k - 1.0)
+        rho_ddot = (c.Gamma**2 * (k + 1.0) / k**2) * amp * _pow(u, -1.0 / k - 2.0)
         return rho, rho_dot, rho_ddot
 
-    def a(self, t: float) -> tuple[float, float]:
+    def _a(self, t):
         c = self.constants
         k = float(self.k_exp)
         u = self._u(t)
         power = (k + 2.0) / k
-        a = c.sigma * (1.0 + 2.0 / k) ** power * u ** (-power)
+        a = c.sigma * (1.0 + 2.0 / k) ** power * _pow(u, -power)
         return a, -power * c.Gamma * a / u
 
-    def b(self, t: float) -> float:
+    def _b(self, t):
         c = self.constants
         k = float(self.k_exp)
-        u = self._u(t)
         power = (k - 2.0) / k
-        return c.Delta * (1.0 + 2.0 / k) ** power * u ** (-power)
+        return c.Delta * (1.0 + 2.0 / k) ** power * _pow(self._u(t), -power)
 
-    def c_terms(self, t: float) -> tuple[float, float, float, float]:
+    def _c_terms(self, t):
         c = self.constants
         M, w0 = c.mass_M, c.omega0
         k = float(self.k_exp)
         u = self._u(t)
         ratio = (k + 2.0) / (k * u)
-        rad1 = (c.Delta / M) * ratio ** ((k - 2.0) / k) - w0**2 / u**2
-        s1 = (c.Delta / M) * ratio ** ((k - 2.0) / k) + w0**2 / u**2
-        rad2 = M * c.sigma * ratio ** ((k + 2.0) / k) - 1.0
-        s2 = M * c.sigma * ratio ** ((k + 2.0) / k) + 1.0
-        return rad1, s1, rad2, s2
+        balance = (c.Delta / M) * _pow(ratio, (k - 2.0) / k)
+        frequency2 = w0**2 / _pow(u, 2.0)
+        deformation = M * c.sigma * _pow(ratio, (k + 2.0) / k)
+        return balance - frequency2, balance + frequency2, deformation - 1.0, deformation + 1.0
 
     def _horizon(self) -> float:
         c = self.constants
@@ -329,22 +451,22 @@ class SetIIk(_Rational):
         u_max = ((k + 2.0) / k) * (c.mass_M * c.sigma) ** (k / (k + 2.0))
         return max(0.0, (u_max - c.chi) / c.Gamma)
 
-    def energy(self, t: float, n_plus: int, n_minus: int, c: complex) -> complex | None:
+    def _energy(self, t, n_plus: int, n_minus: int, c):
         """Published for k = 2 only."""
         if self.k_exp != 2:
             return None
         const = self.constants
-        u = self._u(t)
         bracket = (
             2.0 * (const.Delta * const.mu**2 + const.sigma / const.mu**2)
             + const.mu**2 * const.Gamma**2 / (8.0 * const.sigma)
         )
-        return n_plus / (2.0 * u) * bracket + n_minus * c
+        return n_plus / (2.0 * self._u(t)) * bracket + n_minus * c
 
-    def unit_phase(self, t: float) -> complex | None:
+    def _phase_published(self) -> bool:
         """Published for k = 2 only."""
-        if self.k_exp != 2:
-            return None
+        return self.k_exp == 2
+
+    def _phase_at(self, t: float) -> complex:
         c = self.constants
         mass, w0, g = c.mass_M, c.omega0, c.Gamma
         sg, mu, chi = c.sigma, c.mu, c.chi
@@ -381,25 +503,23 @@ class SetIII(_Rational):
         rhs = c.xi**2 * c.sigma
         return "Delta*mu^4 = xi^2*sigma", lhs, rhs, (lhs, rhs)
 
-    def rho(self, t: float) -> tuple[float, float, float]:
+    def _rho(self, t):
         c = self.constants
-        u = self._u(t)
-        return c.mu * u, c.mu * c.Gamma, 0.0
+        return c.mu * self._u(t), c.mu * c.Gamma, 0.0
 
-    def a(self, t: float) -> tuple[float, float]:
+    def _a(self, t):
         return self.constants.sigma, 0.0
 
-    def b(self, t: float) -> float:
-        u = self._u(t)
-        return self.constants.Delta / u**4
+    def _b(self, t):
+        return self.constants.Delta / _pow(self._u(t), 4.0)
 
-    def c_terms(self, t: float) -> tuple[float, float, float, float]:
+    def _c_terms(self, t):
         c = self.constants
         M, w0 = c.mass_M, c.omega0
         u = self._u(t)
-        rad1 = c.Delta / (M * u**4) - w0**2 / u**2
-        s1 = c.Delta / (M * u**4) + w0**2 / u**2
-        return rad1, s1, M * c.sigma - 1.0, M * c.sigma + 1.0
+        balance = c.Delta / (M * _pow(u, 4.0))
+        frequency2 = w0**2 / _pow(u, 2.0)
+        return balance - frequency2, balance + frequency2, M * c.sigma - 1.0, M * c.sigma + 1.0
 
     def _horizon(self) -> float:
         """The coordinate-coefficient root closes the window."""
@@ -409,16 +529,15 @@ class SetIII(_Rational):
         u_max = math.sqrt(c.Delta / c.mass_M) / c.omega0
         return max(0.0, (u_max - c.chi) / c.Gamma)
 
-    def energy(self, t: float, n_plus: int, n_minus: int, c: complex) -> complex:
+    def _energy(self, t, n_plus: int, n_minus: int, c):
         const = self.constants
-        u = self._u(t)
         bracket = (
-            (const.Delta * const.mu**2 + const.sigma / const.mu**2) / u**2
+            (const.Delta * const.mu**2 + const.sigma / const.mu**2) / _pow(self._u(t), 2.0)
             + const.mu**2 * const.Gamma**2 / const.sigma
         )
         return 0.5 * n_plus * bracket + n_minus * c
 
-    def unit_phase(self, t: float) -> complex:
+    def _phase_at(self, t: float) -> complex:
         c = self.constants
         mass, w0, g = c.mass_M, c.omega0, c.Gamma
         sg, dl, mu, chi = c.sigma, c.Delta, c.mu, c.chi

@@ -21,8 +21,9 @@ errors.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .config import Scenario
 from .errors import DomainError, OutsideRealityWindow
@@ -86,82 +87,141 @@ def reality_horizon_time(scenario: Scenario) -> float | None:
     return scenario.family.horizon()
 
 
-def _real_sqrt(radicand: float, scale: float, what: str, scenario: Scenario) -> float:
+def in_reality_window(horizon: float | None, t):
+    """Whether each time lies in the reality window [0, horizon].
+
+    A horizon of 0.0 is an empty window, not the single point t = 0.
+    """
+    if horizon is None:
+        return np.full(np.shape(t), True)[()]
+    return (horizon > 0.0) & (np.asarray(t) <= horizon)
+
+
+def _outside(radicand, scale):
+    """Points whose radicand is negative beyond the clamp for boundary noise (or nan)."""
+    return ~(radicand >= -RADICAND_CLAMP * np.maximum(scale, 1.0))
+
+
+def _real_sqrt(radicand, scale, what: str, scenario: Scenario):
     """sqrt with a clamp for boundary noise and a windowed error beyond it."""
-    if radicand >= 0.0:
-        return math.sqrt(radicand)
-    if radicand >= -RADICAND_CLAMP * max(scale, 1.0):
-        return 0.0
-    raise OutsideRealityWindow(
-        f"{what} has negative radicand {radicand:.6g}; quantity is complex here",
-        horizon=reality_horizon_time(scenario),
-    )
+    outside = _outside(radicand, scale)
+    if np.any(outside):
+        first = np.ravel(radicand)[np.argmax(np.ravel(outside))]
+        raise OutsideRealityWindow(
+            f"{what} has negative radicand {first:.6g}; quantity is complex here",
+            horizon=reality_horizon_time(scenario),
+        )
+    return np.sqrt(np.maximum(radicand, 0.0))
 
 
-def c_value(scenario: Scenario, t: float) -> float:
+def c_value(scenario: Scenario, t):
     """Closed-form cross-term coefficient c(t); real inside the window only."""
     rad1, s1, rad2, s2 = scenario.family.c_terms(t)
-    term1 = _real_sqrt(rad1, s1, "the frequency-balance root of c(t)", scenario)
     weight = scenario.family.frequency(t)
-    if weight == 0.0:
-        return term1  # the deformation term is weighted by omega and drops out
+    term1 = _real_sqrt(rad1, s1, "the frequency-balance root of c(t)", scenario)
+    # The deformation root is weighted by omega and drops out where omega is 0.
+    rad2 = np.where(weight == 0.0, 0.0, rad2)
     term2 = _real_sqrt(rad2, s2, "the deformation root of c(t)", scenario)
     return term1 + weight * term2
 
 
-def c_complex(scenario: Scenario, t: float) -> complex:
+def c_complex(scenario: Scenario, t):
     """c(t) continued past the reality window with principal-branch roots."""
     return scenario.family.c(t)
 
 
-def coefficients(scenario: Scenario, t: float) -> HamCoeffs:
+def coefficients(scenario: Scenario, t) -> HamCoeffs:
     """The triple (a, b, c) at time t; errors once c would be complex."""
     a, _ = coefficient_a(scenario, t)
     b = coefficient_b(scenario, t)
     return HamCoeffs(a=a, b=b, c=c_value(scenario, t), t=t)
 
 
-def nc_parameters(scenario: Scenario, t: float) -> NCParams:
-    """Deformation parameters (theta_nc, omega_nc) at time t.
+def _nc_inversion(scenario: Scenario, t):
+    """theta_nc and omega_nc by the generic inversion, on a time or a grid.
 
-    Computed from the generic inversion
-        theta_nc = sqrt(4 f (M a - f)) / (M omega),
-        omega_nc = sqrt(4 M (b f - M omega^2)) / f,
-    then checked against the scenario's published closed form (squared
-    comparison, so the gate stays meaningful where the radicand vanishes).
+    Returns (theta, omega, theta_outside, omega_outside): the outside masks
+    mark points whose radicand is negative beyond the clamp, where the value
+    is meaningless. Points inside both windows are checked against the
+    published squares and a disagreement raises RuntimeError.
     """
-    if t < 0.0:
-        raise DomainError(f"deformation parameters are validated for t >= 0, got t={t!r}")
-    c = scenario.constants
-    M = c.mass_M
+    if np.any(np.asarray(t) < 0.0):
+        raise DomainError(f"deformation parameters are validated for t >= 0, got t={np.min(t)!r}")
+    M = scenario.constants.mass_M
     f = scenario.family.damping(t)
     w = scenario.family.frequency(t)
-    if w == 0.0:
+    if scenario.constants.omega0 == 0.0:
         raise DomainError("theta_nc is undefined at zero frequency (omega(t) = 0)")
     a, _ = coefficient_a(scenario, t)
     b = coefficient_b(scenario, t)
 
     rad_theta = 4.0 * f * (M * a - f)
     scale_theta = 4.0 * f * (M * a + f)
-    theta = _real_sqrt(rad_theta, scale_theta, "the coordinate deformation theta_nc", scenario) / (M * w)
-
+    theta = np.sqrt(np.maximum(rad_theta, 0.0)) / (M * w)
     rad_omega = 4.0 * M * (b * f - M * w**2)
     scale_omega = 4.0 * M * (b * f + M * w**2)
-    omega = _real_sqrt(rad_omega, scale_omega, "the momentum deformation omega_nc", scenario) / f
+    omega = np.sqrt(np.maximum(rad_omega, 0.0)) / f
+    theta_out = _outside(rad_theta, scale_theta)
+    omega_out = _outside(rad_omega, scale_omega)
 
     theta_pub2, omega_pub2 = published_nc_squared(scenario, t)
-    if abs(theta * theta - theta_pub2) > _AGREE_RTOL * max(scale_theta / (M * w) ** 2, 1e-300):
-        raise RuntimeError(
-            f"generic inversion disagrees with the closed form for theta_nc at t={t:g}"
-        )
-    if abs(omega * omega - omega_pub2) > _AGREE_RTOL * max(scale_omega / f**2, 1e-300):
-        raise RuntimeError(
-            f"generic inversion disagrees with the closed form for omega_nc at t={t:g}"
-        )
+    inside = ~(theta_out | omega_out)
+    for name, value, published, scale in (
+        ("theta_nc", theta, theta_pub2, scale_theta / (M * w) ** 2),
+        ("omega_nc", omega, omega_pub2, scale_omega / f**2),
+    ):
+        bad = inside & (np.abs(value * value - published) > _AGREE_RTOL * np.maximum(scale, 1e-300))
+        if np.any(bad):
+            when = np.ravel(np.broadcast_to(t, np.shape(bad)))[np.argmax(np.ravel(bad))]
+            raise RuntimeError(
+                f"generic inversion disagrees with the closed form for {name} at t={when:g}"
+            )
+    return theta, omega, theta_out, omega_out
+
+
+def nc_parameters(scenario: Scenario, t) -> NCParams:
+    """Deformation parameters (theta_nc, omega_nc) at a time or on a grid.
+
+    Computed from the generic inversion
+        theta_nc = sqrt(4 f (M a - f)) / (M omega),
+        omega_nc = sqrt(4 M (b f - M omega^2)) / f,
+    then checked against the scenario's published closed form (squared
+    comparison, so the gate stays meaningful where the radicand vanishes).
+    Raises OutsideRealityWindow if any point lies beyond the window.
+    """
+    theta, omega, theta_out, omega_out = _nc_inversion(scenario, t)
+    for what, outside in (
+        ("the coordinate deformation theta_nc", theta_out),
+        ("the momentum deformation omega_nc", omega_out),
+    ):
+        if np.any(outside):
+            raise OutsideRealityWindow(
+                f"{what} has a negative radicand; quantity is complex here",
+                horizon=reality_horizon_time(scenario),
+            )
     return NCParams(theta_nc=theta, omega_nc=omega, t=t)
 
 
-def published_nc_squared(scenario: Scenario, t: float) -> tuple[float, float]:
+def nc_table(scenario: Scenario, t) -> tuple:
+    """The ncparams columns on a time grid: (theta_nc, omega_nc, theta_real, omega_real).
+
+    Inside the window the values are the checked generic inversion, flagged
+    real. Beyond it they are magnitudes of the (now complex) published
+    closed forms, flagged per column by the sign of the published square;
+    never nan.
+    """
+    theta, omega, theta_out, omega_out = _nc_inversion(scenario, t)
+    theta2, omega2 = published_nc_squared(scenario, t)
+    outside = theta_out | omega_out
+    return (
+        np.where(outside, np.sqrt(np.abs(theta2)), theta),
+        np.where(outside, np.sqrt(np.abs(omega2)), omega),
+        ~outside | (theta2 >= 0.0),
+        ~outside | (omega2 >= 0.0),
+    )
+
+
+def published_nc_squared(scenario: Scenario, t):
     """Published theta_nc^2 = (2f/(M w))^2 rad2 and omega_nc^2 = (2M/f)^2 rad1.
 
     rad1, rad2 are the radicands of c; past the horizon a square may be negative.

@@ -15,13 +15,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .config import Scenario
 from .ermakov import coefficient_a, coefficient_b, rho_eval
 
 
 @dataclass(frozen=True)
 class InvariantCoeffs:
-    """Invariant coefficients at one time; 4*alpha*beta - gamma^2 = 4*xi^2."""
+    """Invariant coefficients at a time or on a grid; 4*alpha*beta - gamma^2 = 4*xi^2."""
 
     alpha: float
     beta: float
@@ -31,12 +33,12 @@ class InvariantCoeffs:
     @property
     def quadratic_identity(self) -> float:
         """4*alpha*beta - gamma^2 (equals 4*xi^2 for a consistent scenario)."""
-        return 4.0 * self.alpha * self.beta - self.gamma**2
+        return 4.0 * self.alpha * self.beta - self.gamma * self.gamma
 
 
 @dataclass(frozen=True)
 class OdeResiduals:
-    """Relative residuals of the three coefficient ODEs at one time."""
+    """Relative residuals of the three coefficient ODEs at a time or on a grid."""
 
     alpha_residual: float
     beta_residual: float
@@ -46,22 +48,23 @@ class OdeResiduals:
 
     @property
     def worst(self) -> float:
-        return max(self.alpha_residual, self.beta_residual, self.gamma_residual)
+        return np.maximum(np.maximum(self.alpha_residual, self.beta_residual), self.gamma_residual)
 
 
-def invariant_coefficients(scenario: Scenario, t: float) -> InvariantCoeffs:
+def invariant_coefficients(scenario: Scenario, t) -> InvariantCoeffs:
     """alpha = rho^2, gamma = -2 rho rho'/a, beta = rho'^2/a^2 + xi^2/rho^2."""
     xi = scenario.constants.xi
     ev = rho_eval(scenario, t)
     a, _ = coefficient_a(scenario, t)
-    alpha = ev.rho**2
+    velocity, width = ev.rho_dot / a, xi / ev.rho
+    alpha = ev.rho * ev.rho
     gamma = -2.0 * ev.rho * ev.rho_dot / a
-    beta = (ev.rho_dot / a) ** 2 + (xi / ev.rho) ** 2
+    beta = velocity * velocity + width * width
     return InvariantCoeffs(alpha=alpha, beta=beta, gamma=gamma, t=t)
 
 
-def invariant_ode_residuals(scenario: Scenario, t: float, h: float = 1e-5) -> OdeResiduals:
-    """Central-difference check of the coefficient ODEs at time t.
+def invariant_ode_residuals(scenario: Scenario, t, h: float = 1e-5) -> OdeResiduals:
+    """Central-difference check of the coefficient ODEs at a time or on a grid.
 
     Each residual is |numerical derivative - ODE right side| divided by the
     largest magnitude among the derivative, the right side, its constituent
@@ -70,6 +73,7 @@ def invariant_ode_residuals(scenario: Scenario, t: float, h: float = 1e-5) -> Od
     """
     if h <= 0.0:
         raise ValueError(f"step h must be positive, got {h!r}")
+    t = np.asarray(t, dtype=float)[()]
     minus = invariant_coefficients(scenario, t - h)
     plus = invariant_coefficients(scenario, t + h)
     here = invariant_coefficients(scenario, t)
@@ -84,9 +88,11 @@ def invariant_ode_residuals(scenario: Scenario, t: float, h: float = 1e-5) -> Od
     rhs_beta = b * here.gamma
     rhs_gamma = 2.0 * (b * here.alpha - a * here.beta)
 
-    res_alpha = abs(d_alpha - rhs_alpha) / max(abs(d_alpha), abs(rhs_alpha), 1.0)
-    res_beta = abs(d_beta - rhs_beta) / max(abs(d_beta), abs(rhs_beta), 1.0)
-    res_gamma = abs(d_gamma - rhs_gamma) / max(
-        abs(d_gamma), 2.0 * abs(b * here.alpha), 2.0 * abs(a * here.beta), 1.0
-    )
+    def residual(derivative, rhs, *terms):
+        scale = np.max(np.abs(np.broadcast_arrays(derivative, rhs, *terms)), axis=0)
+        return (np.abs(derivative - rhs) / np.maximum(scale, 1.0))[()]
+
+    res_alpha = residual(d_alpha, rhs_alpha)
+    res_beta = residual(d_beta, rhs_beta)
+    res_gamma = residual(d_gamma, rhs_gamma, 2.0 * b * here.alpha, 2.0 * a * here.beta)
     return OdeResiduals(res_alpha, res_beta, res_gamma, t=t, h=h)

@@ -15,6 +15,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
+import numpy as np
+
 from .errors import NoConvergence, NonPolynomialCase, OutOfValidatedDomain
 
 DEFAULT_QUAD_TOL = 1e-10
@@ -207,20 +209,39 @@ _GK21_V = (
     0.011694638867371874278064396062192,
 )
 
+_GK21_NODES = np.array(_GK21_X, dtype=float)
+
 #: Most panels bisected per pass, and the panel count that stops refinement.
 _BATCH = 128
 _PANEL_LIMIT = 10000
+#: Most panels whose nodes go to one integrand call, and most integrals run
+#: side by side; both bound the memory a long grid of integrals holds.
+_PANELS_PER_CALL = 512
+_INTEGRALS_PER_RUN = 128
 
 
-def _gk21(f, a: float, b: float) -> tuple[complex, float, float]:
-    """One GK21 panel: (integral, error estimate, rounding-error floor).
+def _gk21(f, edges: list[tuple[float, float]]) -> list[tuple[complex, float, float]]:
+    """GK21 on each (a, b) panel: (integral, error estimate, rounding-error floor).
 
-    The error is QUADPACK's: the Kronrod-Gauss difference scaled against the
-    integral of |f - mean|, and never below 50 eps times the integral of |f|.
+    The integrand is called on the nodes of up to _PANELS_PER_CALL panels
+    at once. The error is QUADPACK's: the Kronrod-Gauss difference scaled
+    against the integral of |f - mean|, and never below 50 eps times the
+    integral of |f|. Each panel's sums run left to right, as quad_vec runs
+    them, so the results keep its bits.
     """
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    fv = [f(c + h * x) for x in _GK21_X]
+    results = []
+    for start in range(0, len(edges), _PANELS_PER_CALL):
+        lo, hi = np.array(edges[start:start + _PANELS_PER_CALL], dtype=float).T
+        c = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        nodes = c[:, None] + half[:, None] * _GK21_NODES
+        values = np.broadcast_to(f(nodes.ravel()), (nodes.size,)).reshape(nodes.shape)
+        results += map(_gk21_sums, values.tolist(), half.tolist())
+    return results
+
+
+def _gk21_sums(fv: list, h: float) -> tuple[complex, float, float]:
+    """One panel's GK21 result from its 21 integrand values and half-width h."""
     s_k = 0.0
     s_k_abs = 0.0
     for v, ff in zip(_GK21_V, fv):
@@ -243,10 +264,54 @@ def _gk21(f, a: float, b: float) -> tuple[complex, float, float]:
     return h * s_k, err, round_err
 
 
+class _Adaptive:
+    """One integral of integrate_adaptive_many: its running sums and panels."""
+
+    def __init__(self, a: float, b: float, first: tuple[complex, float, float]):
+        self.total, self.error, self.rounding = first
+        self.panels = {(a, b): self.total}
+        self.heap = [(-self.error, a, b)]
+
+    def pick(self, tol: float) -> list:
+        """Pop the panels this pass bisects: the worst ones, at most _BATCH,
+        and only as many as the excess over tol/8 needs."""
+        batch = []
+        err_sum = 0
+        for j in range(_BATCH):
+            if not self.heap or (j > 0 and err_sum > self.error - tol / 8):
+                break
+            neg_err, x1, x2 = heapq.heappop(self.heap)
+            batch.append((-neg_err, x1, x2, self.panels.pop((x1, x2), None)))
+            err_sum += -neg_err
+        return batch
+
+    def refine(self, batch: list, done, tol: float) -> bool:
+        """Replace each picked panel by its halves; True once the integral is finished."""
+        for old_err, x1, x2, old in batch:
+            mid = 0.5 * (x1 + x2)
+            (s1, err1, rnd1), (s2, err2, rnd2) = next(done), next(done)
+            if old is None:
+                old = next(done)[0]
+            self.total += s1 + s2 - old
+            self.error += err1 + err2 - old_err
+            self.rounding += rnd1 + rnd2
+            for lo, hi, s, e in ((x1, mid, s1, err1), (mid, x2, s2, err2)):
+                self.panels[(lo, hi)] = s
+                heapq.heappush(self.heap, (-e, lo, hi))
+        if len(self.heap) >= 2 and (self.error < tol / 8 or self.error < self.rounding):
+            return True
+        if not (math.isfinite(self.error) and math.isfinite(self.rounding)):
+            return True
+        return not (self.heap and len(self.heap) < _PANEL_LIMIT)
+
+
 def integrate_adaptive_full(
-    f: Callable[[float], complex], t0: float, t1: float, tol: float = DEFAULT_QUAD_TOL
+    f: Callable[[np.ndarray], np.ndarray], t0: float, t1: float, tol: float = DEFAULT_QUAD_TOL
 ) -> tuple[complex, float]:
     """Adaptive quadrature of a (possibly complex) integrand on [t0, t1].
+
+    ``f`` takes an array of nodes and returns the integrand there, in the
+    same shape; it is called once for the first panel and once per pass.
 
     Returns (value, error_estimate) without enforcing the tolerance; callers
     decide what error they accept. GK21 panels under global error control:
@@ -257,40 +322,55 @@ def integrate_adaptive_full(
     norm="max")`` for a scalar integrand, operation for operation, so the
     results are bit-identical to it.
     """
+    return integrate_adaptive_many(f, [(t0, t1)], tol)[0]
+
+
+def integrate_adaptive_many(
+    f: Callable[[np.ndarray], np.ndarray], bounds, tol: float = DEFAULT_QUAD_TOL
+) -> list[tuple[complex, float]]:
+    """integrate_adaptive_full on each (t0, t1) of ``bounds``, run side by side.
+
+    Up to _INTEGRALS_PER_RUN integrals at a time share their passes: each
+    pass evaluates the panels of all their unfinished integrals in shared
+    calls of ``f``, so a grid of integrals costs a few array calls instead of
+    a few per integral. Each result is bit-identical to its integral run
+    alone.
+    """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
-    if t0 == t1:
-        return complex(0.0), 0.0
-    a, b = float(t0), float(t1)
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"invalid integration bounds a={a}, b={b}")
-    total, err, rnd = _gk21(f, a, b)
-    global_error, rounding_error = err, rnd
-    panels = {(a, b): total}
-    heap = [(-err, a, b)]
-    while heap and len(heap) < _PANEL_LIMIT:
-        batch = []
-        err_sum = 0
-        for j in range(_BATCH):
-            if not heap or (j > 0 and err_sum > global_error - tol / 8):
-                break
-            neg_err, x1, x2 = heapq.heappop(heap)
-            batch.append((-neg_err, x1, x2, panels.pop((x1, x2), None)))
-            err_sum += -neg_err
-        for old_err, x1, x2, old in batch:
-            mid = 0.5 * (x1 + x2)
-            s1, err1, rnd1 = _gk21(f, x1, mid)
-            s2, err2, rnd2 = _gk21(f, mid, x2)
-            if old is None:
-                old = _gk21(f, x1, x2)[0]
-            total += s1 + s2 - old
-            global_error += err1 + err2 - old_err
-            rounding_error += rnd1 + rnd2
-            for lo, hi, s, e in ((x1, mid, s1, err1), (mid, x2, s2, err2)):
-                panels[(lo, hi)] = s
-                heapq.heappush(heap, (-e, lo, hi))
-        if len(heap) >= 2 and (global_error < tol / 8 or global_error < rounding_error):
-            break
-        if not (math.isfinite(global_error) and math.isfinite(rounding_error)):
-            break
-    return complex(total), float(global_error + rounding_error)
+    bounds = list(bounds)
+    results = []
+    for start in range(0, len(bounds), _INTEGRALS_PER_RUN):
+        results += _run_side_by_side(f, bounds[start:start + _INTEGRALS_PER_RUN], tol)
+    return results
+
+
+def _run_side_by_side(f, bounds: list, tol: float) -> list[tuple[complex, float]]:
+    """integrate_adaptive_many on one group of integrals."""
+    results: list = [(complex(0.0), 0.0)] * len(bounds)
+    starts = []
+    for i, (t0, t1) in enumerate(bounds):
+        if t0 == t1:
+            continue
+        a, b = float(t0), float(t1)
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ValueError(f"invalid integration bounds a={a}, b={b}")
+        starts.append((i, a, b))
+    firsts = _gk21(f, [(a, b) for _, a, b in starts])
+    active = [(i, _Adaptive(a, b, first)) for (i, a, b), first in zip(starts, firsts)]
+    while active:
+        batches = [state.pick(tol) for _, state in active]
+        halves = []
+        for batch in batches:
+            for _, x1, x2, old in batch:
+                mid = 0.5 * (x1 + x2)
+                halves += [(x1, mid), (mid, x2)] + ([(x1, x2)] if old is None else [])
+        done = iter(_gk21(f, halves))
+        unfinished = []
+        for (i, state), batch in zip(active, batches):
+            if state.refine(batch, done, tol):
+                results[i] = (complex(state.total), float(state.error + state.rounding))
+            else:
+                unfinished.append((i, state))
+        active = unfinished
+    return results

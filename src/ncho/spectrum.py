@@ -34,7 +34,7 @@ from .config import Scenario
 from .errors import DomainError, InvalidLabel, ToleranceNotMet
 from .ermakov import coefficient_a, rho_eval
 from .specfun import (
-    integrate_adaptive_full,
+    integrate_adaptive_many,
     laguerre,
     laguerre_weighted_integral_exact,
     tricomi_u_poly,
@@ -177,38 +177,82 @@ class PhaseResult:
 # Evolution phases
 # --------------------------------------------------------------------------
 
-@lru_cache(maxsize=4096)
-def _unit_phase_quadrature(scenario: Scenario, t: float) -> complex:
-    """integral_0^t (c - a/rho^2) dT by adaptive quadrature, complex-valued."""
-    if t == 0.0:
-        return 0.0j
-    value, err = integrate_adaptive_full(scenario.family.phase_rate, 0.0, t, PHASE_QUAD_TOL)
-    if err > max(PHASE_QUAD_TOL, _REL_FLOOR * (1.0 + abs(value))):
-        raise ToleranceNotMet(
-            f"phase quadrature error {err:.3e} exceeds tolerance at t={t:g}",
-            achieved=err,
-        )
-    return complex(value)
+def _unit_phase_quadrature(scenario: Scenario, t: np.ndarray) -> np.ndarray:
+    """integral_0^t (c - a/rho^2) dT at each time by adaptive quadrature, complex-valued.
 
-
-def _unit_phase(scenario: Scenario, t: float) -> tuple[complex, PhaseMethod]:
-    """The unit phase and its route: closed form where validated, else quadrature.
-
-    Uncached on purpose: a closed form costs about as much as hashing the
-    scenario for a cache lookup. The quadrature route caches itself.
+    The integrals run side by side (integrate_adaptive_many); a time whose
+    error estimate misses the tolerance raises ToleranceNotMet.
     """
-    unit = scenario.family.unit_phase(t)
-    if unit is None:
-        return _unit_phase_quadrature(scenario, t), PhaseMethod.QUADRATURE
-    return unit, PhaseMethod.CLOSED_FORM
+    times = t.tolist()
+    results = integrate_adaptive_many(
+        scenario.family.phase_rate, [(0.0, x) for x in times], PHASE_QUAD_TOL
+    )
+    for x, (value, err) in zip(times, results):
+        if err > max(PHASE_QUAD_TOL, _REL_FLOOR * (1.0 + abs(value))):
+            raise ToleranceNotMet(
+                f"phase quadrature error {err:.3e} exceeds tolerance at t={x:g}",
+                achieved=err,
+            )
+    return np.array([value for value, _ in results], dtype=complex)
+
+
+def _unit_phase_grid(scenario: Scenario, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The unit phase on a time array, and where quadrature supplied it.
+
+    One family call covers the grid; quadrature stands in at the points
+    where no closed form is published or validated.
+    """
+    published = scenario.family.unit_phase(t)
+    if published is None:
+        unit = np.zeros(t.shape, dtype=complex)
+        quadrature = np.ones(t.shape, dtype=bool)
+    else:
+        unit = np.array(published[0], dtype=complex)
+        quadrature = ~np.asarray(published[1])
+    if quadrature.any():
+        unit[quadrature] = _unit_phase_quadrature(scenario, t[quadrature])
+    return unit, quadrature
+
+
+@lru_cache(maxsize=4096)
+def _unit_phase(scenario: Scenario, t: float) -> tuple[complex, PhaseMethod]:
+    """The unit phase at one time and its route, as on a one-point grid.
+
+    Cached: a one-point grid costs tens of microseconds, and matrix-element
+    sweeps ask for the same (scenario, t) once per label.
+    """
+    unit, quadrature = _unit_phase_grid(scenario, np.array([t], dtype=float))
+    method = PhaseMethod.QUADRATURE if quadrature[0] else PhaseMethod.CLOSED_FORM
+    return complex(unit[0]), method
+
+
+def phase_grid(scenario: Scenario, s: StateLabel, t) -> tuple[np.ndarray, np.ndarray]:
+    """Evolution phase on a time grid: (Theta values, quadrature mask).
+
+    The closed form serves every point where it is validated; the mask marks
+    the points that quadrature supplied instead.
+    """
+    t = np.asarray(t, dtype=float)
+    if s.m == 0:
+        return np.zeros(t.shape, dtype=complex), np.zeros(t.shape, dtype=bool)
+    unit, quadrature = _unit_phase_grid(scenario, t)
+    return s.m * unit, quadrature
 
 
 def phase_quadrature(scenario: Scenario, s: StateLabel, t: float) -> PhaseResult:
     """Evolution phase by adaptive quadrature of (n+l) * (c - a/rho^2)."""
     if s.m == 0:
         return PhaseResult(0.0j, PhaseMethod.QUADRATURE, t)
-    unit = _unit_phase_quadrature(scenario, float(t))
+    unit = complex(_unit_phase_quadrature(scenario, np.array([float(t)]))[0])
     return PhaseResult(s.m * unit, PhaseMethod.QUADRATURE, t)
+
+
+def phase_quadrature_grid(scenario: Scenario, s: StateLabel, t) -> np.ndarray:
+    """Evolution phase by adaptive quadrature at every time of a grid."""
+    t = np.asarray(t, dtype=float)
+    if s.m == 0:
+        return np.zeros(t.shape, dtype=complex)
+    return s.m * _unit_phase_quadrature(scenario, t.ravel()).reshape(t.shape)
 
 
 def phase_closed_form(scenario: Scenario, s: StateLabel, t: float) -> PhaseResult:

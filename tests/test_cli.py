@@ -54,6 +54,11 @@ _FIELD_VALUES = {
 }
 
 
+def _columns(rows, width):
+    """The rows of a table as its columns, what format_table takes."""
+    return [[row[i] for row in rows] for i in range(width)]
+
+
 def _per_field_csv(table, rows):
     header, row_format = table
     fields = row_format.split(",")
@@ -69,7 +74,7 @@ def test_format_table_matches_per_field_join(data):
     fields = table[1].split(",")
     assert len(fields) == len(table[0].split(","))
     rows = data.draw(st.lists(st.tuples(*(_FIELD_VALUES[f] for f in fields)), max_size=4))
-    assert cli.format_table(table, rows) == _per_field_csv(table, rows)
+    assert cli.format_table(table, _columns(rows, len(fields))) == _per_field_csv(table, rows)
 
 
 @pytest.mark.parametrize("bad", (math.inf, -math.inf, math.nan))
@@ -83,7 +88,7 @@ def test_format_table_refuses_non_finite_values(bad):
                 continue
             rows = [tuple(row), tuple(row[:i] + [bad] + row[i + 1:])]
             with pytest.raises(ArithmeticError):
-                cli.format_table(table, rows)
+                cli.format_table(table, _columns(rows, len(fields)))
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +119,52 @@ def test_verify_tolerance_override_forces_failure(capsys):
     code, out, _ = run_cli(capsys, "verify", "--scenario", IB, "--tol", "1e-300")
     assert code == 1
     assert "FAIL" in out
+
+
+# Delta < M omega0^2: a root of c is imaginary from t = 0 on, so the
+# reality window is empty (horizon 0.0).
+_EMPTY_WINDOW = (
+    "kind = SetIb\nM = 1\nomega0 = 3\nGamma = 1\nvartheta = 1\n"
+    "sigma = 1\nDelta = 1.25\nmu = 1\nxi = 1\n"
+)
+
+
+def test_verify_reports_its_window_and_an_empty_reality_window(capsys, tmp_path):
+    empty = tmp_path / "empty.scenario"
+    empty.write_text(_EMPTY_WINDOW)
+    code, out, _ = run_cli(capsys, "verify", "--scenario", str(empty))
+    lines = out.splitlines()
+    assert "window: t in [0, 2]" in lines
+    notice = [line for line in lines if line.startswith("reality window: empty")]
+    assert len(notice) == 1 and not notice[0].rstrip().endswith("PASS")
+    # Only the seven check rows end in PASS, whatever their outcome here.
+    assert sum(line.rstrip().endswith("PASS") for line in lines) <= 7
+    assert code in (0, 1)
+
+    code, out, _ = run_cli(capsys, "verify", "--scenario", III)
+    assert code == 0
+    assert not any(line.startswith("reality window:") for line in out.splitlines())
+    assert "window: t in [0, 1.94605]" in out.splitlines()  # 0.9 * horizon
+
+
+def test_phase_notes_rows_outside_the_reality_window(capsys, tmp_path):
+    empty = tmp_path / "empty.scenario"
+    empty.write_text(_EMPTY_WINDOW)
+    code, out, err = run_cli(
+        capsys, "phase", "--scenario", str(empty), "--m", "1", "--points", "3"
+    )
+    assert code == 0
+    assert len(csv_rows(out)[1]) == 3
+    assert err.count("\n") == 1
+    assert err.startswith("note: 3 of 3 rows lie outside the reality window (horizon 0)")
+
+    # Inside the window there is nothing to say.
+    code, _, err = run_cli(capsys, "phase", "--scenario", III, "--m", "1", "--points", "3")
+    assert code == 0 and err == ""
+    code, _, err = run_cli(
+        capsys, "phase", "--scenario", III, "--m", "1", "--t1", "3", "--points", "3"
+    )
+    assert err.startswith("note: 1 of 3 rows lie outside the reality window (horizon 2.16228)")
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +472,29 @@ def _child_env() -> dict[str, str]:
     # copy nor PYTHONPATH provides it (pytest adds src/ only in-process).
     paths = (str(SCENARIO_DIR.parent / "src"), os.environ.get("PYTHONPATH"))
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+
+def test_huge_finite_time_exits_two_without_warnings():
+    # numpy overflows to inf/nan with a RuntimeWarning where math raised;
+    # the table writer must still refuse the result, and no warning text may
+    # reach stderr. One child interpreter shows every warning it is sent.
+    script = (
+        "import sys\n"
+        "from ncho.cli import main\n"
+        "codes = []\n"
+        "for name in ('set_ia', 'set_ib', 'set_ic', 'set_ii_k2', 'set_iii'):\n"
+        "    path = f'{sys.argv[1]}/{name}.scenario'\n"
+        "    for argv in (['energy', '--n', '1'], ['ncparams'], ['phase', '--m', '1']):\n"
+        "        codes.append(main([*argv, '--scenario', path, '--t1', '1e308']))\n"
+        "print(codes)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-W", "always", "-c", script, str(SCENARIO_DIR)],
+        capture_output=True, text=True, timeout=120, env=_child_env(),
+    )
+    assert proc.stdout.splitlines()[-1] == str([2] * 15)
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stderr.count("error: inputs out of numerical range") == 15
 
 
 def test_module_entry_point():

@@ -149,9 +149,9 @@ def test_empty_window_flags_no_time():
         ScenarioKind.SET_IB, mass_M=1.0, omega0=3.0, Gamma=1.0, sigma=1.0, Delta=1.25, mu=1.0
     )
     assert reality_horizon_time(scenario) == 0.0
-    rows = energy_series(scenario, StateLabel(1, 0), [0.0, 0.25, 0.5])
-    assert [row.in_window for row in rows] == [False, False, False]
-    assert rows[0].e_im_scaled != 0.0
+    series = energy_series(scenario, StateLabel(1, 0), [0.0, 0.25, 0.5])
+    assert series.in_window.tolist() == [False, False, False]
+    assert series.e_im_scaled[0] != 0.0
     assert not EnergyResult(0j, 0.0, 0.0, GROUND).in_window
 
 
@@ -161,23 +161,23 @@ def test_empty_window_flags_no_time():
 
 def test_energy_series_scaling_and_flags(fig_iii):
     grid = [0.0, 1.0, 2.0, 2.5]
-    rows = energy_series(fig_iii, StateLabel(1, 0), grid)
+    series = energy_series(fig_iii, StateLabel(1, 0), grid)
     w0 = fig_iii.constants.omega0
     gamma = fig_iii.constants.Gamma
-    assert [r.in_window for r in rows] == [True, True, True, False]
-    for t, row in zip(grid, rows):
+    assert series.in_window.tolist() == [True, True, True, False]
+    for i, t in enumerate(grid):
         res = energy_expectation(fig_iii, t, StateLabel(1, 0))
-        assert row.t == t
-        assert row.gamma_t == gamma * t
-        assert row.e_re_scaled == res.value.real / w0
-        assert row.e_im_scaled == res.value.imag / w0
+        assert series.t[i] == t
+        assert series.gamma_t[i] == gamma * t
+        assert series.e_re_scaled[i] == res.value.real / w0
+        assert series.e_im_scaled[i] == res.value.imag / w0
 
 
 def test_energy_series_zero_frequency_scale_is_unity():
     scenario = make_scenario(ScenarioKind.SET_IB, omega0=0.0)
-    rows = energy_series(scenario, GROUND, [0.0, 1.0])
+    series = energy_series(scenario, GROUND, [0.0, 1.0])
     direct = energy_expectation(scenario, 0.0, GROUND).value
-    assert rows[0].e_re_scaled == direct.real
+    assert series.e_re_scaled[0] == direct.real
 
 
 def test_energy_series_rejects_bad_grids(fig_ib):

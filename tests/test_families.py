@@ -1,0 +1,111 @@
+"""The family table answers a time grid exactly as it answers each time alone."""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ncho.cli import main
+from ncho.config import ScenarioKind, build_scenario, parse_scenario_file
+from ncho.families import Family
+
+from conftest import SCENARIO_DIR, make_scenario
+
+SCENARIOS = {
+    path.stem: build_scenario(parse_scenario_file(path))
+    for path in sorted(SCENARIO_DIR.glob("*.scenario"))
+}
+SCENARIOS["set_ii_k3"] = make_scenario(
+    ScenarioKind.SET_II_K, k_exp=3, omega0=0.5, sigma=1.0, Delta=1.0, mu=1.0, enforce=False
+)
+SCENARIOS["set_ib_omega0_0"] = make_scenario(ScenarioKind.SET_IB, omega0=0.0)
+# omega0 = 1e4 puts the SetIa series argument inside |z| < 1 until t ~ 1.15,
+# so grids mix validated and unvalidated times. It stays out of the random
+# sweep: just below that edge the series does not settle in 500 terms.
+STEEP_IA = make_scenario(
+    ScenarioKind.SET_IA, omega0=1.0e4, mu=(1.0e14 / (1.0e14 - 0.25)) ** 0.25
+)
+METHODS = ("damping", "frequency", "rho", "a", "b", "c_terms", "c", "phase_rate", "unit_phase")
+
+
+def _window_end(scenario) -> float:
+    """Past the reality horizon, where one exists, so complex values are covered."""
+    horizon = scenario.family.horizon()
+    return 3.0 if not horizon else min(2.0 * horizon, 40.0)
+
+
+def _parts(out) -> list:
+    return list(out) if isinstance(out, tuple) else [out]
+
+
+def _assert_same_bits(whole, single: list, where) -> None:
+    if whole is None:
+        assert all(s is None for s in single), where
+        return
+    for k, column in enumerate(_parts(whole)):
+        values = [_parts(s)[k] for s in single]
+        assert all(type(v) in (float, complex, bool) for v in values), where
+        assert column.shape == (len(single),), where
+        assert np.array(values, dtype=column.dtype).tobytes() == column.tobytes(), (where, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_grid_and_single_times_agree_bit_for_bit(data):
+    name = data.draw(st.sampled_from(sorted(SCENARIOS)))
+    family = SCENARIOS[name].family
+    times = data.draw(
+        st.lists(st.floats(0.0, _window_end(SCENARIOS[name])), min_size=1, max_size=12)
+    )
+    grid = np.array(times)
+    for method in METHODS:
+        whole = getattr(family, method)(grid)
+        _assert_same_bits(whole, [getattr(family, method)(t) for t in times], (name, method))
+    whole = family.energy(grid, 4, -1, family.c(grid))
+    single = [family.energy(t, 4, -1, family.c(t)) for t in times]
+    _assert_same_bits(whole, single, (name, "energy"))
+
+
+def test_outputs_keep_the_shape_of_the_times():
+    family = SCENARIOS["set_iii"].family
+    grid = np.linspace(0.0, 1.0, 6).reshape(2, 3)
+    assert all(x.shape == (2, 3) for x in family.rho(grid))
+    assert family.c(grid).shape == (2, 3) and family.c(grid).dtype == complex
+    # Time-independent terms are broadcast to the grid too.
+    assert family.a(grid)[1].shape == (2, 3) and not family.a(grid)[1].any()
+    assert isinstance(family.b(0.5), float) and isinstance(family.c(0.5), complex)
+    assert family.rho(np.array([0.5]))[0].shape == (1,)
+
+
+def test_series_domain_is_reported_per_time():
+    family = STEEP_IA.family
+    edge = math.log(10.0) / 2.0  # where z = 0.1 exp(2t) reaches 1
+    _, validated = family.unit_phase(np.array([0.0, 0.5 * edge, 0.9 * edge, 1.01 * edge, 3.0]))
+    assert validated.tolist() == [True, True, True, False, False]
+    assert SCENARIOS["set_ia"].family.unit_phase(0.5) is None  # z starts at 10
+
+
+@pytest.mark.parametrize(
+    "argv", [("energy", "--n", "1", "--m", "2"), ("ncparams",), ("phase", "--m", "1")]
+)
+@pytest.mark.parametrize("name", ["set_ib", "set_ii_k2", "set_iii"])
+def test_grid_commands_make_a_fixed_number_of_family_calls(monkeypatch, capsys, argv, name):
+    calls = []
+    original = Family._on_grid
+
+    def counted(self, method, t, *args):
+        calls.append(method.__name__)
+        return original(self, method, t, *args)
+
+    monkeypatch.setattr(Family, "_on_grid", counted)
+    made = []
+    for points in ("7", "700"):
+        calls.clear()
+        path = str(SCENARIO_DIR / f"{name}.scenario")
+        assert main([*argv, "--scenario", path, "--t1", "1.5", "--points", points]) == 0
+        made.append(sorted(calls))
+    capsys.readouterr()
+    assert made[0] and made[0] == made[1]

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad_vec
@@ -17,6 +17,7 @@ from ncho.hamiltonian import c_complex
 from ncho.specfun import (
     gauss_2f1,
     integrate_adaptive_full,
+    integrate_adaptive_many,
     laguerre,
     laguerre_coefficients,
     laguerre_weighted_integral_exact,
@@ -145,7 +146,7 @@ def test_weighted_integral_vs_quadrature(q, n1, z1, n2, z2):
     )
 
     def integrand(w):
-        return w**q * math.exp(-w) * laguerre(n1, z1, w) * laguerre(n2, z2, w)
+        return w**q * np.exp(-w) * laguerre(n1, z1, w) * laguerre(n2, z2, w)
 
     tol = 1e-10 * max(1.0, scale)
     approx, err = integrate_adaptive_full(integrand, 0.0, 80.0, tol=tol)
@@ -197,30 +198,30 @@ def _set_ia_unit_phase_integrand(scenario):
 
 
 def _laguerre_weighted(w):
-    return w**2 * math.exp(-w) * laguerre(3, -1, w) * laguerre(4, 2, w)
+    return w * w * np.exp(-w) * laguerre(3, -1, w) * laguerre(4, 2, w)
 
 
 def _oscillating(t):
-    return math.sin(1.0 / (t + 1e-9)) / (t + 1e-9)
+    return np.sin(1.0 / (t + 1e-9)) / (t + 1e-9)
 
 
 def test_adaptive_quadrature_frozen_values():
-    val, err = integrate_adaptive_full(math.sin, 0.0, 1.0)
+    val, err = integrate_adaptive_full(np.sin, 0.0, 1.0)
     assert err <= 1e-10
     assert abs(val.real - ONE_MINUS_COS_ONE) <= 1e-12
-    val, err = integrate_adaptive_full(lambda t: complex(math.cos(t), math.sin(t)), 0.0, 1.0)
+    val, err = integrate_adaptive_full(lambda t: np.cos(t) + 1j * np.sin(t), 0.0, 1.0)
     assert err <= 1e-10
     assert abs(val.real - SIN_ONE) <= 1e-12
     assert abs(val.imag - ONE_MINUS_COS_ONE) <= 1e-12
 
 
 def test_adaptive_quadrature_empty_interval_and_errors():
-    value, err = integrate_adaptive_full(math.sin, 2.0, 2.0)
+    value, err = integrate_adaptive_full(np.sin, 2.0, 2.0)
     assert value == 0.0 and err == 0.0
     with pytest.raises(ValueError):
-        integrate_adaptive_full(math.sin, 0.0, 1.0, tol=0.0)
+        integrate_adaptive_full(np.sin, 0.0, 1.0, tol=0.0)
     with pytest.raises(ValueError):
-        integrate_adaptive_full(math.exp, 0.0, math.inf)
+        integrate_adaptive_full(np.exp, 0.0, math.inf)
     # An integrand that cannot converge reports an error estimate above tol.
     _, err = integrate_adaptive_full(_oscillating, 0.0, 1.0, tol=1e-14)
     assert err > 1e-14
@@ -240,17 +241,18 @@ def test_adaptive_quadrature_empty_interval_and_errors():
 )
 def test_adaptive_quadrature_is_bit_identical_to_quad_vec(name, lo, hi, tol, status, fig_ia):
     f = {
-        "sin": math.sin,
-        "cexp": lambda t: cmath.exp(1j * t),
+        "sin": np.sin,
+        "cexp": lambda t: np.exp(1j * t),
         "set_ia_phase": _set_ia_unit_phase_integrand(fig_ia),
         "laguerre_weighted": _laguerre_weighted,
         "oscillating": _oscillating,
-        "infinite": lambda t: math.inf,
+        "infinite": lambda t: t * 0.0 + math.inf,
     }[name]
     calls = []
 
     def counted(t):
-        calls.append(t)
+        # integrate_adaptive_full passes arrays of nodes; count the nodes.
+        calls.extend(np.ravel(t).tolist())
         return f(t)
 
     value, err = integrate_adaptive_full(counted, lo, hi, tol)
@@ -262,3 +264,22 @@ def test_adaptive_quadrature_is_bit_identical_to_quad_vec(name, lo, hi, tol, sta
     assert repr(value) == repr(complex(want))
     assert repr(err) == repr(want_err)
     assert len(calls) == info.neval
+
+
+def test_side_by_side_integrals_keep_their_bits(fig_ia):
+    # Shared integrand calls must not change any integral: each result is
+    # the one the integral gives alone, whatever runs next to it.
+    rate = _set_ia_unit_phase_integrand(fig_ia)
+    bounds = [(0.0, 2.0), (0.0, 0.0), (0.0, 0.37), (0.5, 3.0), (1.0, 1.0), (0.0, 7.5)]
+    for f in (rate, _oscillating, lambda t: np.exp(1j * t)):
+        alone = [integrate_adaptive_full(f, lo, hi) for lo, hi in bounds]
+        together = integrate_adaptive_many(f, bounds)
+        assert repr(together) == repr(alone)
+    calls = []
+
+    def counted(t):
+        calls.append(t.size)
+        return rate(t)
+
+    integrate_adaptive_many(counted, [(0.0, x) for x in np.linspace(0.1, 2.0, 40)])
+    assert len(calls) < 10 and sum(calls) % 21 == 0
