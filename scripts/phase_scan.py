@@ -17,9 +17,8 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from ncho.cli import format_table
+from ncho.cli import format_table, verify_window
 from ncho.config import build_scenario, parse_scenario_file
-from ncho.hamiltonian import reality_horizon_time
 from ncho.spectrum import PhaseMethod, StateLabel, phase_grid, phase_quadrature_grid
 
 STATE = StateLabel(0, 1)
@@ -30,8 +29,7 @@ TABLE = (
 
 
 def scan(scenario, name: str, out_dir: pathlib.Path, points: int) -> float:
-    horizon = reality_horizon_time(scenario)
-    t_end = 2.0 if horizon is None else min(0.9 * horizon, 2.0)
+    _, t_end = verify_window(scenario)
     t = t_end * np.arange(points) / (points - 1)
     cf, quadrature = phase_grid(scenario, STATE, t)
     qd = phase_quadrature_grid(scenario, STATE, t)

@@ -159,8 +159,9 @@ def _state(args) -> StateLabel:
 # verify
 # ---------------------------------------------------------------------------
 
-def _verify_window(scenario: Scenario) -> tuple[float, float]:
-    """Time window for the verify grids: [0, 2], shrunk inside any horizon."""
+def verify_window(scenario: Scenario) -> tuple[float, float]:
+    """Time window for the verify grids and the phase scan: [0, 2], shrunk
+    inside any horizon. An empty reality window (horizon 0) keeps [0, 2]."""
     t_end = 2.0
     horizon = reality_horizon_time(scenario)
     if horizon is not None and horizon > 0.0:
@@ -241,14 +242,14 @@ def cmd_verify(args) -> int:
     if args.tol is not None:
         _positive("--tol", args.tol)
     scenario = _load_scenario(args.scenario, enforce_constraint=False)
-    t0, t1 = _verify_window(scenario)
+    t0, t1 = verify_window(scenario)
     results: list[CheckResult] = []
     for name, default_tol, check in _VERIFY_CHECKS:
         try:
             worst = check(scenario, t0, t1)
-        except NchoError:
-            # A failed quadrature certification or a reality-window breach is
-            # a failed check, not a usage error.
+        except (NchoError, ArithmeticError):
+            # A failed quadrature certification, a reality-window breach or an
+            # overflow is a failed check, not a usage error.
             worst = math.inf
         results.append(CheckResult(name, worst, default_tol if args.tol is None else args.tol))
 

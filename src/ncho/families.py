@@ -22,7 +22,8 @@ horizon() (None: unbounded), energy(t, n+m+1, n-m, c) and unit_phase(t),
 the integral of c - a/rho^2; the last two return None where no closed form
 is published or validated. unit_phase otherwise returns (value, validated),
 the flag marking the times the published form holds at (only the SetIa
-series has a bounded domain). The base class assembles c(t) itself and the
+series has a bounded domain, and it also stands down where the series does
+not settle near |z| = 1). The base class assembles c(t) itself and the
 phase integrand phase_rate(t) = c - a/rho^2 from those.
 
 Every time-dependent method takes a float or a numpy array of times and
@@ -49,7 +50,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConstraintGuard, DomainError
+from .errors import ConstraintGuard, DomainError, NoConvergence
 from .specfun import gauss_2f1
 
 if TYPE_CHECKING:
@@ -263,13 +264,20 @@ class SetIa(_Exponential):
         return c.omega0 != 0.0 and abs(c.Delta / (c.mass_M * c.omega0**2)) < 1.0
 
     def _phase_at(self, t: float) -> complex | None:
-        """None once the hypergeometric argument leaves |z| < 1."""
+        """None once the hypergeometric argument leaves |z| < 1, and where
+        the series does not settle near |z| = 1."""
         c = self.constants
         mass, w0, g = c.mass_M, c.omega0, c.Gamma
         sg, dl, mu = c.sigma, c.Delta, c.mu
         z0 = dl / (mass * w0**2)
         zt = z0 * math.exp(2.0 * g * t)
         if not abs(zt) < 1.0:
+            return None
+        try:
+            series = math.exp(-0.5 * g * t) * gauss_2f1(-0.25, 0.5, 0.75, zt) - gauss_2f1(
+                -0.25, 0.5, 0.75, z0
+            )
+        except NoConvergence:
             return None
         ms = mass * sg
         e_gt = math.exp(g * t)
@@ -288,12 +296,7 @@ class SetIa(_Exponential):
         brk2 = (
             _sq(dl / mass * e_gt - w0**2 * math.exp(-g * t))
             - _sq(dl / mass - w0**2)
-            - 2.0j
-            * w0
-            * (
-                math.exp(-0.5 * g * t) * gauss_2f1(-0.25, 0.5, 0.75, zt)
-                - gauss_2f1(-0.25, 0.5, 0.75, z0)
-            )
+            - 2.0j * w0 * series
         )
         return w0 / (2.0 * math.sqrt(ms) * g) * brk1 + 2.0 / g * brk2 - (sg / mu**2) * t
 

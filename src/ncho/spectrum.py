@@ -259,15 +259,19 @@ def phase_closed_form(scenario: Scenario, s: StateLabel, t: float) -> PhaseResul
     """Evolution phase from the family's closed form, else by quadrature.
 
     Where no closed form is validated (hypergeometric argument outside
-    |z| < 1, or k != 2) the result comes from quadrature, says so in
-    ``method`` and carries an explanatory note.
+    |z| < 1 or its series unsettled near |z| = 1, or k != 2) the result
+    comes from quadrature, says so in ``method`` and carries an
+    explanatory note.
     """
     if s.m == 0:
         return PhaseResult(0.0j, PhaseMethod.CLOSED_FORM, t)
     unit, method = _unit_phase(scenario, float(t))
     note = None
     if method is PhaseMethod.QUADRATURE:
-        note = "no closed form validated here (|z| >= 1 or k != 2); quadrature fallback"
+        note = (
+            "no closed form validated here (|z| >= 1, unsettled series or k != 2); "
+            "quadrature fallback"
+        )
     return PhaseResult(s.m * unit, method, t, note)
 
 

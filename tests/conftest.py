@@ -7,6 +7,8 @@ import pathlib
 import pytest
 
 from ncho.config import PhysicalConstants, Scenario, ScenarioKind, ScenarioSpec, build_scenario
+from ncho.ermakov import coefficient_a, coefficient_b
+from ncho.hamiltonian import c_complex, nc_parameters
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -33,6 +35,33 @@ def make_scenario(
     values.update(overrides)
     spec = ScenarioSpec(constants=PhysicalConstants(**values), kind=kind, k_exp=k_exp)
     return build_scenario(spec, enforce_constraint=enforce)
+
+
+def phase_space_symbols(scenario: Scenario, t: float, x1, x2, p1, p2):
+    """The classical Hamiltonian symbol at phase-space points, assembled two ways.
+
+    Returns (Bopp-shifted form, (a, b, c) form) over arrays of points. The
+    first comes from the deformation parameters, the damping and the
+    frequency; the second from the coefficient triple. The two are
+    algebraically identical, so their agreement checks that all of these
+    tell the same story. One library call each; t must lie inside the
+    reality window, where c is real.
+    """
+    nc = nc_parameters(scenario, t)
+    a, _ = coefficient_a(scenario, t)
+    b = coefficient_b(scenario, t)
+    c = c_complex(scenario, t)
+    assert c.imag == 0.0, (scenario.kind, t, c)
+    M = scenario.constants.mass_M
+    f = scenario.family.damping(t)
+    w = scenario.family.frequency(t)
+    kin1 = p1 + 0.5 * nc.omega_nc * x2
+    kin2 = p2 - 0.5 * nc.omega_nc * x1
+    pos1 = x1 - 0.5 * nc.theta_nc * p2
+    pos2 = x2 + 0.5 * nc.theta_nc * p1
+    bopp = (f / (2.0 * M)) * (kin1**2 + kin2**2) + (M * w**2 / (2.0 * f)) * (pos1**2 + pos2**2)
+    abc = 0.5 * a * (p1**2 + p2**2) + 0.5 * b * (x1**2 + x2**2) + c.real * (p1 * x2 - p2 * x1)
+    return bopp, abc
 
 
 @pytest.fixture(scope="session")

@@ -15,16 +15,12 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ncho.energy import energy_expectation
 from ncho.ermakov import ep_residual, integrate_ep_numeric, rho_eval
-from ncho.hamiltonian import (
-    PhaseSpacePoint,
-    SymbolForm,
-    classical_symbol,
-    reality_horizon_time,
-)
+from ncho.hamiltonian import reality_horizon_time
 from ncho.invariant import invariant_coefficients, invariant_ode_residuals
 from ncho.specfun import (
     gauss_2f1,
@@ -44,6 +40,8 @@ from ncho.spectrum import (
     phase_closed_form,
     phase_quadrature,
 )
+
+from conftest import phase_space_symbols
 
 
 def _grid(t0: float, t1: float, points: int) -> list[float]:
@@ -94,20 +92,17 @@ def test_criterion_03_invariant_closure(fig_scenarios):
 
 def test_criterion_04_phase_space_symbol_identity(fig_scenarios):
     """Both classical-symbol assembly routes agree at random phase-space points."""
+    start = time.perf_counter()
     rng = random.Random(20260818)
     for scenario in fig_scenarios.values():
         for t in _grid(0.0, 1.8, 10):
-            for _ in range(1000):
-                pt = PhaseSpacePoint(
-                    x1=rng.uniform(-2.0, 2.0),
-                    x2=rng.uniform(-2.0, 2.0),
-                    p1=rng.uniform(-2.0, 2.0),
-                    p2=rng.uniform(-2.0, 2.0),
-                )
-                bopp = classical_symbol(scenario, t, pt, SymbolForm.BOPP_SHIFTED)
-                abc = classical_symbol(scenario, t, pt, SymbolForm.ABC_FORM)
-                err = abs(bopp - abc) / max(1.0, abs(bopp), abs(abc))
-                assert err <= 1e-9, (scenario.kind, t, pt)
+            # 1000 points, each drawn as x1, x2, p1, p2 in that order.
+            points = [[rng.uniform(-2.0, 2.0) for _ in range(4)] for _ in range(1000)]
+            bopp, abc = phase_space_symbols(scenario, t, *np.array(points).T)
+            err = np.abs(bopp - abc) / np.maximum(1.0, np.maximum(np.abs(bopp), np.abs(abc)))
+            assert err.max() <= 1e-9, (scenario.kind, t, points[err.argmax()])
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0
 
 
 def test_criterion_05_phase_cross_validation(fig_scenarios, steep_ia):

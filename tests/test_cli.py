@@ -147,6 +147,32 @@ def test_verify_reports_its_window_and_an_empty_reality_window(capsys, tmp_path)
     assert "window: t in [0, 1.94605]" in out.splitlines()  # 0.9 * horizon
 
 
+def test_verify_counts_an_overflow_as_a_failed_check(capsys, tmp_path):
+    # c(t) has an imaginary part near 1000 here, so exp(i Theta) overflows
+    # in the matrix-element check; the steep SetIa scenario below does the
+    # same, but its phase check spends seconds in quadrature.
+    deep = tmp_path / "deep.scenario"
+    deep.write_text(_EMPTY_WINDOW.replace("omega0 = 3", "omega0 = 1000"))
+    code, out, err = run_cli(capsys, "verify", "--scenario", str(deep))
+    assert code == 1 and err == ""
+    status = {
+        line.split()[0]: line.split()[1:]
+        for line in out.splitlines()
+        if line.endswith(("PASS", "FAIL"))
+    }
+    assert len(status) == 7
+    assert status["matrix-oracle"] == ["inf", "1.000e-06", "FAIL"]
+    assert re.search(r"7 checks: \d passed, [1-7] failed; worst residual inf", out)
+
+
+# SetIa with omega0 = 1e4: the series argument z = 0.1 exp(2t) nears 1 at
+# t ~ 1.15, where its series stops settling. mu keeps the constraint exact.
+_STEEP_IA = (
+    "kind = SetIa\nM = 1\nomega0 = 1e4\nGamma = 1\nvartheta = 1\n"
+    f"sigma = 1e7\nDelta = 1e7\nmu = {(1e14 / (1e14 - 0.25)) ** 0.25!r}\nxi = 1\n"
+)
+
+
 def test_phase_notes_rows_outside_the_reality_window(capsys, tmp_path):
     empty = tmp_path / "empty.scenario"
     empty.write_text(_EMPTY_WINDOW)
@@ -257,6 +283,18 @@ def test_phase_quadrature_fallback_method_column(capsys):
     assert code == 0
     _, rows = csv_rows(out)
     assert {row[3] for row in rows} == {"Quadrature"}
+
+
+def test_phase_falls_back_where_the_series_does_not_settle(capsys, tmp_path):
+    steep = tmp_path / "steep_ia.scenario"
+    steep.write_text(_STEEP_IA)
+    code, out, err = run_cli(
+        capsys, "phase", "--scenario", str(steep), "--m", "1",
+        "--t0", "1.10", "--t1", "1.16", "--points", "7",
+    )
+    assert code == 0 and err == ""
+    _, rows = csv_rows(out)
+    assert [row[3] for row in rows] == ["ClosedForm"] * 3 + ["Quadrature"] * 4
 
 
 def test_phase_rational_k3_falls_back_to_quadrature(capsys, tmp_path):

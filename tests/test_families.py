@@ -83,8 +83,11 @@ def test_outputs_keep_the_shape_of_the_times():
 def test_series_domain_is_reported_per_time():
     family = STEEP_IA.family
     edge = math.log(10.0) / 2.0  # where z = 0.1 exp(2t) reaches 1
-    _, validated = family.unit_phase(np.array([0.0, 0.5 * edge, 0.9 * edge, 1.01 * edge, 3.0]))
-    assert validated.tolist() == [True, True, True, False, False]
+    # Just below the edge (t = 1.14) the series does not settle, so the
+    # published form stands down there too.
+    times = np.array([0.0, 0.5 * edge, 0.9 * edge, 1.14, 1.01 * edge, 3.0])
+    _, validated = family.unit_phase(times)
+    assert validated.tolist() == [True, True, True, False, False, False]
     assert SCENARIOS["set_ia"].family.unit_phase(0.5) is None  # z starts at 10
 
 
@@ -109,3 +112,6 @@ def test_grid_commands_make_a_fixed_number_of_family_calls(monkeypatch, capsys, 
         made.append(sorted(calls))
     capsys.readouterr()
     assert made[0] and made[0] == made[1]
+    if argv[0] == "ncparams":
+        # One pass: the inversion and the published squares share every input.
+        assert made[0] == ["_a", "_b", "_c_terms", "_damping", "_frequency"]

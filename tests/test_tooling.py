@@ -102,3 +102,65 @@ def test_csv_rows_are_formatted_in_one_place():
         for line in comma_joins(path.read_text())
     ]
     assert joins == []
+
+
+def _referenced(node: ast.AST) -> set[str]:
+    """Every name a node reads, bare or as an attribute."""
+    return {
+        child.id if isinstance(child, ast.Name) else child.attr
+        for child in ast.walk(node)
+        if isinstance(child, (ast.Name, ast.Attribute))
+    }
+
+
+def _span_targets() -> set[str]:
+    """The function names perfbench/spans.py wraps, read from its TARGETS literal."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "TARGETS" for target in node.targets
+        ):
+            return {name for _, names in ast.literal_eval(node.value) for name in names}
+    raise AssertionError("perfbench/spans.py defines no TARGETS")
+
+
+# The criterion-02 oracle; the Heisenberg-moment propagator planned in the
+# roadmap replaces it, and until then it counts as a root with what it uses.
+KEPT_ORACLES = {"integrate_ep_numeric"}
+
+
+def unreachable_definitions() -> list[str]:
+    """Module-level functions and classes of the package that no entry point reaches.
+
+    The roots are cli.main, every name the scripts read, the span targets and
+    KEPT_ORACLES. A reached module-level function, class or assignment reaches
+    every module-level definition named in its body, in any package module.
+    """
+    nodes: dict[str, list[ast.AST]] = {}
+    checked = []
+    for path in sorted((ROOT / "src" / "ncho").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                nodes.setdefault(node.name, []).append(node)
+                checked.append(f"{path.stem}.{node.name}")
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for name in set().union(*map(_referenced, targets)):
+                    nodes.setdefault(name, []).append(node)
+    todo = ["main", *_span_targets(), *KEPT_ORACLES]
+    for path in sorted((ROOT / "scripts").glob("*.py")):
+        todo.extend(_referenced(ast.parse(path.read_text())))
+    reached: set[str] = set()
+    while todo:
+        name = todo.pop()
+        if name in nodes and name not in reached:
+            reached.add(name)
+            for node in nodes[name]:
+                todo.extend(_referenced(node))
+    return [qualified for qualified in checked if qualified.partition(".")[2] not in reached]
+
+
+def test_every_definition_is_reachable_from_an_entry_point():
+    # Code that only its own tests use is deleted, not kept as a second route.
+    assert len(_span_targets()) > 20
+    assert unreachable_definitions() == []
