@@ -19,7 +19,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from ncho.cli import format_table, verify_window
 from ncho.config import build_scenario, parse_scenario_file
-from ncho.spectrum import PhaseMethod, StateLabel, phase_grid, phase_quadrature_grid
+from ncho.spectrum import StateLabel, phase_crosscheck
 
 STATE = StateLabel(0, 1)
 TABLE = (
@@ -31,11 +31,7 @@ TABLE = (
 def scan(scenario, name: str, out_dir: pathlib.Path, points: int) -> float:
     _, t_end = verify_window(scenario)
     t = t_end * np.arange(points) / (points - 1)
-    cf, quadrature = phase_grid(scenario, STATE, t)
-    qd = phase_quadrature_grid(scenario, STATE, t)
-    # Python's abs: numpy's complex abs rounds differently in the last bit.
-    err = [abs(c - q) / max(1.0, abs(c), abs(q)) for c, q in zip(cf.tolist(), qd.tolist())]
-    methods = np.where(quadrature, PhaseMethod.QUADRATURE.value, PhaseMethod.CLOSED_FORM.value)
+    cf, methods, qd, err = phase_crosscheck(scenario, STATE, t)
     worst = max(err)
     path = out_dir / f"phase_{name}.csv"
     columns = (t, cf.real, cf.imag, qd.real, qd.imag, methods, err)

@@ -32,7 +32,6 @@ verification or cross-check failed, 2 usage/config errors.
 from __future__ import annotations
 
 import argparse
-import cmath
 import functools
 import itertools
 import math
@@ -49,16 +48,14 @@ from .hamiltonian import in_reality_window, nc_table, reality_horizon_time
 from .invariant import invariant_coefficients, invariant_ode_residuals
 from .spectrum import (
     Coordinate,
-    PhaseMethod,
     StateLabel,
-    eigenfunction_grid,
+    hamiltonian_eigenfunction_grid,
     matrix_element_oracle,
     matrix_element_x_pow,
     matrix_element_y_pow,
     overlap,
-    phase_closed_form,
+    phase_crosscheck,
     phase_grid,
-    phase_quadrature_grid,
 )
 
 # Largest --points: time points per grid, and points per wavefield axis.
@@ -187,12 +184,7 @@ def _check_invariant_identity(scenario: Scenario, t0: float, t1: float) -> float
 
 
 def _check_phase(scenario: Scenario, t0: float, t1: float) -> float:
-    s = StateLabel(0, 1)
-    grid = _linspace(t0, t1, 50)
-    cf, _ = phase_grid(scenario, s, grid)
-    qd = phase_quadrature_grid(scenario, s, grid)
-    scale = np.maximum(np.maximum(1.0, np.abs(cf)), np.abs(qd))
-    return float(np.max(np.abs(cf - qd) / scale))
+    return float(np.max(phase_crosscheck(scenario, StateLabel(0, 1), _linspace(t0, t1, 50))[3]))
 
 
 def _check_matrix_oracle(scenario: Scenario, t0: float, t1: float) -> float:
@@ -307,8 +299,7 @@ def cmd_energy(args) -> int:
 def cmd_phase(args) -> int:
     scenario = _load_scenario(args.scenario)
     t = _time_grid(args)
-    theta, quadrature = phase_grid(scenario, _state(args), t)
-    methods = np.where(quadrature, PhaseMethod.QUADRATURE.value, PhaseMethod.CLOSED_FORM.value)
+    theta, methods = phase_grid(scenario, _state(args), t)
     table = format_table(PHASE_TABLE, (t, theta.real, theta.imag, methods))
     horizon = reality_horizon_time(scenario)
     outside = np.count_nonzero(~in_reality_window(horizon, t))
@@ -358,8 +349,7 @@ def cmd_wavefield(args) -> int:
     r = r_max * np.arange(1, n_grid + 1) / n_grid
     angle = 2.0 * math.pi * np.arange(n_grid) / n_grid
     # psi = e^{i Theta} phi, with the same phase as the `phase` subcommand.
-    psi_phase = cmath.exp(1j * phase_closed_form(scenario, s, t).value)
-    psi = psi_phase * eigenfunction_grid(scenario, t, s, r[:, None], angle[None, :])
+    psi = hamiltonian_eigenfunction_grid(scenario, t, s, r[:, None], angle[None, :])
     density = np.abs(psi) ** 2
     columns = (np.repeat(r, n_grid), np.tile(angle, n_grid), density.ravel())
     sys.stdout.write(format_table(WAVEFIELD_TABLE, columns))

@@ -46,7 +46,6 @@ class EnergyResult:
     value: complex
     t: float
     real_horizon: float | None
-    state: StateLabel
 
     @property
     def in_window(self):
@@ -99,7 +98,7 @@ def energy_expectation(scenario: Scenario, t, s: StateLabel) -> EnergyResult:
                     f"assembled energy {got!r} and closed form {want!r} "
                     f"disagree (rel {rel:.3e}) at t={when:g}"
                 )
-    return EnergyResult(assembled, t, reality_horizon_time(scenario), s)
+    return EnergyResult(assembled, t, reality_horizon_time(scenario))
 
 
 def energy_series(scenario: Scenario, s: StateLabel, t_grid) -> EnergySeries:

@@ -42,7 +42,6 @@ class EPResidual:
 
     value: float
     scale: float
-    t: float
 
     @property
     def relative(self) -> float:
@@ -86,7 +85,7 @@ def ep_residual(scenario: Scenario, t) -> EPResidual:
     )
     value = np.array(list(map(math.fsum, terms.reshape(-1, 4).tolist())))
     scale = np.abs(terms).max(axis=-1)
-    return EPResidual(value=value.reshape(scale.shape)[()], scale=scale[()], t=t)
+    return EPResidual(value=value.reshape(scale.shape)[()], scale=scale[()])
 
 
 def integrate_ep_numeric(scenario: Scenario, t0: float, t1: float, steps: int) -> list[RhoEval]:

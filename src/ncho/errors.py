@@ -25,16 +25,7 @@ class DomainError(NchoError):
 
 
 class OutsideRealityWindow(NchoError):
-    """A square-root expression turned complex at the requested time.
-
-    ``horizon`` carries the scenario's reality bound (largest time for which
-    the quantity stays real), or None when the window is unbounded or empty
-    for reasons explained in the message.
-    """
-
-    def __init__(self, message: str, horizon: float | None = None):
-        super().__init__(message)
-        self.horizon = horizon
+    """A square-root expression turned complex at the requested time."""
 
 
 class NonPolynomialCase(NchoError):
@@ -50,14 +41,7 @@ class NoConvergence(NchoError):
 
 
 class ToleranceNotMet(NchoError):
-    """Adaptive quadrature could not reach the requested tolerance.
-
-    ``achieved`` carries the error estimate that was actually reached.
-    """
-
-    def __init__(self, message: str, achieved: float | None = None):
-        super().__init__(message)
-        self.achieved = achieved
+    """Adaptive quadrature could not reach the requested tolerance."""
 
 
 class StepUnderflow(NchoError):

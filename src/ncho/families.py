@@ -18,13 +18,13 @@ Every class answers damping(t), frequency(t), check() (the domain
 conditions), constraint() as (name, LHS, RHS, term magnitudes), rho(t) as
 (rho, rho', rho''), a(t) as (a, a'), b(t), c_terms(t) as the radicands and
 scales (rad1, s1, rad2, s2) of c = sqrt(rad1) + omega(t) sqrt(rad2),
-horizon() (None: unbounded), energy(t, n+m+1, n-m, c) and unit_phase(t),
-the integral of c - a/rho^2; the last two return None where no closed form
-is published or validated. unit_phase otherwise returns (value, validated),
-the flag marking the times the published form holds at (only the SetIa
-series has a bounded domain, and it also stands down where the series does
-not settle near |z| = 1). The base class assembles c(t) itself and the
-phase integrand phase_rate(t) = c - a/rho^2 from those.
+horizon() (None: unbounded, 0.0: empty), energy(t, n+m+1, n-m, c) (None
+where no closed form is published) and unit_phase(t), the integral of
+c - a/rho^2, as (value, validated): the flag marks the times the published
+form holds at, and value is nan at the others. No form is published for
+SetIIk with k != 2; the SetIa series holds only while |z| < 1 and where it
+settles, and not at zero frequency. The base class assembles c(t) itself
+and the phase integrand phase_rate(t) = c - a/rho^2 from those.
 
 Every time-dependent method takes a float or a numpy array of times and
 answers in the same shape: a float gives Python scalars, an array gives
@@ -143,8 +143,12 @@ class Family:
         return self._on_grid(self._unit_phase, t)
 
     def horizon(self) -> float | None:
-        """Last time the roots of c stay real; None (unbounded) at zero frequency."""
-        return None if self.constants.omega0 == 0.0 else self._horizon()
+        """Last time the roots of c stay real; None (unbounded) at zero frequency,
+        0.0 (an empty window) where a radicand of c is negative at t = 0."""
+        if self.constants.omega0 == 0.0:
+            return None
+        rad1, _, rad2, _ = self.c_terms(0.0)
+        return 0.0 if rad1 < 0.0 or rad2 < 0.0 else self._horizon()
 
     def _on_grid(self, method, t, *args):
         """Run ``method`` on a float, or on the times as a flat float array
@@ -179,15 +183,9 @@ class Family:
         return self._c(t) - self._a(t)[0] / _pow(self._rho(t)[0], 2.0)
 
     def _unit_phase(self, t):
-        if not self._phase_published():
-            return None
         values = [self._phase_at(x) for x in np.atleast_1d(t).tolist()]
         validated = np.array([v is not None for v in values], dtype=bool)
-        return np.array([complex("nan") if v is None else v for v in values]), validated
-
-    def _phase_published(self) -> bool:
-        """Whether a closed-form unit phase is published for these constants."""
-        return True
+        return np.array([complex("nan") if v is None else v for v in values], complex), validated
 
 
 class _Exponential(Family):
@@ -251,24 +249,19 @@ class SetIa(_Exponential):
         return rad1, s1, rad2, s2
 
     def _horizon(self) -> float:
+        """The deformation root closes the window; the balance root only grows."""
         c = self.constants
-        m_sigma = c.mass_M * c.sigma
-        if m_sigma < 1.0:
-            return 0.0
-        return math.log(m_sigma) / c.Gamma
-
-    def _phase_published(self) -> bool:
-        """The hypergeometric argument z grows from Delta/(M omega0^2); the
-        series representation is validated only while |z| < 1."""
-        c = self.constants
-        return c.omega0 != 0.0 and abs(c.Delta / (c.mass_M * c.omega0**2)) < 1.0
+        return math.log(c.mass_M * c.sigma) / c.Gamma
 
     def _phase_at(self, t: float) -> complex | None:
-        """None once the hypergeometric argument leaves |z| < 1, and where
-        the series does not settle near |z| = 1."""
+        """None at zero frequency, once the hypergeometric argument
+        z = z0 exp(2 Gamma t) >= z0 leaves |z| < 1, and where the series
+        does not settle near |z| = 1."""
         c = self.constants
         mass, w0, g = c.mass_M, c.omega0, c.Gamma
         sg, dl, mu = c.sigma, c.Delta, c.mu
+        if w0 == 0.0:
+            return None
         z0 = dl / (mass * w0**2)
         zt = z0 * math.exp(2.0 * g * t)
         if not abs(zt) < 1.0:
@@ -307,10 +300,8 @@ class _ExpDamped(_Exponential):
     def _damping(self, t):
         return _exp(-self.constants.Gamma * t)
 
-    def _horizon(self) -> float | None:
-        c = self.constants
-        ok = (c.Delta - c.mass_M * c.omega0**2 >= 0.0) and (c.mass_M * c.sigma >= 1.0)
-        return None if ok else 0.0
+    def _horizon(self) -> None:
+        return None
 
 
 class SetIb(_ExpDamped):
@@ -465,11 +456,10 @@ class SetIIk(_Rational):
         )
         return n_plus / (2.0 * self._u(t)) * bracket + n_minus * c
 
-    def _phase_published(self) -> bool:
+    def _phase_at(self, t: float) -> complex | None:
         """Published for k = 2 only."""
-        return self.k_exp == 2
-
-    def _phase_at(self, t: float) -> complex:
+        if self.k_exp != 2:
+            return None
         c = self.constants
         mass, w0, g = c.mass_M, c.omega0, c.Gamma
         sg, mu, chi = c.sigma, c.mu, c.chi
@@ -527,8 +517,6 @@ class SetIII(_Rational):
     def _horizon(self) -> float:
         """The coordinate-coefficient root closes the window."""
         c = self.constants
-        if c.mass_M * c.sigma < 1.0:
-            return 0.0
         u_max = math.sqrt(c.Delta / c.mass_M) / c.omega0
         return max(0.0, (u_max - c.chi) / c.Gamma)
 

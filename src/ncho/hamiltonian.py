@@ -15,8 +15,7 @@ squares, which the family table (``families``) gives through the two
 radicands of c. c(t) itself is the family table's ``Family.c``.
 
 Several square roots go complex past a scenario-dependent time; the 'reality
-horizon' of those roots comes from the family table and is attached to the
-errors.
+horizon' of those roots comes from the family table.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ class NCParams:
 
     theta_nc: float
     omega_nc: float
-    t: float
 
 
 def reality_horizon_time(scenario: Scenario) -> float | None:
@@ -139,11 +137,8 @@ def nc_parameters(scenario: Scenario, t) -> NCParams:
         ("the momentum deformation omega_nc", omega_out),
     ):
         if np.any(outside):
-            raise OutsideRealityWindow(
-                f"{what} has a negative radicand; quantity is complex here",
-                horizon=reality_horizon_time(scenario),
-            )
-    return NCParams(theta_nc=theta, omega_nc=omega, t=t)
+            raise OutsideRealityWindow(f"{what} has a negative radicand; quantity is complex here")
+    return NCParams(theta_nc=theta, omega_nc=omega)
 
 
 def nc_table(scenario: Scenario, t) -> tuple:

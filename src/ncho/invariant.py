@@ -20,6 +20,9 @@ import numpy as np
 from .config import Scenario
 from .ermakov import coefficient_a, coefficient_b, rho_eval
 
+#: Step of the central differences in invariant_ode_residuals.
+ODE_STEP = 1e-5
+
 
 @dataclass(frozen=True)
 class InvariantCoeffs:
@@ -28,7 +31,6 @@ class InvariantCoeffs:
     alpha: float
     beta: float
     gamma: float
-    t: float
 
     @property
     def quadratic_identity(self) -> float:
@@ -43,8 +45,6 @@ class OdeResiduals:
     alpha_residual: float
     beta_residual: float
     gamma_residual: float
-    t: float
-    h: float
 
     @property
     def worst(self) -> float:
@@ -60,10 +60,10 @@ def invariant_coefficients(scenario: Scenario, t) -> InvariantCoeffs:
     alpha = ev.rho * ev.rho
     gamma = -2.0 * ev.rho * ev.rho_dot / a
     beta = velocity * velocity + width * width
-    return InvariantCoeffs(alpha=alpha, beta=beta, gamma=gamma, t=t)
+    return InvariantCoeffs(alpha=alpha, beta=beta, gamma=gamma)
 
 
-def invariant_ode_residuals(scenario: Scenario, t, h: float = 1e-5) -> OdeResiduals:
+def invariant_ode_residuals(scenario: Scenario, t) -> OdeResiduals:
     """Central-difference check of the coefficient ODEs at a time or on a grid.
 
     Each residual is |numerical derivative - ODE right side| divided by the
@@ -71,8 +71,7 @@ def invariant_ode_residuals(scenario: Scenario, t, h: float = 1e-5) -> OdeResidu
     terms, and 1 — so cancellations (e.g. gamma' = 0 for families with
     constant gamma) are judged against the physics scale, not against 0.
     """
-    if h <= 0.0:
-        raise ValueError(f"step h must be positive, got {h!r}")
+    h = ODE_STEP
     t = np.asarray(t, dtype=float)[()]
     minus = invariant_coefficients(scenario, t - h)
     plus = invariant_coefficients(scenario, t + h)
@@ -95,4 +94,4 @@ def invariant_ode_residuals(scenario: Scenario, t, h: float = 1e-5) -> OdeResidu
     res_alpha = residual(d_alpha, rhs_alpha)
     res_beta = residual(d_beta, rhs_beta)
     res_gamma = residual(d_gamma, rhs_gamma, 2.0 * b * here.alpha, 2.0 * a * here.beta)
-    return OdeResiduals(res_alpha, res_beta, res_gamma, t=t, h=h)
+    return OdeResiduals(res_alpha, res_beta, res_gamma)

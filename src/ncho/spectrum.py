@@ -12,8 +12,11 @@ time-dependent problem are e^{i Theta} phi with the evolution phase
     Theta_{n,l}(t) = (n+l) * integral_0^t (c(T) - a(T)/rho^2(T)) dT,
 
 whose closed form each scenario family publishes in the family table
-(``families``); quadrature is kept as the independent cross-check, and
-stands in where no closed form is validated.
+(``families``), which also marks the times it holds at; quadrature is kept
+as the independent cross-check, and stands in at the other times. This
+module alone forms Theta from the unit phase (m = 0 carries none), names the
+route of each point (``PhaseMethod``), measures the closed form against
+quadrature (``phase_crosscheck``) and forms e^{i Theta} phi.
 Matrix elements of x^k and y^k reduce to finite sums of exactly evaluated
 Laguerre-weighted integrals; a tensor-grid quadrature oracle recomputes them
 from the defining 2-D integral.
@@ -27,6 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -163,19 +167,19 @@ class Coordinate(enum.Enum):
     Y = "y"
 
 
-@dataclass(frozen=True)
-class PhaseResult:
-    """Evolution phase Theta_{n,l}(t); complex beyond the reality window."""
+class PhaseResult(NamedTuple):
+    """Evolution phase Theta_{n,l} at one time; complex beyond the reality window."""
 
     value: complex
     method: PhaseMethod
-    t: float
-    note: str | None = None
 
 
 # --------------------------------------------------------------------------
 # Evolution phases
 # --------------------------------------------------------------------------
+
+_UNIT = StateLabel(0, 1)  # Theta of m = 1 is the unit phase
+
 
 def _unit_phase_quadrature(scenario: Scenario, t: np.ndarray) -> np.ndarray:
     """integral_0^t (c - a/rho^2) dT at each time by adaptive quadrature, complex-valued.
@@ -189,90 +193,89 @@ def _unit_phase_quadrature(scenario: Scenario, t: np.ndarray) -> np.ndarray:
     )
     for x, (value, err) in zip(times, results):
         if err > max(PHASE_QUAD_TOL, _REL_FLOOR * (1.0 + abs(value))):
-            raise ToleranceNotMet(
-                f"phase quadrature error {err:.3e} exceeds tolerance at t={x:g}",
-                achieved=err,
-            )
+            raise ToleranceNotMet(f"phase quadrature error {err:.3e} exceeds tolerance at t={x:g}")
     return np.array([value for value, _ in results], dtype=complex)
 
 
-def _unit_phase_grid(scenario: Scenario, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The unit phase on a time array, and where quadrature supplied it.
+def _phase(scenario: Scenario, s: StateLabel, t, closed: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Theta = m * (unit phase) on a time grid, and the points quadrature supplied.
 
-    One family call covers the grid; quadrature stands in at the points
-    where no closed form is published or validated.
-    """
-    published = scenario.family.unit_phase(t)
-    if published is None:
-        unit = np.zeros(t.shape, dtype=complex)
-        quadrature = np.ones(t.shape, dtype=bool)
-    else:
-        unit = np.array(published[0], dtype=complex)
-        quadrature = ~np.asarray(published[1])
-    if quadrature.any():
-        unit[quadrature] = _unit_phase_quadrature(scenario, t[quadrature])
-    return unit, quadrature
-
-
-@lru_cache(maxsize=4096)
-def _unit_phase(scenario: Scenario, t: float) -> tuple[complex, PhaseMethod]:
-    """The unit phase at one time and its route, as on a one-point grid.
-
-    Cached: a one-point grid costs tens of microseconds, and matrix-element
-    sweeps ask for the same (scenario, t) once per label.
-    """
-    unit, quadrature = _unit_phase_grid(scenario, np.array([t], dtype=float))
-    method = PhaseMethod.QUADRATURE if quadrature[0] else PhaseMethod.CLOSED_FORM
-    return complex(unit[0]), method
-
-
-def phase_grid(scenario: Scenario, s: StateLabel, t) -> tuple[np.ndarray, np.ndarray]:
-    """Evolution phase on a time grid: (Theta values, quadrature mask).
-
-    The closed form serves every point where it is validated; the mask marks
-    the points that quadrature supplied instead.
+    closed=True takes the family's closed form at the points where it holds
+    and quadrature at the rest; closed=False takes quadrature everywhere.
+    m = 0 carries no phase: nothing is evaluated and every point is closed.
     """
     t = np.asarray(t, dtype=float)
     if s.m == 0:
         return np.zeros(t.shape, dtype=complex), np.zeros(t.shape, dtype=bool)
-    unit, quadrature = _unit_phase_grid(scenario, t)
+    if closed:
+        unit, validated = scenario.family.unit_phase(t)
+    else:
+        unit, validated = np.empty(t.shape, dtype=complex), np.zeros(t.shape, dtype=bool)
+    quadrature = ~validated
+    if quadrature.any():
+        unit[quadrature] = _unit_phase_quadrature(scenario, t[quadrature])
     return s.m * unit, quadrature
 
 
-def phase_quadrature(scenario: Scenario, s: StateLabel, t: float) -> PhaseResult:
-    """Evolution phase by adaptive quadrature of (n+l) * (c - a/rho^2)."""
-    if s.m == 0:
-        return PhaseResult(0.0j, PhaseMethod.QUADRATURE, t)
-    unit = complex(_unit_phase_quadrature(scenario, np.array([float(t)]))[0])
-    return PhaseResult(s.m * unit, PhaseMethod.QUADRATURE, t)
+def phase_grid(scenario: Scenario, s: StateLabel, t) -> tuple[np.ndarray, np.ndarray]:
+    """Evolution phase on a time grid: (Theta values, method column).
+
+    The closed form serves every point where it is validated; the method
+    column names each point's route, ClosedForm or Quadrature.
+    """
+    theta, quadrature = _phase(scenario, s, t, closed=True)
+    methods = np.where(quadrature, PhaseMethod.QUADRATURE.value, PhaseMethod.CLOSED_FORM.value)
+    return theta, methods
 
 
 def phase_quadrature_grid(scenario: Scenario, s: StateLabel, t) -> np.ndarray:
     """Evolution phase by adaptive quadrature at every time of a grid."""
-    t = np.asarray(t, dtype=float)
-    if s.m == 0:
-        return np.zeros(t.shape, dtype=complex)
-    return s.m * _unit_phase_quadrature(scenario, t.ravel()).reshape(t.shape)
+    return _phase(scenario, s, t, closed=False)[0]
+
+
+def phase_crosscheck(scenario: Scenario, s: StateLabel, t) -> tuple:
+    """Both phase routes on a time grid: (closed, method column, quadrature, error).
+
+    The error of each point is |closed - quadrature| / max(1, |closed|,
+    |quadrature|), a list of floats formed with Python's abs: numpy's
+    complex abs rounds differently in the last bit.
+    """
+    closed, methods = phase_grid(scenario, s, t)
+    quad = phase_quadrature_grid(scenario, s, t)
+    err = [abs(c - q) / max(1.0, abs(c), abs(q)) for c, q in zip(closed.tolist(), quad.tolist())]
+    return closed, methods, quad, err
+
+
+@lru_cache(maxsize=4096)
+def _phase_point(scenario: Scenario, s: StateLabel, t: float) -> PhaseResult:
+    """Theta at one time and its route, as on a one-point grid.
+
+    Cached: a one-point grid costs tens of microseconds, and matrix-element
+    sweeps ask for the same (scenario, t) once per label.
+    """
+    theta, methods = phase_grid(scenario, s, [t])
+    return PhaseResult(complex(theta[0]), PhaseMethod(methods[0]))
+
+
+def _unit_phase(scenario: Scenario, t: float) -> PhaseResult:
+    """The unit phase at one time, cached."""
+    return _phase_point(scenario, _UNIT, t)
+
+
+def phase_quadrature(scenario: Scenario, s: StateLabel, t: float) -> PhaseResult:
+    """Evolution phase by adaptive quadrature of (n+l) * (c - a/rho^2)."""
+    theta = phase_quadrature_grid(scenario, s, [float(t)])
+    return PhaseResult(complex(theta[0]), PhaseMethod.QUADRATURE)
 
 
 def phase_closed_form(scenario: Scenario, s: StateLabel, t: float) -> PhaseResult:
     """Evolution phase from the family's closed form, else by quadrature.
 
     Where no closed form is validated (hypergeometric argument outside
-    |z| < 1 or its series unsettled near |z| = 1, or k != 2) the result
-    comes from quadrature, says so in ``method`` and carries an
-    explanatory note.
+    |z| < 1 or its series unsettled near |z| = 1, zero frequency, or
+    k != 2) the result comes from quadrature and says so in ``method``.
     """
-    if s.m == 0:
-        return PhaseResult(0.0j, PhaseMethod.CLOSED_FORM, t)
-    unit, method = _unit_phase(scenario, float(t))
-    note = None
-    if method is PhaseMethod.QUADRATURE:
-        note = (
-            "no closed form validated here (|z| >= 1, unsettled series or k != 2); "
-            "quadrature fallback"
-        )
-    return PhaseResult(s.m * unit, method, t, note)
+    return _phase_point(scenario, s, float(t))
 
 
 # --------------------------------------------------------------------------
@@ -332,12 +335,20 @@ def eigenfunction(scenario: Scenario, t: float, s: StateLabel, pt: PolarPoint) -
     return complex(eigenfunction_grid(scenario, t, s, pt.r, pt.angle))
 
 
+def hamiltonian_eigenfunction_grid(
+    scenario: Scenario, t: float, s: StateLabel, r, angle
+) -> np.ndarray:
+    """Solution of the time-dependent problem, e^{i Theta_{n,m-n}} phi_{n,m-n},
+    on arrays of radii and angles that broadcast together."""
+    theta = phase_closed_form(scenario, s, t).value
+    return cmath.exp(1j * theta) * eigenfunction_grid(scenario, t, s, r, angle)
+
+
 def hamiltonian_eigenfunction(
     scenario: Scenario, t: float, s: StateLabel, pt: PolarPoint
 ) -> complex:
-    """Solution of the time-dependent problem: e^{i Theta_{n,m-n}} phi_{n,m-n}."""
-    theta = phase_closed_form(scenario, s, t).value
-    return cmath.exp(1j * theta) * eigenfunction(scenario, t, s, pt)
+    """e^{i Theta_{n,m-n}} phi_{n,m-n} at a polar point."""
+    return complex(hamiltonian_eigenfunction_grid(scenario, t, s, pt.r, pt.angle))
 
 
 # --------------------------------------------------------------------------
@@ -406,10 +417,7 @@ def _certified_integral(
     hi = _tensor_integral(grid, s1, s2, k_pow, coordinate, 1)
     err = abs(hi - lo)
     if err > max(tol, _REL_FLOOR * (1.0 + abs(hi))):
-        raise ToleranceNotMet(
-            f"tensor quadrature disagreement {err:.3e} between resolutions",
-            achieved=err,
-        )
+        raise ToleranceNotMet(f"tensor quadrature disagreement {err:.3e} between resolutions")
     return hi
 
 
@@ -476,7 +484,7 @@ def _matrix_element_sum(
         sign = -1.0 if (k_pow + r_idx) % 2 else 1.0
         value *= sign * _INV_I_POW[k_pow % 4]
     if diff and not invariant_basis:
-        value *= cmath.exp(1j * diff * _unit_phase(scenario, float(t))[0])
+        value *= cmath.exp(1j * diff * _unit_phase(scenario, float(t)).value)
     return value
 
 
@@ -517,5 +525,5 @@ def matrix_element_oracle(
     value = _certified_integral(scenario, t, s1, s2, k_pow, Coordinate(coordinate), tol)
     diff = m_prime - m
     if diff:
-        value *= cmath.exp(1j * diff * _unit_phase(scenario, float(t))[0])
+        value *= cmath.exp(1j * diff * _unit_phase(scenario, float(t)).value)
     return value

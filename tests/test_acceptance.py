@@ -82,7 +82,7 @@ def test_criterion_03_invariant_closure(fig_scenarios):
     for scenario in fig_scenarios.values():
         xi_sq4 = 4.0 * scenario.constants.xi**2
         for t in _grid(0.01, 2.0, 25):
-            worst_ode = max(worst_ode, invariant_ode_residuals(scenario, t, h=1e-5).worst)
+            worst_ode = max(worst_ode, invariant_ode_residuals(scenario, t).worst)
             co = invariant_coefficients(scenario, t)
             gap = abs(4.0 * co.alpha * co.beta - co.gamma**2 - xi_sq4)
             worst_identity = max(worst_identity, gap / xi_sq4)

@@ -12,7 +12,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncho import cli
+from ncho import cli, spectrum
 from ncho.cli import build_parser, main
 from ncho.config import build_scenario, parse_scenario_file
 from ncho.ermakov import rho_eval
@@ -292,9 +292,31 @@ def test_phase_falls_back_where_the_series_does_not_settle(capsys, tmp_path):
         capsys, "phase", "--scenario", str(steep), "--m", "1",
         "--t0", "1.10", "--t1", "1.16", "--points", "7",
     )
-    assert code == 0 and err == ""
+    # c(0) is already complex here (Delta < M omega0^2), so the reality window is empty.
+    assert code == 0
+    assert err.startswith("note: 7 of 7 rows lie outside the reality window (horizon 0)")
     _, rows = csv_rows(out)
     assert [row[3] for row in rows] == ["ClosedForm"] * 3 + ["Quadrature"] * 4
+
+
+def test_phase_of_m0_is_zero_and_never_integrates(capsys, monkeypatch):
+    calls = []
+    original = spectrum.integrate_adaptive_many
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "integrate_adaptive_many", spy)
+    code, out, _ = run_cli(capsys, "phase", "--scenario", IA, "--m", "0", "--points", "50")
+    assert code == 0 and calls == []
+    _, rows = csv_rows(out)
+    assert len(rows) == 50
+    assert {row[1] for row in rows} | {row[2] for row in rows} == {"0.000000000000e+00"}
+    assert {row[3] for row in rows} == {"ClosedForm"}
+    # The spy sees the quadrature that m = 1 needs on the same grid.
+    assert run_cli(capsys, "phase", "--scenario", IA, "--m", "1", "--points", "50")[0] == 0
+    assert calls
 
 
 def test_phase_rational_k3_falls_back_to_quadrature(capsys, tmp_path):

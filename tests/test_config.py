@@ -123,8 +123,9 @@ def test_family_table_is_complete():
         # and the figure parameters put z at Delta/(M omega0^2) = 10.
         energy = family.energy(t, 2, 0, 0j)
         assert (energy is None) == (family.k_exp == 3), name
-        unit = family.unit_phase(t)
-        assert (unit is None) == (name == "SetIa" or family.k_exp == 3), name
+        value, validated = family.unit_phase(t)
+        assert isinstance(value, complex) and isinstance(validated, bool), name
+        assert validated == (name != "SetIa" and family.k_exp != 3), name
 
 
 def test_profile_table():

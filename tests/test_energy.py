@@ -139,7 +139,7 @@ def test_energy_real_inside_window_complex_beyond(fig_iii):
 def test_in_window_boundary_is_inclusive(fig_iii):
     horizon = reality_horizon_time(fig_iii)
     assert energy_expectation(fig_iii, horizon, GROUND).in_window
-    assert EnergyResult(0j, 1.0, None, GROUND).in_window
+    assert EnergyResult(0j, 1.0, None).in_window
 
 
 def test_empty_window_flags_no_time():
@@ -152,7 +152,7 @@ def test_empty_window_flags_no_time():
     series = energy_series(scenario, StateLabel(1, 0), [0.0, 0.25, 0.5])
     assert series.in_window.tolist() == [False, False, False]
     assert series.e_im_scaled[0] != 0.0
-    assert not EnergyResult(0j, 0.0, 0.0, GROUND).in_window
+    assert not EnergyResult(0j, 0.0, 0.0).in_window
 
 
 # ---------------------------------------------------------------------------

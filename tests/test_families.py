@@ -88,7 +88,21 @@ def test_series_domain_is_reported_per_time():
     times = np.array([0.0, 0.5 * edge, 0.9 * edge, 1.14, 1.01 * edge, 3.0])
     _, validated = family.unit_phase(times)
     assert validated.tolist() == [True, True, True, False, False, False]
-    assert SCENARIOS["set_ia"].family.unit_phase(0.5) is None  # z starts at 10
+    assert SCENARIOS["set_ia"].family.unit_phase(0.5)[1] is False  # z starts at 10
+
+
+def test_unit_phase_answers_everywhere_and_flags_where_no_closed_form_holds():
+    grid = np.linspace(0.0, 1.0, 6).reshape(2, 3)
+    no_closed_form = {
+        "set_ia": SCENARIOS["set_ia"].family,  # z0 = 10
+        "set_ia_omega0_0": make_scenario(ScenarioKind.SET_IA, omega0=0.0).family,
+        "set_ii_k3": SCENARIOS["set_ii_k3"].family,
+    }
+    for name, family in no_closed_form.items():
+        value, validated = family.unit_phase(grid)
+        assert value.dtype == complex and value.shape == grid.shape, name
+        assert validated.dtype == bool and validated.shape == grid.shape, name
+        assert not validated.any(), name
 
 
 @pytest.mark.parametrize(

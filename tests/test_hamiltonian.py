@@ -7,14 +7,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from ncho.config import ScenarioKind
+from ncho.config import ScenarioKind, build_scenario, parse_scenario_file
 from ncho.ermakov import coefficient_a, rho_eval
 from ncho.errors import DomainError, OutsideRealityWindow
 from ncho.hamiltonian import c_complex, nc_parameters, nc_table, reality_horizon_time
 
-from conftest import make_scenario, phase_space_symbols
+from conftest import SCENARIO_DIR, make_scenario, phase_space_symbols
 
 COORDS = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 
@@ -40,6 +40,34 @@ def test_c_complex_is_real_inside_the_window(fig_scenarios):
         t_hi = 1.5 if horizon is None else min(1.5, 0.9 * horizon)
         for i in range(8):
             assert c_complex(scenario, t_hi * i / 7).imag == 0.0
+
+
+WINDOW_SCENARIOS = {
+    path.stem: build_scenario(parse_scenario_file(path))
+    for path in sorted(SCENARIO_DIR.glob("*.scenario"))
+}
+# Both start with Delta < M omega0^2, so the balance root of c is complex at t = 0.
+WINDOW_SCENARIOS["steep_ia"] = make_scenario(
+    ScenarioKind.SET_IA, omega0=1.0e4, mu=(1.0e14 / (1.0e14 - 0.25)) ** 0.25
+)
+WINDOW_SCENARIOS["set_ii_k2_omega0_2"] = make_scenario(
+    ScenarioKind.SET_II_K, omega0=2.0, sigma=1.0, Delta=1.0625, mu=1.0
+)
+
+
+@pytest.mark.parametrize("name", sorted(WINDOW_SCENARIOS))
+@settings(max_examples=40, deadline=None)
+@given(frac=st.floats(0.0, 1.0))
+@example(frac=0.0)
+def test_c_is_real_across_the_reported_window(name, frac):
+    scenario = WINDOW_SCENARIOS[name]
+    horizon = reality_horizon_time(scenario)
+    if horizon == 0.0:
+        # An empty window holds no time, and it is empty for a reason.
+        assert c_complex(scenario, 0.0).imag != 0.0
+        return
+    t = frac * (40.0 if horizon is None else 0.99 * horizon)
+    assert c_complex(scenario, t).imag == 0.0, (t, horizon)
 
 
 def _c_composed(scenario, t):

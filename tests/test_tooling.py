@@ -104,6 +104,48 @@ def test_csv_rows_are_formatted_in_one_place():
     assert joins == []
 
 
+def phase_route_leaks(source: str) -> list[tuple[str, int]]:
+    """(name, line) of each import of cmath and each read or import of PhaseMethod."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [("cmath", node.lineno) for alias in node.names if alias.name == "cmath"]
+        elif isinstance(node, ast.ImportFrom):
+            if node.module == "cmath":
+                found.append(("cmath", node.lineno))
+            found += [
+                ("PhaseMethod", node.lineno) for alias in node.names if alias.name == "PhaseMethod"
+            ]
+        elif isinstance(node, ast.Name) and node.id == "PhaseMethod":
+            found.append(("PhaseMethod", node.lineno))
+        elif isinstance(node, ast.Attribute) and node.attr == "PhaseMethod":
+            found.append(("PhaseMethod", node.lineno))
+    return sorted(found, key=lambda item: item[1])
+
+
+def test_phase_routes_and_psi_are_formed_in_spectrum_only():
+    # The method column, the cross-check and e^{i Theta} live in spectrum;
+    # the command line and the scripts only print what it returns.
+    source = (
+        "import cmath\n"
+        "from cmath import exp\n"
+        "from ncho.spectrum import PhaseMethod, StateLabel\n"
+        "import ncho.spectrum as sp\n"
+        "x = sp.PhaseMethod.QUADRATURE\n"
+        "y = PhaseMethod\n"
+        "z = sp.StateLabel(0, 1)\n"
+    )
+    assert phase_route_leaks(source) == [
+        ("cmath", 1), ("cmath", 2), ("PhaseMethod", 3), ("PhaseMethod", 5), ("PhaseMethod", 6)
+    ]
+    leaks = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in [ROOT / "src" / "ncho" / "cli.py", *sorted((ROOT / "scripts").glob("*.py"))]
+        for name, line in phase_route_leaks(path.read_text())
+    ]
+    assert leaks == []
+
+
 def _referenced(node: ast.AST) -> set[str]:
     """Every name a node reads, bare or as an attribute."""
     return {
