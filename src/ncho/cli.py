@@ -10,7 +10,8 @@ energy     -- energy-expectation table over a time grid (Figs-style, scaled
               by 1/omega0).
 phase      -- evolution phase over a time grid, with the method per row.
 matelem    -- one matrix element over a time grid, closed form next to the
-              quadrature oracle.
+              quadrature oracle; past the oracle's validated labels the
+              closed form alone, with a note on stderr.
 ncparams   -- deformation parameters over a time grid with reality flags.
 wavefield  -- |psi|^2 sampled on an (r, angle) grid at fixed time.
 
@@ -20,9 +21,10 @@ point: numbers as %.12e, flags as 0/1 integers, phase methods by name
 t0 + i*step: energy, ncparams and phase evaluate the whole grid with one
 call per family method, apply every per-point cross-check as a mask, and
 hand whole columns to format_table, which writes every table and the figure
-data of scripts/. A value that is not finite is refused with exit 2 and
-nothing written; a huge finite --t1 ends there or in an OverflowError (exit
-2), with numpy's floating-point warnings silenced. --points is capped at
+data of scripts/ with a numpy kernel that prints the same bytes as %. A
+value that is not finite is refused with exit 2 and nothing written; a huge
+finite --t1 ends there or in an OverflowError (exit 2), with numpy's
+floating-point warnings silenced. --points is capped at
 10**6 time points (MAX_POINTS) and 1000 per wavefield axis
 (MAX_AXIS_POINTS). phase notes on stderr when rows lie outside the reality
 window, and verify prints the window it checked. Exit codes: 0 success, 1 a
@@ -33,7 +35,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -47,12 +48,15 @@ from .ermakov import ep_residual, rho_eval
 from .hamiltonian import in_reality_window, nc_table, reality_horizon_time
 from .invariant import invariant_coefficients, invariant_ode_residuals
 from .spectrum import (
+    ORACLE_MAX_LABEL,
+    ORACLE_MAX_POWER,
     Coordinate,
     StateLabel,
     hamiltonian_eigenfunction_grid,
     matrix_element_oracle,
     matrix_element_x_pow,
     matrix_element_y_pow,
+    oracle_validated,
     overlap,
     phase_crosscheck,
     phase_grid,
@@ -62,16 +66,21 @@ from .spectrum import (
 MAX_POINTS = 10**6
 MAX_AXIS_POINTS = 1000
 
-# Rows per %-operation in format_table.
+# Rows per block in format_table; blocks under _KERNEL_MIN_ROWS rows go
+# through % alone, where the vector kernel's fixed cost would dominate.
 _FORMAT_BLOCK = 4096
+_KERNEL_MIN_ROWS = 64
 
-# Each CSV table as (header, row format): one %-string formats a whole row.
+# Each CSV table as (header, row format); the format joins %.12e, %d and %s
+# fields with commas.
 ENERGY_TABLE = ("t,Gamma_t,E_re_scaled,E_im_scaled,in_window", "%.12e,%.12e,%.12e,%.12e,%d")
 PHASE_TABLE = ("t,theta_re,theta_im,method", "%.12e,%.12e,%.12e,%s")
 MATELEM_TABLE = (
     "t,closed_re,closed_im,oracle_re,oracle_im,abs_err",
     "%.12e,%.12e,%.12e,%.12e,%.12e,%.12e",
 )
+# matelem past the oracle's validated labels: the closed form alone.
+MATELEM_CLOSED_TABLE = ("t,closed_re,closed_im", "%.12e,%.12e,%.12e")
 NCPARAMS_TABLE = ("t,theta_nc,omega_nc,theta_real,omega_real", "%.12e,%.12e,%.12e,%d,%d")
 WAVEFIELD_TABLE = ("r,angle,psi_abs_sq", "%.12e,%.12e,%.12e")
 
@@ -268,23 +277,148 @@ def format_table(table: tuple[str, str], columns) -> str:
     """The CSV text of a (header, row format) table over whole columns.
 
     ``columns`` holds one array or sequence per field, in table order, all
-    of one length. Raises ArithmeticError if any value is not finite.
+    of one length. The row format joins ``%.12e``, ``%d`` and ``%s`` fields
+    with commas. The text is byte for byte what ``%`` prints. Raises
+    ArithmeticError if any ``%.12e`` value is not finite.
     """
     header, row_format = table
+    specs = row_format.split(",")
+    floats = np.array([c for f, c in zip(specs, columns) if f == "%.12e"], dtype=float)
+    if not np.isfinite(floats).all():
+        raise ArithmeticError("a value is not finite; no table written")
+    float_rows = iter(floats)
+    columns = [next(float_rows) if f == "%.12e" else c for f, c in zip(specs, columns)]
     line = row_format + "\n"
-    rows = len(columns[0]) if len(columns) else 0
+    rows = len(columns[0]) if columns else 0
     parts = [header + "\n"]
-    # One %-operation per block of rows; blocks bound the per-value temporaries.
+    # Blocks bound the temporaries; a small block costs less through % alone.
     for start in range(0, rows, _FORMAT_BLOCK):
         block = [c[start:start + _FORMAT_BLOCK] for c in columns]
-        values = [b.tolist() if isinstance(b, np.ndarray) else b for b in block]
-        text = (line * len(values[0])) % tuple(itertools.chain.from_iterable(zip(*values)))
-        # Fields are %.12e numbers, 0/1 flags and method names, so only a
-        # non-finite number prints as inf or nan.
-        if "inf" in text or "nan" in text:
-            raise ArithmeticError("a value is not finite; no table written")
+        text = _format_block(specs, block) if len(block[0]) >= _KERNEL_MIN_ROWS else None
+        if text is None:
+            values = [b.tolist() if isinstance(b, np.ndarray) else b for b in block]
+            text = "".join([line % row for row in zip(*values)])
         parts.append(text)
     return "".join(parts)
+
+
+@functools.cache
+def _digit_words() -> tuple[np.ndarray, ...]:
+    """Lookup tables of 4-byte ASCII words and the scaling powers of ten.
+
+    head[100*sign + d0d1] = [- or NUL, d0, '.', d1]; quad[dddd] = four
+    digits; tail[ddd] = [d, d, d, 'e']; expo[e + 99] = [sign, e1, e0, NUL];
+    scale[e + 99] = fl(10**(12 - e)).
+    """
+    digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    pairs = np.stack([np.repeat(digits, 10), np.tile(digits, 10)], axis=1)
+    quad = np.concatenate([np.repeat(pairs, 100, axis=0), np.tile(pairs, (100, 1))], axis=1)
+    head = np.zeros((2, 100, 4), dtype=np.uint8)
+    head[1, :, 0] = ord("-")
+    head[:, :, 1] = pairs[:, 0]
+    head[:, :, 2] = ord(".")
+    head[:, :, 3] = pairs[:, 1]
+    tail = np.concatenate([quad[:1000, 1:], np.full((1000, 1), ord("e"), np.uint8)], axis=1)
+    expo = np.zeros((199, 4), dtype=np.uint8)
+    expo[:, 0] = ord("-")
+    expo[99:, 0] = ord("+")
+    expo[:, 1:3] = pairs[np.abs(np.arange(-99, 100))]
+    # The parser rounds correctly, so each power carries one rounding.
+    scale = np.array([float(f"1e{12 - e}") for e in range(-99, 100)])
+    words = [np.ascontiguousarray(w).view(np.uint32).ravel() for w in (head, quad, tail, expo)]
+    return (*words, scale)
+
+
+def _sci_words(x: np.ndarray) -> np.ndarray:
+    """The %.12e text of finite doubles as NUL-padded ASCII, 5 or 6 uint32 words each.
+
+    A value is scaled to y = |x| fl(10**(12 - e)) with e = floor(log10 |x|),
+    as computed in floating point, clipped to +-99: two roundings, so y
+    lies within 2.3e-3 of the exact product. rint(y) is then the correctly
+    rounded 13-digit mantissa whenever y is 0.497 or less from it and
+    1e12 <= y, rint(y) < 1e13. An e one too high (log10 rounding up just
+    under a power of ten, or the clip for |x| < 1e-99) leaves y under 1e12,
+    or so close above that %.12e rounds up to 1.000000000000 too; one too
+    low leaves rint(y) >= 1e13. Every other value (a near tie, an e off by
+    one, a three-digit exponent or a subnormal) goes to '%.12e' % v. The
+    last byte of each value's words is NUL.
+    """
+    head, quad, tail, expo, scale = _digit_words()
+    a = np.abs(x)
+    zero = a == 0.0
+    # floor(log10|x|) + 99 clipped to 0..198: truncation floors every value
+    # the clip keeps. Zeros take e = 0 and print 0.000000000000e+00.
+    e = np.minimum(np.maximum((np.log10(a + zero) + 99.0).astype(np.intp), 0), 198)
+    y = a * scale[e]
+    mantissa = np.rint(y)
+    exact = zero | ((np.abs(y - mantissa) <= 0.497) & (y >= 1e12) & (mantissa < 1e13))
+    mantissa *= exact
+    # Digit groups in floating point: every step is exact below 2**53.
+    groups = []
+    for unit in (1e11, 1e7, 1e3):
+        group = np.floor(mantissa / unit)
+        mantissa -= group * unit
+        groups.append(group.astype(np.intp))
+    inexact = np.flatnonzero(~exact)
+    fallback = ["%.12e" % v for v in x.ravel()[inexact].tolist()]
+    size = 24 if any(len(text) > 19 for text in fallback) else 20
+    words = np.zeros(x.shape + (size // 4,), dtype=np.uint32)
+    words[..., 0] = head[groups[0] + 100 * np.signbit(x)]
+    words[..., 1] = quad[groups[1]]
+    words[..., 2] = quad[groups[2]]
+    words[..., 3] = tail[mantissa.astype(np.intp)]
+    words[..., 4] = expo[e]
+    text = np.array(fallback, dtype=f"S{size}")
+    words.reshape(-1, size // 4)[inexact] = text.view(np.uint32).reshape(-1, size // 4)
+    return words
+
+
+def _flag_bytes(column) -> np.ndarray | None:
+    """The %d text of bool or integer flags 0 to 9, one byte each; None otherwise."""
+    a = np.asarray(column)
+    if a.dtype.kind not in "biu" or a.min() < 0 or a.max() > 9:
+        return None
+    return (a.astype(np.uint8) + ord("0"))[:, None]
+
+
+def _text_bytes(column) -> np.ndarray | None:
+    """The %s text of an array or list of ASCII str, NUL-padded; None otherwise."""
+    a = np.ascontiguousarray(column)
+    if a.dtype.kind != "U" or not a.dtype.isnative:
+        return None
+    codes = a.view(np.uint32).reshape(len(a), -1)
+    return codes.astype(np.uint8) if codes.max() < 128 else None
+
+
+def _format_block(specs: list[str], block: list) -> str | None:
+    """The rows of one block through the vector kernel; None when a %d or
+    %s column is not one it takes, and the block goes through % instead.
+
+    Each row is laid out in a zeroed uint8 buffer, one cell per field with
+    its separator in the cell's last byte; the NUL padding is deleted from
+    the finished text.
+    """
+    floats = [column for spec, column in zip(specs, block) if spec == "%.12e"]
+    words = iter(_sci_words(np.stack(floats)) if floats else ())
+    cells = []  # (bytes per row, bytes the cell and its separator take)
+    for spec, column in zip(specs, block):
+        if spec == "%.12e":
+            cell = next(words).view(np.uint8)
+            cells.append((cell, cell.shape[1]))  # the last byte is NUL
+            continue
+        cell = _flag_bytes(column) if spec == "%d" else _text_bytes(column)
+        if cell is None:
+            return None
+        cells.append((cell, cell.shape[1] + 1))
+    buf = np.zeros((len(block[0]), sum(span for _, span in cells)), dtype=np.uint8)
+    seps = []
+    offset = 0
+    for cell, span in cells:
+        buf[:, offset:offset + cell.shape[1]] = cell
+        offset += span
+        seps.append(offset - 1)
+    buf[:, seps] = np.frombuffer(b"," * (len(seps) - 1) + b"\n", dtype=np.uint8)
+    return buf.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def cmd_energy(args) -> int:
@@ -322,6 +456,14 @@ def cmd_matelem(args) -> int:
     # The oracle is one certified 2-D quadrature per time.
     labels = (args.n, args.m, m_prime, args.k)
     closed = np.array([closed_fn(scenario, ti, *labels) for ti in t.tolist()])
+    if not oracle_validated(*labels):
+        print(
+            f"note: the oracle is validated for n, m, m' <= {ORACLE_MAX_LABEL} and "
+            f"k <= {ORACLE_MAX_POWER} only; printing the closed form alone",
+            file=sys.stderr,
+        )
+        sys.stdout.write(format_table(MATELEM_CLOSED_TABLE, (t, closed.real, closed.imag)))
+        return 0
     oracle = np.array(
         [matrix_element_oracle(scenario, ti, *labels, args.coord, tol=tol) for ti in t.tolist()]
     )

@@ -48,6 +48,9 @@ from .specfun import (
 PHASE_QUAD_TOL = 1e-10
 #: Absolute tolerance of overlaps; default of the matrix-element oracle.
 ORACLE_TOL = 1e-8
+#: Largest labels n, m, m' and power k the matrix-element oracle is validated for.
+ORACLE_MAX_LABEL = 4
+ORACLE_MAX_POWER = 3
 #: Relative floor applied on top of absolute tolerances: a quadrature whose
 #: error estimate is below floor*(1 + |value|) is accepted regardless of the
 #: absolute target (large phases/overlaps cannot beat double rounding).
@@ -512,15 +515,22 @@ def matrix_element_y_pow(
     )
 
 
+def oracle_validated(n: int, m: int, m_prime: int, k_pow: int) -> bool:
+    """Whether matrix_element_oracle is validated for these labels: n, m,
+    m' <= ORACLE_MAX_LABEL and power <= ORACLE_MAX_POWER."""
+    return max(n, m, m_prime) <= ORACLE_MAX_LABEL and k_pow <= ORACLE_MAX_POWER
+
+
 def matrix_element_oracle(
     scenario: Scenario, t: float, n: int, m: int, m_prime: int, k_pow: int,
     coordinate: Coordinate | str, tol: float = ORACLE_TOL,
 ) -> complex:
     """Brute-force oracle: 2-D quadrature of the defining matrix-element integral."""
     s1, s2 = _element_labels(n, m, m_prime, k_pow)
-    if n > 4 or m > 4 or m_prime > 4 or k_pow > 3:
+    if not oracle_validated(n, m, m_prime, k_pow):
         raise InvalidLabel(
-            "oracle quadrature validated for n, m, m' <= 4 and power <= 3 only"
+            f"oracle quadrature validated for n, m, m' <= {ORACLE_MAX_LABEL} "
+            f"and power <= {ORACLE_MAX_POWER} only"
         )
     value = _certified_integral(scenario, t, s1, s2, k_pow, Coordinate(coordinate), tol)
     diff = m_prime - m

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -9,6 +11,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,6 +19,7 @@ from ncho import cli, spectrum
 from ncho.cli import build_parser, main
 from ncho.config import build_scenario, parse_scenario_file
 from ncho.ermakov import rho_eval
+from ncho.errors import InvalidLabel
 from ncho.spectrum import PhaseMethod, PolarPoint, StateLabel, hamiltonian_eigenfunction
 
 from conftest import SCENARIO_DIR
@@ -43,15 +47,24 @@ def csv_rows(out):
 # CSV writer
 # ---------------------------------------------------------------------------
 
-TABLES = (cli.ENERGY_TABLE, cli.PHASE_TABLE, cli.MATELEM_TABLE, cli.NCPARAMS_TABLE, cli.WAVEFIELD_TABLE)
+TABLES = (
+    cli.ENERGY_TABLE, cli.PHASE_TABLE, cli.MATELEM_TABLE, cli.MATELEM_CLOSED_TABLE,
+    cli.NCPARAMS_TABLE, cli.WAVEFIELD_TABLE,
+)
 # Each field spec, formatted the way the per-field row joins did it.
 _PER_FIELD = {"%.12e": lambda x: "%.12e" % x, "%d": lambda flag: str(int(flag)), "%s": str}
+_EXTREMES = (0.0, -0.0, 5e-324, -1e-310, 2.2250738585072014e-308, 1e308, -1e308,
+             1.7976931348623157e308, -1.7976931348623157e308)
 _FIELD_VALUES = {
-    "%.12e": st.floats(allow_nan=False, allow_infinity=False)
-    | st.sampled_from((-0.0, 5e-324, -1e-310, 1e308, -1e308, 1.7976931348623157e308)),
+    "%.12e": st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EXTREMES),
     "%d": st.sampled_from((0, 1, False, True)),
     "%s": st.sampled_from([method.value for method in PhaseMethod]),
 }
+# Both sides of the cutover to the vector kernel and of a block boundary.
+_ROW_COUNTS = (
+    0, 1, 3, cli._KERNEL_MIN_ROWS - 1, cli._KERNEL_MIN_ROWS,
+    cli._FORMAT_BLOCK - 1, cli._FORMAT_BLOCK, cli._FORMAT_BLOCK + 1,
+)
 
 
 def _columns(rows, width):
@@ -67,14 +80,83 @@ def _per_field_csv(table, rows):
     )
 
 
-@settings(max_examples=300, deadline=None)
+def _adversarial_doubles(rng, size):
+    """Finite doubles that stress a 13-significant-digit writer.
+
+    Decimal ties at the 13th digit and their neighbours, exact binary ties
+    (D + 1/2) 2**j, 9.9999999999995e+-k, exponents around +-99/+-100 and
+    at the ends of the range, subnormals, signed zeros and plain values.
+    """
+    digits = rng.integers(10**12, 10**13, size)
+    shift = rng.integers(-320, 296, size)
+    ties = np.array([float(f"{d}5e{k}") for d, k in zip(digits.tolist(), shift.tolist())])
+    nudged = np.nextafter(ties, np.where(rng.random(size) < 0.5, -np.inf, np.inf))
+    binary = (digits + 0.5) * np.ldexp(1.0, rng.integers(-60, 4, size))
+    edges = np.array([float(f"{m}e{k}") for m in ("1", "9.9999999999995", "9.99999999999949")
+                      for k in (-324, -310, -308, -101, -100, -99, -98, -1, 0, 1, 98, 99, 100, 307)])
+    edges = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+    special = np.array(_EXTREMES)
+    plain = rng.standard_normal(size) * 10.0 ** rng.integers(-110, 110, size)
+    subnormal = rng.integers(1, 2**52, size).view(np.float64)
+    pool = np.concatenate([ties, nudged, binary, edges, special, plain, subnormal])
+    pool = pool[np.isfinite(pool)]
+    values = rng.choice(pool, size)
+    return np.where(rng.random(size) < 0.5, -values, values)
+
+
+def _drawn_column(data, rng, spec, size):
+    """One column of a spec, as a list or an array: bool and int flags,
+    str lists and arrays, float lists and arrays."""
+    if spec == "%.12e":
+        column = _adversarial_doubles(rng, size)
+        return column if data.draw(st.booleans()) else column.tolist()
+    if spec == "%d":
+        flags = rng.random(size) < 0.5
+        return data.draw(st.sampled_from((flags, flags.astype(np.int64), flags.tolist())))
+    methods = np.array([method.value for method in PhaseMethod])[rng.integers(0, 2, size)]
+    return methods if data.draw(st.booleans()) else methods.tolist()
+
+
+def _python_rows(columns):
+    return list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)))
+
+
+@settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_format_table_matches_per_field_join(data):
     table = data.draw(st.sampled_from(TABLES))
     fields = table[1].split(",")
     assert len(fields) == len(table[0].split(","))
-    rows = data.draw(st.lists(st.tuples(*(_FIELD_VALUES[f] for f in fields)), max_size=4))
-    assert cli.format_table(table, _columns(rows, len(fields))) == _per_field_csv(table, rows)
+    size = data.draw(st.sampled_from(_ROW_COUNTS))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    columns = [_drawn_column(data, rng, f, size) for f in fields]
+    rows = _python_rows(columns)
+    # A few drawn rows land anywhere in the table, block boundaries included.
+    for row in data.draw(st.lists(st.tuples(*(_FIELD_VALUES[f] for f in fields)), max_size=4)):
+        if rows:
+            rows[data.draw(st.integers(0, len(rows) - 1))] = row
+    columns = [
+        np.array(col) if isinstance(orig, np.ndarray) else list(col)
+        for orig, col in zip(columns, zip(*rows) if rows else [()] * len(fields))
+    ]
+    assert cli.format_table(table, columns) == _per_field_csv(table, rows)
+
+
+def test_format_table_kernel_takes_every_table():
+    # The kernel, not the % fallback, writes blocks of the shipped tables.
+    rng = np.random.default_rng(7)
+    size = cli._KERNEL_MIN_ROWS
+    for table in TABLES:
+        specs = table[1].split(",")
+        block = [
+            rng.standard_normal(size) if f == "%.12e"
+            else rng.random(size) < 0.5 if f == "%d"
+            else np.where(rng.random(size) < 0.5, "ClosedForm", "Quadrature")
+            for f in specs
+        ]
+        text = cli._format_block(specs, block)
+        assert text is not None, table
+        assert table[0] + "\n" + text == _per_field_csv(table, _python_rows(block))
 
 
 @pytest.mark.parametrize("bad", (math.inf, -math.inf, math.nan))
@@ -89,6 +171,11 @@ def test_format_table_refuses_non_finite_values(bad):
             rows = [tuple(row), tuple(row[:i] + [bad] + row[i + 1:])]
             with pytest.raises(ArithmeticError):
                 cli.format_table(table, _columns(rows, len(fields)))
+            # Past the first block, in a table the kernel writes.
+            columns = [np.full(6000, v) for v in row]
+            columns[i][5000] = bad
+            with pytest.raises(ArithmeticError):
+                cli.format_table(table, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +466,28 @@ def test_matelem_certification_floor(capsys):
     assert all(float(row[5]) <= 1e-12 for row in rows)
 
 
+def test_matelem_past_the_oracle_range_prints_the_closed_form(capsys):
+    # The closed form is exact for any labels; the oracle is validated for
+    # n, m, m' <= 4 and k <= 3 only, so past that the table drops its columns.
+    for labels in (("--n", "5"), ("--k", "4"), ("--m", "1", "--mprime", "5", "--k", "4")):
+        code, out, err = run_cli(
+            capsys, "matelem", "--scenario", IB, *labels, "--t1", "0.5", "--points", "2"
+        )
+        assert code == 0, labels
+        header, rows = csv_rows(out)
+        assert header == cli.MATELEM_CLOSED_TABLE[0] == "t,closed_re,closed_im"
+        assert len(rows) == 2 and all(re.fullmatch(_SCI, f) for row in rows for f in row)
+        assert err == (
+            "note: the oracle is validated for n, m, m' <= 4 and k <= 3 only; "
+            "printing the closed form alone\n"
+        )
+    for argv in (("--n", "-1"), ("--k", "-1"), ("--m", "-2", "--k", "4")):
+        code, out, err = run_cli(capsys, "matelem", "--scenario", IB, *argv, "--points", "2")
+        assert code == 2 and out == "" and err.startswith("error: "), argv
+    with pytest.raises(InvalidLabel):
+        spectrum.matrix_element_oracle(build_scenario(parse_scenario_file(IB)), 0.5, 5, 5, 5, 2, "x")
+
+
 # ---------------------------------------------------------------------------
 # ncparams
 # ---------------------------------------------------------------------------
@@ -512,6 +621,46 @@ def test_usage_errors_exit_two(capsys):
         assert code == 2, argv
         assert out == "" and "error: inputs out of numerical range" in err, argv
         assert "Traceback" not in err, argv
+
+
+# The CSV subcommands and the tables they may print on success.
+_CSV_COMMANDS = {
+    "energy": (cli.ENERGY_TABLE,),
+    "phase": (cli.PHASE_TABLE,),
+    "matelem": (cli.MATELEM_TABLE, cli.MATELEM_CLOSED_TABLE),
+    "ncparams": (cli.NCPARAMS_TABLE,),
+    "wavefield": (cli.WAVEFIELD_TABLE,),
+}
+_FIELD_TEXT = {"%.12e": _SCI, "%d": "[01]", "%s": "|".join(m.value for m in PhaseMethod)}
+_TIMES = st.floats(0.0, 30.0) | st.sampled_from((-1.0, 1e3, 1e308, math.inf, math.nan))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    command=st.sampled_from(sorted(_CSV_COMMANDS)),
+    scenario=st.sampled_from(sorted(SCENARIO_DIR.glob("*.scenario"))),
+    t0=_TIMES, t1=_TIMES, points=st.integers(1, 200),
+    n=st.integers(0, 6), m=st.integers(0, 6),
+)
+def test_csv_subcommands_keep_the_contract_on_drawn_arguments(command, scenario, t0, t1, points, n, m):
+    argv = [command, "--scenario", str(scenario), "--t0", repr(t0), "--points", str(points)]
+    if command != "wavefield":
+        argv += ["--t1", repr(t1)]
+    if command != "ncparams":
+        argv += ["--n", str(n), "--m", str(m)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)  # an uncaught exception would be a traceback
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code != 0:
+        assert out.getvalue() == "", argv
+        return
+    header, rows = csv_rows(out.getvalue())
+    (table,) = [table for table in _CSV_COMMANDS[command] if table[0] == header]
+    # A %.12e field that matches _SCI is finite: inf and nan do not match.
+    pattern = ",".join(f"(?:{_FIELD_TEXT[f]})" for f in table[1].split(","))
+    assert rows and all(re.fullmatch(pattern, ",".join(row)) for row in rows), argv
 
 
 def test_malformed_scenario_reports_line_number(capsys, tmp_path):

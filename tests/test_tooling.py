@@ -93,15 +93,65 @@ def comma_joins(source: str) -> list[int]:
     ]
 
 
+# The CSV number writer: cli.format_table and the kernel that owns its fallback.
+CSV_WRITER = {"format_table", "_sci_words"}
+
+
+def sci_formats(source: str, allowed: set[str] = frozenset()) -> list[int]:
+    """Lines that apply a %.12e string with % or format a :.12e f-string
+    field, outside the functions named in ``allowed``."""
+    found = []
+
+    def visit(node: ast.AST, exempt: bool) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            exempt = exempt or node.name in allowed
+        if not exempt:
+            if (
+                isinstance(node, ast.BinOp)
+                and isinstance(node.op, ast.Mod)
+                and isinstance(node.left, ast.Constant)
+                and isinstance(node.left.value, (str, bytes))
+                and "%.12e" in str(node.left.value)
+            ):
+                found.append(node.lineno)
+            elif isinstance(node, ast.FormattedValue) and node.format_spec is not None:
+                if ".12e" in ast.unparse(node.format_spec):
+                    found.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, exempt)
+
+    visit(ast.parse(source), False)
+    return sorted(found)
+
+
 def test_csv_rows_are_formatted_in_one_place():
-    # Every CSV row goes through cli.format_table and its per-table format.
+    # Every CSV row goes through cli.format_table and its per-table format,
+    # and its vector kernel is the only writer of %.12e numbers.
     assert comma_joins('a = ",".join(x)\nb = "".join(x)\nc = ", ".join(x)\nd = s.join(x)\n') == [1]
+    source = (
+        'a = "%.12e" % x\n'
+        'b = b"%.12e,%d" % (x, 1)\n'
+        'c = f"{x:.12e}"\n'
+        'd = f"{x:.3e}" + "%.3e" % x + "%.12e".replace("e", "g")\n'
+        "def format_table(x):\n"
+        '    return "%.12e" % x\n'
+        "def other(x):\n"
+        '    return f"{x:>20.12e}"\n'
+    )
+    assert sci_formats(source) == [1, 2, 3, 6, 8]
+    assert sci_formats(source, {"format_table"}) == [1, 2, 3, 8]
     joins = [
         f"{path.relative_to(ROOT)}:{line}"
         for path in SOURCES
         for line in comma_joins(path.read_text())
     ]
     assert joins == []
+    numbers = [
+        f"{path.relative_to(ROOT)}:{line}"
+        for path in SOURCES
+        for line in sci_formats(path.read_text(), CSV_WRITER if path.name == "cli.py" else set())
+    ]
+    assert numbers == []
 
 
 def phase_route_leaks(source: str) -> list[tuple[str, int]]:
