@@ -252,6 +252,15 @@ def test_verify_counts_an_overflow_as_a_failed_check(capsys, tmp_path):
     assert re.search(r"7 checks: \d passed, [1-7] failed; worst residual inf", out)
 
 
+def test_verify_fails_a_nan_residual(capsys, monkeypatch):
+    # Python's max(0.0, nan) is 0.0; the residual fold must keep the nan.
+    monkeypatch.setattr(cli, "overlap", lambda *args: complex(math.nan, 0.0))
+    code, out, _ = run_cli(capsys, "verify", "--scenario", IB)
+    assert code == 1
+    assert re.search(r"^orthonormality +nan +1\.000e-06 +FAIL$", out, re.MULTILINE), out
+    assert "6 passed, 1 failed; worst residual nan" in out
+
+
 # SetIa with omega0 = 1e4: the series argument z = 0.1 exp(2t) nears 1 at
 # t ~ 1.15, where its series stops settling. mu keeps the constraint exact.
 _STEEP_IA = (
@@ -454,16 +463,28 @@ def test_matelem_off_diagonal_and_coordinate_flags(capsys):
 
 
 def test_matelem_certification_floor(capsys):
-    # The two-resolution certification floors the tolerance at numerical
-    # precision, so roundoff-level disagreement can never fail an
-    # arbitrarily tight request; genuine failures surface through verify.
+    # The oracle's rule is exact for these labels, so closed form and oracle
+    # agree to rounding, far inside the 1e-8 the oracle is certified to.
     code, out, _ = run_cli(
         capsys, "matelem", "--scenario", MILD_II, "--m", "0", "--mprime", "2",
-        "--k", "2", "--t0", "0.3", "--t1", "0.9", "--points", "2", "--tol", "1e-300",
+        "--k", "2", "--t0", "0.3", "--t1", "0.9", "--points", "2",
     )
     assert code == 0
     _, rows = csv_rows(out)
     assert all(float(row[5]) <= 1e-12 for row in rows)
+
+
+def test_late_time_underflow_is_named(capsys):
+    # At t = 1000 a(t) = sigma e^(-Gamma t) and hbar rho^2 are both 0.0 on
+    # the exponential families; the error says which, and when.
+    prefix = "error: inputs out of numerical range: "
+    for argv, want in (
+        (("wavefield", "--t0", "1000", "--points", "4"), "a(t) underflows to 0 at t=1000\n"),
+        (("matelem", "--t0", "1000", "--t1", "1001"), "hbar rho^2 = 0 at t=1000 underflows"),
+    ):
+        code, out, err = run_cli(capsys, argv[0], "--scenario", IB, *argv[1:])
+        assert code == 2 and out == "", argv
+        assert err.startswith(prefix + want), (argv, err)
 
 
 def test_matelem_past_the_oracle_range_prints_the_closed_form(capsys):
@@ -580,10 +601,8 @@ def test_usage_errors_exit_two(capsys):
         assert code == 2, argv
         t0 = argv[argv.index("--t0") + 1]
         assert out == "" and err == f"error: --t0 must be >= 0, got {t0}\n", argv
-    # A tolerance must be finite and positive: nan would certify anything.
+    # A tolerance must be finite and positive: nan would fail every check.
     for argv in (
-        ("matelem", "--scenario", IB, "--tol", "nan", "--points", "2"),
-        ("matelem", "--scenario", IB, "--tol", "0"),
         ("verify", "--scenario", IB, "--tol", "nan"),
         ("verify", "--scenario", IB, "--tol", "-1"),
         ("verify", "--scenario", IB, "--tol", "inf"),
@@ -591,6 +610,10 @@ def test_usage_errors_exit_two(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert out == "" and err.startswith("error: --tol must be a finite positive number"), argv
+    # matelem takes no --tol: its oracle is certified by its rounding bound.
+    code, out, err = run_cli(capsys, "matelem", "--scenario", IB, "--tol", "1e-8")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --tol 1e-8" in err and "Traceback" not in err
     # Grid sizes are capped before any grid is built.
     huge = "100000000000000000000"
     for argv in (
