@@ -28,7 +28,9 @@ STATES = (StateLabel(0, 0), StateLabel(1, 0), StateLabel(1, 2))
 
 def write_curve(scenario, name: str, state: StateLabel, out_dir: pathlib.Path) -> pathlib.Path:
     horizon = reality_horizon_time(scenario)
-    t_end = 2.0 if horizon is None else min(1.5 * horizon, 40.0)
+    # Past a horizon to show the complex branch; an unbounded or an empty
+    # window (horizon None or 0.0) takes [0, 2].
+    t_end = min(1.5 * horizon, 40.0) if horizon else 2.0
     grid = t_end * np.arange(401) / 400
     path = out_dir / f"energy_{name}_n{state.n}_m{state.m}.csv"
     path.write_text(format_table(ENERGY_TABLE, energy_series(scenario, state, grid)), newline="\n")

@@ -9,6 +9,11 @@ family table in ``families``, which holds every closed form of that setup;
 Every accepted scenario satisfies its family's constant-constraint relation to
 a relative residual <= 1e-9; the residual is stored on the scenario for
 reporting.
+
+Units are natural (hbar = 1), the exponential families decay at the rate
+Gamma, and the invariant is normalised so that 4*alpha*beta - gamma^2 = 4
+(xi = 1 in Lewis & Riesenfeld's form). Any other xi is a rescaling of mu,
+and the file format rejects it with the equivalent mu.
 """
 
 from __future__ import annotations
@@ -35,36 +40,31 @@ class ScenarioKind(enum.Enum):
 class PhysicalConstants:
     """Physical constants of the oscillator and of the solution families.
 
-    Natural units: hbar defaults to 1 and every quantity is dimensionless
-    apart from the bookkeeping noted per field.
+    Natural units, hbar = 1: every quantity is dimensionless apart from the
+    bookkeeping noted per field. The auxiliary equation's constant is fixed
+    at xi = 1, and the exponential families decay at the rate Gamma.
 
     mass_M    -- oscillator mass (positive)
     omega0    -- base angular frequency (>= 0; zero is allowed so the
                  zero-frequency limit of the energy stays testable)
-    Gamma     -- decay rate of the damping/frequency profiles (positive)
-    vartheta  -- exponential-family decay rate (positive; the closed forms
-                 used downstream require vartheta == Gamma)
+    Gamma     -- decay rate of the damping/frequency profiles and of the
+                 exponential scale-function family (positive)
     chi       -- time offset of the rational profiles, in units of time*Gamma
     sigma     -- momentum-coefficient amplitude of the families (positive)
     Delta     -- coordinate-coefficient amplitude of the families (positive)
     mu        -- scale-function amplitude (positive)
-    xi        -- integration constant of the auxiliary equation (positive)
-    hbar      -- Planck constant (positive)
     """
 
     mass_M: float
     omega0: float
     Gamma: float
-    vartheta: float
     chi: float
     sigma: float
     Delta: float
     mu: float
-    xi: float = 1.0
-    hbar: float = 1.0
 
     def __post_init__(self):
-        for name in ("mass_M", "Gamma", "vartheta", "sigma", "Delta", "mu", "xi", "hbar"):
+        for name in ("mass_M", "Gamma", "sigma", "Delta", "mu"):
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
                 raise DomainError(f"{name} must be a positive finite real, got {value!r}")
@@ -100,17 +100,12 @@ class Scenario:
     constraint_residual: float = field(compare=False)
     family: Family = field(compare=False, repr=False)
 
-    @property
-    def hbar(self) -> float:
-        return self.constants.hbar
-
     def summary(self) -> str:
         c = self.constants
         bits = [
             f"kind={self.kind.value}",
             f"M={c.mass_M:g}", f"omega0={c.omega0:g}", f"Gamma={c.Gamma:g}",
-            f"vartheta={c.vartheta:g}", f"chi={c.chi:g}", f"sigma={c.sigma:g}",
-            f"Delta={c.Delta:g}", f"mu={c.mu:g}", f"xi={c.xi:g}", f"hbar={c.hbar:g}",
+            f"chi={c.chi:g}", f"sigma={c.sigma:g}", f"Delta={c.Delta:g}", f"mu={c.mu:g}",
         ]
         if self.kind is ScenarioKind.SET_II_K:
             bits.append(f"k_exp={self.k_exp}")
@@ -175,9 +170,10 @@ def parse_scenario_text(text: str, source: str = "<string>") -> ScenarioSpec:
     """Parse the scenario grammar into a ScenarioSpec.
 
     Keys: kind, M, omega0, Gamma, vartheta, chi, sigma, Delta, mu, xi, hbar,
-    k_exp. Unknown or duplicate keys are errors. Defaults: xi=1, hbar=1,
-    chi=0 (so rational/linear kinds fail loudly unless chi is set),
-    vartheta=Gamma, k_exp=2.
+    k_exp. Unknown or duplicate keys are errors. Defaults: chi=0 (so
+    rational/linear kinds fail loudly unless chi is set), k_exp=2.
+    vartheta, xi and hbar are fixed by the model (`_check_fixed_keys`): a
+    file may state them, but only at vartheta = Gamma, xi = 1 and hbar = 1.
     """
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -222,23 +218,43 @@ def parse_scenario_text(text: str, source: str = "<string>") -> ScenarioSpec:
         except ValueError:
             raise ScenarioFileError(f"{source}: key {key!r} has non-numeric value {text_value!r}") from None
 
-    gamma = numbers["Gamma"]
     try:
         constants = PhysicalConstants(
             mass_M=numbers["M"],
             omega0=numbers["omega0"],
-            Gamma=gamma,
-            vartheta=numbers.get("vartheta", gamma),
+            Gamma=numbers["Gamma"],
             chi=numbers.get("chi", 0.0),
             sigma=numbers["sigma"],
             Delta=numbers["Delta"],
             mu=numbers["mu"],
-            xi=numbers.get("xi", 1.0),
-            hbar=numbers.get("hbar", 1.0),
         )
     except DomainError as exc:
         raise ScenarioFileError(f"{source}: {exc}") from exc
+    _check_fixed_keys(numbers, constants, source)
     return ScenarioSpec(constants=constants, kind=kind, k_exp=k_exp)
+
+
+def _check_fixed_keys(numbers: dict[str, float], constants: PhysicalConstants, source: str) -> None:
+    """Reject a vartheta other than Gamma (to 1e-12 relative), or an xi or hbar other than 1.
+
+    xi only rescales mu: (xi, mu) and (1, mu/sqrt(xi)) give the same a, b
+    and c, and a rho smaller by sqrt(xi). hbar is a unit choice.
+    """
+    vartheta = numbers.get("vartheta", constants.Gamma)
+    if not math.isclose(vartheta, constants.Gamma, rel_tol=1e-12, abs_tol=0.0):
+        raise ScenarioFileError(
+            f"{source}: vartheta must equal Gamma, got vartheta={vartheta!r}, Gamma={constants.Gamma!r}"
+        )
+    xi = numbers.get("xi", 1.0)
+    if xi != 1.0:
+        same = ""
+        if 0.0 < xi < math.inf:
+            same = f"; the same physics is xi = 1 with mu = mu/sqrt(xi) = {constants.mu / math.sqrt(xi)!r}"
+        raise ScenarioFileError(f"{source}: xi must be 1, got xi={xi!r}{same}")
+    if numbers.get("hbar", 1.0) != 1.0:
+        raise ScenarioFileError(
+            f"{source}: hbar must be 1: ncho works in natural units, got hbar={numbers['hbar']!r}"
+        )
 
 
 def parse_scenario_file(path) -> ScenarioSpec:

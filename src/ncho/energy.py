@@ -6,7 +6,8 @@ In the state with labels (n, m) the quadratic expectation values are
     <p_j^2> = (1/rho^2 + rho'^2/a^2) (n+m+1)/2,
     <x_j p_k> = eps_{jk} (m-n)/2,
 
-(natural units) which assemble into
+(natural units, hbar = 1, and the invariant normalised to xi = 1, which
+makes 1/rho^2 the width term) which assemble into
 
     <E_{n,m-n}> = (n+m+1)/2 * [b rho^2 + a/rho^2 + rho'^2/a] + (n-m) c(t).
 

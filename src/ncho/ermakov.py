@@ -2,14 +2,17 @@
 
 The invariant machinery rests on a scale function rho(t) obeying
 
-    rho'' - (a'/a) rho' + a*b*rho = xi^2 * a^2 / rho^3,
+    rho'' - (a'/a) rho' + a*b*rho = a^2 / rho^3,
 
-where a(t), b(t) are the quadratic Hamiltonian coefficients. `rho_eval`,
-`coefficient_a` and `coefficient_b` read the analytic family (exponential,
-rational with integer exponent k, linear) from the family table;
-`ep_residual` measures how well a scenario satisfies the equation itself and
-`integrate_ep_numeric` re-solves it with a fixed-step RK4 integrator as an
-independent oracle.
+where a(t), b(t) are the quadratic Hamiltonian coefficients, in natural units
+(hbar = 1). The constant xi^2 that the general equation carries on the right
+is fixed at 1: any other value rescales rho by 1/sqrt(xi) and the invariant
+by xi, leaving its eigenstates and every Hamiltonian coefficient as they are.
+`rho_eval`, `coefficient_a` and `coefficient_b` read the analytic family
+(exponential, rational with integer exponent k, linear) from the family
+table; `ep_residual` measures how well a scenario satisfies the equation
+itself and `integrate_ep_numeric` re-solves it with a fixed-step RK4
+integrator as an independent oracle.
 """
 
 from __future__ import annotations
@@ -64,13 +67,12 @@ def coefficient_b(scenario: Scenario, t: float) -> float:
 
 
 def ep_residual(scenario: Scenario, t) -> EPResidual:
-    """Residual rho'' - (a'/a) rho' + a*b*rho - xi^2*a^2/rho^3 at a time or a grid.
+    """Residual rho'' - (a'/a) rho' + a*b*rho - a^2/rho^3 at a time or a grid.
 
     The scale is the largest magnitude among the four contributing terms, so
     `relative` reports cancellation against the dominant physics rather than
     against 1. Each point's four terms are summed exactly (math.fsum).
     """
-    c = scenario.constants
     ev = rho_eval(scenario, t)
     a, a_dot = coefficient_a(scenario, t)
     b = coefficient_b(scenario, t)
@@ -79,7 +81,7 @@ def ep_residual(scenario: Scenario, t) -> EPResidual:
             ev.rho_ddot,
             -(a_dot / a) * ev.rho_dot,
             a * b * ev.rho,
-            -c.xi**2 * (a * a) / (ev.rho * ev.rho * ev.rho),
+            -(a * a) / (ev.rho * ev.rho * ev.rho),
         ),
         axis=-1,
     )
@@ -99,7 +101,6 @@ def integrate_ep_numeric(scenario: Scenario, t0: float, t1: float, steps: int) -
         raise ValueError(f"steps must be an integer >= 100, got {steps!r}")
     if not t1 > t0:
         raise ValueError(f"need t1 > t0, got [{t0!r}, {t1!r}]")
-    xi2 = scenario.constants.xi**2
     h = (t1 - t0) / steps
     starts = t0 + np.arange(steps) * h
     # (t, a, a', b) at each RK4 stage time, from one family call per stage.
@@ -113,7 +114,7 @@ def integrate_ep_numeric(scenario: Scenario, t0: float, t1: float, steps: int) -
         t, a, a_dot, b = stage
         if not rho > 0.0:
             raise StepUnderflow(f"rho = {rho:g} <= 0 reached near t = {t:g}")
-        return v, (a_dot / a) * v - a * b * rho + xi2 * a**2 / rho**3
+        return v, (a_dot / a) * v - a * b * rho + a**2 / rho**3
 
     start = rho_eval(scenario, t0)
     rho, v = start.rho, start.rho_dot

@@ -50,7 +50,3 @@ class StepUnderflow(NchoError):
 
 class InvalidLabel(NchoError):
     """Quantum-number labels violate n >= 0, m >= 0."""
-
-
-class ConstraintGuard(NchoError):
-    """A reduced closed form was requested whose derivation needs xi = 1."""

@@ -50,7 +50,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConstraintGuard, DomainError, NoConvergence
+from .errors import DomainError, NoConvergence
 from .specfun import gauss_2f1
 
 if TYPE_CHECKING:
@@ -195,45 +195,35 @@ class _Exponential(Family):
 
     def check(self) -> None:
         c = self.constants
-        if c.sigma * c.Delta <= c.vartheta**2 / 4.0:
+        if c.sigma * c.Delta <= c.Gamma**2 / 4.0:
             raise DomainError(
-                "exponential family needs sigma*Delta > vartheta^2/4 "
-                f"(got sigma*Delta={c.sigma * c.Delta:g}, vartheta^2/4={c.vartheta**2 / 4.0:g})"
-            )
-        if not math.isclose(c.vartheta, c.Gamma, rel_tol=1e-12, abs_tol=0.0):
-            raise DomainError(
-                "the closed forms for the exponential-family scenarios are derived with "
-                f"vartheta == Gamma; got vartheta={c.vartheta!r}, Gamma={c.Gamma!r}"
+                "exponential family needs sigma*Delta > Gamma^2/4 "
+                f"(got sigma*Delta={c.sigma * c.Delta:g}, Gamma^2/4={c.Gamma**2 / 4.0:g})"
             )
 
     def constraint(self) -> tuple[str, float, float, tuple[float, ...]]:
         c = self.constants
-        lhs = c.mu**4 * (c.sigma * c.Delta - c.vartheta**2 / 4.0)
-        rhs = c.xi**2 * c.sigma**2
-        terms = (c.mu**4 * c.sigma * c.Delta, c.mu**4 * c.vartheta**2 / 4.0, rhs)
-        return "mu^4*(sigma*Delta - vartheta^2/4) = xi^2*sigma^2", lhs, rhs, terms
+        lhs = c.mu**4 * (c.sigma * c.Delta - c.Gamma**2 / 4.0)
+        rhs = c.sigma**2
+        terms = (c.mu**4 * c.sigma * c.Delta, c.mu**4 * c.Gamma**2 / 4.0, rhs)
+        return "mu^4*(sigma*Delta - Gamma^2/4) = sigma^2", lhs, rhs, terms
 
     def _rho(self, t):
         c = self.constants
-        rho = c.mu * _exp(-c.vartheta * t / 2.0)
-        return rho, -0.5 * c.vartheta * rho, 0.25 * c.vartheta**2 * rho
+        rho = c.mu * _exp(-c.Gamma * t / 2.0)
+        return rho, -0.5 * c.Gamma * rho, 0.25 * c.Gamma**2 * rho
 
     def _a(self, t):
         c = self.constants
-        a = c.sigma * _exp(-c.vartheta * t)
-        return a, -c.vartheta * a
+        a = c.sigma * _exp(-c.Gamma * t)
+        return a, -c.Gamma * a
 
     def _b(self, t):
         c = self.constants
-        return c.Delta * _exp(c.vartheta * t)
+        return c.Delta * _exp(c.Gamma * t)
 
     def _energy(self, t, n_plus: int, n_minus: int, c):
         const = self.constants
-        if const.xi != 1.0:
-            raise ConstraintGuard(
-                "the exponential-family closed-form energy assumes xi = 1, "
-                f"got xi={const.xi!r}"
-            )
         return n_plus * const.mu**2 * const.Delta + n_minus * c
 
 
@@ -396,13 +386,13 @@ class SetIIk(_Rational):
         c = self.constants
         kk = float(self.k_exp)
         lhs = c.Gamma**2 * c.mu
-        rhs = (kk + 2.0) ** 2 * (c.sigma * c.Delta * c.mu - c.xi**2 * c.sigma**2 / c.mu**3)
+        rhs = (kk + 2.0) ** 2 * (c.sigma * c.Delta * c.mu - c.sigma**2 / c.mu**3)
         terms = (
             lhs,
             (kk + 2.0) ** 2 * c.sigma * c.Delta * c.mu,
-            (kk + 2.0) ** 2 * c.xi**2 * c.sigma**2 / c.mu**3,
+            (kk + 2.0) ** 2 * c.sigma**2 / c.mu**3,
         )
-        return "Gamma^2*mu = (k+2)^2*(sigma*Delta*mu - xi^2*sigma^2/mu^3)", lhs, rhs, terms
+        return "Gamma^2*mu = (k+2)^2*(sigma*Delta*mu - sigma^2/mu^3)", lhs, rhs, terms
 
     def _rho(self, t):
         c = self.constants
@@ -493,8 +483,8 @@ class SetIII(_Rational):
     def constraint(self) -> tuple[str, float, float, tuple[float, ...]]:
         c = self.constants
         lhs = c.Delta * c.mu**4
-        rhs = c.xi**2 * c.sigma
-        return "Delta*mu^4 = xi^2*sigma", lhs, rhs, (lhs, rhs)
+        rhs = c.sigma
+        return "Delta*mu^4 = sigma", lhs, rhs, (lhs, rhs)
 
     def _rho(self, t):
         c = self.constants

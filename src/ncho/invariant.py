@@ -7,8 +7,12 @@ The invariant is the quadratic form
 whose coefficients must satisfy alpha' = -a*gamma, beta' = b*gamma and
 gamma' = 2(b*alpha - a*beta) for I to be conserved. With alpha = rho^2 the
 system collapses onto the scale-function equation, giving the closed forms
-evaluated here; `invariant_ode_residuals` re-checks the three ODEs by
-central differencing, which is the computable surrogate for dI/dt = 0.
+evaluated here, in natural units (hbar = 1). They are normalised to
+4*alpha*beta - gamma^2 = 4, the auxiliary constant xi = 1 of Lewis &
+Riesenfeld (J. Math. Phys. 10, 1458 (1969)): another xi multiplies I by xi
+and keeps its eigenstates.
+`invariant_ode_residuals` re-checks the three ODEs by central differencing,
+which is the computable surrogate for dI/dt = 0.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ ODE_STEP = 1e-5
 
 @dataclass(frozen=True)
 class InvariantCoeffs:
-    """Invariant coefficients at a time or on a grid; 4*alpha*beta - gamma^2 = 4*xi^2."""
+    """Invariant coefficients at a time or on a grid; 4*alpha*beta - gamma^2 = 4."""
 
     alpha: float
     beta: float
@@ -34,7 +38,7 @@ class InvariantCoeffs:
 
     @property
     def quadratic_identity(self) -> float:
-        """4*alpha*beta - gamma^2 (equals 4*xi^2 for a consistent scenario)."""
+        """4*alpha*beta - gamma^2 (equals 4 for a consistent scenario)."""
         return 4.0 * self.alpha * self.beta - self.gamma * self.gamma
 
 
@@ -52,11 +56,10 @@ class OdeResiduals:
 
 
 def invariant_coefficients(scenario: Scenario, t) -> InvariantCoeffs:
-    """alpha = rho^2, gamma = -2 rho rho'/a, beta = rho'^2/a^2 + xi^2/rho^2."""
-    xi = scenario.constants.xi
+    """alpha = rho^2, gamma = -2 rho rho'/a, beta = rho'^2/a^2 + 1/rho^2."""
     ev = rho_eval(scenario, t)
     a, _ = coefficient_a(scenario, t)
-    velocity, width = ev.rho_dot / a, xi / ev.rho
+    velocity, width = ev.rho_dot / a, 1.0 / ev.rho
     alpha = ev.rho * ev.rho
     gamma = -2.0 * ev.rho * ev.rho_dot / a
     beta = velocity * velocity + width * width

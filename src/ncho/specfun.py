@@ -20,6 +20,8 @@ import numpy as np
 from .errors import NoConvergence, NonPolynomialCase, OutOfValidatedDomain
 
 DEFAULT_QUAD_TOL = 1e-10
+#: Term budget of the direct 2F1 series.
+_2F1_MAX_TERMS = 500
 
 
 def laguerre(n: int, zeta, w):
@@ -55,31 +57,16 @@ def tricomi_u_poly(m: int, b, w):
     return sign * math.factorial(m) * laguerre(m, b - 1, w)
 
 
-def gauss_2f1(a: float, b: float, c: float, z: complex, max_terms: int = 500) -> complex:
+def gauss_2f1(a: float, b: float, c: float, z: complex) -> complex:
     """Gauss hypergeometric series 2F1(a, b; c; z) by direct summation.
 
-    Terminating (polynomial) cases are summed exactly for any z; otherwise
-    the series is validated only on |z| < 1 and stops once two consecutive
-    terms fall below 1e-16 of the running sum.
+    Validated only on |z| < 1. The sum stops once two consecutive terms fall
+    below 1e-16 of the running sum, which a terminating series reaches
+    exactly at its zero terms.
     """
     if float(c).is_integer() and c <= 0:
         raise ValueError(f"lower parameter must not be a nonpositive integer, got {c!r}")
     z = complex(z)
-
-    poly_n: int | None = None
-    for p in (a, b):
-        if float(p).is_integer() and p <= 0:
-            n = int(round(-p))
-            poly_n = n if poly_n is None else min(poly_n, n)
-
-    if poly_n is not None:
-        total = complex(1.0)
-        term = complex(1.0)
-        for k in range(poly_n):
-            term *= (a + k) * (b + k) / ((c + k) * (1.0 + k)) * z
-            total += term
-        return total
-
     if abs(z) >= 1.0:
         raise OutOfValidatedDomain(
             f"|z| = {abs(z):.6g} >= 1 lies outside the validated direct-series domain"
@@ -87,7 +74,7 @@ def gauss_2f1(a: float, b: float, c: float, z: complex, max_terms: int = 500) ->
     total = complex(1.0)
     term = complex(1.0)
     quiet = 0
-    for k in range(max_terms):
+    for k in range(_2F1_MAX_TERMS):
         term *= (a + k) * (b + k) / ((c + k) * (1.0 + k)) * z
         total += term
         if abs(term) <= 1e-16 * abs(total):
@@ -96,7 +83,7 @@ def gauss_2f1(a: float, b: float, c: float, z: complex, max_terms: int = 500) ->
                 return total
         else:
             quiet = 0
-    raise NoConvergence(f"series did not settle within {max_terms} terms at z={z!r}")
+    raise NoConvergence(f"series did not settle within {_2F1_MAX_TERMS} terms at z={z!r}")
 
 
 @lru_cache(maxsize=None)

@@ -1,12 +1,13 @@
 """Invariant eigenfunctions, evolution phases, and coordinate-power matrix elements.
 
-The invariant operator's eigenfunctions in polar coordinates are
+In natural units (hbar = 1), with the invariant normalised to xi = 1, the
+invariant operator's eigenfunctions in polar coordinates are
 
-    phi_{n,m-n}(r, th) = lam_n (i sqrt(hbar) rho)^m / sqrt(m!) * r^(n-m)
-                         * exp(i th (m-n) - (a - i rho rho') r^2 / (2 a hbar rho^2))
-                         * U(-m, 1-m+n, r^2/(hbar rho^2)),
+    phi_{n,m-n}(r, th) = lam_n (i rho)^m / sqrt(m!) * r^(n-m)
+                         * exp(i th (m-n) - (a - i rho rho') r^2 / (2 a rho^2))
+                         * U(-m, 1-m+n, r^2/rho^2),
 
-with lam_n^2 = 1/(pi n! (hbar rho^2)^(1+n)) taken positive. Solutions of the
+with lam_n^2 = 1/(pi n! (rho^2)^(1+n)) taken positive. Solutions of the
 time-dependent problem are e^{i Theta} phi with the evolution phase
 
     Theta_{n,l}(t) = (n+l) * integral_0^t (c(T) - a(T)/rho^2(T)) dT,
@@ -20,7 +21,7 @@ quadrature (``phase_crosscheck``) and forms e^{i Theta} phi.
 Matrix elements of x^k and y^k reduce to finite sums of exactly evaluated
 Laguerre-weighted integrals. The oracle (and ``overlap``) recomputes them from
 the defining 2-D integral on one tensor rule: 48-node Gauss-Laguerre in
-w = r^2/(hbar rho^2), exact to degree 95 (Golub & Welsch, Math. Comp. 23, 221
+w = r^2/rho^2, exact to degree 95 (Golub & Welsch, Math. Comp. 23, 221
 (1969)), times a 96-point trapezoid, exact below angular degree 96. A validated
 element has degree n + (m + m' + k)/2 <= 9 in w and |m' - m| + k <= 7 in angle,
 so only rounding is left, and the oracle is certified by a bound on it formed
@@ -276,20 +277,16 @@ def _radial_polynomial(n: int, m: int, hr2: float, r, w):
     return scale * w ** ((m - n) / 2.0) * laguerre(n, m - n, w)
 
 
-def _phi(hbar: float, rho: float, gauss: complex, s: StateLabel, r, angle) -> np.ndarray:
-    """phi_{n,m-n} with its Gaussian written exp(-gauss * w / 2), w = r^2/(hbar rho^2).
+def _phi(rho: float, gauss: complex, s: StateLabel, r, angle) -> np.ndarray:
+    """phi_{n,m-n} with its Gaussian written exp(-gauss * w / 2), w = r^2/rho^2.
 
     ``r`` and ``angle`` are arrays (or scalars) that broadcast together. The
     eigenfunction has gauss = 1 - i rho rho'/a; the tensor quadrature passes
     gauss = 0 because its Gauss-Laguerre weight e^{-w} is |Gaussian|^2.
     """
-    hr2 = hbar * rho**2
+    hr2 = rho**2
     # Normalise first: rho = 0 raises ZeroDivisionError before numpy warns on r^2/0.
-    pref = (
-        _norm_lambda(s.n, hr2)
-        * (1j * math.sqrt(hbar) * rho) ** s.m
-        / math.sqrt(math.factorial(s.m))
-    )
+    pref = _norm_lambda(s.n, hr2) * (1j * rho) ** s.m / math.sqrt(math.factorial(s.m))
     w = r**2 / hr2
     radial = pref * _radial_polynomial(s.n, s.m, hr2, r, w)
     return radial * np.exp(1j * (s.m - s.n) * angle - gauss * w / 2.0)
@@ -315,8 +312,8 @@ def eigenfunction_grid(scenario: Scenario, t: float, s: StateLabel, r, angle) ->
     a, _ = coefficient_a(scenario, t)
     if a == 0.0:
         raise DomainError(f"inputs out of numerical range: a(t) underflows to 0 at t={t:g}")
-    _check_width(scenario.hbar * st.rho**2, s, t)
-    return _phi(scenario.hbar, st.rho, 1.0 - 1j * st.rho * st.rho_dot / a, s, r, angle)
+    _check_width(st.rho**2, s, t)
+    return _phi(st.rho, 1.0 - 1j * st.rho * st.rho_dot / a, s, r, angle)
 
 
 def eigenfunction(scenario: Scenario, t: float, s: StateLabel, pt: PolarPoint) -> complex:
@@ -349,9 +346,8 @@ class _QuadGrid:
 
     def __init__(self, scenario: Scenario, t: float):
         self.t = t
-        self.hbar = scenario.hbar
         self.rho = rho_eval(scenario, t).rho
-        self.hr2 = self.hbar * self.rho**2
+        self.hr2 = self.rho**2
         self.w = np.array(_LAGUERRE_48_NODES)
         self.wt = np.array(_LAGUERRE_48_WEIGHTS)
         self.theta = np.arange(96) * (2.0 * math.pi / 96)
@@ -363,7 +359,7 @@ class _QuadGrid:
         if key not in self._stripped:
             _check_width(self.hr2, s, self.t)
             r = np.sqrt(self.hr2 * self.w)[:, None]
-            self._stripped[key] = _phi(self.hbar, self.rho, 0.0, s, r, self.theta[None, :])
+            self._stripped[key] = _phi(self.rho, 0.0, s, r, self.theta[None, :])
         return self._stripped[key]
 
 
@@ -388,7 +384,7 @@ _C_EPS = 256 * 2.0**-52
 def _tensor_integral(
     grid: _QuadGrid, s1: StateLabel, s2: StateLabel, k_pow: int, coordinate: Coordinate | None,
 ) -> tuple[complex, float]:
-    """(hbar rho^2 / 2) * sum of conj(phi1) phi2 r^k trig^k over the tensor rule,
+    """(rho^2 / 2) * sum of conj(phi1) phi2 r^k trig^k over the tensor rule,
     and a bound on its rounding."""
     w, wt, theta = grid.w, grid.wt, grid.theta
     f = np.conjugate(grid.stripped(s1)) * grid.stripped(s2)
@@ -447,10 +443,10 @@ def _element_coefficient(n: int, m: int, m_prime: int, k_pow: int) -> tuple[floa
     integral = laguerre_weighted_integral_exact(
         n - m - r_idx + k_pow, m, n - m, m_prime, n - m_prime
     )
-    # pi/2^k * lam_n^2 (sqrt(hbar) rho)^(2n+k+2) collapses to
-    # hbar^(k/2) rho^k / (2^k n!); everything else is exact rational except
-    # sqrt(m! m'!), which is extracted exactly when it is a perfect square
-    # (in particular on the diagonal, keeping published diagonal values exact).
+    # pi/2^k * lam_n^2 rho^(2n+k+2) collapses to rho^k / (2^k n!); everything
+    # else is exact rational except sqrt(m! m'!), which is extracted exactly
+    # when it is a perfect square (in particular on the diagonal, keeping
+    # published diagonal values exact).
     base = Fraction(math.comb(k_pow, r_idx), 2**k_pow) * integral / math.factorial(n)
     sq_arg = math.factorial(m) * math.factorial(m_prime)
     root = math.isqrt(sq_arg)
@@ -472,7 +468,7 @@ def _matrix_element_sum(
     coeff, r_idx = exact
     diff = m_prime - m
     st = rho_eval(scenario, float(t))
-    value = complex(coeff * scenario.hbar ** (k_pow / 2.0) * st.rho**k_pow)
+    value = complex(coeff * st.rho**k_pow)
     if x_units:
         sign = -1.0 if (k_pow + r_idx) % 2 else 1.0
         value *= sign * _INV_I_POW[k_pow % 4]

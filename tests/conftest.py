@@ -12,19 +12,16 @@ from ncho.hamiltonian import c_complex, nc_parameters
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
-# Figure parameters: M=1, mu=1, Delta=sigma=1e7, omega0=1e3, Gamma=vartheta=1,
-# chi=1 for the rational/linear families, xi=1.
+# Figure parameters: M=1, mu=1, Delta=sigma=1e7, omega0=1e3, Gamma=1,
+# chi=1 for the rational/linear families.
 FIG_BASE = dict(
     mass_M=1.0,
     omega0=1.0e3,
     Gamma=1.0,
-    vartheta=1.0,
     chi=1.0,
     sigma=1.0e7,
     Delta=1.0e7,
     mu=1.0,
-    xi=1.0,
-    hbar=1.0,
 )
 
 
@@ -98,7 +95,7 @@ def fig_scenarios(fig_ia, fig_ib, fig_ic, fig_ii, fig_iii) -> dict[str, Scenario
 # chosen so fixed-step integration and quadrature stay cheap in tests.
 @pytest.fixture(scope="session")
 def mild_ib() -> Scenario:
-    # mu^4 (sigma*Delta - vartheta^2/4) = (16/7)(2 - 1/4) = 4 = xi^2 sigma^2
+    # mu^4 (sigma*Delta - Gamma^2/4) = (16/7)(2 - 1/4) = 4 = sigma^2
     return make_scenario(
         ScenarioKind.SET_IB, omega0=1.0, sigma=2.0, Delta=1.0, mu=(16.0 / 7.0) ** 0.25
     )
@@ -106,7 +103,7 @@ def mild_ib() -> Scenario:
 
 @pytest.fixture(scope="session")
 def mild_ii() -> Scenario:
-    # Gamma^2 mu = 16 (sigma*Delta*mu - xi^2 sigma^2 / mu^3): 1 = 16(17/16 - 1)
+    # Gamma^2 mu = 16 (sigma*Delta*mu - sigma^2 / mu^3): 1 = 16(17/16 - 1)
     return make_scenario(
         ScenarioKind.SET_II_K, k_exp=2, omega0=0.5, sigma=1.0, Delta=17.0 / 16.0, mu=1.0
     )
@@ -114,7 +111,7 @@ def mild_ii() -> Scenario:
 
 @pytest.fixture(scope="session")
 def mild_iii() -> Scenario:
-    # Delta*mu^4 = xi^2 sigma: 2 = 2
+    # Delta*mu^4 = sigma: 2 = 2
     return make_scenario(ScenarioKind.SET_III, omega0=0.5, sigma=2.0, Delta=2.0, mu=1.0)
 
 

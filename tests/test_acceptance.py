@@ -2,7 +2,7 @@
 
 Every criterion exercises the library through its public API with the
 figure-caption parameter sets (M = 1, mu = 1, Delta = sigma = 1e7,
-omega0 = 1e3, Gamma = vartheta = chi = xi = 1) or, where numerical
+omega0 = 1e3, Gamma = chi = 1) or, where numerical
 integration needs a well-conditioned window, the mild parameter variants
 shipped alongside them.
 """
@@ -80,12 +80,11 @@ def test_criterion_03_invariant_closure(fig_scenarios):
     worst_ode = 0.0
     worst_identity = 0.0
     for scenario in fig_scenarios.values():
-        xi_sq4 = 4.0 * scenario.constants.xi**2
         for t in _grid(0.01, 2.0, 25):
             worst_ode = max(worst_ode, invariant_ode_residuals(scenario, t).worst)
             co = invariant_coefficients(scenario, t)
-            gap = abs(4.0 * co.alpha * co.beta - co.gamma**2 - xi_sq4)
-            worst_identity = max(worst_identity, gap / xi_sq4)
+            gap = abs(4.0 * co.alpha * co.beta - co.gamma**2 - 4.0)
+            worst_identity = max(worst_identity, gap / 4.0)
     assert worst_ode <= 1e-6
     assert worst_identity <= 1e-12
 
@@ -141,7 +140,7 @@ def test_criterion_06_matrix_element_oracle(fig_scenarios):
     times = (0.3, 0.6, 0.9)
     for scenario in fig_scenarios.values():
         for t in times:
-            hr2 = scenario.hbar * rho_eval(scenario, t).rho ** 2
+            hr2 = rho_eval(scenario, t).rho ** 2
             for n in range(4):
                 for m in range(4):
                     # Diagonal second power is exact in closed form.

@@ -557,7 +557,7 @@ def test_wavefield_matches_scalar_eigenfunction(capsys, n, m):
     )
     assert code == 0
     _, rows = csv_rows(out)
-    r_max = 4.0 * math.sqrt(scenario.hbar * rho_eval(scenario, t).rho ** 2 * (n + m + 1))
+    r_max = 4.0 * math.sqrt(rho_eval(scenario, t).rho ** 2 * (n + m + 1))
     # Radial index 0 is the smallest radius, r_max / points, next to the origin.
     for i, j in ((0, 0), (0, 5), (1, 17), (20, 40), (points // 2, 3), (points - 1, points - 1)):
         r, angle = r_max * (i + 1) / points, 2.0 * math.pi * j / points
@@ -692,6 +692,36 @@ def test_malformed_scenario_reports_line_number(capsys, tmp_path):
     code, _, err = run_cli(capsys, "verify", "--scenario", str(bad))
     assert code == 2
     assert ":3:" in err and "key = value" in err
+
+
+# One shipped scenario of each kind, and a minimal argument list per subcommand.
+_KIND_FILES = ("set_ia", "set_ib", "set_ic", "set_ii_k2", "set_iii")
+_SUBCOMMANDS = (
+    ("verify",), ("energy",), ("phase", "--m", "1"), ("matelem",), ("ncparams",), ("wavefield",),
+)
+
+
+@pytest.mark.parametrize(
+    "key, value", [("xi", "2"), ("hbar", "2"), ("vartheta", "2")], ids=["xi", "hbar", "vartheta"]
+)
+def test_fixed_keys_exit_two_on_every_subcommand(capsys, tmp_path, key, value):
+    # Gamma = 1 in every shipped file, so vartheta = 2 is 2 Gamma.
+    for name in _KIND_FILES:
+        lines = (SCENARIO_DIR / f"{name}.scenario").read_text().splitlines()
+        path = tmp_path / f"{name}.scenario"
+        kept = [line for line in lines if line.partition("=")[0].strip() != key]
+        path.write_text("\n".join(kept + [f"{key} = {value}"]) + "\n")
+        for argv in _SUBCOMMANDS:
+            code, out, err = run_cli(capsys, *argv, "--scenario", str(path))
+            assert (code, out) == (2, ""), (name, argv)
+            assert err.startswith("error: ") and f"{key} must" in err, (name, argv, err)
+            assert "Traceback" not in err
+    proc = subprocess.run(
+        [sys.executable, "-m", "ncho.cli", "energy", "--scenario", str(path)],
+        capture_output=True, text=True, timeout=120, env=_child_env(),
+    )
+    assert proc.returncode == 2
+    assert f"{key} must" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_help_exits_zero(capsys):

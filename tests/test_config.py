@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,10 +37,7 @@ mu = 1
 def test_parse_minimal_defaults():
     spec = parse_scenario_text(MINIMAL)
     c = spec.constants
-    assert c.xi == 1.0
-    assert c.hbar == 1.0
     assert c.chi == 0.0
-    assert c.vartheta == c.Gamma == 1.0
     assert spec.k_exp == 2
     assert spec.kind is ScenarioKind.SET_IB
 
@@ -60,6 +58,11 @@ def test_parse_comments_and_spacing():
         ("unknown = 3", "unknown key"),
         ("hbar = ", "empty value"),
         ("hbar = abc", "non-numeric"),
+        ("vartheta = 2", "vartheta must equal Gamma"),
+        ("xi = 2", "xi must be 1"),
+        ("xi = -1", "xi must be 1, got xi=-1.0$"),
+        ("hbar = 2", "hbar must be 1: ncho works in natural units"),
+        ("hbar = nan", "hbar must be 1"),
     ],
 )
 def test_parse_bad_lines(line, fragment):
@@ -90,8 +93,7 @@ def test_parse_error_carries_line_number():
 
 def test_constants_domain_errors():
     good = dict(
-        mass_M=1.0, omega0=1.0, Gamma=1.0, vartheta=1.0, chi=0.0,
-        sigma=1.0, Delta=1.0, mu=1.0,
+        mass_M=1.0, omega0=1.0, Gamma=1.0, chi=0.0, sigma=1.0, Delta=1.0, mu=1.0,
     )
     PhysicalConstants(**good)
     for key in ("mass_M", "Gamma", "sigma", "Delta", "mu"):
@@ -131,8 +133,7 @@ def test_family_table_is_complete():
 def test_profile_table():
     """damping(t) and frequency(t) of each family, for constants outside any constraint."""
     c = PhysicalConstants(
-        mass_M=1.0, omega0=2.0, Gamma=3.0, vartheta=3.0, chi=1.0,
-        sigma=1.0, Delta=1.0, mu=1.0,
+        mass_M=1.0, omega0=2.0, Gamma=3.0, chi=1.0, sigma=1.0, Delta=1.0, mu=1.0,
     )
     ia, ib, ic, ii3, iii = (SetIa(c), SetIb(c), SetIc(c), SetIIk(c, 3), SetIII(c))
     assert ia.damping(1.0) == 1.0
@@ -188,14 +189,58 @@ def test_shipped_scenario_files_build():
         assert scenario.constraint_residual <= CONSTRAINT_RTOL, path.name
 
 
+def test_fixed_keys_accept_the_model_values():
+    # vartheta = Gamma (within 1e-12 relative), xi = 1 and hbar = 1.
+    parse_scenario_text(MINIMAL + "vartheta = 1\nxi = 1\nhbar = 1\n")
+    parse_scenario_text(MINIMAL + "vartheta = 1.0000000000001\n")
+
+
+def _xi_form_delta(kind: ScenarioKind, k_exp: int, gamma, sigma, mu, xi) -> float:
+    """Delta that satisfies the family constraint with the auxiliary constant xi:
+    mu^4 (sigma Delta - Gamma^2/4) = xi^2 sigma^2 (exponential),
+    Gamma^2 mu = (k+2)^2 (sigma Delta mu - xi^2 sigma^2/mu^3) (rational),
+    Delta mu^4 = xi^2 sigma (linear)."""
+    if kind is ScenarioKind.SET_II_K:
+        return (gamma**2 * mu / (k_exp + 2) ** 2 + xi**2 * sigma**2 / mu**3) / (sigma * mu)
+    if kind is ScenarioKind.SET_III:
+        return xi**2 * sigma / mu**4
+    return (xi**2 * sigma**2 / mu**4 + gamma**2 / 4.0) / sigma
+
+
+@given(
+    kind=st.sampled_from(list(ScenarioKind)),
+    k_exp=st.integers(1, 4),
+    gamma=st.floats(0.1, 10.0),
+    sigma=st.floats(0.1, 10.0),
+    mu=st.floats(0.1, 10.0),
+    xi=st.floats(0.01, 100.0).filter(lambda x: x != 1.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_rejected_xi_names_the_equivalent_mu(kind, k_exp, gamma, sigma, mu, xi):
+    # (xi, mu) and (1, mu/sqrt(xi)) give the same a, b and c; the message
+    # names the second, and it satisfies the xi = 1 constraint.
+    delta = _xi_form_delta(kind, k_exp, gamma, sigma, mu, xi)
+    text = (
+        f"kind = {kind.value}\nM = 1\nomega0 = 1\nGamma = {gamma!r}\nchi = 1\n"
+        f"sigma = {sigma!r}\nDelta = {delta!r}\nk_exp = {k_exp}\n"
+    )
+    with pytest.raises(ScenarioFileError, match="xi must be 1") as err:
+        parse_scenario_text(text + f"mu = {mu!r}\nxi = {xi!r}\n")
+    suggested = float(re.search(r"mu/sqrt\(xi\) = (\S+)$", str(err.value)).group(1))
+    assert suggested == mu / math.sqrt(xi)
+    scenario = build_scenario(parse_scenario_text(text + f"mu = {suggested!r}\nxi = 1\n"))
+    assert scenario.constraint_residual <= CONSTRAINT_RTOL
+
+
 def format_scenario_text(spec: ScenarioSpec) -> str:
-    """Serialize a spec to the flat key-value grammar that parse reads back."""
+    """Serialize a spec to the flat key-value grammar that parse reads back,
+    stating the fixed keys at the only values they take."""
     c = spec.constants
     lines = [f"kind = {spec.kind.value}"]
     for key, value in (
         ("M", c.mass_M), ("omega0", c.omega0), ("Gamma", c.Gamma),
-        ("vartheta", c.vartheta), ("chi", c.chi), ("sigma", c.sigma),
-        ("Delta", c.Delta), ("mu", c.mu), ("xi", c.xi), ("hbar", c.hbar),
+        ("vartheta", c.Gamma), ("chi", c.chi), ("sigma", c.sigma),
+        ("Delta", c.Delta), ("mu", c.mu), ("xi", 1.0), ("hbar", 1.0),
     ):
         lines.append(f"{key} = {value!r}")
     if spec.kind is ScenarioKind.SET_II_K:
@@ -211,13 +256,10 @@ def scenario_specs(draw):
         mass_M=draw(pos),
         omega0=draw(st.one_of(st.just(0.0), pos)),
         Gamma=draw(pos),
-        vartheta=draw(pos),
         chi=draw(pos),
         sigma=draw(pos),
         Delta=draw(pos),
         mu=draw(pos),
-        xi=draw(pos),
-        hbar=draw(pos),
     )
     return ScenarioSpec(constants=constants, kind=kind, k_exp=draw(st.integers(1, 5)))
 

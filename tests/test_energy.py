@@ -10,7 +10,6 @@ import pytest
 from ncho.config import ScenarioKind, build_scenario, parse_scenario_file
 from ncho.energy import EnergyResult, energy_expectation, energy_series
 from ncho.ermakov import coefficient_a, coefficient_b, rho_eval
-from ncho.errors import ConstraintGuard
 from ncho.hamiltonian import c_complex, reality_horizon_time
 from ncho.spectrum import StateLabel
 
@@ -25,7 +24,7 @@ GROUND = StateLabel(0, 0)
 
 def test_exponential_family_value(fig_ib):
     # (n+m+1) mu^2 Delta with mu=1, Delta=1e7; the assembled route carries the
-    # width-velocity term vartheta^2 mu^2/(8 sigma) ~ 1e-8 on top, which the
+    # width-velocity term Gamma^2 mu^2/(8 sigma) ~ 1e-8 on top, which the
     # family constraint folds into the closed form exactly.
     res = energy_expectation(fig_ib, 0.0, GROUND)
     assert res.value.real == pytest.approx(1.0e7, rel=1e-14)
@@ -85,12 +84,6 @@ def test_cross_check_is_relative_to_the_term_magnitudes():
     family = Perturbed(scenario.family.constants, scenario.family.k_exp)
     with pytest.raises(RuntimeError, match="disagree"):
         energy_expectation(dataclasses.replace(scenario, family=family), t, s)
-
-
-def test_closed_form_guard_for_unit_deformation_only():
-    scenario = make_scenario(ScenarioKind.SET_IB, xi=1.3, enforce=False)
-    with pytest.raises(ConstraintGuard):
-        energy_expectation(scenario, 0.5, GROUND)
 
 
 def test_general_exponent_uses_assembled_route_only():
@@ -186,13 +179,3 @@ def test_energy_series_rejects_bad_grids(fig_ib):
     with pytest.raises(ValueError):
         energy_series(fig_ib, GROUND, [1.0, 0.5])
 
-
-def test_energy_uses_natural_units(fig_ii):
-    # The quantum of action enters wavefunctions and matrix elements but not
-    # these natural-unit energy curves.
-    other = make_scenario(ScenarioKind.SET_II_K, hbar=2.0)
-    for t in (0.0, 1.3):
-        assert (
-            energy_expectation(other, t, StateLabel(2, 1)).value
-            == energy_expectation(fig_ii, t, StateLabel(2, 1)).value
-        )

@@ -27,7 +27,7 @@ def test_rho_closed_forms_at_origin(fig_scenarios):
         ev = rho_eval(scenario, 0.0)
         if name in ("Ia", "Ib", "Ic"):
             assert math.isclose(ev.rho, c.mu, rel_tol=1e-15)
-            assert math.isclose(ev.rho_dot, -0.5 * c.vartheta * c.mu, rel_tol=1e-15)
+            assert math.isclose(ev.rho_dot, -0.5 * c.Gamma * c.mu, rel_tol=1e-15)
         elif name == "II":
             assert math.isclose(ev.rho, math.sqrt(2.0 * c.mu**2 / c.chi), rel_tol=1e-15)
         else:
@@ -55,10 +55,10 @@ def test_exponential_family_time_dependence(fig_ia, fig_ib):
     c = fig_ia.constants
     for t in (0.3, 1.0, 1.7):
         a, _ = coefficient_a(fig_ia, t)
-        assert math.isclose(a, c.sigma * math.exp(-c.vartheta * t), rel_tol=1e-14)
-        assert math.isclose(coefficient_b(fig_ia, t), c.Delta * math.exp(c.vartheta * t), rel_tol=1e-14)
+        assert math.isclose(a, c.sigma * math.exp(-c.Gamma * t), rel_tol=1e-14)
+        assert math.isclose(coefficient_b(fig_ia, t), c.Delta * math.exp(c.Gamma * t), rel_tol=1e-14)
         ev = rho_eval(fig_ib, t)
-        assert math.isclose(ev.rho, c.mu * math.exp(-0.5 * c.vartheta * t), rel_tol=1e-14)
+        assert math.isclose(ev.rho, c.mu * math.exp(-0.5 * c.Gamma * t), rel_tol=1e-14)
 
 
 @given(t=TIMES)

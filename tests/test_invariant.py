@@ -30,7 +30,7 @@ def test_coefficients_built_from_scale_function(fig_scenarios):
             assert co.alpha == ev.rho**2
             assert co.gamma == -2.0 * ev.rho * ev.rho_dot / a
             assert math.isclose(
-                co.beta, (ev.rho_dot / a) ** 2 + (scenario.constants.xi / ev.rho) ** 2,
+                co.beta, (ev.rho_dot / a) ** 2 + (1.0 / ev.rho) ** 2,
                 rel_tol=1e-15,
             )
 
@@ -40,9 +40,8 @@ def test_coefficients_built_from_scale_function(fig_scenarios):
 def test_quadratic_identity(t):
     for kind in SCENARIO_KINDS:
         scenario = make_scenario(kind)
-        target = 4.0 * scenario.constants.xi**2
         got = invariant_coefficients(scenario, t).quadratic_identity
-        assert abs(got - target) <= 1e-12 * target
+        assert abs(got - 4.0) <= 1e-12 * 4.0
 
 
 def test_ode_residuals_small_on_figures(fig_scenarios):
@@ -54,7 +53,9 @@ def test_ode_residuals_small_on_figures(fig_scenarios):
 
 
 def test_ode_residuals_detect_wrong_xi():
-    scenario = make_scenario(ScenarioKind.SET_IB, xi=1.3, enforce=False)
+    # xi = 1.3 with mu = 1 is xi = 1 with mu = 1/sqrt(1.3): a scale function
+    # off its constraint, which the coefficient ODEs must notice.
+    scenario = make_scenario(ScenarioKind.SET_IB, mu=1.0 / math.sqrt(1.3), enforce=False)
     assert invariant_ode_residuals(scenario, 0.5).worst > 1e-4
 
 

@@ -26,3 +26,26 @@ def test_scripts_regenerate_committed_figure_data(tmp_path):
         if (tmp_path / name).read_bytes() != (ROOT / "out" / name).read_bytes()
     ]
     assert changed == []
+
+
+def test_energy_curves_span_an_empty_reality_window(tmp_path):
+    # Delta < M omega0^2: a root of c is complex from t = 0 on, the horizon
+    # is 0.0, and the curve covers [0, 2] as for an unbounded window.
+    scenarios = tmp_path / "scenarios"
+    scenarios.mkdir()
+    (scenarios / "empty.scenario").write_text(
+        "kind = SetIb\nM = 1\nomega0 = 3\nGamma = 1\nsigma = 1\nDelta = 1.25\nmu = 1\n"
+    )
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "energy_curves.py"),
+         "--scenarios", str(scenarios), "--out", str(out)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = (out / "energy_empty_n1_m0.csv").read_text().splitlines()[1:]
+    times = [float(row.split(",")[0]) for row in rows]
+    assert len(times) == 401
+    assert all(a < b for a, b in zip(times, times[1:]))
+    assert times[-1] == 2.0
+    assert {row.split(",")[-1] for row in rows} == {"0"}

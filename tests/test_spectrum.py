@@ -197,7 +197,7 @@ def test_eigenfunction_norm_pins_gaussian_width(fig_ii):
     # overlap() strips the Gaussian, so integrate |phi|^2 r dr dangle of the
     # eigenfunction itself: |phi| is angle-independent, leaving a radial quad.
     t = 0.6
-    r_max = 12.0 * math.sqrt(fig_ii.hbar) * rho_eval(fig_ii, t).rho
+    r_max = 12.0 * rho_eval(fig_ii, t).rho
     for s in (StateLabel(0, 0), StateLabel(1, 2), StateLabel(2, 0)):
         norm, _ = quad(
             lambda r: 2.0 * math.pi * r * abs(eigenfunction(fig_ii, t, s, PolarPoint(r, 0.0))) ** 2,
@@ -247,7 +247,7 @@ def test_first_power_ladder_forms(fig_scenarios):
 def test_second_power_diagonal_is_exact(fig_scenarios):
     for scenario in fig_scenarios.values():
         for t in (0.0, 0.7, 1.6):
-            hr2 = scenario.hbar * rho_eval(scenario, t).rho ** 2
+            hr2 = rho_eval(scenario, t).rho ** 2
             for n in range(3):
                 for m in range(3):
                     got = matrix_element_x_pow(scenario, t, n, m, m, 2)
@@ -258,7 +258,7 @@ def test_second_power_diagonal_is_exact(fig_scenarios):
 def test_second_power_off_diagonal_forms(fig_scenarios):
     t = 0.4
     for scenario in fig_scenarios.values():
-        hr2 = scenario.hbar * rho_eval(scenario, t).rho ** 2
+        hr2 = rho_eval(scenario, t).rho ** 2
         unit = phase_closed_form(scenario, UNIT, t).value
         up2 = cmath.exp(2j * unit)
         got_x = matrix_element_x_pow(scenario, t, 0, 0, 2, 2)
@@ -305,7 +305,7 @@ def _element_uncached(scenario, t, n, m, mp, k, x_units, invariant_basis):
     sq_arg = math.factorial(m) * math.factorial(mp)
     root = math.isqrt(sq_arg)
     coeff = float(base * root) if root * root == sq_arg else float(base) * math.sqrt(sq_arg)
-    value = complex(coeff * scenario.hbar ** (k / 2.0) * rho_eval(scenario, t).rho ** k)
+    value = complex(coeff * rho_eval(scenario, t).rho ** k)
     if x_units:
         value *= (-1.0 if (k + r_idx) % 2 else 1.0) * (1 + 0j, -1j, -1 + 0j, 1j)[k % 4]
     if diff and not invariant_basis:
@@ -313,13 +313,12 @@ def _element_uncached(scenario, t, n, m, mp, k, x_units, invariant_basis):
     return value
 
 
-def test_cached_coefficient_is_bit_identical_to_exact_sum(fig_ib, fig_iii):
-    hbar2 = make_scenario(ScenarioKind.SET_II_K, hbar=2.0)
+def test_cached_coefficient_is_bit_identical_to_exact_sum(fig_ib, fig_ii, fig_iii):
     labels = [
         (n, m, mp, k) for n in range(4) for m in range(4) for mp in range(4) for k in range(4)
     ]
     _element_coefficient.cache_clear()
-    for scenario, t in ((fig_ib, 0.9), (fig_iii, 0.4), (hbar2, 1.3)):
+    for scenario, t in ((fig_ib, 0.9), (fig_iii, 0.4), (fig_ii, 1.3)):
         for n, m, mp, k in labels:
             for basis in (False, True):
                 for fn, x_units in ((matrix_element_x_pow, True), (matrix_element_y_pow, False)):

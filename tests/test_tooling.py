@@ -275,3 +275,34 @@ def test_every_definition_is_reachable_from_an_entry_point():
     # Code that only its own tests use is deleted, not kept as a second route.
     assert len(_span_targets()) > 20
     assert unreachable_definitions() == []
+
+
+# Constants the model fixes (vartheta = Gamma, xi = hbar = 1): the scenario
+# parser rejects any other value, so no code may read one as a setting.
+FIXED_CONSTANTS = {"vartheta", "xi", "hbar"}
+
+
+def fixed_constant_reads(source: str) -> list[tuple[str, int]]:
+    """(attribute, line) of each read of an attribute named in FIXED_CONSTANTS."""
+    return sorted(
+        ((node.attr, node.lineno) for node in ast.walk(ast.parse(source))
+         if isinstance(node, ast.Attribute) and node.attr in FIXED_CONSTANTS),
+        key=lambda item: item[1],
+    )
+
+
+def test_no_code_reads_a_fixed_constant():
+    source = (
+        "a = c.xi**2\n"
+        "b = scenario.hbar\n"
+        "xi = numbers.get('xi', 1.0)\n"
+        "d = self.constants.vartheta * t\n"
+        "e = c.Gamma\n"
+    )
+    assert fixed_constant_reads(source) == [("xi", 1), ("hbar", 2), ("vartheta", 4)]
+    reads = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in SOURCES
+        for name, line in fixed_constant_reads(path.read_text())
+    ]
+    assert reads == []
