@@ -24,9 +24,9 @@ call per family method, apply every per-point cross-check as a mask, and
 hand whole columns to format_table, which writes every table and the figure
 data of scripts/ with a numpy kernel that prints the same bytes as %. A
 value that is not finite is refused with exit 2 and nothing written; a huge
-finite --t1 ends there or in an OverflowError (exit 2), with numpy's
-floating-point warnings silenced. --points is capped at
-10**6 time points (MAX_POINTS) and 1000 per wavefield axis
+finite --t1 ends there or in an OverflowError that names the quantity and
+the time (exit 2), with numpy's floating-point warnings silenced. --points
+is capped at 10**6 time points (MAX_POINTS) and 1000 per wavefield axis
 (MAX_AXIS_POINTS). phase notes on stderr when rows lie outside the reality
 window, and verify prints the window it checked. Exit codes: 0 success, 1 a
 verification or cross-check failed, 2 usage/config errors.

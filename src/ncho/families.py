@@ -16,8 +16,8 @@ class         damping     frequency                     scale-function family
 
 Every class answers damping(t), frequency(t), check() (the domain
 conditions), constraint() as (name, LHS, RHS, term magnitudes), rho(t) as
-(rho, rho', rho''), a(t) as (a, a'), b(t), c_terms(t) as the radicands and
-scales (rad1, s1, rad2, s2) of c = sqrt(rad1) + omega(t) sqrt(rad2),
+(rho, rho', rho''), a(t) as (a, a'), b(t), c_terms(t) as the two radicands
+(rad1, rad2) of c = sqrt(rad1) + omega(t) sqrt(rad2),
 horizon() (None: unbounded, 0.0: empty), energy(t, n+m+1, n-m, c) (None
 where no closed form is published) and unit_phase(t), the integral of
 c - a/rho^2, as (value, validated): the flag marks the times the published
@@ -27,17 +27,16 @@ settles, and not at zero frequency. The base class assembles c(t) itself
 and the phase integrand phase_rate(t) = c - a/rho^2 from those.
 
 Every time-dependent method takes a float or a numpy array of times and
-answers in the same shape: a float gives Python scalars, an array gives
-arrays. Each closed form is written once. Its arithmetic is + - * / on
-floats or float arrays, which round the same either way, and its exp, pow
-and complex square roots go through ``_exp``, ``_pow`` and ``_sq``,
-which evaluate an array element by element with the rounding math and cmath
-give a float. The complex phase forms are cmath code run point by point. So
-a time evaluated alone and inside a grid agree to the bit, and both agree
-with the scalar closed forms the committed figure data under out/ were made
-with: numpy's own exp, pow, complex log and arctan, and its fused complex
-products and divisions, round differently in the last bit, which would show
-in the noise columns of those files.
+answers in the same shape (Python scalars for a float). There is one path:
+``Family._on_grid`` runs each closed form on the times as a flat float
+array, a float as a one-point grid, so a time alone and inside a grid agree
+to the bit. Each closed form is written once, as + - * / on float arrays,
+with exp and pow mapped from math over the elements (``_exp``, ``_pow``) and
+numpy's complex square root, which rounds as cmath.sqrt does (``_sq``); the
+complex phase forms (``_phase_at``) are cmath code run point by point. That
+keeps the committed figure data under out/ byte-identical: numpy's own exp,
+pow, complex log and arctan and its fused complex products and divisions
+round differently in the last bit, which would show in their noise columns.
 """
 
 from __future__ import annotations
@@ -58,26 +57,20 @@ if TYPE_CHECKING:
 
 
 def _exp(x):
-    """math.exp of a number, or of each element of an array."""
-    if not isinstance(x, np.ndarray):
-        return math.exp(x)
+    """math.exp of each element of an array."""
     return np.fromiter(map(math.exp, x.tolist()), float, x.size)
 
 
 def _pow(x, p: float):
-    """x**p for a number, or for each element of an array, as Python's power."""
-    if not isinstance(x, np.ndarray):
-        return x**p
+    """x**p for each element of an array, as Python's power."""
     return np.fromiter(map(pow, x.tolist(), itertools.repeat(p)), float, x.size)
 
 
 def _sq(x):
-    """Principal-branch square root of a number, or of each element of an
-    array; complex for a negative radicand. numpy's complex square root
-    rounds as cmath.sqrt does."""
-    if not isinstance(x, np.ndarray):
-        return cmath.sqrt(x)
-    return np.sqrt(x.astype(complex))
+    """Principal-branch square root of each element of an array, or of a
+    time-independent float (a constant radicand, as in SetIb); complex for a
+    negative radicand. numpy's complex square root rounds as cmath.sqrt does."""
+    return np.sqrt(np.asarray(x, dtype=complex))
 
 
 def _sqrt_lower(x: complex) -> complex:
@@ -86,11 +79,11 @@ def _sqrt_lower(x: complex) -> complex:
     return -r if r.imag > 0.0 else r
 
 
-def _shaped(value, size: int, shape: tuple):
+def _shaped(value, size: int, shape: tuple | None):
     """One output on the flat grid in the caller's shape, or a Python scalar for a float."""
-    if shape is None:
-        return value.item() if isinstance(value, (np.ndarray, np.generic)) else value
     value = np.asarray(value)
+    if shape is None:
+        return value.item()
     if value.shape != (size,):
         value = np.full(size, value)  # a time-independent term
     return value.reshape(shape)
@@ -101,9 +94,9 @@ class Family:
     """Closed forms of one scenario family; ``k_exp`` is read by SetIIk only.
 
     The public time-dependent methods take a float or an array of times and
-    answer in the same shape. Each runs its ``_name`` implementation once,
-    on the float or on the times as a flat float array (``_on_grid``);
-    implementations call each other directly.
+    answer in the same shape. Each runs its ``_name`` implementation once on
+    the times as a flat float array, a float as a one-point grid
+    (``_on_grid``); implementations call each other directly.
     """
 
     constants: PhysicalConstants
@@ -147,26 +140,27 @@ class Family:
         0.0 (an empty window) where a radicand of c is negative at t = 0."""
         if self.constants.omega0 == 0.0:
             return None
-        rad1, _, rad2, _ = self.c_terms(0.0)
+        rad1, rad2 = self.c_terms(0.0)
         return 0.0 if rad1 < 0.0 or rad2 < 0.0 else self._horizon()
 
     def _on_grid(self, method, t, *args):
-        """Run ``method`` on a float, or on the times as a flat float array
-        (array arguments flattened alike); answer in the shape of ``t``."""
-        if isinstance(t, (int, float)):
-            t, shape, size = float(t), None, 1
-        else:
-            shape = np.shape(t)
-            t = np.asarray(t, dtype=float).reshape(-1)
-            size = t.size
-            args = [a.reshape(-1) if isinstance(a, np.ndarray) else a for a in args]
+        """Run ``method`` once on the times as a flat float array (array arguments
+        flattened alike); answer in the shape of ``t``, with Python scalars for a
+        float, the one place a float is told from an array. Names an overflow."""
+        shape = None if isinstance(t, (int, float)) else np.shape(t)
+        t = np.asarray(t, dtype=float).reshape(-1)
+        args = [a.reshape(-1) if isinstance(a, np.ndarray) else a for a in args]
         self._check_times(t)
-        out = method(t, *args)
+        try:
+            out = method(t, *args)
+        except OverflowError as exc:
+            name = method.__name__[1:]
+            raise OverflowError(f"{name}(t) overflows a float for t up to {t.max():g}") from exc
         if out is None:
             return None
         if isinstance(out, tuple):
-            return tuple(_shaped(x, size, shape) for x in out)
-        return _shaped(out, size, shape)
+            return tuple(_shaped(x, t.size, shape) for x in out)
+        return _shaped(out, t.size, shape)
 
     def _check_times(self, t) -> None:
         """Raise DomainError for times outside the family's domain (none here)."""
@@ -175,7 +169,7 @@ class Family:
         return 1.0
 
     def _c(self, t):
-        rad1, _, rad2, _ = self._c_terms(t)
+        rad1, rad2 = self._c_terms(t)
         # At zero frequency the deformation root drops out: 0 * sqrt(rad2) = 0.
         return _sq(rad1) + self._frequency(t) * _sq(rad2)
 
@@ -183,7 +177,7 @@ class Family:
         return self._c(t) - self._a(t)[0] / _pow(self._rho(t)[0], 2.0)
 
     def _unit_phase(self, t):
-        values = [self._phase_at(x) for x in np.atleast_1d(t).tolist()]
+        values = [self._phase_at(x) for x in t.tolist()]
         validated = np.array([v is not None for v in values], dtype=bool)
         return np.array([complex("nan") if v is None else v for v in values], complex), validated
 
@@ -232,11 +226,7 @@ class SetIa(_Exponential):
         c = self.constants
         M, w0, G = c.mass_M, c.omega0, c.Gamma
         e_up, e_dn = _exp(G * t), _exp(-G * t)
-        rad1 = (c.Delta * e_up - M * w0**2 * e_dn) / M
-        s1 = (c.Delta * e_up + M * w0**2 * e_dn) / M
-        rad2 = M * c.sigma * e_dn - 1.0
-        s2 = M * c.sigma * e_dn + 1.0
-        return rad1, s1, rad2, s2
+        return (c.Delta * e_up - M * w0**2 * e_dn) / M, M * c.sigma * e_dn - 1.0
 
     def _horizon(self) -> float:
         """The deformation root closes the window; the balance root only grows."""
@@ -264,21 +254,21 @@ class SetIa(_Exponential):
             return None
         ms = mass * sg
         e_gt = math.exp(g * t)
-        num = e_gt - 2.0 * ms - 2.0 * _sq(ms * (ms - e_gt))
-        den = 1.0 - 2.0 * ms - 2.0 * _sq(ms * (ms - 1.0))
+        num = e_gt - 2.0 * ms - 2.0 * cmath.sqrt(ms * (ms - e_gt))
+        den = 1.0 - 2.0 * ms - 2.0 * cmath.sqrt(ms * (ms - 1.0))
         brk1 = (
             cmath.log(num / den)
             - g * t
-            - 2.0 * _sq(ms * (ms * math.exp(-2.0 * g * t) - math.exp(-g * t)))
-            + 2.0 * _sq(ms * (ms - 1.0))
+            - 2.0 * cmath.sqrt(ms * (ms * math.exp(-2.0 * g * t) - math.exp(-g * t)))
+            + 2.0 * cmath.sqrt(ms * (ms - 1.0))
         )
         # The hypergeometric pair integrates the frequency-like radical; with
         # principal-branch roots its prefactor is -2i*w0 (the antiderivative
         # identity d/dw[w^(-1/4) 2F1(-1/4,1/2;3/4;w)] = -(1/4) w^(-5/4) (1-w)^(-1/2)
         # fixes the sign, and quadrature confirms it).
         brk2 = (
-            _sq(dl / mass * e_gt - w0**2 * math.exp(-g * t))
-            - _sq(dl / mass - w0**2)
+            cmath.sqrt(dl / mass * e_gt - w0**2 * math.exp(-g * t))
+            - cmath.sqrt(dl / mass - w0**2)
             - 2.0j * w0 * series
         )
         return w0 / (2.0 * math.sqrt(ms) * g) * brk1 + 2.0 / g * brk2 - (sg / mu**2) * t
@@ -301,17 +291,15 @@ class SetIb(_ExpDamped):
     def _c_terms(self, t):
         c = self.constants
         M, w0 = c.mass_M, c.omega0
-        rad1 = (c.Delta - M * w0**2) / M
-        s1 = (c.Delta + M * w0**2) / M
-        return rad1, s1, M * c.sigma - 1.0, M * c.sigma + 1.0
+        return (c.Delta - M * w0**2) / M, M * c.sigma - 1.0
 
     def _phase_at(self, t: float) -> complex:
         """Linear in t."""
         c = self.constants
         slope = (
             -c.sigma / c.mu**2
-            + _sq((c.Delta - c.mass_M * c.omega0**2) / c.mass_M)
-            + c.omega0 * _sq(c.mass_M * c.sigma - 1.0)
+            + cmath.sqrt((c.Delta - c.mass_M * c.omega0**2) / c.mass_M)
+            + c.omega0 * cmath.sqrt(c.mass_M * c.sigma - 1.0)
         )
         return slope * t
 
@@ -320,10 +308,7 @@ class SetIc(_ExpDamped):
     def _c_terms(self, t):
         c = self.constants
         M, w0, G = c.mass_M, c.omega0, c.Gamma
-        e_dn = _exp(-G * t)
-        rad1 = (c.Delta - M * w0**2 * e_dn) / M
-        s1 = (c.Delta + M * w0**2 * e_dn) / M
-        return rad1, s1, M * c.sigma - 1.0, M * c.sigma + 1.0
+        return (c.Delta - M * w0**2 * _exp(-G * t)) / M, M * c.sigma - 1.0
 
     def _phase_at(self, t: float) -> complex:
         c = self.constants
@@ -332,16 +317,16 @@ class SetIc(_ExpDamped):
         e_neg = math.exp(-g * t)
         brk = (
             math.sqrt(dl) * g * t
-            + 2.0 * _sq(dl - mass * w0**2)
-            - 2.0 * _sq(dl - mass * w0**2 * e_neg)
+            + 2.0 * cmath.sqrt(dl - mass * w0**2)
+            - 2.0 * cmath.sqrt(dl - mass * w0**2 * e_neg)
             + 2.0
             * math.sqrt(dl)
             * cmath.log(
-                (dl + _sq(dl * (dl - mass * w0**2 * e_neg)))
-                / (dl + _sq(dl * (dl - mass * w0**2)))
+                (dl + cmath.sqrt(dl * (dl - mass * w0**2 * e_neg)))
+                / (dl + cmath.sqrt(dl * (dl - mass * w0**2)))
             )
         )
-        lin = sg * t / mu**2 + 2.0 / g * w0 * (math.exp(-0.5 * g * t) - 1.0) * _sq(
+        lin = sg * t / mu**2 + 2.0 / g * w0 * (math.exp(-0.5 * g * t) - 1.0) * cmath.sqrt(
             mass * sg - 1.0
         )
         return brk / (g * math.sqrt(mass)) - lin
@@ -356,11 +341,10 @@ class _Rational(Family):
     def _check_times(self, t) -> None:
         u = self._u(t)
         bad = u <= 0.0
-        if bad if isinstance(bad, bool) else bad.any():
+        if bad.any():
             i = np.argmax(bad)
             raise DomainError(
-                "rational/linear family needs Gamma*t + chi > 0, "
-                f"got {np.ravel(u)[i]:g} at t={np.ravel(t)[i]:g}"
+                f"rational/linear family needs Gamma*t + chi > 0, got {u[i]:g} at t={t[i]:g}"
             )
 
     def _frequency(self, t):
@@ -427,7 +411,7 @@ class SetIIk(_Rational):
         balance = (c.Delta / M) * _pow(ratio, (k - 2.0) / k)
         frequency2 = w0**2 / _pow(u, 2.0)
         deformation = M * c.sigma * _pow(ratio, (k + 2.0) / k)
-        return balance - frequency2, balance + frequency2, deformation - 1.0, deformation + 1.0
+        return balance - frequency2, deformation - 1.0
 
     def _horizon(self) -> float:
         c = self.constants
@@ -458,18 +442,18 @@ class SetIIk(_Rational):
         rad_u = dm * u**2 - w0**2
         rad_chi = dm * chi**2 - w0**2
         brk1 = (
-            w0 * cmath.atan(w0 / _sq(rad_u))
-            + _sq(rad_u)
+            w0 * cmath.atan(w0 / cmath.sqrt(rad_u))
+            + cmath.sqrt(rad_u)
             - 2.0 * sg / mu**2 * cmath.log(u / chi)
-            - _sq(rad_chi)
-            - w0 * cmath.atan(w0 / _sq(rad_chi))
+            - cmath.sqrt(rad_chi)
+            - w0 * cmath.atan(w0 / cmath.sqrt(rad_chi))
         )
         # The log pairs with the deformation radical; the lower-half-plane root
         # makes the closed form an exact antiderivative of c - a/rho^2 (the
         # principal branch flips the real part inside the reality window).
         brk2 = (
-            _sq(4.0 * sg * mass - chi**2) / chi
-            - _sq(4.0 * sg * mass - u**2) / u
+            cmath.sqrt(4.0 * sg * mass - chi**2) / chi
+            - cmath.sqrt(4.0 * sg * mass - u**2) / u
             + 1.0j
             * cmath.log(
                 (u + _sqrt_lower(u**2 - 4.0 * sg * mass))
@@ -502,7 +486,7 @@ class SetIII(_Rational):
         u = self._u(t)
         balance = c.Delta / (M * _pow(u, 4.0))
         frequency2 = w0**2 / _pow(u, 2.0)
-        return balance - frequency2, balance + frequency2, M * c.sigma - 1.0, M * c.sigma + 1.0
+        return balance - frequency2, M * c.sigma - 1.0
 
     def _horizon(self) -> float:
         """The coordinate-coefficient root closes the window."""
@@ -523,16 +507,16 @@ class SetIII(_Rational):
         mass, w0, g = c.mass_M, c.omega0, c.Gamma
         sg, dl, mu, chi = c.sigma, c.Delta, c.mu, c.chi
         u = g * t + chi
-        part1 = w0 * _sq(mass * sg - 1.0) / g * cmath.log(u / chi) - sg * t / (
+        part1 = w0 * cmath.sqrt(mass * sg - 1.0) / g * cmath.log(u / chi) - sg * t / (
             mu**2 * chi * u
         )
         brk = (
-            _sq(dl / (mass * chi**2) - w0**2)
-            - _sq(dl / (mass * u**2) - w0**2)
+            cmath.sqrt(dl / (mass * chi**2) - w0**2)
+            - cmath.sqrt(dl / (mass * u**2) - w0**2)
             + w0
             * (
-                cmath.atan(w0 * chi / _sq(dl / mass - chi**2 * w0**2))
-                - cmath.atan(w0 * u / _sq(dl / mass - w0**2 * u**2))
+                cmath.atan(w0 * chi / cmath.sqrt(dl / mass - chi**2 * w0**2))
+                - cmath.atan(w0 * u / cmath.sqrt(dl / mass - w0**2 * u**2))
             )
         )
         return part1 + brk / g

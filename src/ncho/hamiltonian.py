@@ -94,7 +94,7 @@ def _nc_inversion(scenario: Scenario, t):
         raise DomainError("theta_nc is undefined at zero frequency (omega(t) = 0)")
     a, _ = coefficient_a(scenario, t)
     b = coefficient_b(scenario, t)
-    rad1, _, rad2, _ = scenario.family.c_terms(t)
+    rad1, rad2 = scenario.family.c_terms(t)
 
     rad_theta = 4.0 * f * (M * a - f)
     scale_theta = 4.0 * f * (M * a + f)

@@ -487,6 +487,22 @@ def test_late_time_underflow_is_named(capsys):
         assert err.startswith(prefix + want), (argv, err)
 
 
+@pytest.mark.parametrize("name", ["set_ia", "set_ib", "set_ic", "set_ii_k2", "set_iii"])
+def test_huge_finite_time_names_the_quantity_that_overflows(capsys, name):
+    path = str(SCENARIO_DIR / f"{name}.scenario")
+    commands = [("energy", "--n", "1", "--m", "2"), ("ncparams",)]
+    if name not in ("set_ib", "set_ic"):  # their phases stay finite at t = 1e300
+        commands.append(("phase", "--m", "1"))
+    for argv in commands:
+        code, out, err = run_cli(capsys, *argv, "--scenario", path, "--t1", "1e300")
+        assert code == 2 and out == "", argv
+        assert re.match(
+            r"error: inputs out of numerical range: \w+\(t\) overflows a float "
+            r"for t up to 1e\+300\n$", err
+        ), (argv, err)
+        assert "math range error" not in err and "(34," not in err, argv
+
+
 def test_matelem_past_the_oracle_range_prints_the_closed_form(capsys):
     # The closed form is exact for any labels; the oracle is validated for
     # n, m, m' <= 4 and k <= 3 only, so past that the table drops its columns.

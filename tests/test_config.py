@@ -118,7 +118,7 @@ def test_family_table_is_complete():
         label, lhs, rhs, terms = family.constraint()
         assert isinstance(label, str) and math.isfinite(lhs - rhs) and terms, name
         assert len(family.rho(t)) == 3 and len(family.a(t)) == 2, name
-        assert math.isfinite(family.b(t)) and len(family.c_terms(t)) == 4, name
+        assert math.isfinite(family.b(t)) and len(family.c_terms(t)) == 2, name
         horizon = family.horizon()
         assert horizon is None or horizon >= 0.0, name
         # Nothing is published for k != 2; the SetIa series needs |z| < 1,

@@ -18,6 +18,7 @@ SCENARIOS = {
     path.stem: build_scenario(parse_scenario_file(path))
     for path in sorted(SCENARIO_DIR.glob("*.scenario"))
 }
+SHIPPED = tuple(SCENARIOS)
 SCENARIOS["set_ii_k3"] = make_scenario(
     ScenarioKind.SET_II_K, k_exp=3, omega0=0.5, sigma=1.0, Delta=1.0, mu=1.0, enforce=False
 )
@@ -67,6 +68,48 @@ def test_grid_and_single_times_agree_bit_for_bit(data):
     whole = family.energy(grid, 4, -1, family.c(grid))
     single = [family.energy(t, 4, -1, family.c(t)) for t in times]
     _assert_same_bits(whole, single, (name, "energy"))
+
+
+# What each public method answers for a float time: Python scalars only.
+SINGLE_TYPES = {
+    "damping": float, "frequency": float, "rho": (float, float, float), "a": (float, float),
+    "b": float, "c_terms": (float, float), "c": complex, "phase_rate": complex,
+    "unit_phase": (complex, bool), "energy": complex,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+def test_a_single_time_runs_as_a_one_point_grid(monkeypatch, name):
+    family = SCENARIOS[name].family
+    t = 0.5
+    seen = []
+
+    def spy(impl):
+        def spied(self, times, *args):
+            seen.append((impl.__name__, times))
+            return impl(self, times, *args)
+
+        spied.__name__ = impl.__name__
+        return spied
+
+    for method in SINGLE_TYPES:
+        impl = getattr(type(family), "_" + method)
+        monkeypatch.setattr(type(family), "_" + method, spy(impl))
+    grid = np.array([0.25, t, 1.0])
+    for method, want in SINGLE_TYPES.items():
+        seen.clear()
+        args = (4, -1, family.c(t)) if method == "energy" else ()
+        single = getattr(family, method)(t, *args)
+        assert seen, (name, method)
+        for impl, times in seen:
+            assert type(times) is np.ndarray and times.dtype == np.float64, (name, impl)
+            assert times.shape == (1,) and times[0] == t, (name, impl)
+        # Python scalars, with the bits of the same time inside a grid.
+        assert [type(x) for x in _parts(single)] == _parts(want), (name, method)
+        grid_args = (4, -1, family.c(grid)) if method == "energy" else ()
+        whole = getattr(family, method)(grid, *grid_args)
+        for x, column in zip(_parts(single), _parts(whole)):
+            assert np.array([x], column.dtype).tobytes() == column[1:2].tobytes(), (name, method)
 
 
 def test_outputs_keep_the_shape_of_the_times():

@@ -72,7 +72,7 @@ def test_c_is_real_across_the_reported_window(name, frac):
 
 def _c_composed(scenario, t):
     # Reference: c(t) composed from the family's radicands and frequency.
-    rad1, _, rad2, _ = scenario.family.c_terms(t)
+    rad1, rad2 = scenario.family.c_terms(t)
     weight = scenario.family.frequency(t)
     term2 = 0.0 if weight == 0.0 else weight * cmath.sqrt(complex(rad2))
     return cmath.sqrt(complex(rad1)) + term2

@@ -1,0 +1,102 @@
+"""SHA-256 of each benchmark CLI operation's exit code, stdout and stderr.
+
+    python3 tools/op_hashes.py --tree . --seeds 0 3 > change.json
+    python3 tools/op_hashes.py --tree ../parent --seeds 0 3 > parent.json
+    python3 tools/op_hashes.py --compare parent.json change.json
+
+Every `ncho` operation of the `grid`, `crosscheck` and `cold` workloads (the
+seeded lists of perfbench/workloads.py, read and never changed) runs
+in-process through `ncho.cli.main` of the package under `--tree/src`, from
+the root of that tree, one after another in one process; the hashes go to
+stdout as JSON. The two figure scripts of `cold` are not run here:
+tests/test_scripts.py pins their files byte for byte. `--compare A B` prints
+each operation whose hash differs or that only one file holds, and exits 1
+if there is any.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import traceback
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+
+from workloads import WORKLOADS, make_ops  # noqa: E402
+
+
+def run_op(cli, argv) -> tuple[object, str, str]:
+    """Exit code, stdout and stderr of one `cli.main(argv)`; an escaped
+    exception gives exit code None and its traceback on stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(list(argv))
+        except Exception:
+            rc = None
+            traceback.print_exc()
+    return rc, out.getvalue(), err.getvalue()
+
+
+def hash_ops(workloads, seeds, size: str = "full") -> dict[str, str]:
+    """{"<workload> seed <s> op <i>: <argv>": sha256 hex} over every CLI operation.
+
+    Scenario paths in the operations are relative: run from a tree's root.
+    """
+    from ncho import cli
+
+    hashes = {}
+    for workload in workloads:
+        for seed in seeds:
+            for i, op in enumerate(make_ops(workload, seed, size)):
+                if op.script:
+                    continue
+                digest = hashlib.sha256(json.dumps(run_op(cli, op.argv)).encode()).hexdigest()
+                hashes[f"{workload} seed {seed} op {i}: {op.key}"] = digest
+    return hashes
+
+
+def compare(a: dict[str, str], b: dict[str, str]) -> list[str]:
+    """One line per operation whose hash differs or that only one side holds."""
+    lines = [f"differs: {key}" for key in a if key in b and a[key] != b[key]]
+    lines += [f"only in A: {key}" for key in a if key not in b]
+    lines += [f"only in B: {key}" for key in b if key not in a]
+    return lines
+
+
+def main(argv: list[str] | None = None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--tree", type=Path, default=PERFBENCH.parent,
+                   help="repository root whose src/ncho runs (default: this one)")
+    p.add_argument("--seeds", nargs="+", type=int, default=[0])
+    p.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"))
+    args = p.parse_args(argv)
+
+    if args.compare:
+        a, b = (json.loads(path.read_text())["hashes"] for path in args.compare)
+        lines = compare(a, b)
+        print("\n".join(lines + [f"{len(a)} vs {len(b)} operations, {len(lines)} differ"]))
+        return 1 if lines else 0
+
+    tree = args.tree.resolve()
+    sys.path.insert(0, str(tree / "src"))
+    os.chdir(tree)
+    os.environ["COLUMNS"] = "80"  # argparse wraps --help to the terminal width
+    import ncho
+
+    if not Path(ncho.__file__).resolve().is_relative_to(tree / "src"):
+        p.error(f"ncho was imported from {ncho.__file__}, not from {tree / 'src'}")
+    hashes = hash_ops(WORKLOADS, args.seeds)
+    print(json.dumps({"tree": str(tree), "seeds": args.seeds, "hashes": hashes}, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
