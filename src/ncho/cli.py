@@ -487,7 +487,7 @@ def cmd_wavefield(args) -> int:
     st = rho_eval(scenario, t)
     # Radius capturing the bulk of the state (the Gaussian scale times the
     # label-dependent spread), so the grid needs no extra flag.
-    r_max = 4.0 * math.sqrt(st.rho**2 * (s.n + s.m + 1))
+    r_max = 4.0 * math.sqrt(st.power(2) * (s.n + s.m + 1))
     r = r_max * np.arange(1, n_grid + 1) / n_grid
     angle = 2.0 * math.pi * np.arange(n_grid) / n_grid
     # psi = e^{i Theta} phi, with the same phase as the `phase` subcommand.

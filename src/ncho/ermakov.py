@@ -35,6 +35,13 @@ class RhoEval:
     rho_ddot: float
     t: float
 
+    def power(self, k: int) -> float:
+        """rho^k; an overflow names rho(t)^k and the time."""
+        try:
+            return self.rho**k
+        except OverflowError as exc:
+            raise OverflowError(f"rho(t)^{k} overflows a float at t={self.t:g}") from exc
+
 
 @dataclass(frozen=True)
 class EPResidual:

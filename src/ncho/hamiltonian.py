@@ -86,7 +86,7 @@ def _nc_inversion(scenario: Scenario, t):
     disagreement raises RuntimeError. Each family method runs once.
     """
     if np.any(np.asarray(t) < 0.0):
-        raise DomainError(f"deformation parameters are validated for t >= 0, got t={np.min(t)!r}")
+        raise DomainError(f"deformation parameters are validated for t >= 0, got t={np.min(t):g}")
     M = scenario.constants.mass_M
     f = scenario.family.damping(t)
     w = scenario.family.frequency(t)

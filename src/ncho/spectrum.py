@@ -17,7 +17,9 @@ whose closed form each scenario family publishes in the family table
 as the independent cross-check, and stands in at the other times. This
 module alone forms Theta from the unit phase (m = 0 carries none), names the
 route of each point (``PhaseMethod``), measures the closed form against
-quadrature (``phase_crosscheck``) and forms e^{i Theta} phi.
+quadrature (``phase_crosscheck``) and forms e^{i Theta} phi. The cross-check
+integrates each time once; where the closed form does not hold, its closed
+column is that quadrature, so the error there is 0 by construction.
 Matrix elements of x^k and y^k reduce to finite sums of exactly evaluated
 Laguerre-weighted integrals. The oracle (and ``overlap``) recomputes them from
 the defining 2-D integral on one tensor rule: 48-node Gauss-Laguerre in
@@ -174,51 +176,40 @@ def _unit_phase_quadrature(scenario: Scenario, t: np.ndarray) -> np.ndarray:
     return np.array([value for value, _ in results], dtype=complex)
 
 
-def _phase(scenario: Scenario, s: StateLabel, t, closed: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Theta = m * (unit phase) on a time grid, and the points quadrature supplied.
-
-    closed=True takes the family's closed form at the points where it holds
-    and quadrature at the rest; closed=False takes quadrature everywhere.
-    m = 0 carries no phase: nothing is evaluated and every point is closed.
-    """
-    t = np.asarray(t, dtype=float)
-    if s.m == 0:
-        return np.zeros(t.shape, dtype=complex), np.zeros(t.shape, dtype=bool)
-    if closed:
-        unit, validated = scenario.family.unit_phase(t)
-    else:
-        unit, validated = np.empty(t.shape, dtype=complex), np.zeros(t.shape, dtype=bool)
-    quadrature = ~validated
-    if quadrature.any():
-        unit[quadrature] = _unit_phase_quadrature(scenario, t[quadrature])
-    return s.m * unit, quadrature
-
-
-def phase_grid(scenario: Scenario, s: StateLabel, t) -> tuple[np.ndarray, np.ndarray]:
+def phase_grid(scenario: Scenario, s: StateLabel, t, quadrature=None) -> tuple:
     """Evolution phase on a time grid: (Theta values, method column).
 
-    The closed form serves every point where it is validated; the method
-    column names each point's route, ClosedForm or Quadrature.
+    Theta = m * (unit phase), nothing evaluated for m = 0: the closed form
+    where it is validated, else quadrature, integrated here or read from
+    ``quadrature`` (the unit phase by quadrature at every time).
     """
-    theta, quadrature = _phase(scenario, s, t, closed=True)
-    methods = np.where(quadrature, PhaseMethod.QUADRATURE.value, PhaseMethod.CLOSED_FORM.value)
-    return theta, methods
-
-
-def phase_quadrature_grid(scenario: Scenario, s: StateLabel, t) -> np.ndarray:
-    """Evolution phase by adaptive quadrature at every time of a grid."""
-    return _phase(scenario, s, t, closed=False)[0]
+    t = np.asarray(t, dtype=float)
+    unit, fallback = np.zeros(t.shape, dtype=complex), np.zeros(t.shape, dtype=bool)
+    if s.m:
+        unit, validated = scenario.family.unit_phase(t)
+        fallback = ~validated
+        if fallback.any():
+            unit[fallback] = (
+                _unit_phase_quadrature(scenario, t[fallback])
+                if quadrature is None else quadrature[fallback]
+            )
+    methods = np.where(fallback, PhaseMethod.QUADRATURE.value, PhaseMethod.CLOSED_FORM.value)
+    return s.m * unit, methods
 
 
 def phase_crosscheck(scenario: Scenario, s: StateLabel, t) -> tuple:
     """Both phase routes on a time grid: (closed, method column, quadrature, error).
 
+    Each time is integrated once, and phase_grid takes that quadrature where
+    the closed form does not hold, so the error there is 0 by construction.
     The error of each point is |closed - quadrature| / max(1, |closed|,
     |quadrature|), a list of floats formed with Python's abs: numpy's
     complex abs rounds differently in the last bit.
     """
-    closed, methods = phase_grid(scenario, s, t)
-    quad = phase_quadrature_grid(scenario, s, t)
+    t = np.asarray(t, dtype=float)
+    unit = _unit_phase_quadrature(scenario, t) if s.m else np.zeros(t.shape, dtype=complex)
+    closed, methods = phase_grid(scenario, s, t, quadrature=unit)
+    quad = s.m * unit
     err = [abs(c - q) / max(1.0, abs(c), abs(q)) for c, q in zip(closed.tolist(), quad.tolist())]
     return closed, methods, quad, err
 
@@ -240,8 +231,8 @@ def _unit_phase(scenario: Scenario, t: float) -> PhaseResult:
 
 
 def phase_quadrature(scenario: Scenario, s: StateLabel, t: float) -> PhaseResult:
-    """Evolution phase by adaptive quadrature of (n+l) * (c - a/rho^2)."""
-    theta = phase_quadrature_grid(scenario, s, [float(t)])
+    """Evolution phase by adaptive quadrature of (n+l) * (c - a/rho^2); none for m = 0."""
+    theta = s.m * _unit_phase_quadrature(scenario, np.array([float(t)])) if s.m else [0j]
     return PhaseResult(complex(theta[0]), PhaseMethod.QUADRATURE)
 
 
@@ -294,8 +285,13 @@ def _phi(rho: float, gauss: complex, s: StateLabel, r, angle) -> np.ndarray:
 
 def _check_width(hr2: float, s: StateLabel, t: float) -> None:
     """A DomainError naming hbar rho^2, not a division by zero, where its power in
-    lam_n underflows to 0 (it decays as e^{-Gamma t} on the exponential families)."""
-    if hr2 ** (1 + s.n) == 0.0:
+    lam_n underflows to 0 (it decays as e^{-Gamma t} on the exponential families),
+    and an OverflowError naming that power where it overflows."""
+    try:
+        power = hr2 ** (1 + s.n)
+    except OverflowError as exc:
+        raise OverflowError(f"rho(t)^{2 + 2 * s.n} overflows a float at t={t:g}") from exc
+    if power == 0.0:
         raise DomainError(
             f"inputs out of numerical range: hbar rho^2 = {hr2:.3g} at t={t:g} "
             f"underflows the normalisation of n = {s.n}"
@@ -312,7 +308,7 @@ def eigenfunction_grid(scenario: Scenario, t: float, s: StateLabel, r, angle) ->
     a, _ = coefficient_a(scenario, t)
     if a == 0.0:
         raise DomainError(f"inputs out of numerical range: a(t) underflows to 0 at t={t:g}")
-    _check_width(st.rho**2, s, t)
+    _check_width(st.power(2), s, t)
     return _phi(st.rho, 1.0 - 1j * st.rho * st.rho_dot / a, s, r, angle)
 
 
@@ -346,8 +342,9 @@ class _QuadGrid:
 
     def __init__(self, scenario: Scenario, t: float):
         self.t = t
-        self.rho = rho_eval(scenario, t).rho
-        self.hr2 = self.rho**2
+        st = rho_eval(scenario, t)
+        self.rho = st.rho
+        self.hr2 = st.power(2)
         self.w = np.array(_LAGUERRE_48_NODES)
         self.wt = np.array(_LAGUERRE_48_WEIGHTS)
         self.theta = np.arange(96) * (2.0 * math.pi / 96)
@@ -468,7 +465,7 @@ def _matrix_element_sum(
     coeff, r_idx = exact
     diff = m_prime - m
     st = rho_eval(scenario, float(t))
-    value = complex(coeff * st.rho**k_pow)
+    value = complex(coeff * st.power(k_pow))
     if x_units:
         sign = -1.0 if (k_pow + r_idx) % 2 else 1.0
         value *= sign * _INV_I_POW[k_pow % 4]

@@ -237,7 +237,8 @@ def test_verify_reports_its_window_and_an_empty_reality_window(capsys, tmp_path)
 def test_verify_counts_an_overflow_as_a_failed_check(capsys, tmp_path):
     # c(t) has an imaginary part near 1000 here, so exp(i Theta) overflows
     # in the matrix-element check; the steep SetIa scenario below does the
-    # same, but its phase check spends seconds in quadrature.
+    # same, but its phase check integrates 22 fallback times of size ~1e7,
+    # about 3 s of quadrature.
     deep = tmp_path / "deep.scenario"
     deep.write_text(_EMPTY_WINDOW.replace("omega0 = 3", "omega0 = 1000"))
     code, out, err = run_cli(capsys, "verify", "--scenario", str(deep))
@@ -487,20 +488,30 @@ def test_late_time_underflow_is_named(capsys):
         assert err.startswith(prefix + want), (argv, err)
 
 
-@pytest.mark.parametrize("name", ["set_ia", "set_ib", "set_ic", "set_ii_k2", "set_iii"])
+@pytest.mark.parametrize(
+    "name", ["set_ia", "set_ib", "set_ic", "set_ii_k2", "set_iii", "mild_iii"]
+)
 def test_huge_finite_time_names_the_quantity_that_overflows(capsys, name):
     path = str(SCENARIO_DIR / f"{name}.scenario")
-    commands = [("energy", "--n", "1", "--m", "2"), ("ncparams",)]
+    huge = ("--t0", "1e300", "--t1", "1e300")
+    commands = [("energy", "--n", "1", "--m", "2", "--t1", "1e300"), ("ncparams", "--t1", "1e300")]
     if name not in ("set_ib", "set_ic"):  # their phases stay finite at t = 1e300
-        commands.append(("phase", "--m", "1"))
+        commands.append(("phase", "--m", "1", "--t1", "1e300"))
+    if name in ("set_iii", "mild_iii"):
+        # rho^k formed outside the family table: the closed element, the
+        # oracle's tensor rule (reached first at k = 1) and the wavefield radius.
+        commands += [("matelem", *huge), ("matelem", "--k", "1", *huge)]
+        commands.append(("wavefield", "--t0", "1e300"))
     for argv in commands:
-        code, out, err = run_cli(capsys, *argv, "--scenario", path, "--t1", "1e300")
+        code, out, err = run_cli(capsys, *argv, "--scenario", path)
         assert code == 2 and out == "", argv
         assert re.match(
-            r"error: inputs out of numerical range: \w+\(t\) overflows a float "
-            r"for t up to 1e\+300\n$", err
+            r"error: inputs out of numerical range: (\w+\(t\) overflows a float "
+            r"for t up to |rho\(t\)\^\d overflows a float at t=)1e\+300\n$", err
         ), (argv, err)
         assert "math range error" not in err and "(34," not in err, argv
+    if name == "set_ii_k2":  # rho stays finite here, and so does the element
+        assert run_cli(capsys, "matelem", "--scenario", path, *huge)[0] == 0
 
 
 def test_matelem_past_the_oracle_range_prints_the_closed_form(capsys):

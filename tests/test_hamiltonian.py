@@ -188,8 +188,11 @@ def test_nc_squares_match_published_family_formulas(fig_scenarios, mild_scenario
 
 
 def test_nc_parameters_domain_errors(fig_ia):
-    with pytest.raises(DomainError):
-        nc_parameters(fig_ia, -0.1)
+    # A float and an array name the time alike, without a numpy repr.
+    message = r"^deformation parameters are validated for t >= 0, got t=-0\.5$"
+    for t in (-0.5, np.array([0.5, -0.5])):
+        with pytest.raises(DomainError, match=message):
+            nc_parameters(fig_ia, t)
     free = make_scenario(ScenarioKind.SET_III, omega0=0.0, sigma=2.0, Delta=2.0, enforce=False)
     with pytest.raises(DomainError):
         nc_parameters(free, 0.5)

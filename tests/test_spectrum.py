@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import roots_laguerre
 
-from ncho import spectrum
+from ncho import cli, spectrum
 from ncho.config import ScenarioKind, build_scenario, parse_scenario_file
 from ncho.ermakov import coefficient_a, rho_eval
 from ncho.errors import DomainError, InvalidLabel, ToleranceNotMet
@@ -30,6 +31,8 @@ from ncho.spectrum import (
     matrix_element_y_pow,
     overlap,
     phase_closed_form,
+    phase_crosscheck,
+    phase_grid,
     phase_quadrature,
     _QuadGrid,
     _element_coefficient,
@@ -109,6 +112,56 @@ def test_phase_series_fallback_beyond_domain(fig_ia, steep_ia):
     for scenario, t in ((fig_ia, 0.5), (steep_ia, 1.3)):
         res = phase_closed_form(scenario, UNIT, t)
         assert res.method is PhaseMethod.QUADRATURE
+
+
+def _verify_phase_grid(scenario):
+    """The 50 times of verify's phase-crossval check."""
+    return cli._linspace(*cli.verify_window(scenario), 50)
+
+
+def _crosscheck_counting_integrals(scenario, s):
+    """phase_crosscheck on the verify grid, and how many integrals it asked for."""
+    asked = []
+    original = spectrum.integrate_adaptive_many
+
+    def spy(f, intervals, tol):
+        asked.extend(intervals)
+        return original(f, intervals, tol)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectrum, "integrate_adaptive_many", spy)
+        result = phase_crosscheck(scenario, s, _verify_phase_grid(scenario))
+    return result, len(asked)
+
+
+@pytest.fixture(scope="module")
+def steep_crosschecks(steep_ia):
+    # The steep SetIa grid mixes 28 closed-form times with 22 fallbacks, and
+    # its fallback integrals cost seconds: run each label once for the module.
+    return {m: _crosscheck_counting_integrals(steep_ia, StateLabel(0, m)) for m in (0, 1, 3)}
+
+
+def test_phase_crosscheck_integrates_each_time_once(steep_crosschecks):
+    set_ia = build_scenario(parse_scenario_file(SCENARIO_DIR / "set_ia.scenario"))
+    assert _crosscheck_counting_integrals(set_ia, UNIT)[1] == 50
+    assert {m: asked for m, (_, asked) in steep_crosschecks.items()} == {0: 0, 1: 50, 3: 50}
+
+
+def test_phase_crosscheck_columns_are_the_single_routes_bit_for_bit(
+    steep_ia, steep_crosschecks
+):
+    t = _verify_phase_grid(steep_ia)
+    for m, ((closed, methods, quad, err), _) in steep_crosschecks.items():
+        s = StateLabel(0, m)
+        theta, grid_methods = phase_grid(steep_ia, s, t)
+        assert closed.tobytes() == theta.tobytes(), m
+        assert methods.tolist() == grid_methods.tolist(), m
+        if m:
+            assert methods.tolist().count(PhaseMethod.QUADRATURE.value) == 22
+        for ti, q in zip(t.tolist(), quad.tolist()):
+            assert repr(q) == repr(phase_quadrature(steep_ia, s, ti).value), (m, ti)
+        fallback = [e for e, method in zip(err, methods) if method == PhaseMethod.QUADRATURE.value]
+        assert all(e == 0.0 for e in fallback), m
 
 
 def test_phase_linear_for_constant_frequency(fig_ib):
@@ -220,6 +273,23 @@ def test_hamiltonian_eigenfunction_phase_wiring(fig_ib):
         ratio = hamiltonian_eigenfunction(fig_ib, t, s, p) / eigenfunction(fig_ib, t, s, p)
         assert abs(ratio - cmath.exp(1j * s.m * unit)) <= 1e-12
         assert abs(abs(ratio) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("t, n, message", [
+    (1e300, 0, "rho(t)^2 overflows a float at t=1e+300"),
+    (1e60, 2, "rho(t)^6 overflows a float at t=1e+60"),
+])
+def test_huge_time_names_the_rho_power_that_overflows(fig_iii, t, n, message):
+    # rho grows without bound on SetIII: rho^2 leaves the float range at
+    # t = 1e300, the normalisation's rho^(2n + 2) sooner.
+    s, pt = StateLabel(n, 0), PolarPoint(0.0, 0.0)
+    for call in (
+        lambda: eigenfunction(fig_iii, t, s, pt),
+        lambda: hamiltonian_eigenfunction(fig_iii, t, s, pt),
+        lambda: overlap(fig_iii, t, s, s),
+    ):
+        with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 # ---------------------------------------------------------------------------

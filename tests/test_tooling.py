@@ -5,6 +5,8 @@ from __future__ import annotations
 import ast
 import importlib
 
+from ncho import cli
+
 from conftest import SCENARIO_DIR
 
 ROOT = SCENARIO_DIR.parent
@@ -206,16 +208,22 @@ def _referenced(node: ast.AST) -> set[str]:
     }
 
 
+def _benchmark_literal(module: str, name: str):
+    """The module-level literal ``name`` of perfbench/<module>.py, read without
+    importing the benchmark."""
+    tree = ast.parse((ROOT / "perfbench" / f"{module}.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == name for target in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"perfbench/{module}.py defines no {name}")
+
+
 def _span_table() -> tuple[tuple[str, tuple[str, ...]], ...]:
     """The (module, function names) pairs perfbench/spans.py wraps, read from its
     TARGETS literal."""
-    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(target, ast.Name) and target.id == "TARGETS" for target in node.targets
-        ):
-            return ast.literal_eval(node.value)
-    raise AssertionError("perfbench/spans.py defines no TARGETS")
+    return _benchmark_literal("spans", "TARGETS")
 
 
 def _span_targets() -> set[str]:
@@ -233,6 +241,12 @@ def test_every_span_target_is_defined_by_its_module():
         if not callable(getattr(importlib.import_module(f"ncho.{module}"), name, None))
     ]
     assert missing == []
+
+
+def test_verify_battery_matches_the_benchmark():
+    # The benchmark fails every verify operation that prints other than
+    # VERIFY_CHECKS PASS rows; a change to the battery must show here first.
+    assert len(cli._VERIFY_CHECKS) == _benchmark_literal("checks", "VERIFY_CHECKS")
 
 
 # The criterion-02 oracle; the Heisenberg-moment propagator planned in the
