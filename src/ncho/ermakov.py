@@ -37,10 +37,15 @@ class RhoEval:
 
     def power(self, k: int) -> float:
         """rho^k; an overflow names rho(t)^k and the time."""
-        try:
-            return self.rho**k
-        except OverflowError as exc:
-            raise OverflowError(f"rho(t)^{k} overflows a float at t={self.t:g}") from exc
+        return named_power(self.rho, k, f"rho(t)^{k}", self.t)
+
+
+def named_power(base, k, name: str, t: float):
+    """base**k; an OverflowError names the power (``name``) and the time t."""
+    try:
+        return base**k
+    except OverflowError as exc:
+        raise OverflowError(f"{name} overflows a float at t={t:g}") from exc
 
 
 @dataclass(frozen=True)

@@ -177,7 +177,10 @@ class Family:
         return self._c(t) - self._a(t)[0] / _pow(self._rho(t)[0], 2.0)
 
     def _unit_phase(self, t):
-        values = [self._phase_at(x) for x in t.tolist()]
+        try:
+            values = [self._phase_at(x) for x in t.tolist()]
+        except ValueError as exc:  # a cmath pole: SetIII's atan argument is -i by t = 1e20
+            raise DomainError(f"unit_phase(t) meets a pole for t up to {t.max():g}") from exc
         validated = np.array([v is not None for v in values], dtype=bool)
         return np.array([complex("nan") if v is None else v for v in values], complex), validated
 

@@ -512,6 +512,27 @@ def test_huge_finite_time_names_the_quantity_that_overflows(capsys, name):
         assert "math range error" not in err and "(34," not in err, argv
     if name == "set_ii_k2":  # rho stays finite here, and so does the element
         assert run_cli(capsys, "matelem", "--scenario", path, *huge)[0] == 0
+    # The eigenfunction prefactors (i rho)^m and rho^(n-m) of the oracle's
+    # tensor rule: rho is huge on set_iii at t = 1e80, tiny on set_ii_k2 at 1e200.
+    power = {"set_iii": ("1e80", r"\(i rho\(t\)\)\^4"), "set_ii_k2": ("1e200", r"rho\(t\)\^-4")}
+    if name in power:
+        t, want = power[name]
+        labels = ("--n", "0", "--m", "3", "--mprime", "4", "--k", "2", "--points", "1")
+        code, out, err = run_cli(capsys, "matelem", "--scenario", path, *labels, "--t0", t, "--t1", t)
+        assert code == 2 and out == ""
+        assert re.fullmatch(
+            rf"error: inputs out of numerical range: {want} overflows a float at t={t[0]}e\+{t[2:]}\n", err
+        ), err
+
+
+def test_closed_form_phase_pole_names_the_time(capsys):
+    # SetIII's atan argument rounds to exactly -i at t = 1e20, the pole of cmath.atan.
+    path = str(SCENARIO_DIR / "set_iii.scenario")
+    at = ("--t0", "1e20", "--t1", "1e20", "--points", "1")
+    for argv in (("phase", "--m", "1"), ("matelem", "--mprime", "1", "--k", "1")):
+        code, out, err = run_cli(capsys, *argv, "--scenario", path, *at)
+        assert code == 2 and out == "", argv
+        assert err == "error: unit_phase(t) meets a pole for t up to 1e+20\n", argv
 
 
 def test_matelem_past_the_oracle_range_prints_the_closed_form(capsys):

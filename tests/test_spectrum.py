@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import gc
 import math
 import re
 from fractions import Fraction
@@ -34,8 +35,12 @@ from ncho.spectrum import (
     phase_crosscheck,
     phase_grid,
     phase_quadrature,
+    _C_EPS,
+    _THETA,
     _QuadGrid,
+    _angular_row,
     _element_coefficient,
+    _phi,
     _quad_grid,
     _tensor_integral,
     _unit_phase,
@@ -435,7 +440,68 @@ def test_oracle_nodes_are_scipy_gauss_laguerre(fig_ib):
     want_nodes, want_weights = roots_laguerre(48)
     assert grid.w.tolist() == want_nodes.tolist()
     assert grid.wt.tolist() == want_weights.tolist()
-    assert grid.theta.size == 96
+    assert _THETA.size == 96
+
+
+def _shipped_scenarios():
+    for path in sorted(SCENARIO_DIR.glob("*.scenario")):
+        yield path.stem, build_scenario(parse_scenario_file(path), enforce_constraint=False)
+
+
+def test_factored_eigenfunction_is_the_full_one_bit_for_bit():
+    # Radial column times angular row against phi on the 48x96 grid, bit for bit.
+    labels = [StateLabel(n, m) for n in range(5) for m in range(5)]
+    for name, scenario in _shipped_scenarios():
+        for t in (0.0, 0.3, 1.2):
+            grid = _QuadGrid(scenario, t)
+            r = np.sqrt(grid.hr2 * grid.w)[:, None]
+            for s in labels:
+                got = grid.radial(s) * _angular_row(s.l)
+                want = _phi(grid.rho, 0.0, s, r, _THETA[None, :], t)
+                assert got.shape == want.shape == (48, 96)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (name, t, s)
+
+
+def test_separable_rounding_bound_matches_the_two_dimensional_sum():
+    # Reference: sum_i wt_i sum_j |f_ij| over the full 2-D integrand.
+    for name, scenario in _shipped_scenarios():
+        for t in (0.0, 1.2):
+            grid = _QuadGrid(scenario, t)
+            r = np.sqrt(grid.hr2 * grid.w)[:, None]
+            full = {
+                (n, m): _phi(grid.rho, 0.0, StateLabel(n, m), r, _THETA[None, :], t)
+                for n in range(3) for m in range(4)
+            }
+            for (n, m), (n2, mp) in ((a, b) for a in full for b in full if a[0] == b[0]):
+                for k in range(4):
+                    for coord in Coordinate:
+                        trig = np.cos(_THETA) if coord is Coordinate.X else np.sin(_THETA)
+                        f = np.conjugate(full[n, m]) * full[n2, mp]
+                        f = f * (grid.hr2 * grid.w[:, None]) ** (k / 2.0) * trig[None, :] ** k
+                        want = _C_EPS * (grid.wt @ np.abs(f).sum(axis=1)) * (grid.hr2 / 2.0) * (
+                            2.0 * math.pi / _THETA.size
+                        )
+                        _, got = _tensor_integral(
+                            grid, StateLabel(n, m), StateLabel(n2, mp), k, coord
+                        )
+                        assert abs(got - want) <= 2e-15 * want, (name, t, n, m, mp, k, coord)
+
+
+def test_tensor_grid_caches_no_full_grid(capsys):
+    # Only 48-point columns are kept per (scenario, t); 96-point rows are shared.
+    for path in ("set_iii", "set_ia"):
+        scenario = str(SCENARIO_DIR / f"{path}.scenario")
+        assert cli.main(["verify", "--scenario", scenario]) == 0
+        for k in ("1", "2", "3"):
+            argv = ["matelem", "--scenario", scenario, "--m", "1", "--mprime", "2", "--k", k]
+            assert cli.main(argv + ["--points", "3"]) == 0
+    capsys.readouterr()
+    grids = [obj for obj in gc.get_objects() if isinstance(obj, _QuadGrid) and obj._radial]
+    assert grids
+    for grid in grids:
+        for value in vars(grid).values():
+            for array in value.values() if isinstance(value, dict) else [value]:
+                assert np.size(array) <= 48, (grid.t, np.shape(array))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -444,7 +510,7 @@ def test_non_finite_integrand_fails_certification(fig_ib, monkeypatch, bad):
     # A nan compares false with every tolerance; the gate must not let it through.
     grid = _QuadGrid(fig_ib, 0.5)
     poisoned = StateLabel(1, 1)
-    grid._stripped[(poisoned.n, poisoned.m)] = np.full((grid.w.size, grid.theta.size), bad + 0j)
+    grid._radial[(poisoned.n, poisoned.m)] = np.full((grid.w.size, 1), bad + 0j)
     monkeypatch.setattr(spectrum, "_quad_grid", lambda scenario, t: grid)
     with pytest.raises(ToleranceNotMet):
         overlap(fig_ib, 0.5, poisoned, poisoned)
