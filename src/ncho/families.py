@@ -177,12 +177,16 @@ class Family:
         return self._c(t) - self._a(t)[0] / _pow(self._rho(t)[0], 2.0)
 
     def _unit_phase(self, t):
-        try:
-            values = [self._phase_at(x) for x in t.tolist()]
-        except ValueError as exc:  # a cmath pole: SetIII's atan argument is -i by t = 1e20
-            raise DomainError(f"unit_phase(t) meets a pole for t up to {t.max():g}") from exc
+        values = [self._phase_point(x) for x in t.tolist()]
         validated = np.array([v is not None for v in values], dtype=bool)
         return np.array([complex("nan") if v is None else v for v in values], complex), validated
+
+    def _phase_point(self, x: float) -> complex | None:
+        """_phase_at(x); a math domain error (SetIII's atan pole at t = 1e20) names the time."""
+        try:
+            return self._phase_at(x)
+        except ValueError as exc:
+            raise DomainError(f"unit_phase(t) is not defined at t={x:g}: {exc}") from exc
 
 
 class _Exponential(Family):

@@ -197,7 +197,6 @@ _GK21_V = (
 )
 
 _GK21_NODES = np.array(_GK21_X, dtype=float)
-_GK21_W_ROW, _GK21_V_ROW = np.array(_GK21_W), np.array(_GK21_V)
 
 #: Most panels bisected per pass, and the panel count that stops refinement.
 _BATCH = 128
@@ -212,11 +211,10 @@ def _gk21(f, edges: list[tuple[float, float]]) -> list[tuple[complex, float, flo
     """GK21 on each (a, b) panel: (integral, error estimate, rounding-error floor).
 
     The integrand is called on the nodes of up to _PANELS_PER_CALL panels
-    at once, and their sums run column by column over all of them. The error
-    is QUADPACK's: the Kronrod-Gauss difference scaled against the integral
-    of |f - mean|, and never below 50 eps times the integral of |f|. Each
-    panel is still summed left to right, as quad_vec's loop sums it, so the
-    results keep its bits, and emit no numpy warning where f is not finite.
+    at once. The error is QUADPACK's: the Kronrod-Gauss difference scaled
+    against the integral of |f - mean|, and never below 50 eps times the
+    integral of |f|. Each panel's sums run left to right, as quad_vec runs
+    them, so the results keep its bits.
     """
     results = []
     for start in range(0, len(edges), _PANELS_PER_CALL):
@@ -225,41 +223,32 @@ def _gk21(f, edges: list[tuple[float, float]]) -> list[tuple[complex, float, flo
         half = 0.5 * (hi - lo)
         nodes = c[:, None] + half[:, None] * _GK21_NODES
         values = np.broadcast_to(f(nodes.ravel()), (nodes.size,)).reshape(nodes.shape)
-        with np.errstate(all="ignore"):
-            results += _gk21_sums(values, half)
+        results += map(_gk21_sums, values.tolist(), half.tolist())
     return results
 
 
-def _row_sums(terms: np.ndarray) -> np.ndarray:
-    """Each row summed left to right, as a loop from 0.0 sums it: 0.0 added last or
-    first only turns a row of -0.0 into 0.0."""
-    return np.add.accumulate(terms, axis=1)[:, -1] + 0.0
-
-
-def _py_abs(z: np.ndarray) -> np.ndarray:
-    """Python's abs elementwise: hypot (np.abs rounds differently) and its OverflowError."""
-    modulus = np.hypot(z.real, z.imag)
-    if np.any(np.isinf(modulus) & np.isfinite(z)):
-        raise OverflowError("absolute value too large")
-    return modulus
-
-
-def _gk21_sums(fv: np.ndarray, h: np.ndarray) -> list[tuple[complex, float, float]]:
-    """Each panel's GK21 result from its row of 21 values and half-width h, as a loop gives it."""
-    s_k = _row_sums(_GK21_V_ROW * fv)
-    s_k_abs = _row_sums(_GK21_V_ROW * _py_abs(fv))
-    s_g = _row_sums(_GK21_W_ROW * fv[:, 1::2])
+def _gk21_sums(fv: list, h: float) -> tuple[complex, float, float]:
+    """One panel's GK21 result from its 21 integrand values and half-width h."""
+    s_k = 0.0
+    s_k_abs = 0.0
+    for v, ff in zip(_GK21_V, fv):
+        s_k += v * ff
+        s_k_abs += v * abs(ff)
+    s_g = 0.0
+    for i, w in enumerate(_GK21_W):
+        s_g += w * fv[2 * i + 1]
     y0 = s_k / 2.0
-    s_k_dabs = _row_sums(_GK21_V_ROW * _py_abs(fv - y0[:, None]))
-    err = _py_abs((s_k - s_g) * h)
-    dabs = _py_abs(s_k_dabs * h)
-    scaled = (dabs != 0) & (err != 0)
-    # Python's float power (numpy's pow differs in the last bit) and min(1.0, x).
-    power = np.array([x**1.5 for x in (200 * err[scaled] / dabs[scaled]).tolist()])
-    err[scaled] = dabs[scaled] * np.where(power < 1.0, power, 1.0)
-    round_err = _py_abs(50 * sys.float_info.epsilon * h * s_k_abs)
-    err = np.where((round_err > sys.float_info.min) & (round_err > err), round_err, err)
-    return list(zip((h * s_k).tolist(), err.tolist(), round_err.tolist()))
+    s_k_dabs = 0.0
+    for v, ff in zip(_GK21_V, fv):
+        s_k_dabs += v * abs(ff - y0)
+    err = float(abs((s_k - s_g) * h))
+    dabs = float(abs(s_k_dabs * h))
+    if dabs != 0 and err != 0:
+        err = dabs * min(1.0, (200 * err / dabs) ** 1.5)
+    round_err = float(abs(50 * sys.float_info.epsilon * h * s_k_abs))
+    if round_err > sys.float_info.min:
+        err = max(err, round_err)
+    return h * s_k, err, round_err
 
 
 class _Adaptive:

@@ -254,7 +254,7 @@ def _norm_lambda(n: int, hr2: float) -> float:
     return 1.0 / math.sqrt(math.pi * math.factorial(n) * hr2 ** (1 + n))
 
 
-def _radial_polynomial(n: int, m: int, hr2: float, r, w, t: float):
+def _radial_polynomial(n: int, m: int, hr2: float, r, w):
     """r^(n-m) * U(-m, 1-m+n, w), evaluated in a form regular at r = 0.
 
     For n < m the apparent r^(n-m) singularity cancels against the
@@ -264,23 +264,23 @@ def _radial_polynomial(n: int, m: int, hr2: float, r, w, t: float):
     """
     if n >= m:
         return r ** (n - m) * tricomi_u_poly(m, 1 - m + n, w)
-    scale = (-1.0) ** n * math.factorial(n) * named_power(hr2, (n - m) / 2.0, f"rho(t)^{n - m}", t)
+    scale = (-1.0) ** n * math.factorial(n) * named_power(hr2, (n - m) / 2.0, f"rho(t)^{n - m}")
     return scale * w ** ((m - n) / 2.0) * laguerre(n, m - n, w)
 
 
-def _phi(rho: float, gauss: complex, s: StateLabel, r, angle, t: float) -> np.ndarray:
+def _phi(rho: float, gauss: complex, s: StateLabel, r, angle) -> np.ndarray:
     """phi_{n,m-n} with its Gaussian written exp(-gauss * w / 2), w = r^2/rho^2.
 
     ``r`` and ``angle`` are arrays (or scalars) that broadcast together. The
     eigenfunction has gauss = 1 - i rho rho'/a; the tensor quadrature passes
     gauss = 0 because its Gauss-Laguerre weight e^{-w} is |Gaussian|^2. An
-    overflowing prefactor power is named with the time t.
+    overflowing prefactor power is named, and the callers add the time.
     """
     hr2 = rho**2
     # Normalise first: rho = 0 raises ZeroDivisionError before numpy warns on r^2/0.
-    pref = _norm_lambda(s.n, hr2) * named_power(1j * rho, s.m, f"(i rho(t))^{s.m}", t)
+    pref = _norm_lambda(s.n, hr2) * named_power(1j * rho, s.m, f"(i rho(t))^{s.m}")
     w = r**2 / hr2
-    radial = pref / math.sqrt(math.factorial(s.m)) * _radial_polynomial(s.n, s.m, hr2, r, w, t)
+    radial = pref / math.sqrt(math.factorial(s.m)) * _radial_polynomial(s.n, s.m, hr2, r, w)
     return radial * np.exp(1j * (s.m - s.n) * angle - gauss * w / 2.0)
 
 
@@ -306,7 +306,10 @@ def eigenfunction_grid(scenario: Scenario, t: float, s: StateLabel, r, angle) ->
     if a == 0.0:
         raise DomainError(f"inputs out of numerical range: a(t) underflows to 0 at t={t:g}")
     _check_width(st.power(2), s, t)
-    return _phi(st.rho, 1.0 - 1j * st.rho * st.rho_dot / a, s, r, angle, t)
+    try:
+        return _phi(st.rho, 1.0 - 1j * st.rho * st.rho_dot / a, s, r, angle)
+    except OverflowError as exc:  # a prefactor power, named without the time
+        raise OverflowError(f"{exc} at t={t:g}") from exc
 
 
 def eigenfunction(scenario: Scenario, t: float, s: StateLabel, pt: PolarPoint) -> complex:
@@ -370,7 +373,10 @@ class _QuadGrid:
         if key not in self._radial:
             _check_width(self.hr2, s, self.t)
             r = np.sqrt(self.hr2 * self.w)[:, None]
-            self._radial[key] = _phi(self.rho, 0.0, s, r, 0.0, self.t)
+            try:
+                self._radial[key] = _phi(self.rho, 0.0, s, r, 0.0)
+            except OverflowError as exc:  # a prefactor power, named without the time
+                raise OverflowError(f"{exc} at t={self.t:g}") from exc
         return self._radial[key]
 
     def power(self, k_pow: int) -> np.ndarray:

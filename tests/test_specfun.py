@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import sys
 from fractions import Fraction
 
 import mpmath
@@ -16,9 +15,6 @@ from ncho.ermakov import coefficient_a, rho_eval
 from ncho.errors import NoConvergence, NonPolynomialCase, OutOfValidatedDomain
 from ncho.hamiltonian import c_complex
 from ncho.specfun import (
-    _GK21_V,
-    _GK21_W,
-    _gk21_sums,
     gauss_2f1,
     integrate_adaptive_full,
     integrate_adaptive_many,
@@ -233,7 +229,7 @@ def test_adaptive_quadrature_empty_interval_and_errors():
         ("set_ia_phase", 0.0, 2.0, 1e-10, 2),
         ("laguerre_weighted", 0.0, 80.0, 1e-10, 0),
         ("oscillating", 0.0, 1.0, 1e-14, 1),
-        # The panel sums of a non-finite integrand stay silent, as quad_vec's loop is.
+        # A non-finite integrand fails the quadrature without a numpy warning.
         pytest.param(
             "infinite", 0.0, 1.0, 1e-10, 3, marks=pytest.mark.filterwarnings("error::RuntimeWarning")
         ),
@@ -283,60 +279,3 @@ def test_side_by_side_integrals_keep_their_bits(fig_ia):
 
     integrate_adaptive_many(counted, [(0.0, x) for x in np.linspace(0.1, 2.0, 40)])
     assert len(calls) < 10 and sum(calls) % 21 == 0
-
-
-def _gk21_sums_loop(fv: list, h: float) -> tuple[complex, float, float]:
-    """Reference: one panel's GK21 sums as quad_vec's Python loop forms them."""
-    s_k = 0.0
-    s_k_abs = 0.0
-    for v, ff in zip(_GK21_V, fv):
-        s_k += v * ff
-        s_k_abs += v * abs(ff)
-    s_g = 0.0
-    for i, w in enumerate(_GK21_W):
-        s_g += w * fv[2 * i + 1]
-    y0 = s_k / 2.0
-    s_k_dabs = 0.0
-    for v, ff in zip(_GK21_V, fv):
-        s_k_dabs += v * abs(ff - y0)
-    err = float(abs((s_k - s_g) * h))
-    dabs = float(abs(s_k_dabs * h))
-    if dabs != 0 and err != 0:
-        err = dabs * min(1.0, (200 * err / dabs) ** 1.5)
-    round_err = float(abs(50 * sys.float_info.epsilon * h * s_k_abs))
-    if round_err > sys.float_info.min:
-        err = max(err, round_err)
-    return h * s_k, err, round_err
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("batch", [1, 600])
-@pytest.mark.parametrize("dtype", [float, complex])
-def test_vectorised_panel_sums_equal_the_per_panel_loop(batch, dtype):
-    rng = np.random.default_rng(batch)
-    special = np.array([0.0, -0.0, math.inf, -math.inf, math.nan])
-    for trial in range(24):
-        parts = []
-        for _ in range(2 if dtype is complex else 1):
-            part = rng.standard_normal((batch, 21)) * 10.0 ** rng.integers(-6, 6, (batch, 1))
-            mask = rng.random((batch, 21)) < 0.05
-            part[mask] = rng.choice(special, mask.sum())
-            parts.append(part)
-        fv = np.empty((batch, 21), dtype)
-        fv.real = parts[0]
-        if dtype is complex:
-            fv.imag = parts[1]
-        fv[0, :trial] = -0.0 if trial % 2 else 0.0  # leading zeros; all 21 from trial 21
-        h = rng.random(batch) * 10.0 ** rng.integers(-8, 3, batch)
-        if trial % 3 == 0:
-            h[-1] = 1e308  # err and dabs overflow to inf: min(1.0, inf/inf) is 1.0
-        with np.errstate(all="ignore"):  # _gk21 silences the sums, as here
-            got = _gk21_sums(fv, h)
-        want = list(map(_gk21_sums_loop, fv.tolist(), h.tolist()))
-        assert repr(got) == repr(want)  # repr tells every bit apart, nan included
-    # Python's complex abs raises where a finite value's modulus overflows.
-    huge = np.full((batch, 21), 1.7e308 + 1.7e308j)
-    with pytest.raises(OverflowError, match="absolute value too large"):
-        _gk21_sums_loop(huge[0].tolist(), 0.5)
-    with pytest.raises(OverflowError, match="absolute value too large"), np.errstate(all="ignore"):
-        _gk21_sums(huge, np.full(batch, 0.5))

@@ -297,6 +297,19 @@ def test_huge_time_names_the_rho_power_that_overflows(fig_iii, t, n, message):
             call()
 
 
+def test_huge_time_names_the_prefactor_power_that_overflows():
+    # (i rho)^m of phi overflows before rho^(2n + 2) for n = 0, m = 4 on set_iii at
+    # t = 1e80; both callers of _phi, the point and the oracle's grid, add the time.
+    scenario = build_scenario(parse_scenario_file(SCENARIO_DIR / "set_iii.scenario"))
+    s, message = StateLabel(0, 4), "(i rho(t))^4 overflows a float at t=1e+80"
+    for call in (
+        lambda: eigenfunction(scenario, 1e80, s, PolarPoint(0.0, 0.0)),
+        lambda: overlap(scenario, 1e80, s, s),
+    ):
+        with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # Matrix elements
 # ---------------------------------------------------------------------------
@@ -457,7 +470,7 @@ def test_factored_eigenfunction_is_the_full_one_bit_for_bit():
             r = np.sqrt(grid.hr2 * grid.w)[:, None]
             for s in labels:
                 got = grid.radial(s) * _angular_row(s.l)
-                want = _phi(grid.rho, 0.0, s, r, _THETA[None, :], t)
+                want = _phi(grid.rho, 0.0, s, r, _THETA[None, :])
                 assert got.shape == want.shape == (48, 96)
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (name, t, s)
 
@@ -469,7 +482,7 @@ def test_separable_rounding_bound_matches_the_two_dimensional_sum():
             grid = _QuadGrid(scenario, t)
             r = np.sqrt(grid.hr2 * grid.w)[:, None]
             full = {
-                (n, m): _phi(grid.rho, 0.0, StateLabel(n, m), r, _THETA[None, :], t)
+                (n, m): _phi(grid.rho, 0.0, StateLabel(n, m), r, _THETA[None, :])
                 for n in range(3) for m in range(4)
             }
             for (n, m), (n2, mp) in ((a, b) for a in full for b in full if a[0] == b[0]):

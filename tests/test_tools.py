@@ -6,8 +6,6 @@ import importlib.util
 import json
 import sys
 
-import pytest
-
 from conftest import SCENARIO_DIR
 
 ROOT = SCENARIO_DIR.parent
@@ -38,17 +36,3 @@ def test_two_runs_of_a_workload_hash_equal(monkeypatch, tmp_path, capsys):
     assert op_hashes.main(["--compare", *map(str, paths)]) == 1
     out = capsys.readouterr().out
     assert out.endswith(f"differs: {key}\n41 vs 41 operations, 1 differ\n")
-
-
-def test_workloads_option_hashes_only_the_named_workloads(monkeypatch, capsys):
-    op_hashes = _load_op_hashes(monkeypatch)
-    monkeypatch.chdir(ROOT)  # main() moves to the tree's root; undo that afterwards
-    monkeypatch.setenv("COLUMNS", "80")
-    assert op_hashes.main(["--workloads", "cold", "--seeds", "0"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    ops = [op for op in op_hashes.make_ops("cold", 0, "full") if not op.script]
-    assert report["workloads"] == ["cold"] and report["seeds"] == [0]
-    assert len(report["hashes"]) == len(ops) > 0
-    assert all(key.startswith("cold seed 0 op ") for key in report["hashes"])
-    with pytest.raises(SystemExit):
-        op_hashes.main(["--workloads", "bogus"])

@@ -4,9 +4,8 @@
     python3 tools/op_hashes.py --tree ../parent --seeds 0 3 > parent.json
     python3 tools/op_hashes.py --compare parent.json change.json
 
-Every `ncho` operation of the `grid`, `crosscheck` and `cold` workloads, or of
-those named by `--workloads` (the seeded lists of perfbench/workloads.py, read
-and never changed), runs
+Every `ncho` operation of the `grid`, `crosscheck` and `cold` workloads (the
+seeded lists of perfbench/workloads.py, read and never changed) runs
 in-process through `ncho.cli.main` of the package under `--tree/src`, from
 the root of that tree, one after another in one process; the hashes go to
 stdout as JSON. The two figure scripts of `cold` are not run here:
@@ -77,8 +76,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--tree", type=Path, default=PERFBENCH.parent,
                    help="repository root whose src/ncho runs (default: this one)")
     p.add_argument("--seeds", nargs="+", type=int, default=[0])
-    p.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS),
-                   metavar="NAME", help=f"workloads to hash (default: all of {', '.join(WORKLOADS)})")
     p.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"))
     args = p.parse_args(argv)
 
@@ -96,11 +93,8 @@ def main(argv: list[str] | None = None) -> int:
 
     if not Path(ncho.__file__).resolve().is_relative_to(tree / "src"):
         p.error(f"ncho was imported from {ncho.__file__}, not from {tree / 'src'}")
-    hashes = hash_ops(args.workloads, args.seeds)
-    print(json.dumps(
-        {"tree": str(tree), "workloads": args.workloads, "seeds": args.seeds, "hashes": hashes},
-        indent=1,
-    ))
+    hashes = hash_ops(WORKLOADS, args.seeds)
+    print(json.dumps({"tree": str(tree), "seeds": args.seeds, "hashes": hashes}, indent=1))
     return 0
 
 
