@@ -12,7 +12,8 @@ phase      -- evolution phase over a time grid, with the method per row.
 matelem    -- one matrix element over a time grid, closed form next to the
               exact-rule quadrature oracle, certified by its rounding bound;
               past the oracle's validated labels the closed form alone, with
-              a note on stderr.
+              a note on stderr. Each time's rho and unit phase are formed
+              once, shared by the closed form and the oracle.
 ncparams   -- deformation parameters over a time grid with reality flags.
 wavefield  -- |psi|^2 sampled on an (r, angle) grid at fixed time.
 
@@ -53,7 +54,7 @@ from .spectrum import (
     ORACLE_MAX_POWER,
     Coordinate,
     StateLabel,
-    hamiltonian_eigenfunction_grid,
+    hamiltonian_eigenfunction,
     matrix_element_oracle,
     matrix_element_x_pow,
     matrix_element_y_pow,
@@ -453,10 +454,15 @@ def cmd_matelem(args) -> int:
     m_prime = args.m if args.mprime is None else args.mprime
     closed_fn = matrix_element_x_pow if args.coord == "x" else matrix_element_y_pow
     t = _time_grid(args)
-    # The oracle is one exact 2-D tensor rule per time, certified by its rounding bound.
     labels = (args.n, args.m, m_prime, args.k)
-    closed = np.array([closed_fn(scenario, ti, *labels) for ti in t.tolist()])
-    if not oracle_validated(*labels):
+    validated = oracle_validated(*labels)
+    # At each time the closed form, then the oracle (an exact, rounding-certified 2-D rule).
+    closed, oracle = np.array([
+        (closed_fn(scenario, ti, *labels),
+         matrix_element_oracle(scenario, ti, *labels, args.coord) if validated else 0j)
+        for ti in t.tolist()
+    ]).T
+    if not validated:
         print(
             f"note: the oracle is validated for n, m, m' <= {ORACLE_MAX_LABEL} and "
             f"k <= {ORACLE_MAX_POWER} only; printing the closed form alone",
@@ -464,9 +470,6 @@ def cmd_matelem(args) -> int:
         )
         sys.stdout.write(format_table(MATELEM_CLOSED_TABLE, (t, closed.real, closed.imag)))
         return 0
-    oracle = np.array(
-        [matrix_element_oracle(scenario, ti, *labels, args.coord) for ti in t.tolist()]
-    )
     columns = (t, closed.real, closed.imag, oracle.real, oracle.imag, np.abs(closed - oracle))
     sys.stdout.write(format_table(MATELEM_TABLE, columns))
     return 0
@@ -484,14 +487,13 @@ def cmd_wavefield(args) -> int:
     s = _state(args)
     n_grid = _points(args.points, MAX_AXIS_POINTS)
     t = _start_time(args.t0)
-    st = rho_eval(scenario, t)
     # Radius capturing the bulk of the state (the Gaussian scale times the
     # label-dependent spread), so the grid needs no extra flag.
-    r_max = 4.0 * math.sqrt(st.power(2) * (s.n + s.m + 1))
+    r_max = 4.0 * math.sqrt(rho_eval(scenario, t).power(2) * (s.n + s.m + 1))
     r = r_max * np.arange(1, n_grid + 1) / n_grid
     angle = 2.0 * math.pi * np.arange(n_grid) / n_grid
     # psi = e^{i Theta} phi, with the same phase as the `phase` subcommand.
-    psi = hamiltonian_eigenfunction_grid(scenario, t, s, r[:, None], angle[None, :])
+    psi = hamiltonian_eigenfunction(scenario, t, s, r[:, None], angle[None, :])
     density = np.abs(psi) ** 2
     columns = (np.repeat(r, n_grid), np.tile(angle, n_grid), density.ravel())
     sys.stdout.write(format_table(WAVEFIELD_TABLE, columns))

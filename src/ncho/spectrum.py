@@ -19,7 +19,9 @@ module alone forms Theta from the unit phase (m = 0 carries none), names the
 route of each point (``PhaseMethod``), measures the closed form against
 quadrature (``phase_crosscheck``) and forms e^{i Theta} phi. The cross-check
 integrates each time once; where the closed form does not hold, its closed
-column is that quadrature, so the error there is 0 by construction.
+column is that quadrature, so the error there is 0 by construction. A single
+time's rho, hbar rho^2, unit phase and oracle columns are formed once, in a
+cached slice (``_Slice``) that its phase, eigenfunctions and elements share.
 Matrix elements of x^k and y^k reduce to finite sums of exactly evaluated
 Laguerre-weighted integrals. The oracle (and ``overlap``) recomputes them from
 the defining 2-D integral on one tensor rule: 48-node Gauss-Laguerre in
@@ -37,14 +39,14 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .config import Scenario
 from .errors import DomainError, InvalidLabel, ToleranceNotMet
-from .ermakov import coefficient_a, named_power, rho_eval
+from .ermakov import RhoEval, coefficient_a, named_power, rho_eval
 from .specfun import (
     integrate_adaptive_many,
     laguerre,
@@ -68,7 +70,7 @@ _REL_FLOOR = 1e-12
 # exact doubles of scipy.special.roots_laguerre(48). Recomputing it (numpy's
 # laggauss, for one) moves the weights by up to 5e-13 relative, and with them
 # the last bits of every oracle sum.
-_LAGUERRE_48_NODES = (
+_LAGUERRE_48_NODES = np.array((
     0.029811235829960116, 0.1571079906178763, 0.3862650375764556,
     0.7175746941169723, 1.1513938340264347, 1.6881858234190472,
     2.328527006653229, 3.073110861652639, 3.9227524130464806,
@@ -85,8 +87,8 @@ _LAGUERRE_48_NODES = (
     97.38666771358153, 103.90883335717626, 110.90422088497627,
     118.45642504628363, 126.68342576888583, 135.7625895778643,
     145.98643270946346, 157.915612022978, 172.99632814856324,
-)
-_LAGUERRE_48_WEIGHTS = (
+))
+_LAGUERRE_48_WEIGHTS = np.array((
     0.0742620058280286, 0.15227194980935374, 0.1904090882639105,
     0.186633059484805, 0.15342420015757793, 0.10877969280748967,
     0.06746073860921936, 0.03688119411582121, 0.01785684426915667,
@@ -103,7 +105,7 @@ _LAGUERRE_48_WEIGHTS = (
     3.201636795354865e-42, 5.035869166060801e-45, 4.962487540702896e-48,
     2.823510716120364e-51, 8.268446069503922e-55, 1.0490648478211722e-58,
     4.346574422738575e-63, 3.434736438396534e-68, 1.3190660883980075e-74,
-)
+))
 
 
 @dataclass(frozen=True)
@@ -122,18 +124,6 @@ class StateLabel:
     @property
     def l(self) -> int:  # noqa: E743 - established symbol
         return self.m - self.n
-
-
-@dataclass(frozen=True)
-class PolarPoint:
-    """Point in the polar plane; `angle` is the polar angle (not a deformation parameter)."""
-
-    r: float
-    angle: float
-
-    def __post_init__(self) -> None:
-        if not (self.r >= 0.0) or not math.isfinite(self.r):
-            raise DomainError(f"radius must be finite and >= 0, got {self.r!r}")
 
 
 class PhaseMethod(enum.Enum):
@@ -214,22 +204,6 @@ def phase_crosscheck(scenario: Scenario, s: StateLabel, t) -> tuple:
     return closed, methods, quad, err
 
 
-@lru_cache(maxsize=4096)
-def _phase_point(scenario: Scenario, s: StateLabel, t: float) -> PhaseResult:
-    """Theta at one time and its route, as on a one-point grid.
-
-    Cached: a one-point grid costs tens of microseconds, and matrix-element
-    sweeps ask for the same (scenario, t) once per label.
-    """
-    theta, methods = phase_grid(scenario, s, [t])
-    return PhaseResult(complex(theta[0]), PhaseMethod(methods[0]))
-
-
-def _unit_phase(scenario: Scenario, t: float) -> PhaseResult:
-    """The unit phase at one time, cached."""
-    return _phase_point(scenario, _UNIT, t)
-
-
 def phase_quadrature(scenario: Scenario, s: StateLabel, t: float) -> PhaseResult:
     """Evolution phase by adaptive quadrature of (n+l) * (c - a/rho^2); none for m = 0."""
     theta = s.m * _unit_phase_quadrature(scenario, np.array([float(t)])) if s.m else [0j]
@@ -242,16 +216,28 @@ def phase_closed_form(scenario: Scenario, s: StateLabel, t: float) -> PhaseResul
     Where no closed form is validated (hypergeometric argument outside
     |z| < 1 or its series unsettled near |z| = 1, zero frequency, or
     k != 2) the result comes from quadrature and says so in ``method``.
+    m = 0 evaluates nothing; other m scale the unit phase of the time's slice.
     """
-    return _phase_point(scenario, s, float(t))
+    if not s.m:
+        return PhaseResult(0j, PhaseMethod.CLOSED_FORM)
+    unit = _slice(scenario, float(t)).unit
+    return PhaseResult(s.m * unit.value, unit.method)
 
 
 # --------------------------------------------------------------------------
 # Eigenfunctions
 # --------------------------------------------------------------------------
 
+def _as_float(x, name: str, labels: str) -> float:
+    """float(x) of an exact int or Fraction; an overflow names the quantity and its labels."""
+    try:
+        return float(x)
+    except OverflowError as exc:
+        raise OverflowError(f"{name} overflows a float for {labels}") from exc
+
+
 def _norm_lambda(n: int, hr2: float) -> float:
-    return 1.0 / math.sqrt(math.pi * math.factorial(n) * hr2 ** (1 + n))
+    return 1.0 / math.sqrt(math.pi * _as_float(math.factorial(n), "n!", f"n={n}") * hr2 ** (1 + n))
 
 
 def _radial_polynomial(n: int, m: int, hr2: float, r, w):
@@ -274,13 +260,14 @@ def _phi(rho: float, gauss: complex, s: StateLabel, r, angle) -> np.ndarray:
     ``r`` and ``angle`` are arrays (or scalars) that broadcast together. The
     eigenfunction has gauss = 1 - i rho rho'/a; the tensor quadrature passes
     gauss = 0 because its Gauss-Laguerre weight e^{-w} is |Gaussian|^2. An
-    overflowing prefactor power is named, and the callers add the time.
+    overflowing prefactor power or factorial is named; the callers add the time.
     """
     hr2 = rho**2
     # Normalise first: rho = 0 raises ZeroDivisionError before numpy warns on r^2/0.
     pref = _norm_lambda(s.n, hr2) * named_power(1j * rho, s.m, f"(i rho(t))^{s.m}")
     w = r**2 / hr2
-    radial = pref / math.sqrt(math.factorial(s.m)) * _radial_polynomial(s.n, s.m, hr2, r, w)
+    m_fact = _as_float(math.factorial(s.m), "m!", f"m={s.m}")
+    radial = pref / math.sqrt(m_fact) * _radial_polynomial(s.n, s.m, hr2, r, w)
     return radial * np.exp(1j * (s.m - s.n) * angle - gauss * w / 2.0)
 
 
@@ -295,42 +282,79 @@ def _check_width(hr2: float, s: StateLabel, t: float) -> None:
         )
 
 
-def eigenfunction_grid(scenario: Scenario, t: float, s: StateLabel, r, angle) -> np.ndarray:
-    """Invariant eigenfunction phi_{n,m-n} on arrays of radii (>= 0) and angles.
+def eigenfunction(scenario: Scenario, t: float, s: StateLabel, r, angle) -> np.ndarray:
+    """Invariant eigenfunction phi_{n,m-n} on radii (>= 0) and angles.
 
-    ``r`` and ``angle`` broadcast together, e.g. ``r[:, None]`` against
-    ``angle[None, :]`` for a polar grid.
+    ``r`` and ``angle`` are scalars or arrays that broadcast together, e.g.
+    ``r[:, None]`` against ``angle[None, :]`` for a polar grid.
     """
-    st = rho_eval(scenario, t)
+    sl = _slice(scenario, float(t))
+    st = sl.st
     a, _ = coefficient_a(scenario, t)
     if a == 0.0:
         raise DomainError(f"inputs out of numerical range: a(t) underflows to 0 at t={t:g}")
-    _check_width(st.power(2), s, t)
+    _check_width(sl.hr2, s, t)
     try:
         return _phi(st.rho, 1.0 - 1j * st.rho * st.rho_dot / a, s, r, angle)
-    except OverflowError as exc:  # a prefactor power, named without the time
+    except OverflowError as exc:  # a prefactor power or factorial, named without the time
         raise OverflowError(f"{exc} at t={t:g}") from exc
 
 
-def eigenfunction(scenario: Scenario, t: float, s: StateLabel, pt: PolarPoint) -> complex:
-    """Invariant eigenfunction phi_{n,m-n} at a polar point."""
-    return complex(eigenfunction_grid(scenario, t, s, pt.r, pt.angle))
-
-
-def hamiltonian_eigenfunction_grid(
-    scenario: Scenario, t: float, s: StateLabel, r, angle
-) -> np.ndarray:
+def hamiltonian_eigenfunction(scenario: Scenario, t: float, s: StateLabel, r, angle) -> np.ndarray:
     """Solution of the time-dependent problem, e^{i Theta_{n,m-n}} phi_{n,m-n},
-    on arrays of radii and angles that broadcast together."""
+    on radii and angles that broadcast together."""
     theta = phase_closed_form(scenario, s, t).value
-    return cmath.exp(1j * theta) * eigenfunction_grid(scenario, t, s, r, angle)
+    return cmath.exp(1j * theta) * eigenfunction(scenario, t, s, r, angle)
 
 
-def hamiltonian_eigenfunction(
-    scenario: Scenario, t: float, s: StateLabel, pt: PolarPoint
-) -> complex:
-    """e^{i Theta_{n,m-n}} phi_{n,m-n} at a polar point."""
-    return complex(hamiltonian_eigenfunction_grid(scenario, t, s, pt.r, pt.angle))
+# --------------------------------------------------------------------------
+# Time slices: rho, the unit phase and the tensor rule's columns at one time
+# --------------------------------------------------------------------------
+
+class _Slice:
+    """What spectrum forms at one (scenario, t), once and on first use: rho, hbar rho^2,
+    the unit phase with its route, and the tensor rule's (48, 1) columns: each state's
+    radial one (times its angular row, phi on the grid) and each (rho^2 w)^(k/2)."""
+
+    def __init__(self, scenario: Scenario, t: float):
+        self.scenario, self.t = scenario, t
+        self._radial, self._powers = {}, {}  # keyed by StateLabel and by k
+
+    @cached_property
+    def st(self) -> RhoEval:
+        return rho_eval(self.scenario, self.t)
+
+    @cached_property
+    def hr2(self) -> float:
+        return self.st.power(2)
+
+    @cached_property
+    def unit(self) -> PhaseResult:
+        """The unit phase and its route, as on a one-point phase_grid."""
+        theta, methods = phase_grid(self.scenario, _UNIT, [self.t])
+        return PhaseResult(complex(theta[0]), PhaseMethod(methods[0]))
+
+    def radial(self, s: StateLabel) -> np.ndarray:
+        """phi without its Gaussian at angle 0 on the radial nodes, a (48, 1) column."""
+        if s not in self._radial:
+            _check_width(self.hr2, s, self.t)
+            r = np.sqrt(self.hr2 * _LAGUERRE_48_NODES)[:, None]
+            try:
+                self._radial[s] = _phi(self.st.rho, 0.0, s, r, 0.0)
+            except OverflowError as exc:  # a prefactor power or factorial, named without the time
+                raise OverflowError(f"{exc} at t={self.t:g}") from exc
+        return self._radial[s]
+
+    def power(self, k_pow: int) -> np.ndarray:
+        """(rho^2 w)^(k/2) on the radial nodes, a (48, 1) column."""
+        if k_pow not in self._powers:
+            self._powers[k_pow] = (self.hr2 * _LAGUERRE_48_NODES[:, None]) ** (k_pow / 2.0)
+        return self._powers[k_pow]
+
+
+@lru_cache(maxsize=128)
+def _slice(scenario: Scenario, t: float) -> _Slice:
+    return _Slice(scenario, t)
 
 
 # --------------------------------------------------------------------------
@@ -354,43 +378,6 @@ def _trig_row(k_pow: int, coordinate: Coordinate | None) -> tuple[np.ndarray, fl
     return np.repeat(trig, 2), float(np.abs(trig).sum())
 
 
-class _QuadGrid:
-    """The tensor rule for one (scenario, t), caching each state's 48-point radial
-    column (times its angular row, phi on the grid) and each (rho^2 w)^(k/2) column."""
-
-    def __init__(self, scenario: Scenario, t: float):
-        self.t = t
-        st = rho_eval(scenario, t)
-        self.rho = st.rho
-        self.hr2 = st.power(2)
-        self.w = np.array(_LAGUERRE_48_NODES)
-        self.wt = np.array(_LAGUERRE_48_WEIGHTS)
-        self._radial, self._powers = {}, {}  # (n, m) and k -> (48, 1) columns
-
-    def radial(self, s: StateLabel) -> np.ndarray:
-        """phi without its Gaussian at angle 0 on the radial nodes, a (48, 1) column."""
-        key = (s.n, s.m)
-        if key not in self._radial:
-            _check_width(self.hr2, s, self.t)
-            r = np.sqrt(self.hr2 * self.w)[:, None]
-            try:
-                self._radial[key] = _phi(self.rho, 0.0, s, r, 0.0)
-            except OverflowError as exc:  # a prefactor power, named without the time
-                raise OverflowError(f"{exc} at t={self.t:g}") from exc
-        return self._radial[key]
-
-    def power(self, k_pow: int) -> np.ndarray:
-        """(rho^2 w)^(k/2) on the radial nodes, a (48, 1) column."""
-        if k_pow not in self._powers:
-            self._powers[k_pow] = (self.hr2 * self.w[:, None]) ** (k_pow / 2.0)
-        return self._powers[k_pow]
-
-
-@lru_cache(maxsize=128)
-def _quad_grid(scenario: Scenario, t: float) -> _QuadGrid:
-    return _QuadGrid(scenario, t)
-
-
 # C * eps: the rounding of a tensor integral is at most C eps sum_i wt_i sum_j
 # |f_ij|, times the integral's scale factors. Each f_ij meets at most 95
 # additions in its angular sum and 48 more in the radial dot product:
@@ -406,29 +393,28 @@ _C_EPS = 256 * 2.0**-52
 
 
 def _tensor_integral(
-    grid: _QuadGrid, s1: StateLabel, s2: StateLabel, k_pow: int, coordinate: Coordinate | None,
+    sl: _Slice, s1: StateLabel, s2: StateLabel, k_pow: int, coordinate: Coordinate | None,
 ) -> tuple[complex, float]:
     """(rho^2 / 2) * sum of conj(phi1) phi2 r^k trig^k over the tensor rule, formed on
     the full grid in the 2-D operations' order to keep their bits, and a rounding bound."""
-    r1, r2, power = grid.radial(s1), grid.radial(s2), grid.power(k_pow)
+    r1, r2, power = sl.radial(s1), sl.radial(s2), sl.power(k_pow)
     trig, trig_abs = _trig_row(k_pow, coordinate)
     f = np.conjugate(r1 * _angular_row(s1.l)) * (r2 * _angular_row(s2.l))
     if k_pow:  # real factors scale re and im alike, so through the float view
         f = (f.view(float) * power * trig).view(complex)
-    total = grid.wt @ f.sum(axis=1)
-    magnitude = (grid.wt @ (np.abs(r1) * np.abs(r2) * power)[:, 0]) * trig_abs
-    value = complex(total * (grid.hr2 / 2.0) * (2.0 * math.pi / _THETA.size))
-    bound = _C_EPS * magnitude * (grid.hr2 / 2.0) * (2.0 * math.pi / _THETA.size)
+    total = _LAGUERRE_48_WEIGHTS @ f.sum(axis=1)
+    magnitude = (_LAGUERRE_48_WEIGHTS @ (np.abs(r1) * np.abs(r2) * power)[:, 0]) * trig_abs
+    value = complex(total * (sl.hr2 / 2.0) * (2.0 * math.pi / _THETA.size))
+    bound = _C_EPS * magnitude * (sl.hr2 / 2.0) * (2.0 * math.pi / _THETA.size)
     return value, bound
 
 
 def _certified_integral(
-    scenario: Scenario, t: float, s1: StateLabel, s2: StateLabel, k_pow: int,
-    coordinate: Coordinate | None,
+    sl: _Slice, s1: StateLabel, s2: StateLabel, k_pow: int, coordinate: Coordinate | None,
 ) -> complex:
     """The tensor integral, its rounding bound certified against ORACLE_TOL
     (a non-finite integrand gives a non-finite bound, which fails)."""
-    value, bound = _tensor_integral(_quad_grid(scenario, float(t)), s1, s2, k_pow, coordinate)
+    value, bound = _tensor_integral(sl, s1, s2, k_pow, coordinate)
     if not bound <= max(ORACLE_TOL, _REL_FLOOR * (1.0 + abs(value))):
         raise ToleranceNotMet(f"tensor quadrature rounding bound {bound:.3e} exceeds tolerance")
     return value
@@ -436,7 +422,7 @@ def _certified_integral(
 
 def overlap(scenario: Scenario, t: float, s1: StateLabel, s2: StateLabel) -> complex:
     """2-D quadrature of conj(phi_s1) phi_s2 r dr dangle (delta on both labels)."""
-    return _certified_integral(scenario, t, s1, s2, 0, None)
+    return _certified_integral(_slice(scenario, float(t)), s1, s2, 0, None)
 
 
 # --------------------------------------------------------------------------
@@ -472,12 +458,13 @@ def _element_coefficient(n: int, m: int, m_prime: int, k_pow: int) -> tuple[floa
     # when it is a perfect square (in particular on the diagonal, keeping
     # published diagonal values exact).
     base = Fraction(math.comb(k_pow, r_idx), 2**k_pow) * integral / math.factorial(n)
+    labels = f"n={n}, m={m}, m'={m_prime}, k={k_pow}"  # for an overflow's message
     sq_arg = math.factorial(m) * math.factorial(m_prime)
     root = math.isqrt(sq_arg)
-    if root * root == sq_arg:
-        coeff = float(base * root)
-    else:
-        coeff = float(base) * math.sqrt(sq_arg)
+    square = root * root == sq_arg
+    coeff = _as_float(base * root if square else base, f"the coefficient of rho(t)^{k_pow}", labels)
+    if not square:
+        coeff *= math.sqrt(_as_float(sq_arg, "m! m'!", labels))
     return coeff, r_idx
 
 
@@ -490,14 +477,13 @@ def _matrix_element_sum(
     if exact is None:
         return 0.0 + 0.0j
     coeff, r_idx = exact
-    diff = m_prime - m
-    st = rho_eval(scenario, float(t))
-    value = complex(coeff * st.power(k_pow))
+    sl = _slice(scenario, float(t))
+    value = complex(coeff * sl.st.power(k_pow))
     if x_units:
         sign = -1.0 if (k_pow + r_idx) % 2 else 1.0
         value *= sign * _INV_I_POW[k_pow % 4]
-    if diff and not invariant_basis:
-        value *= cmath.exp(1j * diff * _unit_phase(scenario, float(t)).value)
+    if m_prime != m and not invariant_basis:
+        value *= cmath.exp(1j * (m_prime - m) * sl.unit.value)
     return value
 
 
@@ -510,9 +496,7 @@ def matrix_element_x_pow(
     With invariant_basis=True the inter-level phase factors are dropped,
     giving the element between invariant eigenstates instead.
     """
-    return _matrix_element_sum(
-        scenario, t, n, m, m_prime, k_pow, x_units=True, invariant_basis=invariant_basis
-    )
+    return _matrix_element_sum(scenario, t, n, m, m_prime, k_pow, True, invariant_basis)
 
 
 def matrix_element_y_pow(
@@ -520,9 +504,7 @@ def matrix_element_y_pow(
     invariant_basis: bool = False,
 ) -> complex:
     """<n,m-n| y^k |n,m'-n>; as for x^k but without the alternating unit factor."""
-    return _matrix_element_sum(
-        scenario, t, n, m, m_prime, k_pow, x_units=False, invariant_basis=invariant_basis
-    )
+    return _matrix_element_sum(scenario, t, n, m, m_prime, k_pow, False, invariant_basis)
 
 
 def oracle_validated(n: int, m: int, m_prime: int, k_pow: int) -> bool:
@@ -542,8 +524,8 @@ def matrix_element_oracle(
             f"oracle quadrature validated for n, m, m' <= {ORACLE_MAX_LABEL} "
             f"and power <= {ORACLE_MAX_POWER} only"
         )
-    value = _certified_integral(scenario, t, s1, s2, k_pow, Coordinate(coordinate))
-    diff = m_prime - m
-    if diff:
-        value *= cmath.exp(1j * diff * _unit_phase(scenario, float(t)).value)
+    sl = _slice(scenario, float(t))
+    value = _certified_integral(sl, s1, s2, k_pow, Coordinate(coordinate))
+    if m_prime != m:
+        value *= cmath.exp(1j * (m_prime - m) * sl.unit.value)
     return value

@@ -20,7 +20,7 @@ from ncho.cli import build_parser, main
 from ncho.config import build_scenario, parse_scenario_file
 from ncho.ermakov import rho_eval
 from ncho.errors import InvalidLabel
-from ncho.spectrum import PhaseMethod, PolarPoint, StateLabel, hamiltonian_eigenfunction
+from ncho.spectrum import PhaseMethod, StateLabel, hamiltonian_eigenfunction
 
 from conftest import SCENARIO_DIR
 
@@ -525,6 +525,28 @@ def test_huge_finite_time_names_the_quantity_that_overflows(capsys, name):
         ), err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("matelem", "mild_iii", "--n", "0", "--m", "171", "--mprime", "172", "--k", "1"),
+     "m! m'! overflows a float for n=0, m=171, m'=172, k=1"),
+    (("matelem", "set_iii", "--k", "400"),
+     "the coefficient of rho(t)^400 overflows a float for n=0, m=0, m'=0, k=400"),
+    (("wavefield", "set_iii", "--n", "200", "--m", "200", "--points", "2"),
+     "n! overflows a float for n=200 at t=0"),
+    (("wavefield", "set_iii", "--n", "0", "--m", "400", "--points", "2"),
+     "m! overflows a float for m=400 at t=0"),
+])
+def test_huge_labels_name_the_quantity_that_overflows(capsys, argv, message):
+    # sqrt(m! m'!) and the exact coefficient of the closed element, and the
+    # factorials of the eigenfunction's normalisation, leave the float range.
+    command, name, *flags = argv
+    path = str(SCENARIO_DIR / f"{name}.scenario")
+    if command == "matelem":
+        flags += ["--points", "1"]
+    code, out, err = run_cli(capsys, command, "--scenario", path, *flags)
+    assert (code, out) == (2, "")
+    assert err == f"error: inputs out of numerical range: {message}\n"
+
+
 def test_closed_form_phase_pole_names_the_time(capsys):
     # SetIII's atan argument rounds to exactly -i at t = 1e20, the pole of cmath.atan.
     # The message names the first time that fails, not the grid's last one.
@@ -596,7 +618,8 @@ def test_wavefield_grid_shape(capsys):
 
 @pytest.mark.parametrize("n, m", [(1, 2), (2, 0)])
 def test_wavefield_matches_scalar_eigenfunction(capsys, n, m):
-    # The grid is evaluated in one array call; the scalar route is the reference.
+    # The grid is evaluated in one array call; the same function at single
+    # points is the reference.
     # t lies past the reality horizon (~1.83), where |e^{i Theta}| != 1.
     path = SCENARIO_DIR / "mild_iii.scenario"
     scenario = build_scenario(parse_scenario_file(path))
@@ -613,7 +636,7 @@ def test_wavefield_matches_scalar_eigenfunction(capsys, n, m):
         r, angle = r_max * (i + 1) / points, 2.0 * math.pi * j / points
         row = rows[i * points + j]
         assert row[:2] == ["%.12e" % r, "%.12e" % angle]
-        psi = hamiltonian_eigenfunction(scenario, t, StateLabel(n, m), PolarPoint(r, angle))
+        psi = hamiltonian_eigenfunction(scenario, t, StateLabel(n, m), r, angle)
         want = abs(psi) ** 2
         assert abs(float(row[2]) - want) <= 1e-12 * want, (i, j, row[2], want)
 

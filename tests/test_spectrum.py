@@ -17,13 +17,12 @@ from scipy.special import roots_laguerre
 from ncho import cli, spectrum
 from ncho.config import ScenarioKind, build_scenario, parse_scenario_file
 from ncho.ermakov import coefficient_a, rho_eval
-from ncho.errors import DomainError, InvalidLabel, ToleranceNotMet
-from ncho.hamiltonian import c_complex
+from ncho.errors import InvalidLabel, ToleranceNotMet
+from ncho.hamiltonian import c_complex, reality_horizon_time
 from ncho.specfun import laguerre_weighted_integral_exact
 from ncho.spectrum import (
     Coordinate,
     PhaseMethod,
-    PolarPoint,
     StateLabel,
     eigenfunction,
     hamiltonian_eigenfunction,
@@ -36,14 +35,15 @@ from ncho.spectrum import (
     phase_grid,
     phase_quadrature,
     _C_EPS,
+    _LAGUERRE_48_NODES,
+    _LAGUERRE_48_WEIGHTS,
     _THETA,
-    _QuadGrid,
+    _Slice,
     _angular_row,
     _element_coefficient,
     _phi,
-    _quad_grid,
+    _slice,
     _tensor_integral,
-    _unit_phase,
 )
 
 from conftest import SCENARIO_DIR, make_scenario
@@ -52,7 +52,7 @@ UNIT = StateLabel(0, 1)
 
 
 # ---------------------------------------------------------------------------
-# Labels and points
+# Labels
 # ---------------------------------------------------------------------------
 
 def test_state_label_validation():
@@ -64,12 +64,6 @@ def test_state_label_validation():
         StateLabel(0, -2)
     with pytest.raises(InvalidLabel):
         StateLabel(0.5, 0)
-
-
-def test_polar_point_validation():
-    PolarPoint(0.0, -3.0)
-    with pytest.raises(DomainError):
-        PolarPoint(-0.1, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +197,22 @@ def test_phase_scales_with_angular_label(n, m, frac, fig_iii):
     assert abs(got - m * unit) <= 1e-12 * max(1.0, abs(m * unit))
 
 
+def test_phase_closed_form_is_the_one_point_grid_bit_for_bit():
+    # m times the unit phase of the time's slice is phase_grid on [t], at times
+    # inside and past each reality horizon, closed form and quadrature alike.
+    for name, scenario in _shipped_scenarios():
+        horizon = reality_horizon_time(scenario)
+        late = (1.2, 2.5) if horizon is None else tuple(f * horizon for f in (0.5, 0.9, 1.1, 1.5))
+        for t in (0.0, 0.3, *late):
+            for s in (StateLabel(n, m) for n in range(3) for m in range(7)):
+                got = phase_closed_form(scenario, s, t)
+                theta, methods = phase_grid(scenario, s, [t])
+                assert np.array([got.value]).view(np.uint64).tolist() == (
+                    theta.view(np.uint64).tolist()
+                ), (name, t, s)
+                assert got.method.value == methods[0], (name, t, s)
+
+
 def test_phase_beyond_reality_window_is_complex(fig_iii):
     # Past the horizon the coupling turns complex and the phase gains an
     # imaginary part (norm decay), still finite.
@@ -216,7 +226,7 @@ def test_phase_beyond_reality_window_is_complex(fig_iii):
 
 def test_ground_state_value_at_origin(fig_ia):
     rho = rho_eval(fig_ia, 0.3).rho
-    got = eigenfunction(fig_ia, 0.3, StateLabel(0, 0), PolarPoint(0.0, 1.2))
+    got = eigenfunction(fig_ia, 0.3, StateLabel(0, 0), 0.0, 1.2)
     assert abs(got - 1.0 / math.sqrt(math.pi * rho**2)) <= 1e-15
 
 
@@ -225,17 +235,16 @@ def test_eigenfunction_label_swap_symmetry(fig_ii):
     # match the direct branch (n > m) in magnitude everywhere.
     for n, m in ((0, 1), (1, 3), (2, 4)):
         for r in (0.2, 0.9, 2.1):
-            pt = PolarPoint(r, 0.7)
-            a = abs(eigenfunction(fig_ii, 0.6, StateLabel(n, m), pt))
-            b = abs(eigenfunction(fig_ii, 0.6, StateLabel(m, n), pt))
+            a = abs(eigenfunction(fig_ii, 0.6, StateLabel(n, m), r, 0.7))
+            b = abs(eigenfunction(fig_ii, 0.6, StateLabel(m, n), r, 0.7))
             assert abs(a - b) <= 1e-12 * max(1.0, a)
 
 
 def test_angular_dependence_is_pure_phase(fig_ib):
     s = StateLabel(1, 3)
-    base = eigenfunction(fig_ib, 0.4, s, PolarPoint(1.1, 0.0))
+    base = eigenfunction(fig_ib, 0.4, s, 1.1, 0.0)
     for angle in (0.5, 2.0, 5.5):
-        rotated = eigenfunction(fig_ib, 0.4, s, PolarPoint(1.1, angle))
+        rotated = eigenfunction(fig_ib, 0.4, s, 1.1, angle)
         assert abs(abs(rotated) - abs(base)) <= 1e-14 * max(1.0, abs(base))
         want = base * cmath.exp(1j * angle * (s.m - s.n))
         assert abs(rotated - want) <= 1e-12 * max(1.0, abs(base))
@@ -258,24 +267,22 @@ def test_eigenfunction_norm_pins_gaussian_width(fig_ii):
     r_max = 12.0 * rho_eval(fig_ii, t).rho
     for s in (StateLabel(0, 0), StateLabel(1, 2), StateLabel(2, 0)):
         norm, _ = quad(
-            lambda r: 2.0 * math.pi * r * abs(eigenfunction(fig_ii, t, s, PolarPoint(r, 0.0))) ** 2,
+            lambda r: 2.0 * math.pi * r * abs(eigenfunction(fig_ii, t, s, r, 0.0)) ** 2,
             0.0, r_max, epsabs=1e-13, epsrel=1e-12,
         )
         assert abs(norm - 1.0) <= 1e-9, (s, norm)
 
 
 def test_hamiltonian_eigenfunction_phase_wiring(fig_ib):
-    s = StateLabel(1, 2)
-    pt = PolarPoint(0.6, 0.9)
+    s, pt = StateLabel(1, 2), (0.6, 0.9)
     # At t = 0 the phase vanishes identically.
-    assert hamiltonian_eigenfunction(fig_ib, 0.0, s, pt) == eigenfunction(fig_ib, 0.0, s, pt)
+    assert hamiltonian_eigenfunction(fig_ib, 0.0, s, *pt) == eigenfunction(fig_ib, 0.0, s, *pt)
     # The ratio psi/phi is a position-independent unit phase in the real
     # regime, equal to exp(i m * unit).
     t = 1.5
     unit = phase_closed_form(fig_ib, UNIT, t).value
-    for r, angle in ((0.3, 0.1), (1.4, 2.0)):
-        p = PolarPoint(r, angle)
-        ratio = hamiltonian_eigenfunction(fig_ib, t, s, p) / eigenfunction(fig_ib, t, s, p)
+    for p in ((0.3, 0.1), (1.4, 2.0)):
+        ratio = hamiltonian_eigenfunction(fig_ib, t, s, *p) / eigenfunction(fig_ib, t, s, *p)
         assert abs(ratio - cmath.exp(1j * s.m * unit)) <= 1e-12
         assert abs(abs(ratio) - 1.0) <= 1e-12
 
@@ -287,10 +294,10 @@ def test_hamiltonian_eigenfunction_phase_wiring(fig_ib):
 def test_huge_time_names_the_rho_power_that_overflows(fig_iii, t, n, message):
     # rho grows without bound on SetIII: rho^2 leaves the float range at
     # t = 1e300, the normalisation's rho^(2n + 2) sooner.
-    s, pt = StateLabel(n, 0), PolarPoint(0.0, 0.0)
+    s = StateLabel(n, 0)
     for call in (
-        lambda: eigenfunction(fig_iii, t, s, pt),
-        lambda: hamiltonian_eigenfunction(fig_iii, t, s, pt),
+        lambda: eigenfunction(fig_iii, t, s, 0.0, 0.0),
+        lambda: hamiltonian_eigenfunction(fig_iii, t, s, 0.0, 0.0),
         lambda: overlap(fig_iii, t, s, s),
     ):
         with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
@@ -303,7 +310,7 @@ def test_huge_time_names_the_prefactor_power_that_overflows():
     scenario = build_scenario(parse_scenario_file(SCENARIO_DIR / "set_iii.scenario"))
     s, message = StateLabel(0, 4), "(i rho(t))^4 overflows a float at t=1e+80"
     for call in (
-        lambda: eigenfunction(scenario, 1e80, s, PolarPoint(0.0, 0.0)),
+        lambda: eigenfunction(scenario, 1e80, s, 0.0, 0.0),
         lambda: overlap(scenario, 1e80, s, s),
     ):
         with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
@@ -397,7 +404,7 @@ def _element_uncached(scenario, t, n, m, mp, k, x_units, invariant_basis):
     if x_units:
         value *= (-1.0 if (k + r_idx) % 2 else 1.0) * (1 + 0j, -1j, -1 + 0j, 1j)[k % 4]
     if diff and not invariant_basis:
-        value *= cmath.exp(1j * diff * _unit_phase(scenario, t)[0])
+        value *= cmath.exp(1j * diff * _slice(scenario, t).unit[0])
     return value
 
 
@@ -428,7 +435,7 @@ def test_oracle_agreement_sweep():
     labels = range(spectrum.ORACLE_MAX_LABEL + 1)
     for path in sorted(SCENARIO_DIR.glob("*.scenario")):
         scenario = build_scenario(parse_scenario_file(path), enforce_constraint=False)
-        grid = _quad_grid(scenario, t)
+        grid = _slice(scenario, t)
         for n in labels:
             for m in labels:
                 for mp in labels:
@@ -448,11 +455,10 @@ def test_oracle_agreement_sweep():
                             assert abs(value - unphased) <= bound, where
 
 
-def test_oracle_nodes_are_scipy_gauss_laguerre(fig_ib):
-    grid = _QuadGrid(fig_ib, 0.5)
+def test_oracle_nodes_are_scipy_gauss_laguerre():
     want_nodes, want_weights = roots_laguerre(48)
-    assert grid.w.tolist() == want_nodes.tolist()
-    assert grid.wt.tolist() == want_weights.tolist()
+    assert _LAGUERRE_48_NODES.tolist() == want_nodes.tolist()
+    assert _LAGUERRE_48_WEIGHTS.tolist() == want_weights.tolist()
     assert _THETA.size == 96
 
 
@@ -466,23 +472,24 @@ def test_factored_eigenfunction_is_the_full_one_bit_for_bit():
     labels = [StateLabel(n, m) for n in range(5) for m in range(5)]
     for name, scenario in _shipped_scenarios():
         for t in (0.0, 0.3, 1.2):
-            grid = _QuadGrid(scenario, t)
-            r = np.sqrt(grid.hr2 * grid.w)[:, None]
+            grid = _Slice(scenario, t)
+            r = np.sqrt(grid.hr2 * _LAGUERRE_48_NODES)[:, None]
             for s in labels:
                 got = grid.radial(s) * _angular_row(s.l)
-                want = _phi(grid.rho, 0.0, s, r, _THETA[None, :])
+                want = _phi(grid.st.rho, 0.0, s, r, _THETA[None, :])
                 assert got.shape == want.shape == (48, 96)
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (name, t, s)
 
 
 def test_separable_rounding_bound_matches_the_two_dimensional_sum():
     # Reference: sum_i wt_i sum_j |f_ij| over the full 2-D integrand.
+    w, wt = _LAGUERRE_48_NODES, _LAGUERRE_48_WEIGHTS
     for name, scenario in _shipped_scenarios():
         for t in (0.0, 1.2):
-            grid = _QuadGrid(scenario, t)
-            r = np.sqrt(grid.hr2 * grid.w)[:, None]
+            grid = _Slice(scenario, t)
+            r = np.sqrt(grid.hr2 * w)[:, None]
             full = {
-                (n, m): _phi(grid.rho, 0.0, StateLabel(n, m), r, _THETA[None, :])
+                (n, m): _phi(grid.st.rho, 0.0, StateLabel(n, m), r, _THETA[None, :])
                 for n in range(3) for m in range(4)
             }
             for (n, m), (n2, mp) in ((a, b) for a in full for b in full if a[0] == b[0]):
@@ -490,14 +497,34 @@ def test_separable_rounding_bound_matches_the_two_dimensional_sum():
                     for coord in Coordinate:
                         trig = np.cos(_THETA) if coord is Coordinate.X else np.sin(_THETA)
                         f = np.conjugate(full[n, m]) * full[n2, mp]
-                        f = f * (grid.hr2 * grid.w[:, None]) ** (k / 2.0) * trig[None, :] ** k
-                        want = _C_EPS * (grid.wt @ np.abs(f).sum(axis=1)) * (grid.hr2 / 2.0) * (
+                        f = f * (grid.hr2 * w[:, None]) ** (k / 2.0) * trig[None, :] ** k
+                        want = _C_EPS * (wt @ np.abs(f).sum(axis=1)) * (grid.hr2 / 2.0) * (
                             2.0 * math.pi / _THETA.size
                         )
                         _, got = _tensor_integral(
                             grid, StateLabel(n, m), StateLabel(n2, mp), k, coord
                         )
                         assert abs(got - want) <= 2e-15 * want, (name, t, n, m, mp, k, coord)
+
+
+def test_matelem_integrates_each_phase_time_once(capsys, monkeypatch):
+    # SetIa's unit phase falls back to quadrature at every time; the closed
+    # form and the oracle at one time share its slice, so each time is
+    # integrated once, not once per route.
+    asked = []
+    original = spectrum.integrate_adaptive_many
+
+    def spy(f, intervals, tol):
+        asked.extend(intervals)
+        return original(f, intervals, tol)
+
+    monkeypatch.setattr(spectrum, "integrate_adaptive_many", spy)
+    _slice.cache_clear()
+    argv = ["matelem", "--scenario", str(SCENARIO_DIR / "set_ia.scenario"),
+            "--m", "0", "--mprime", "1", "--points", "3"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert sorted(asked) == [(0.0, t) for t in cli._linspace(0.0, 1.0, 3).tolist()]
 
 
 def test_tensor_grid_caches_no_full_grid(capsys):
@@ -509,7 +536,7 @@ def test_tensor_grid_caches_no_full_grid(capsys):
             argv = ["matelem", "--scenario", scenario, "--m", "1", "--mprime", "2", "--k", k]
             assert cli.main(argv + ["--points", "3"]) == 0
     capsys.readouterr()
-    grids = [obj for obj in gc.get_objects() if isinstance(obj, _QuadGrid) and obj._radial]
+    grids = [obj for obj in gc.get_objects() if isinstance(obj, _Slice) and obj._radial]
     assert grids
     for grid in grids:
         for value in vars(grid).values():
@@ -521,10 +548,10 @@ def test_tensor_grid_caches_no_full_grid(capsys):
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_integrand_fails_certification(fig_ib, monkeypatch, bad):
     # A nan compares false with every tolerance; the gate must not let it through.
-    grid = _QuadGrid(fig_ib, 0.5)
+    grid = _Slice(fig_ib, 0.5)
     poisoned = StateLabel(1, 1)
-    grid._radial[(poisoned.n, poisoned.m)] = np.full((grid.w.size, 1), bad + 0j)
-    monkeypatch.setattr(spectrum, "_quad_grid", lambda scenario, t: grid)
+    grid._radial[poisoned] = np.full((_LAGUERRE_48_NODES.size, 1), bad + 0j)
+    monkeypatch.setattr(spectrum, "_slice", lambda scenario, t: grid)
     with pytest.raises(ToleranceNotMet):
         overlap(fig_ib, 0.5, poisoned, poisoned)
     with pytest.raises(ToleranceNotMet):

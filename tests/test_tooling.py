@@ -254,12 +254,12 @@ def test_verify_battery_matches_the_benchmark():
 KEPT_ORACLES = {"integrate_ep_numeric"}
 
 
-def unreachable_definitions() -> list[str]:
+def unreachable_definitions(roots) -> list[str]:
     """Module-level functions and classes of the package that no entry point reaches.
 
-    The roots are cli.main, every name the scripts read, the span targets and
-    KEPT_ORACLES. A reached module-level function, class or assignment reaches
-    every module-level definition named in its body, in any package module.
+    The roots are cli.main, every name the scripts read, KEPT_ORACLES and the
+    names in ``roots``. A reached module-level function, class or assignment
+    reaches every module-level definition named in its body, in any package module.
     """
     nodes: dict[str, list[ast.AST]] = {}
     checked = []
@@ -272,7 +272,7 @@ def unreachable_definitions() -> list[str]:
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 for name in set().union(*map(_referenced, targets)):
                     nodes.setdefault(name, []).append(node)
-    todo = ["main", *_span_targets(), *KEPT_ORACLES]
+    todo = ["main", *roots, *KEPT_ORACLES]
     for path in sorted((ROOT / "scripts").glob("*.py")):
         todo.extend(_referenced(ast.parse(path.read_text())))
     reached: set[str] = set()
@@ -288,7 +288,22 @@ def unreachable_definitions() -> list[str]:
 def test_every_definition_is_reachable_from_an_entry_point():
     # Code that only its own tests use is deleted, not kept as a second route.
     assert len(_span_targets()) > 20
-    assert unreachable_definitions() == []
+    assert unreachable_definitions(_span_targets()) == []
+
+
+# What only the benchmark's span targets keep alive. The set may only shrink:
+# a definition that leaves production for the benchmark alone shows here.
+BENCHMARK_ONLY = {
+    "spectrum.phase_quadrature",
+    "specfun.integrate_adaptive_full",
+    "hamiltonian.nc_parameters",
+    "hamiltonian.NCParams",
+    "errors.OutsideRealityWindow",
+}
+
+
+def test_benchmark_keeps_alive_only_the_listed_definitions():
+    assert set(unreachable_definitions(())) <= BENCHMARK_ONLY
 
 
 # Constants the model fixes (vartheta = Gamma, xi = hbar = 1): the scenario
