@@ -3,9 +3,9 @@
 Subcommands
 -----------
 verify     -- run the cross-validation suites (constraint, scale-function
-              residual, invariant ODEs, phase closed-form vs quadrature,
-              matrix-element oracle, orthonormality) and print a pass/fail
-              table; exit 0 iff everything passes.
+              residual, invariant ODEs, Heisenberg moments, phase closed
+              form vs quadrature, matrix-element oracle, orthonormality)
+              and print a pass/fail table; exit 0 iff everything passes.
 energy     -- energy-expectation table over a time grid (Figs-style, scaled
               by 1/omega0).
 phase      -- evolution phase over a time grid, with the method per row.
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -46,7 +47,7 @@ import numpy as np
 from .config import CONSTRAINT_RTOL, Scenario, build_scenario, parse_scenario_file
 from .energy import energy_series
 from .errors import NchoError, ToleranceNotMet
-from .ermakov import ep_residual, rho_eval
+from .ermakov import ep_residual, heisenberg_moments, rho_eval
 from .hamiltonian import in_reality_window, nc_table, reality_horizon_time
 from .invariant import invariant_coefficients, invariant_ode_residuals
 from .spectrum import (
@@ -188,9 +189,10 @@ def _check_invariant_ode(scenario: Scenario, t0: float, t1: float) -> float:
     return float(np.max(invariant_ode_residuals(scenario, grid).worst))
 
 
-def _check_invariant_identity(scenario: Scenario, t0: float, t1: float) -> float:
-    identity = invariant_coefficients(scenario, _linspace(t0, t1, 25)).quadratic_identity
-    return float(np.max(np.abs(identity - 4.0)) / 4.0)
+def _check_heisenberg(scenario: Scenario, t0: float, t1: float) -> float:
+    grid = _linspace(t0, t1, 25)
+    co, moments = invariant_coefficients(scenario, grid), heisenberg_moments(scenario, grid, 1)
+    return float(np.max(np.abs(2.0 * np.array(moments) / (co.alpha, co.beta) - 1.0)))
 
 
 def _check_phase(scenario: Scenario, t0: float, t1: float) -> float:
@@ -202,19 +204,15 @@ def _check_phase(scenario: Scenario, t0: float, t1: float) -> float:
 def _check_matrix_oracle(scenario: Scenario, t0: float, t1: float) -> float:
     times = (t0 + 0.3 * (t1 - t0), t0 + 0.8 * (t1 - t0))
     residuals = []
-    for t in times:
-        for n in (0, 1):
-            for m in (0, 1):
-                for mp in (0, 1):
-                    for k in (1, 2):
-                        closed_x = matrix_element_x_pow(scenario, t, n, m, mp, k)
-                        oracle_x = matrix_element_oracle(scenario, t, n, m, mp, k, Coordinate.X)
-                        closed_y = matrix_element_y_pow(scenario, t, n, m, mp, k)
-                        oracle_y = matrix_element_oracle(scenario, t, n, m, mp, k, Coordinate.Y)
-                        residuals += (
-                            abs(closed_x - oracle_x) / max(1.0, abs(closed_x)),
-                            abs(closed_y - oracle_y) / max(1.0, abs(closed_y)),
-                        )
+    for t, n, m, mp, k in itertools.product(times, (0, 1), (0, 1), (0, 1), (1, 2)):
+        closed_x = matrix_element_x_pow(scenario, t, n, m, mp, k)
+        oracle_x = matrix_element_oracle(scenario, t, n, m, mp, k, Coordinate.X)
+        closed_y = matrix_element_y_pow(scenario, t, n, m, mp, k)
+        oracle_y = matrix_element_oracle(scenario, t, n, m, mp, k, Coordinate.Y)
+        residuals += (
+            abs(closed_x - oracle_x) / max(1.0, abs(closed_x)),
+            abs(closed_y - oracle_y) / max(1.0, abs(closed_y)),
+        )
     return float(np.max(residuals))
 
 
@@ -234,7 +232,7 @@ _VERIFY_CHECKS = (
     ("family-constraint", CONSTRAINT_RTOL, lambda scenario, t0, t1: scenario.constraint_residual),
     ("ep-residual", 1e-12, _check_ep),
     ("invariant-ode", 1e-6, _check_invariant_ode),
-    ("invariant-identity", 1e-12, _check_invariant_identity),
+    ("heisenberg", 1e-12, _check_heisenberg),
     ("phase-crossval", 1e-7, _check_phase),
     ("matrix-oracle", 1e-6, _check_matrix_oracle),
     ("orthonormality", 1e-6, _check_orthonormality),

@@ -1,4 +1,4 @@
-"""Scale-function families, their defining nonlinear equation, and an ODE oracle.
+"""Scale-function families, their defining nonlinear equation, and a dynamical oracle.
 
 The invariant machinery rests on a scale function rho(t) obeying
 
@@ -11,8 +11,8 @@ by xi, leaving its eigenstates and every Hamiltonian coefficient as they are.
 `rho_eval`, `coefficient_a` and `coefficient_b` read the analytic family
 (exponential, rational with integer exponent k, linear) from the family
 table; `ep_residual` measures how well a scenario satisfies the equation
-itself and `integrate_ep_numeric` re-solves it with a fixed-step RK4
-integrator as an independent oracle.
+itself and `heisenberg_moments`, the independent oracle, carries an
+eigenstate's moments along the exact flow of x' = a p, p' = -b x.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Scenario
-from .errors import StepUnderflow
 
 
 @dataclass(frozen=True)
@@ -103,41 +102,11 @@ def ep_residual(scenario: Scenario, t) -> EPResidual:
     return EPResidual(value=value.reshape(scale.shape)[()], scale=scale[()])
 
 
-def integrate_ep_numeric(scenario: Scenario, t0: float, t1: float, steps: int) -> list[RhoEval]:
-    """Fixed-step RK4 integration of the scale-function equation.
-
-    Initial data are the analytic rho(t0), rho'(t0); the returned trajectory
-    (including both endpoints) is meant to be compared against the analytic
-    family. Raises StepUnderflow if rho stops being positive inside a step.
-    """
-    if not isinstance(steps, int) or steps < 100:
-        raise ValueError(f"steps must be an integer >= 100, got {steps!r}")
-    if not t1 > t0:
-        raise ValueError(f"need t1 > t0, got [{t0!r}, {t1!r}]")
-    h = (t1 - t0) / steps
-    starts = t0 + np.arange(steps) * h
-    # (t, a, a', b) at each RK4 stage time, from one family call per stage.
-    begin, mid, end, after = (
-        list(zip(times.tolist(), *(x.tolist() for x in coefficient_a(scenario, times)),
-                 coefficient_b(scenario, times).tolist()))
-        for times in (starts, starts + h / 2.0, starts + h, t0 + np.arange(1, steps + 1) * h)
-    )
-
-    def rhs(stage, rho: float, v: float) -> tuple[float, float]:
-        t, a, a_dot, b = stage
-        if not rho > 0.0:
-            raise StepUnderflow(f"rho = {rho:g} <= 0 reached near t = {t:g}")
-        return v, (a_dot / a) * v - a * b * rho + a**2 / rho**3
-
-    start = rho_eval(scenario, t0)
-    rho, v = start.rho, start.rho_dot
-    out = [RhoEval(rho, v, rhs(begin[0], rho, v)[1], t0)]
-    for i in range(steps):
-        k1r, k1v = rhs(begin[i], rho, v)
-        k2r, k2v = rhs(mid[i], rho + h / 2.0 * k1r, v + h / 2.0 * k1v)
-        k3r, k3v = rhs(mid[i], rho + h / 2.0 * k2r, v + h / 2.0 * k2v)
-        k4r, k4v = rhs(end[i], rho + h * k3r, v + h * k3v)
-        rho += h / 6.0 * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
-        v += h / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        out.append(RhoEval(rho, v, rhs(after[i], rho, v)[1], after[i][0]))
-    return out
+def heisenberg_moments(scenario: Scenario, t, n_plus: int):
+    """<x_j^2> and <p_j^2> in |n, m> (n_plus = n+m+1) at a time or on a grid: the covariance
+    n_plus/2 M M^T at t = 0, M = [[rho, 0], [rho'/a, 1/rho]], goes to t as Phi M (Phi M)^T,
+    and Family.propagator's Phi rests on a and b alone."""
+    rho, rho_dot, _ = scenario.family.rho(0.0)
+    phi, v = scenario.family.propagator(t), rho_dot / scenario.family.a(0.0)[0]
+    moments = 0.5 * n_plus * ((phi[..., 0] * rho + phi[..., 1] * v) ** 2 + (phi[..., 1] / rho) ** 2)
+    return moments[..., 0][()], moments[..., 1][()]

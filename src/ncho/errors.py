@@ -44,9 +44,5 @@ class ToleranceNotMet(NchoError):
     """Adaptive quadrature could not reach the requested tolerance."""
 
 
-class StepUnderflow(NchoError):
-    """The numerical integrator stepped into rho <= 0 territory."""
-
-
 class InvalidLabel(NchoError):
     """Quantum-number labels violate n >= 0, m >= 0."""

@@ -17,26 +17,26 @@ class         damping     frequency                     scale-function family
 Every class answers damping(t), frequency(t), check() (the domain
 conditions), constraint() as (name, LHS, RHS, term magnitudes), rho(t) as
 (rho, rho', rho''), a(t) as (a, a'), b(t), c_terms(t) as the two radicands
-(rad1, rad2) of c = sqrt(rad1) + omega(t) sqrt(rad2),
-horizon() (None: unbounded, 0.0: empty), energy(t, n+m+1, n-m, c) (None
-where no closed form is published) and unit_phase(t), the integral of
-c - a/rho^2, as (value, validated): the flag marks the times the published
-form holds at, and value is nan at the others. No form is published for
-SetIIk with k != 2; the SetIa series holds only while |z| < 1 and where it
-settles, and not at zero frequency. The base class assembles c(t) itself
-and the phase integrand phase_rate(t) = c - a/rho^2 from those.
+(rad1, rad2) of c = sqrt(rad1) + omega(t) sqrt(rad2), horizon() (None:
+unbounded, 0.0: empty), energy(t, n+m+1, n-m, c) (None where no closed form
+is published), _change(t), which makes Heisenberg's motion harmonic, and
+unit_phase(t), the integral of c - a/rho^2, as (value, validated): the flag
+marks the times the published form holds at, and value is nan at the others.
+No form is published for SetIIk with k != 2; the SetIa series holds only
+while |z| < 1 and where it settles, and not at zero frequency. The base class
+assembles c(t), phase_rate(t) = c - a/rho^2 and propagator(t) from those.
 
-Every time-dependent method takes a float or a numpy array of times and
-answers in the same shape (Python scalars for a float). There is one path:
-``Family._on_grid`` runs each closed form on the times as a flat float
-array, a float as a one-point grid, so a time alone and inside a grid agree
-to the bit. Each closed form is written once, as + - * / on float arrays,
-with exp and pow mapped from math over the elements (``_exp``, ``_pow``) and
+Every time-dependent method takes a float or a numpy array of times and answers
+in the same shape (Python scalars for a float). There is one path:
+``Family._on_grid`` runs each closed form on the times as a flat float array, a
+float as a one-point grid, so a time alone and inside a grid agree to the bit.
+Each closed form is written once, as + - * / on float arrays, with exp, log and
+pow mapped from math over the elements (``_exp``, ``_log``, ``_pow``) and
 numpy's complex square root, which rounds as cmath.sqrt does (``_sq``); the
 complex phase forms (``_phase_at``) are cmath code run point by point. That
 keeps the committed figure data under out/ byte-identical: numpy's own exp,
-pow, complex log and arctan and its fused complex products and divisions
-round differently in the last bit, which would show in their noise columns.
+log, pow and arctan and its fused complex products and divisions round
+differently in the last bit, which would show in their noise columns.
 """
 
 from __future__ import annotations
@@ -59,6 +59,11 @@ if TYPE_CHECKING:
 def _exp(x):
     """math.exp of each element of an array."""
     return np.fromiter(map(math.exp, x.tolist()), float, x.size)
+
+
+def _log(x):
+    """math.log of each element of an array."""
+    return np.fromiter(map(math.log, x.tolist()), float, x.size)
 
 
 def _pow(x, p: float):
@@ -135,6 +140,10 @@ class Family:
     def unit_phase(self, t):
         return self._on_grid(self._unit_phase, t)
 
+    def propagator(self, t):
+        """Phi(t), the exact map of (x, p) from time 0 to t, shaped t.shape + (2, 2)."""
+        return np.stack(self._on_grid(self._propagator, t), axis=-1).reshape(np.shape(t) + (2, 2))
+
     def horizon(self) -> float | None:
         """Last time the roots of c stay real; None (unbounded) at zero frequency,
         0.0 (an empty window) where a radicand of c is negative at t = 0."""
@@ -176,6 +185,19 @@ class Family:
     def _phase_rate(self, t):
         return self._c(t) - self._a(t)[0] / _pow(self._rho(t)[0], 2.0)
 
+    def _propagator(self, t):
+        """T(t) R T(0)^-1: R is the cos/sin flow of y_ss + omega^2 y = 0 over s(t) - s(0), and
+        T takes (y, y_s) to (x, p) = (g y, kappa (eta y + y_s)); eta = g'/(g s'), kappa = g s'/a."""
+        omega2, g, eta, s, kappa = self._change(t)
+        _, g0, eta0, _, kappa0 = self._change(np.zeros(1))
+        if not omega2 > 0.0:  # overdamped: only a SetIIk off its constraint
+            raise DomainError(f"Heisenberg's motion does not oscillate: omega^2 = {omega2:g}")
+        omega = math.sqrt(omega2)
+        cos, sin = np.cos(omega * s), np.sin(omega * s) / omega
+        return (g / g0 * (cos - eta0 * sin), g / kappa0 * sin,
+                kappa / g0 * ((eta - eta0) * cos - (omega2 + eta * eta0) * sin),
+                kappa / kappa0 * (cos + eta * sin))
+
     def _unit_phase(self, t):
         values = [self._phase_point(x) for x in t.tolist()]
         validated = np.array([v is not None for v in values], dtype=bool)
@@ -208,6 +230,12 @@ class _Exponential(Family):
         rhs = c.sigma**2
         terms = (c.mu**4 * c.sigma * c.Delta, c.mu**4 * c.Gamma**2 / 4.0, rhs)
         return "mu^4*(sigma*Delta - Gamma^2/4) = sigma^2", lhs, rhs, terms
+
+    def _change(self, t):
+        """x = exp(-Gamma t/2) y(t), as (omega^2, g, eta, s - s(0), kappa)."""
+        c = self.constants
+        g = _exp(-c.Gamma * t / 2.0)
+        return c.sigma * c.Delta - c.Gamma**2 / 4.0, g, -0.5 * c.Gamma, t, g / self._a(t)[0]
 
     def _rho(self, t):
         c = self.constants
@@ -385,6 +413,12 @@ class SetIIk(_Rational):
         )
         return "Gamma^2*mu = (k+2)^2*(sigma*Delta*mu - sigma^2/mu^3)", lhs, rhs, terms
 
+    def _change(self, t):
+        """x = u^(-1/k) y(ln u), as (omega^2, g, eta, s - s(0), kappa)."""
+        c, k, u = self.constants, float(self.k_exp), self._u(t)
+        g, omega2 = _pow(u, -1.0 / k), (c.sigma * c.Delta * (k + 2) ** 2 / c.Gamma**2 - 1.0) / k**2
+        return omega2, g, -1.0 / k, _log(u / c.chi), g * c.Gamma / (u * self._a(t)[0])
+
     def _rho(self, t):
         c = self.constants
         k = float(self.k_exp)
@@ -476,6 +510,11 @@ class SetIII(_Rational):
         lhs = c.Delta * c.mu**4
         rhs = c.sigma
         return "Delta*mu^4 = sigma", lhs, rhs, (lhs, rhs)
+
+    def _change(self, t):
+        """x = u y(1/u), as (omega^2, g, eta, s - s(0), kappa)."""
+        c, u = self.constants, self._u(t)
+        return c.sigma * c.Delta / c.Gamma**2, u, -u, 1.0 / u - 1.0 / c.chi, -c.Gamma / c.sigma / u
 
     def _rho(self, t):
         c = self.constants

@@ -36,11 +36,6 @@ class InvariantCoeffs:
     beta: float
     gamma: float
 
-    @property
-    def quadratic_identity(self) -> float:
-        """4*alpha*beta - gamma^2 (equals 4 for a consistent scenario)."""
-        return 4.0 * self.alpha * self.beta - self.gamma * self.gamma
-
 
 @dataclass(frozen=True)
 class OdeResiduals:

@@ -108,6 +108,13 @@ _LAGUERRE_48_WEIGHTS = np.array((
 ))
 
 
+def _check_labels(*labels) -> None:
+    """InvalidLabel naming the first (name, value) pair whose value is not a nonnegative integer."""
+    for name, v in labels:
+        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+            raise InvalidLabel(f"{name} must be a nonnegative integer, got {v!r}")
+
+
 @dataclass(frozen=True)
 class StateLabel:
     """Radial/angular quantum numbers (n, m); angular momentum l = m - n."""
@@ -116,10 +123,7 @@ class StateLabel:
     m: int
 
     def __post_init__(self) -> None:
-        for name in ("n", "m"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                raise InvalidLabel(f"{name} must be a nonnegative integer, got {v!r}")
+        _check_labels(("n", self.n), ("m", self.m))
 
     @property
     def l(self) -> int:  # noqa: E743 - established symbol
@@ -430,9 +434,8 @@ def overlap(scenario: Scenario, t: float, s1: StateLabel, s2: StateLabel) -> com
 # --------------------------------------------------------------------------
 
 def _element_labels(n: int, m: int, m_prime: int, k_pow: int) -> tuple[StateLabel, StateLabel]:
-    """The bra and ket labels of <n,m-n| coord^k |n,m'-n>, with k_pow validated."""
-    if not isinstance(k_pow, int) or isinstance(k_pow, bool) or k_pow < 0:
-        raise InvalidLabel(f"k_pow must be a nonnegative integer, got {k_pow!r}")
+    """The bra and ket labels of <n,m-n| coord^k |n,m'-n>, each label and k_pow validated."""
+    _check_labels(("k_pow", k_pow), ("n", n), ("m", m), ("m'", m_prime))
     return StateLabel(n, m), StateLabel(n, m_prime)
 
 

@@ -1,4 +1,4 @@
-"""Shared scenario fixtures: figure parameter sets plus milder ones for ODE runs."""
+"""Shared scenario fixtures: figure parameter sets plus milder ones for quick runs."""
 
 from __future__ import annotations
 
@@ -92,7 +92,7 @@ def fig_scenarios(fig_ia, fig_ib, fig_ic, fig_ii, fig_iii) -> dict[str, Scenario
 
 
 # Mild parameter sets: same families, O(1) stiffness, exact constraints —
-# chosen so fixed-step integration and quadrature stay cheap in tests.
+# chosen so quadrature stays cheap in tests.
 @pytest.fixture(scope="session")
 def mild_ib() -> Scenario:
     # mu^4 (sigma*Delta - Gamma^2/4) = (16/7)(2 - 1/4) = 4 = sigma^2

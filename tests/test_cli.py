@@ -200,6 +200,19 @@ def test_verify_fails_on_broken_width_parameter(capsys, tmp_path):
     assert code == 1
     assert "FAIL" in out
     assert re.search(r"7 checks: \d+ passed, [1-9]\d* failed", out)
+    # rho(0) with the wrong mu, carried by the exact motion, misses rho(t) by ~20%.
+    assert re.search(r"^heisenberg +2\.\d{3}e-01 +1\.000e-12 +FAIL$", out, re.MULTILINE), out
+
+
+def test_verify_fails_the_heisenberg_check_on_overdamped_motion(capsys, tmp_path):
+    # Off its constraint a SetII_k scenario with sigma*Delta < Gamma^2/(k+2)^2
+    # does not oscillate; the propagator refuses it and the row fails.
+    text = (SCENARIO_DIR / "mild_ii_k2.scenario").read_text()
+    overdamped = tmp_path / "overdamped.scenario"
+    overdamped.write_text(text.replace("Delta = 1.0625", "Delta = 0.01"))
+    code, out, err = run_cli(capsys, "verify", "--scenario", str(overdamped))
+    assert code == 1 and err == ""
+    assert re.search(r"^heisenberg +inf +1\.000e-12 +FAIL$", out, re.MULTILINE), out
 
 
 def test_verify_tolerance_override_forces_failure(capsys):
@@ -577,6 +590,9 @@ def test_matelem_past_the_oracle_range_prints_the_closed_form(capsys):
     for argv in (("--n", "-1"), ("--k", "-1"), ("--m", "-2", "--k", "4")):
         code, out, err = run_cli(capsys, "matelem", "--scenario", IB, *argv, "--points", "2")
         assert code == 2 and out == "" and err.startswith("error: "), argv
+    # A bad column label is named as m', not as m.
+    code, out, err = run_cli(capsys, "matelem", "--scenario", III, "--mprime", "-1")
+    assert (code, out, err) == (2, "", "error: m' must be a nonnegative integer, got -1\n")
     with pytest.raises(InvalidLabel):
         spectrum.matrix_element_oracle(build_scenario(parse_scenario_file(IB)), 0.5, 5, 5, 5, 2, "x")
 

@@ -1,24 +1,32 @@
-"""Scale-function families: closed forms, residuals, and the ODE oracle."""
+"""Scale-function families: closed forms, residuals, and the Heisenberg propagator."""
 
 from __future__ import annotations
 
 import math
 
-import pytest
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from ncho.config import ScenarioKind
-from ncho.ermakov import (
-    coefficient_a,
-    coefficient_b,
-    ep_residual,
-    integrate_ep_numeric,
-    rho_eval,
-)
+from ncho.config import ScenarioKind, build_scenario, parse_scenario_file
+from ncho.ermakov import coefficient_a, coefficient_b, ep_residual, rho_eval
 
-from conftest import make_scenario
+from conftest import SCENARIO_DIR, make_scenario
 
 TIMES = st.floats(min_value=0.0, max_value=2.0, allow_nan=False)
+
+# The propagator's scenarios: the eight shipped files, and SetII_k at k = 1, 3
+# and 5 with Delta solved from the constraint
+# Gamma^2 mu = (k+2)^2 (sigma Delta mu - sigma^2/mu^3) at sigma = mu = Gamma = 1.
+PROPAGATED = {
+    path.stem: build_scenario(parse_scenario_file(str(path)))
+    for path in sorted(SCENARIO_DIR.glob("*.scenario"))
+}
+PROPAGATED.update(
+    (f"mild_ii_k{k}", make_scenario(
+        ScenarioKind.SET_II_K, k_exp=k, omega0=0.5, sigma=1.0, Delta=1.0 + 1.0 / (k + 2) ** 2
+    ))
+    for k in (1, 3, 5)
+)
 
 
 def test_rho_closed_forms_at_origin(fig_scenarios):
@@ -108,20 +116,50 @@ def test_ep_residual_large_when_constraint_broken():
     assert ep_residual(scenario, 0.5).relative > 1e-4
 
 
-def test_rk4_tracks_analytic_rho(mild_scenarios):
-    windows = {"Ib": (0.0, 2.0), "II": (0.0, 5.0), "III": (0.0, 5.0)}
-    for name, scenario in mild_scenarios.items():
-        t0, t1 = windows[name]
-        trajectory = integrate_ep_numeric(scenario, t0, t1, steps=2000)
-        worst = max(
-            abs(p.rho - rho_eval(scenario, p.t).rho) / rho_eval(scenario, p.t).rho
-            for p in trajectory
-        )
-        assert worst <= 1e-8, (name, worst)
+def test_propagator_is_the_identity_at_zero():
+    for name, scenario in PROPAGATED.items():
+        propagator = scenario.family.propagator
+        assert np.array_equal(propagator(0.0), np.eye(2)), name
+        assert np.array_equal(propagator(np.array([0.0, 0.5]))[0], np.eye(2)), name
 
 
-def test_rk4_rejects_bad_grid(mild_ib):
-    with pytest.raises(ValueError):
-        integrate_ep_numeric(mild_ib, 0.0, 1.0, steps=10)
-    with pytest.raises(ValueError):
-        integrate_ep_numeric(mild_ib, 1.0, 1.0, steps=500)
+@given(t=TIMES)
+@settings(max_examples=30)
+def test_propagator_keeps_phase_space_area(t):
+    # The generator [[0, a], [-b, 0]] of x' = a p, p' = -b x has trace 0.
+    for name, scenario in PROPAGATED.items():
+        phi = scenario.family.propagator(t)
+        det = phi[0, 0] * phi[1, 1] - phi[0, 1] * phi[1, 0]
+        assert abs(det - 1.0) <= 1e-14, (name, det)
+
+
+@given(t=TIMES)
+@settings(max_examples=30)
+def test_propagator_solves_heisenbergs_equations(t):
+    # Central differences of Phi against [[0, a], [-b, 0]] Phi, row by row,
+    # with a step of 1e-3 over the fastest frequency sqrt(ab) of the window.
+    for name, scenario in PROPAGATED.items():
+        family = scenario.family
+        window = np.linspace(0.0, 2.0, 21)
+        h = 1e-3 / np.sqrt(family.a(window)[0] * family.b(window)).max()
+        before, here, after = family.propagator(np.array([t - h, t, t + h]))
+        want = np.array([[0.0, family.a(t)[0]], [-family.b(t), 0.0]]) @ here
+        derivative = (after - before) / (2.0 * h)
+        residual = np.abs(derivative - want).max(axis=1) / np.abs(want).max(axis=1)
+        assert residual.max() <= 1e-4, (name, t, residual)
+
+
+@given(t=TIMES)
+@settings(max_examples=30)
+def test_propagator_rotates_the_scale_frame(t):
+    # With M = [[rho, 0], [rho'/a, 1/rho]], M(t)^-1 Phi(t) M(0) is orthogonal:
+    # the motion carries the invariant's eigenstate widths along rho.
+    for name, scenario in PROPAGATED.items():
+        family = scenario.family
+        rho, rho_dot, _ = family.rho(t)
+        rho0, rho0_dot, _ = family.rho(0.0)
+        inverse = np.array([[1.0 / rho, 0.0], [-rho_dot / family.a(t)[0], rho]])
+        start = np.array([[rho0, 0.0], [rho0_dot / family.a(0.0)[0], 1.0 / rho0]])
+        rotation = inverse @ family.propagator(t) @ start
+        gap = np.abs(rotation @ rotation.T - np.eye(2)).max()
+        assert gap <= 1e-13, (name, t, gap)

@@ -40,7 +40,8 @@ def test_coefficients_built_from_scale_function(fig_scenarios):
 def test_quadratic_identity(t):
     for kind in SCENARIO_KINDS:
         scenario = make_scenario(kind)
-        got = invariant_coefficients(scenario, t).quadratic_identity
+        co = invariant_coefficients(scenario, t)
+        got = 4.0 * co.alpha * co.beta - co.gamma**2
         assert abs(got - 4.0) <= 1e-12 * 4.0
 
 

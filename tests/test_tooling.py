@@ -5,7 +5,7 @@ from __future__ import annotations
 import ast
 import importlib
 
-from ncho import cli
+from ncho import cli, errors
 
 from conftest import SCENARIO_DIR
 
@@ -249,16 +249,11 @@ def test_verify_battery_matches_the_benchmark():
     assert len(cli._VERIFY_CHECKS) == _benchmark_literal("checks", "VERIFY_CHECKS")
 
 
-# The criterion-02 oracle; the Heisenberg-moment propagator planned in the
-# roadmap replaces it, and until then it counts as a root with what it uses.
-KEPT_ORACLES = {"integrate_ep_numeric"}
-
-
 def unreachable_definitions(roots) -> list[str]:
     """Module-level functions and classes of the package that no entry point reaches.
 
-    The roots are cli.main, every name the scripts read, KEPT_ORACLES and the
-    names in ``roots``. A reached module-level function, class or assignment
+    The roots are cli.main, every name the scripts read and the names in
+    ``roots``. A reached module-level function, class or assignment
     reaches every module-level definition named in its body, in any package module.
     """
     nodes: dict[str, list[ast.AST]] = {}
@@ -272,7 +267,7 @@ def unreachable_definitions(roots) -> list[str]:
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 for name in set().union(*map(_referenced, targets)):
                     nodes.setdefault(name, []).append(node)
-    todo = ["main", *roots, *KEPT_ORACLES]
+    todo = ["main", *roots]
     for path in sorted((ROOT / "scripts").glob("*.py")):
         todo.extend(_referenced(ast.parse(path.read_text())))
     reached: set[str] = set()
@@ -289,6 +284,28 @@ def test_every_definition_is_reachable_from_an_entry_point():
     # Code that only its own tests use is deleted, not kept as a second route.
     assert len(_span_targets()) > 20
     assert unreachable_definitions(_span_targets()) == []
+
+
+def raised_names(source: str) -> set[str]:
+    """The names a module raises, as ``raise Name`` or ``raise Name(...)``."""
+    raised = (node.exc for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Raise))
+    named = (exc.func if isinstance(exc, ast.Call) else exc for exc in raised)
+    return {exc.id for exc in named if isinstance(exc, ast.Name)}
+
+
+def test_every_error_type_has_a_raiser():
+    # An exception type that nothing raises has outlived the code that raised it.
+    source = "raise A('x')\nraise B\nraise C.d()\ntry:\n    pass\nexcept E:\n    raise\n"
+    assert raised_names(source) == {"A", "B"}
+    subclasses = {
+        name for name, value in vars(errors).items()
+        if isinstance(value, type) and issubclass(value, errors.NchoError)
+        and value is not errors.NchoError
+    }
+    raised = set().union(*(
+        raised_names(path.read_text()) for path in (ROOT / "src" / "ncho").glob("*.py")
+    ))
+    assert len(subclasses) > 5 and sorted(subclasses - raised) == []
 
 
 # What only the benchmark's span targets keep alive. The set may only shrink:
