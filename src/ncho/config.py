@@ -128,7 +128,10 @@ def constraint_residual(family: Family) -> float:
     |RHS|: at figure-sized parameters the two sides cancel to machine noise
     against terms ~1e14, and the residual must reflect that cancellation.
     """
-    _, lhs, rhs, terms = family.constraint()
+    try:
+        lhs, rhs, terms = family.constraint()
+    except OverflowError as exc:  # a constant's power leaves the float range
+        raise OverflowError(f"family constraint {family.CONSTRAINT} overflows a float") from exc
     scale = max(1.0, abs(lhs), abs(rhs), *[abs(x) for x in terms])
     return abs(lhs - rhs) / scale
 
@@ -146,7 +149,7 @@ def build_scenario(spec: ScenarioSpec, enforce_constraint: bool = True) -> Scena
     residual = constraint_residual(family)
     if enforce_constraint and residual > CONSTRAINT_RTOL:
         raise ConstraintViolation(
-            f"family constraint {family.constraint()[0]} violated: relative residual {residual:.3e} > {CONSTRAINT_RTOL:g}"
+            f"family constraint {family.CONSTRAINT} violated: relative residual {residual:.3e} > {CONSTRAINT_RTOL:g}"
         )
     return Scenario(
         constants=spec.constants,

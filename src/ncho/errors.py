@@ -28,10 +28,6 @@ class OutsideRealityWindow(NchoError):
     """A square-root expression turned complex at the requested time."""
 
 
-class NonPolynomialCase(NchoError):
-    """Tricomi U requested outside the polynomial (first argument -m) case."""
-
-
 class OutOfValidatedDomain(NchoError):
     """A series evaluation was requested outside its validated region."""
 

@@ -14,12 +14,12 @@ class         damping     frequency                     scale-function family
 ``SetIII``    f = 1       omega0/(Gamma*t + chi)        linear ("elementary")
 ============  ==========  ============================  =======================
 
-Every class answers damping(t), frequency(t), check() (the domain
-conditions), constraint() as (name, LHS, RHS, term magnitudes), rho(t) as
-(rho, rho', rho''), a(t) as (a, a'), b(t), c_terms(t) as the two radicands
-(rad1, rad2) of c = sqrt(rad1) + omega(t) sqrt(rad2), horizon() (None:
-unbounded, 0.0: empty), energy(t, n+m+1, n-m, c) (None where no closed form
-is published), _change(t), which makes Heisenberg's motion harmonic, and
+Every class answers damping(t), frequency(t), check() (the domain conditions),
+constraint() as (LHS, RHS, term magnitudes) of the relation named CONSTRAINT,
+rho(t) as (rho, rho', rho''), a(t) as (a, a'), b(t), c_terms(t) as the two
+radicands (rad1, rad2) of c = sqrt(rad1) + omega(t) sqrt(rad2), horizon()
+(None: unbounded, 0.0: empty), energy(t, n+m+1, n-m, c) (None where no closed
+form is published), _change(t), which makes Heisenberg's motion harmonic, and
 unit_phase(t), the integral of c - a/rho^2, as (value, validated): the flag
 marks the times the published form holds at, and value is nan at the others.
 No form is published for SetIIk with k != 2; the SetIa series holds only
@@ -212,6 +212,8 @@ class Family:
 
 
 class _Exponential(Family):
+    CONSTRAINT = "mu^4*(sigma*Delta - Gamma^2/4) = sigma^2"
+
     def _frequency(self, t):
         c = self.constants
         return c.omega0 * _exp(-c.Gamma * t / 2.0)
@@ -224,12 +226,11 @@ class _Exponential(Family):
                 f"(got sigma*Delta={c.sigma * c.Delta:g}, Gamma^2/4={c.Gamma**2 / 4.0:g})"
             )
 
-    def constraint(self) -> tuple[str, float, float, tuple[float, ...]]:
+    def constraint(self) -> tuple[float, float, tuple[float, ...]]:
         c = self.constants
         lhs = c.mu**4 * (c.sigma * c.Delta - c.Gamma**2 / 4.0)
         rhs = c.sigma**2
-        terms = (c.mu**4 * c.sigma * c.Delta, c.mu**4 * c.Gamma**2 / 4.0, rhs)
-        return "mu^4*(sigma*Delta - Gamma^2/4) = sigma^2", lhs, rhs, terms
+        return lhs, rhs, (c.mu**4 * c.sigma * c.Delta, c.mu**4 * c.Gamma**2 / 4.0, rhs)
 
     def _change(self, t):
         """x = exp(-Gamma t/2) y(t), as (omega^2, g, eta, s - s(0), kappa)."""
@@ -394,6 +395,8 @@ class _Rational(Family):
 
 
 class SetIIk(_Rational):
+    CONSTRAINT = "Gamma^2*mu = (k+2)^2*(sigma*Delta*mu - sigma^2/mu^3)"
+
     def check(self) -> None:
         if not isinstance(self.k_exp, int) or self.k_exp < 1:
             raise DomainError(
@@ -401,7 +404,7 @@ class SetIIk(_Rational):
             )
         super().check()
 
-    def constraint(self) -> tuple[str, float, float, tuple[float, ...]]:
+    def constraint(self) -> tuple[float, float, tuple[float, ...]]:
         c = self.constants
         kk = float(self.k_exp)
         lhs = c.Gamma**2 * c.mu
@@ -411,7 +414,7 @@ class SetIIk(_Rational):
             (kk + 2.0) ** 2 * c.sigma * c.Delta * c.mu,
             (kk + 2.0) ** 2 * c.sigma**2 / c.mu**3,
         )
-        return "Gamma^2*mu = (k+2)^2*(sigma*Delta*mu - sigma^2/mu^3)", lhs, rhs, terms
+        return lhs, rhs, terms
 
     def _change(self, t):
         """x = u^(-1/k) y(ln u), as (omega^2, g, eta, s - s(0), kappa)."""
@@ -505,11 +508,12 @@ class SetIIk(_Rational):
 
 
 class SetIII(_Rational):
-    def constraint(self) -> tuple[str, float, float, tuple[float, ...]]:
+    CONSTRAINT = "Delta*mu^4 = sigma"
+
+    def constraint(self) -> tuple[float, float, tuple[float, ...]]:
         c = self.constants
         lhs = c.Delta * c.mu**4
-        rhs = c.sigma
-        return "Delta*mu^4 = sigma", lhs, rhs, (lhs, rhs)
+        return lhs, c.sigma, (lhs, c.sigma)
 
     def _change(self, t):
         """x = u y(1/u), as (omega^2, g, eta, s - s(0), kappa)."""

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NoConvergence, NonPolynomialCase, OutOfValidatedDomain
+from .errors import NoConvergence, OutOfValidatedDomain
 
 DEFAULT_QUAD_TOL = 1e-10
 #: Term budget of the direct 2F1 series.
@@ -41,20 +41,6 @@ def laguerre(n: int, zeta, w):
     for k in range(2, n + 1):
         prev, cur = cur, ((2.0 * k - 1.0 + zeta - w) * cur - (k - 1.0 + zeta) * prev) / k
     return cur
-
-
-def tricomi_u_poly(m: int, b, w):
-    """Tricomi confluent hypergeometric U(-m, b, w) in the polynomial case.
-
-    Reduces to an associated Laguerre polynomial:
-    U(-m, b, w) = (-1)^m * m! * L_m^(b-1)(w).
-    """
-    if not isinstance(m, int) or m < 0:
-        raise NonPolynomialCase(
-            f"U(a, b, w) is implemented only for a = -m with integer m >= 0, got -m = {-m!r}"
-        )
-    sign = -1.0 if m % 2 else 1.0
-    return sign * math.factorial(m) * laguerre(m, b - 1, w)
 
 
 def gauss_2f1(a: float, b: float, c: float, z: complex) -> complex:

@@ -1,14 +1,23 @@
 """Invariant eigenfunctions, evolution phases, and coordinate-power matrix elements.
 
 In natural units (hbar = 1), with the invariant normalised to xi = 1, the
-invariant operator's eigenfunctions in polar coordinates are
+paper writes the invariant operator's eigenfunctions in polar coordinates as
 
     phi_{n,m-n}(r, th) = lam_n (i rho)^m / sqrt(m!) * r^(n-m)
                          * exp(i th (m-n) - (a - i rho rho') r^2 / (2 a rho^2))
                          * U(-m, 1-m+n, r^2/rho^2),
 
-with lam_n^2 = 1/(pi n! (rho^2)^(1+n)) taken positive. Solutions of the
-time-dependent problem are e^{i Theta} phi with the evolution phase
+with lam_n^2 = 1/(pi n! (rho^2)^(1+n)) taken positive. Kummer's transformation
+U(a, b, w) = w^(1-b) U(a-b+1, 2-b, w) and the polynomial case
+U(-p, l+1, w) = (-1)^p p! L_p^(l)(w) (DLMF 13.2.40 and 13.6.19) turn every
+label pair into one symmetric Laguerre form, the one evaluated here: with
+p = min(n, m), l = |m - n| and w = r^2/rho^2,
+
+    phi_{n,m-n} = i^m (-1)^p [pi (p+l)!/p! (rho^2)^(1+l)]^(-1/2) r^l L_p^(l)(w)
+                  * exp(i th (m-n) - (a - i rho rho') w / (2 a)).
+
+Solutions of the time-dependent problem are e^{i Theta} phi with the
+evolution phase
 
     Theta_{n,l}(t) = (n+l) * integral_0^t (c(T) - a(T)/rho^2(T)) dT,
 
@@ -47,12 +56,7 @@ import numpy as np
 from .config import Scenario
 from .errors import DomainError, InvalidLabel, ToleranceNotMet
 from .ermakov import RhoEval, coefficient_a, named_power, rho_eval
-from .specfun import (
-    integrate_adaptive_many,
-    laguerre,
-    laguerre_weighted_integral_exact,
-    tricomi_u_poly,
-)
+from .specfun import integrate_adaptive_many, laguerre, laguerre_weighted_integral_exact
 
 #: Absolute tolerance of the phase quadrature.
 PHASE_QUAD_TOL = 1e-10
@@ -240,50 +244,35 @@ def _as_float(x, name: str, labels: str) -> float:
         raise OverflowError(f"{name} overflows a float for {labels}") from exc
 
 
-def _norm_lambda(n: int, hr2: float) -> float:
-    return 1.0 / math.sqrt(math.pi * _as_float(math.factorial(n), "n!", f"n={n}") * hr2 ** (1 + n))
+# i^k as exact Gaussian units, indexed by k mod 4.
+_I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
 
 
-def _radial_polynomial(n: int, m: int, hr2: float, r, w):
-    """r^(n-m) * U(-m, 1-m+n, w), evaluated in a form regular at r = 0.
-
-    For n < m the apparent r^(n-m) singularity cancels against the
-    polynomial's leading zeros; the reduction
-    r^(n-m) U(-m, 1-m+n, w) = (-1)^n n! (w/hr2)^((m-n)/2) hr2^((n-m)/2) L_n^(m-n)(w)
-    evaluates the regular factorization directly (w = r^2/hr2).
-    """
-    if n >= m:
-        return r ** (n - m) * tricomi_u_poly(m, 1 - m + n, w)
-    scale = (-1.0) ** n * math.factorial(n) * named_power(hr2, (n - m) / 2.0, f"rho(t)^{n - m}")
-    return scale * w ** ((m - n) / 2.0) * laguerre(n, m - n, w)
-
-
-def _phi(rho: float, gauss: complex, s: StateLabel, r, angle) -> np.ndarray:
-    """phi_{n,m-n} with its Gaussian written exp(-gauss * w / 2), w = r^2/rho^2.
+def _phi(sl: _Slice, gauss: complex, s: StateLabel, r, angle) -> np.ndarray:
+    """phi_{n,m-n} at the slice's time in the symmetric Laguerre form, with its
+    Gaussian written exp(-gauss * w / 2), w = r^2/(hbar rho^2).
 
     ``r`` and ``angle`` are arrays (or scalars) that broadcast together. The
     eigenfunction has gauss = 1 - i rho rho'/a; the tensor quadrature passes
-    gauss = 0 because its Gauss-Laguerre weight e^{-w} is |Gaussian|^2. An
-    overflowing prefactor power or factorial is named; the callers add the time.
+    gauss = 0 because its Gauss-Laguerre weight e^{-w} is |Gaussian|^2. The
+    normalisation's only scale is (hbar rho^2)^(1+l): a DomainError names hbar
+    rho^2 where it underflows to 0 (it decays as e^{-Gamma t} on the
+    exponential families), and an overflow names that power or the label ratio.
     """
-    hr2 = rho**2
-    # Normalise first: rho = 0 raises ZeroDivisionError before numpy warns on r^2/0.
-    pref = _norm_lambda(s.n, hr2) * named_power(1j * rho, s.m, f"(i rho(t))^{s.m}")
-    w = r**2 / hr2
-    m_fact = _as_float(math.factorial(s.m), "m!", f"m={s.m}")
-    radial = pref / math.sqrt(m_fact) * _radial_polynomial(s.n, s.m, hr2, r, w)
-    return radial * np.exp(1j * (s.m - s.n) * angle - gauss * w / 2.0)
-
-
-def _check_width(hr2: float, s: StateLabel, t: float) -> None:
-    """A DomainError naming hbar rho^2, not a division by zero, where its power in
-    lam_n underflows to 0 (it decays as e^{-Gamma t} on the exponential families),
-    and an OverflowError naming that power where it overflows."""
-    if named_power(hr2, 1 + s.n, f"rho(t)^{2 + 2 * s.n}", t) == 0.0:
+    p, l = min(s.n, s.m), abs(s.l)
+    scale = named_power(sl.hr2, 1 + l, f"rho(t)^{2 + 2 * l}", sl.t)
+    if scale == 0.0:  # before numpy warns on r^2/0
         raise DomainError(
-            f"inputs out of numerical range: hbar rho^2 = {hr2:.3g} at t={t:g} "
-            f"underflows the normalisation of n = {s.n}"
+            f"inputs out of numerical range: hbar rho^2 = {sl.hr2:.3g} at t={sl.t:g} "
+            f"underflows the normalisation of n = {s.n}, m = {s.m}"
         )
+    ratio = _as_float(
+        math.perm(p + l, l), "max(n, m)!/min(n, m)!", f"n={s.n}, m={s.m} at t={sl.t:g}"
+    )
+    norm = 1.0 / math.sqrt(math.pi * ratio * scale)
+    w = r**2 / sl.hr2
+    radial = _I_POW[(s.m + 2 * p) % 4] * norm * (r**l * laguerre(p, l, w))  # i^m (-1)^p
+    return radial * np.exp(1j * s.l * angle - gauss * w / 2.0)
 
 
 def eigenfunction(scenario: Scenario, t: float, s: StateLabel, r, angle) -> np.ndarray:
@@ -293,15 +282,10 @@ def eigenfunction(scenario: Scenario, t: float, s: StateLabel, r, angle) -> np.n
     ``r[:, None]`` against ``angle[None, :]`` for a polar grid.
     """
     sl = _slice(scenario, float(t))
-    st = sl.st
     a, _ = coefficient_a(scenario, t)
     if a == 0.0:
         raise DomainError(f"inputs out of numerical range: a(t) underflows to 0 at t={t:g}")
-    _check_width(sl.hr2, s, t)
-    try:
-        return _phi(st.rho, 1.0 - 1j * st.rho * st.rho_dot / a, s, r, angle)
-    except OverflowError as exc:  # a prefactor power or factorial, named without the time
-        raise OverflowError(f"{exc} at t={t:g}") from exc
+    return _phi(sl, 1.0 - 1j * sl.st.rho * sl.st.rho_dot / a, s, r, angle)
 
 
 def hamiltonian_eigenfunction(scenario: Scenario, t: float, s: StateLabel, r, angle) -> np.ndarray:
@@ -341,12 +325,8 @@ class _Slice:
     def radial(self, s: StateLabel) -> np.ndarray:
         """phi without its Gaussian at angle 0 on the radial nodes, a (48, 1) column."""
         if s not in self._radial:
-            _check_width(self.hr2, s, self.t)
             r = np.sqrt(self.hr2 * _LAGUERRE_48_NODES)[:, None]
-            try:
-                self._radial[s] = _phi(self.st.rho, 0.0, s, r, 0.0)
-            except OverflowError as exc:  # a prefactor power or factorial, named without the time
-                raise OverflowError(f"{exc} at t={self.t:g}") from exc
+            self._radial[s] = _phi(self, 0.0, s, r, 0.0)
         return self._radial[s]
 
     def power(self, k_pow: int) -> np.ndarray:
@@ -439,10 +419,6 @@ def _element_labels(n: int, m: int, m_prime: int, k_pow: int) -> tuple[StateLabe
     return StateLabel(n, m), StateLabel(n, m_prime)
 
 
-# i^(-k) as exact Gaussian units, indexed by k mod 4.
-_INV_I_POW = (1 + 0j, -1j, -1 + 0j, 1j)
-
-
 @lru_cache(maxsize=1024)
 def _element_coefficient(n: int, m: int, m_prime: int, k_pow: int) -> tuple[float, int] | None:
     """The exact, time-independent part of an element: (coefficient, r index).
@@ -457,18 +433,15 @@ def _element_coefficient(n: int, m: int, m_prime: int, k_pow: int) -> tuple[floa
         n - m - r_idx + k_pow, m, n - m, m_prime, n - m_prime
     )
     # pi/2^k * lam_n^2 rho^(2n+k+2) collapses to rho^k / (2^k n!); everything
-    # else is exact rational except sqrt(m! m'!), which is extracted exactly
-    # when it is a perfect square (in particular on the diagonal, keeping
-    # published diagonal values exact).
+    # else is exact rational except sqrt(m! m'!) = lo! sqrt(hi!/lo!), whose
+    # lo! joins the rational, so only the root of an exact integer ratio of
+    # size <= hi^k is rounded (1 on the diagonal, keeping its values exact).
     base = Fraction(math.comb(k_pow, r_idx), 2**k_pow) * integral / math.factorial(n)
     labels = f"n={n}, m={m}, m'={m_prime}, k={k_pow}"  # for an overflow's message
-    sq_arg = math.factorial(m) * math.factorial(m_prime)
-    root = math.isqrt(sq_arg)
-    square = root * root == sq_arg
-    coeff = _as_float(base * root if square else base, f"the coefficient of rho(t)^{k_pow}", labels)
-    if not square:
-        coeff *= math.sqrt(_as_float(sq_arg, "m! m'!", labels))
-    return coeff, r_idx
+    lo, hi = sorted((m, m_prime))
+    coeff = _as_float(base * math.factorial(lo), f"the coefficient of rho(t)^{k_pow}", labels)
+    ratio = _as_float(math.perm(hi, hi - lo), "max(m, m')!/min(m, m')!", labels)
+    return coeff * math.sqrt(ratio), r_idx
 
 
 def _matrix_element_sum(
@@ -484,7 +457,7 @@ def _matrix_element_sum(
     value = complex(coeff * sl.st.power(k_pow))
     if x_units:
         sign = -1.0 if (k_pow + r_idx) % 2 else 1.0
-        value *= sign * _INV_I_POW[k_pow % 4]
+        value *= sign * _I_POW[-k_pow % 4]  # i^(-k)
     if m_prime != m and not invariant_basis:
         value *= cmath.exp(1j * (m_prime - m) * sl.unit.value)
     return value

@@ -27,7 +27,6 @@ from ncho.specfun import (
     laguerre,
     laguerre_coefficients,
     laguerre_weighted_integral_exact,
-    tricomi_u_poly,
 )
 from ncho.spectrum import (
     Coordinate,
@@ -240,7 +239,7 @@ def test_criterion_09_reality_horizons(fig_scenarios):
 
 
 def test_criterion_10_special_function_suite():
-    """Special-function layer: recurrence, reduction, and integral identities."""
+    """Special-function layer: recurrence and integral identities."""
     start = time.perf_counter()
 
     # Recurrence evaluation vs. explicit coefficient assembly.
@@ -252,13 +251,6 @@ def test_criterion_10_special_function_suite():
                 scale = max(1.0, math.fsum(abs(float(c)) * abs(w) ** j
                                            for j, c in enumerate(coeffs)))
                 assert abs(laguerre(n, zeta, w) - direct) <= 1e-12 * scale
-
-    # Polynomial confluent reduction: U(-m, b, w) = (-1)^m m! L_m^{b-1}(w).
-    for m in range(6):
-        for b in (1, 2, 4):
-            for w in (0.3, 1.0, 2.5):
-                want = (-1) ** m * math.factorial(m) * laguerre(m, b - 1, w)
-                assert abs(tricomi_u_poly(m, b, w) - want) <= 1e-12 * max(1.0, abs(want))
 
     # Orthogonality and the first-moment identity, in exact arithmetic (the
     # first argument is the full power on the weight).

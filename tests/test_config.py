@@ -115,8 +115,8 @@ def test_family_table_is_complete():
     for family in families:
         name = type(family).__name__
         family.check()
-        label, lhs, rhs, terms = family.constraint()
-        assert isinstance(label, str) and math.isfinite(lhs - rhs) and terms, name
+        lhs, rhs, terms = family.constraint()
+        assert isinstance(family.CONSTRAINT, str) and math.isfinite(lhs - rhs) and terms, name
         assert len(family.rho(t)) == 3 and len(family.a(t)) == 2, name
         assert math.isfinite(family.b(t)) and len(family.c_terms(t)) == 2, name
         horizon = family.horizon()

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad_vec
 
 from ncho.ermakov import coefficient_a, rho_eval
-from ncho.errors import NoConvergence, NonPolynomialCase, OutOfValidatedDomain
+from ncho.errors import NoConvergence, OutOfValidatedDomain
 from ncho.hamiltonian import c_complex
 from ncho.specfun import (
     gauss_2f1,
@@ -21,7 +21,6 @@ from ncho.specfun import (
     laguerre,
     laguerre_coefficients,
     laguerre_weighted_integral_exact,
-    tricomi_u_poly,
 )
 
 # Frozen oracle values (mpmath, 50 digits, rounded to double):
@@ -73,20 +72,6 @@ def test_negative_superscript_leading_zeros():
     coeffs = laguerre_coefficients(3, -2)
     assert coeffs[0] == 0 and coeffs[1] == 0
     assert coeffs[2] != 0
-
-
-def test_tricomi_reduces_to_laguerre():
-    for m in range(5):
-        for b in (-2.0, 0.5, 1.0, 3.0):
-            for w in (0.0, 0.7, 4.2):
-                got = tricomi_u_poly(m, b, w)
-                want = (-1) ** m * math.factorial(m) * _laguerre_binomial(m, b - 1.0, w)
-                assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
-
-
-def test_tricomi_rejects_non_polynomial():
-    with pytest.raises(NonPolynomialCase):
-        tricomi_u_poly(-1, 1.0, 0.5)
 
 
 def test_orthogonality_exact():

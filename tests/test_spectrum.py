@@ -8,6 +8,7 @@ import math
 import re
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -231,8 +232,9 @@ def test_ground_state_value_at_origin(fig_ia):
 
 
 def test_eigenfunction_label_swap_symmetry(fig_ii):
-    # |phi_{n,m}| = |phi_{m,n}|: the regularized radial branch (n < m) must
-    # match the direct branch (n > m) in magnitude everywhere.
+    # |phi_{n,m}| = |phi_{m,n}|: the symmetric Laguerre form gives both labels of
+    # a pair the same radial factor, and the published U form agrees (see
+    # test_eigenfunction_is_the_published_tricomi_form).
     for n, m in ((0, 1), (1, 3), (2, 4)):
         for r in (0.2, 0.9, 2.1):
             a = abs(eigenfunction(fig_ii, 0.6, StateLabel(n, m), r, 0.7))
@@ -273,6 +275,75 @@ def test_eigenfunction_norm_pins_gaussian_width(fig_ii):
         assert abs(norm - 1.0) <= 1e-9, (s, norm)
 
 
+def _published_eigenfunction(scenario, t, s, r, angle) -> complex:
+    """The paper's form lam_n (i rho)^m / sqrt(m!) r^(n-m) U(-m, 1-m+n, w) times its
+    Gaussian and chirp, w = r^2/rho^2, with U from mpmath.hyperu at 30 digits."""
+    st, (a, _) = rho_eval(scenario, t), coefficient_a(scenario, t)
+    n, m = s.n, s.m
+    with mpmath.workdps(30):
+        rho, r = mpmath.mpf(st.rho), mpmath.mpf(r)
+        w = r**2 / rho**2
+        lam = 1 / mpmath.sqrt(mpmath.pi * mpmath.factorial(n) * rho ** (2 + 2 * n))
+        # At r = 0, n > m the form is r^(n-m) times the polynomial's finite constant
+        # term, so 0; mpmath.hyperu returns inf at w = 0 for b > 1.
+        u = mpmath.hyperu(-m, 1 - m + n, w) if r or n == m else 0
+        radial = lam * (1j * rho) ** m / mpmath.sqrt(mpmath.factorial(m))
+        radial *= r ** (n - m) * u if n >= m else u / r ** (m - n)
+        gauss = 1 - 1j * rho * mpmath.mpf(st.rho_dot) / mpmath.mpf(a)
+        return complex(radial * mpmath.exp(1j * (m - n) * angle - gauss * w / 2))
+
+
+def test_eigenfunction_is_the_published_tricomi_form(mild_iii):
+    # The symmetric Laguerre form against the published U form it is derived from,
+    # on both sides of n = m; r = 0 only where r^(n-m) is regular.
+    t = 0.4
+    for n in range(7):
+        for m in range(7):
+            s = StateLabel(n, m)
+            for r in ((0.0,) if n >= m else ()) + (0.3, 1.1, 2.5):
+                for angle in (0.0, 2.3):
+                    got = eigenfunction(mild_iii, t, s, r, angle)
+                    want = _published_eigenfunction(mild_iii, t, s, r, angle)
+                    assert abs(got - want) <= 1e-11 * max(1.0, abs(want)), (s, r, angle)
+
+
+_LEGENDRE_200 = np.polynomial.legendre.leggauss(200)
+
+
+def _dilation_moment(scenario, t, s) -> float:
+    """<(xp + px)/2> of phi from the eigenfunction: Re <phi| -i r d/dr |phi> over the
+    plane (the symmetrised x p_x + y p_y), halved. Gauss-Legendre on [0, 12 rho], and
+    d/dr by the five-point central difference at h = 1e-3 rho."""
+    rho = rho_eval(scenario, t).rho
+    nodes, weights = _LEGENDRE_200
+    r, wt, h = 6.0 * rho * (nodes + 1.0), 6.0 * rho * weights, 1e-3 * rho
+
+    def phi(x):
+        return eigenfunction(scenario, t, s, x, 0.0)
+
+    d_phi = (phi(r - 2 * h) - 8.0 * phi(r - h) + 8.0 * phi(r + h) - phi(r + 2 * h)) / (12.0 * h)
+    density = (np.conjugate(phi(r)) * (-1j * r * d_phi)).real * 2.0 * math.pi * r
+    return float(wt @ density) / 2.0
+
+
+def test_eigenfunction_chirp_carries_the_propagated_xp_moment():
+    # The chirp e^{i rho rho' r^2/(2 a rho^2)} is the only factor of phi that sees rho',
+    # and <(xp + px)/2> is the only second moment it sets. The propagator alone gives
+    # it: the covariance (n+m+1)/2 M M^T at t = 0, M = [[rho, 0], [rho'/a, 1/rho]],
+    # goes to t as Phi M M^T Phi^T. With the chirp's sign flipped the two differ by
+    # twice the moment, O(1) on the mild scenarios.
+    for name, scenario in _shipped_scenarios():
+        rho, rho_dot, _ = scenario.family.rho(0.0)
+        m0 = np.array([[rho, 0.0], [rho_dot / scenario.family.a(0.0)[0], 1.0 / rho]])
+        for t in (0.0, 0.3, 0.7):
+            phi_t = scenario.family.propagator(t)
+            covariance = phi_t @ m0 @ m0.T @ phi_t.T
+            for s in (StateLabel(0, 0), StateLabel(1, 2), StateLabel(2, 0)):
+                want = 0.5 * (s.n + s.m + 1) * covariance[0, 1]
+                got = _dilation_moment(scenario, t, s)
+                assert abs(got - want) <= 1e-8 * max(1.0, abs(want)), (name, t, s, got, want)
+
+
 def test_hamiltonian_eigenfunction_phase_wiring(fig_ib):
     s, pt = StateLabel(1, 2), (0.6, 0.9)
     # At t = 0 the phase vanishes identically.
@@ -305,10 +376,11 @@ def test_huge_time_names_the_rho_power_that_overflows(fig_iii, t, n, message):
 
 
 def test_huge_time_names_the_prefactor_power_that_overflows():
-    # (i rho)^m of phi overflows before rho^(2n + 2) for n = 0, m = 4 on set_iii at
-    # t = 1e80; both callers of _phi, the point and the oracle's grid, add the time.
+    # The normalisation's one scale (hbar rho^2)^(1+l) = rho^10 overflows for n = 0,
+    # m = 4 on set_iii at t = 1e80, where rho^2 does not; _phi names the time for both
+    # of its callers, the point and the oracle's grid.
     scenario = build_scenario(parse_scenario_file(SCENARIO_DIR / "set_iii.scenario"))
-    s, message = StateLabel(0, 4), "(i rho(t))^4 overflows a float at t=1e+80"
+    s, message = StateLabel(0, 4), "rho(t)^10 overflows a float at t=1e+80"
     for call in (
         lambda: eigenfunction(scenario, 1e80, s, 0.0, 0.0),
         lambda: overlap(scenario, 1e80, s, s),
@@ -397,9 +469,8 @@ def _element_uncached(scenario, t, n, m, mp, k, x_units, invariant_basis):
     r_idx = (diff + k) // 2
     integral = laguerre_weighted_integral_exact(n - m - r_idx + k, m, n - m, mp, n - mp)
     base = Fraction(math.comb(k, r_idx), 2**k) * integral / math.factorial(n)
-    sq_arg = math.factorial(m) * math.factorial(mp)
-    root = math.isqrt(sq_arg)
-    coeff = float(base * root) if root * root == sq_arg else float(base) * math.sqrt(sq_arg)
+    lo, hi = min(m, mp), max(m, mp)
+    coeff = float(base * math.factorial(lo)) * math.sqrt(math.factorial(hi) // math.factorial(lo))
     value = complex(coeff * rho_eval(scenario, t).rho ** k)
     if x_units:
         value *= (-1.0 if (k + r_idx) % 2 else 1.0) * (1 + 0j, -1j, -1 + 0j, 1j)[k % 4]
@@ -424,6 +495,17 @@ def test_cached_coefficient_is_bit_identical_to_exact_sum(fig_ib, fig_ii, fig_ii
     info = _element_coefficient.cache_info()
     assert info.currsize == len(labels)
     assert info.hits == 12 * len(labels) - info.misses
+
+
+def test_first_power_element_stays_finite_at_large_labels(mild_iii):
+    # <m|x|m+1> = i sqrt(m+1)/2 rho in the invariant basis: sqrt(m! (m+1)!) is formed
+    # as m! sqrt(m+1), so the labels past 170, where m! leaves the float range, answer.
+    t = 0.0
+    rho = rho_eval(mild_iii, t).rho
+    for m in range(301):
+        got = matrix_element_x_pow(mild_iii, t, 0, m, m + 1, 1, invariant_basis=True)
+        want = math.sqrt(m + 1) / 2.0 * rho
+        assert got.real == 0.0 and abs(got.imag - want) <= 4e-16 * want, (m, got)
 
 
 def test_oracle_agreement_sweep():
@@ -476,7 +558,7 @@ def test_factored_eigenfunction_is_the_full_one_bit_for_bit():
             r = np.sqrt(grid.hr2 * _LAGUERRE_48_NODES)[:, None]
             for s in labels:
                 got = grid.radial(s) * _angular_row(s.l)
-                want = _phi(grid.st.rho, 0.0, s, r, _THETA[None, :])
+                want = _phi(grid, 0.0, s, r, _THETA[None, :])
                 assert got.shape == want.shape == (48, 96)
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (name, t, s)
 
@@ -489,7 +571,7 @@ def test_separable_rounding_bound_matches_the_two_dimensional_sum():
             grid = _Slice(scenario, t)
             r = np.sqrt(grid.hr2 * w)[:, None]
             full = {
-                (n, m): _phi(grid.st.rho, 0.0, StateLabel(n, m), r, _THETA[None, :])
+                (n, m): _phi(grid, 0.0, StateLabel(n, m), r, _THETA[None, :])
                 for n in range(3) for m in range(4)
             }
             for (n, m), (n2, mp) in ((a, b) for a in full for b in full if a[0] == b[0]):

@@ -157,6 +157,52 @@ def test_csv_rows_are_formatted_in_one_place():
     assert numbers == []
 
 
+# The exact-arithmetic functions: each keeps its factorials as Python integers.
+EXACT_FACTORIALS = {"laguerre_coefficients", "laguerre_weighted_integral_exact", "_element_coefficient"}
+
+
+def factorial_uses(source: str, allowed: set[str] = frozenset()) -> list[tuple[str, int]]:
+    """(enclosing function, line) of each read or import of math.factorial outside
+    the functions named in ``allowed``; the function is "" at module level."""
+    found = []
+
+    def visit(node: ast.AST, function: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (
+            (isinstance(node, ast.Attribute) and node.attr == "factorial")
+            or (isinstance(node, ast.Name) and node.id == "factorial")
+            or (isinstance(node, ast.ImportFrom) and any(a.name == "factorial" for a in node.names))
+        ) and function not in allowed:
+            found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_factorials_stay_exact():
+    # A factorial turned into a float overflows past 170!, long before the value it
+    # feeds does; the label ratios a float needs come from math.perm instead.
+    source = (
+        "import math\n"
+        "from math import factorial\n"
+        "def exact(n):\n"
+        "    return math.factorial(n)\n"
+        "def rounded(n):\n"
+        "    return float(factorial(n)) + math.perm(n, 2)\n"
+    )
+    assert factorial_uses(source) == [("", 2), ("exact", 4), ("rounded", 6)]
+    assert factorial_uses(source, {"exact"}) == [("", 2), ("rounded", 6)]
+    uses = [
+        f"{path.relative_to(ROOT)}:{line}: {function}"
+        for path in SOURCES
+        for function, line in factorial_uses(path.read_text(), EXACT_FACTORIALS)
+    ]
+    assert uses == []
+
+
 def phase_route_leaks(source: str) -> list[tuple[str, int]]:
     """(name, line) of each import of cmath and each read or import of PhaseMethod."""
     found = []
