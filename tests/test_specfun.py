@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad_vec
 
 from ncho.ermakov import coefficient_a, rho_eval
-from ncho.errors import NoConvergence, OutOfValidatedDomain
+from ncho.errors import InvalidLabel, NoConvergence, OutOfValidatedDomain
 from ncho.hamiltonian import c_complex
 from ncho.specfun import (
     gauss_2f1,
@@ -22,6 +22,7 @@ from ncho.specfun import (
     laguerre_coefficients,
     laguerre_weighted_integral_exact,
 )
+from ncho.spectrum import StateLabel
 
 # Frozen oracle values (mpmath, 50 digits, rounded to double):
 TWO_LN_TWO = 1.3862943611198906  # 2F1(1,1;2;1/2) = -ln(1-z)/z at z = 1/2
@@ -72,6 +73,26 @@ def test_negative_superscript_leading_zeros():
     coeffs = laguerre_coefficients(3, -2)
     assert coeffs[0] == 0 and coeffs[1] == 0
     assert coeffs[2] != 0
+
+
+def test_tricomi_reduces_to_laguerre():
+    # U(-m, b, w) = (-1)^m m! L_m^(b-1)(w) (DLMF 13.6.19), the identity that
+    # turns the published U form of the eigenstates into the Laguerre one.
+    for m in range(5):
+        for b in (-2.0, 0.5, 1.0, 3.0):
+            for w in (0.0, 0.7, 4.2):
+                want = float(mpmath.hyperu(-m, b, w))
+                got = (-1) ** m * math.factorial(m) * laguerre(m, b - 1.0, w)
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_tricomi_rejects_non_polynomial():
+    # U(-m, b, w) is a polynomial only for integer m >= 0; m = -1 (a = 1) is
+    # not, and both the state label and the Laguerre route refuse it.
+    with pytest.raises(InvalidLabel):
+        StateLabel(0, -1)
+    with pytest.raises(ValueError):
+        laguerre(-1, 0.0, 0.5)
 
 
 def test_orthogonality_exact():
