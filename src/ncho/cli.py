@@ -3,9 +3,9 @@
 Subcommands
 -----------
 verify     -- run the cross-validation suites (constraint, scale-function
-              residual, invariant ODEs, Heisenberg moments, phase closed
-              form vs quadrature, matrix-element oracle, orthonormality)
-              and print a pass/fail table; exit 0 iff everything passes.
+              residual, invariant ODEs and energy against the exact motion,
+              phase closed form vs quadrature, matrix-element oracle,
+              orthonormality) and print a pass/fail table; exit 0 iff all pass.
 energy     -- energy-expectation table over a time grid (Figs-style, scaled
               by 1/omega0).
 phase      -- evolution phase over a time grid, with the method per row.
@@ -45,11 +45,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import CONSTRAINT_RTOL, Scenario, build_scenario, parse_scenario_file
-from .energy import energy_series
+from .energy import energy_expectation, energy_series
 from .errors import NchoError, ToleranceNotMet
 from .ermakov import ep_residual, heisenberg_moments, rho_eval
 from .hamiltonian import in_reality_window, nc_table, reality_horizon_time
-from .invariant import invariant_coefficients, invariant_ode_residuals
+from .invariant import invariant_ode_residuals
 from .spectrum import (
     ORACLE_MAX_LABEL,
     ORACLE_MAX_POWER,
@@ -185,14 +185,21 @@ def _check_ep(scenario: Scenario, t0: float, t1: float) -> float:
 
 
 def _check_invariant_ode(scenario: Scenario, t0: float, t1: float) -> float:
-    grid = _linspace(max(t0, 0.01), t1, 25)
-    return float(np.max(invariant_ode_residuals(scenario, grid).worst))
+    return float(np.max(invariant_ode_residuals(scenario, _linspace(t0, t1, 25)).worst))
 
 
 def _check_heisenberg(scenario: Scenario, t0: float, t1: float) -> float:
-    grid = _linspace(t0, t1, 25)
-    co, moments = invariant_coefficients(scenario, grid), heisenberg_moments(scenario, grid, 1)
-    return float(np.max(np.abs(2.0 * np.array(moments) / (co.alpha, co.beta) - 1.0)))
+    """energy_expectation of (n, m) = (0, 0), (1, 2), (2, 0) against (n+m+1)(a<p^2> + b<x^2>)
+    + (n-m)c, the moments propagated once at n+m+1 = 1, relative to the two terms' sizes."""
+    grid, family = _linspace(t0, t1, 25), scenario.family
+    x2, p2, _ = heisenberg_moments(scenario, grid, 1)
+    quadratic, c = family.a(grid)[0] * p2 + family.b(grid) * x2, family.c(grid)
+    residuals = []
+    for s in (StateLabel(0, 0), StateLabel(1, 2), StateLabel(2, 0)):
+        terms = ((s.n + s.m + 1) * quadratic, (s.n - s.m) * c)
+        gap = energy_expectation(scenario, grid, s).value - sum(terms)
+        residuals.append(np.abs(gap) / np.maximum(sum(map(np.abs, terms)), 1.0))
+    return float(np.max(residuals))
 
 
 def _check_phase(scenario: Scenario, t0: float, t1: float) -> float:
@@ -231,7 +238,7 @@ def _check_orthonormality(scenario: Scenario, t0: float, t1: float) -> float:
 _VERIFY_CHECKS = (
     ("family-constraint", CONSTRAINT_RTOL, lambda scenario, t0, t1: scenario.constraint_residual),
     ("ep-residual", 1e-12, _check_ep),
-    ("invariant-ode", 1e-6, _check_invariant_ode),
+    ("invariant-ode", 1e-12, _check_invariant_ode),
     ("heisenberg", 1e-12, _check_heisenberg),
     ("phase-crossval", 1e-7, _check_phase),
     ("matrix-oracle", 1e-6, _check_matrix_oracle),
@@ -248,9 +255,9 @@ def cmd_verify(args) -> int:
     for name, default_tol, check in _VERIFY_CHECKS:
         try:
             worst = check(scenario, t0, t1)
-        except (NchoError, ArithmeticError):
-            # A failed quadrature certification, a reality-window breach or an
-            # overflow is a failed check, not a usage error.
+        except (NchoError, ArithmeticError, RuntimeError):
+            # A failed certification, a reality-window breach, an overflow or a
+            # dual-form gate's disagreement is a failed check, not a usage error.
             worst = math.inf
         results.append(CheckResult(name, worst, default_tol if args.tol is None else args.tol))
 

@@ -80,25 +80,24 @@ def energy_expectation(scenario: Scenario, t, s: StateLabel) -> EnergyResult:
     terms = (b * rho2, a / rho2, st.rho_dot * st.rho_dot / a)
     assembled = 0.5 * (s.n + s.m + 1) * (terms[0] + terms[1] + terms[2]) + (s.n - s.m) * c
     closed = scenario.family.energy(t, s.n + s.m + 1, s.n - s.m, c)
-    if closed is not None:
-        # Judged against the term magnitudes, not |assembled|: past the
-        # horizon terms of ~1e7 can cancel to ~1e2, leaving rounding noise
-        # that is large against the result but not against the terms. Their
-        # sum bounds |assembled|, so it is formed only where that bound fails.
-        diff = np.abs(assembled - closed)
-        suspect = diff > _CROSS_RTOL * np.maximum(1.0, np.abs(assembled))
-        if np.any(suspect):
-            scale = 0.5 * (s.n + s.m + 1) * sum(map(np.abs, terms)) + np.abs((s.n - s.m) * c)
-            mismatch = diff / np.maximum(1.0, scale)
-            bad = np.ravel(suspect & (mismatch > _CROSS_RTOL))
-            if bad.any():
-                i = np.argmax(bad)
-                at = (assembled, closed, mismatch, t)
-                got, want, rel, when = (np.ravel(x)[i].item() for x in at)
-                raise RuntimeError(
-                    f"assembled energy {got!r} and closed form {want!r} "
-                    f"disagree (rel {rel:.3e}) at t={when:g}"
-                )
+    # Judged against the term magnitudes, not |assembled|: past the horizon terms of
+    # ~1e7 can cancel to ~1e2, leaving rounding noise that is large against the result
+    # but not against the terms. Their sum bounds |assembled|, so it is formed only
+    # where that bound fails.
+    diff = np.abs(assembled - closed)
+    suspect = diff > _CROSS_RTOL * np.maximum(1.0, np.abs(assembled))
+    if np.any(suspect):
+        scale = 0.5 * (s.n + s.m + 1) * sum(map(np.abs, terms)) + np.abs((s.n - s.m) * c)
+        mismatch = diff / np.maximum(1.0, scale)
+        bad = np.ravel(suspect & (mismatch > _CROSS_RTOL))
+        if bad.any():
+            i = np.argmax(bad)
+            at = (assembled, closed, mismatch, t)
+            got, want, rel, when = (np.ravel(x)[i].item() for x in at)
+            raise RuntimeError(
+                f"assembled energy {got!r} and closed form {want!r} "
+                f"disagree (rel {rel:.3e}) at t={when:g}"
+            )
     return EnergyResult(assembled, t, reality_horizon_time(scenario))
 
 

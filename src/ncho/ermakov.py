@@ -103,10 +103,13 @@ def ep_residual(scenario: Scenario, t) -> EPResidual:
 
 
 def heisenberg_moments(scenario: Scenario, t, n_plus: int):
-    """<x_j^2> and <p_j^2> in |n, m> (n_plus = n+m+1) at a time or on a grid: the covariance
-    n_plus/2 M M^T at t = 0, M = [[rho, 0], [rho'/a, 1/rho]], goes to t as Phi M (Phi M)^T,
-    and Family.propagator's Phi rests on a and b alone."""
+    """<x_j^2>, <p_j^2> and <(x_j p_j + p_j x_j)/2> in |n, m> (n_plus = n+m+1) at a time or on
+    a grid: the covariance n_plus/2 M M^T at t = 0, M = [[rho, 0], [rho'/a, 1/rho]], goes to t
+    as Phi M (Phi M)^T, and Family.propagator's Phi rests on a and b alone. M M^T is the
+    invariant's [[alpha, -gamma/2], [-gamma/2, beta]]."""
     rho, rho_dot, _ = scenario.family.rho(0.0)
     phi, v = scenario.family.propagator(t), rho_dot / scenario.family.a(0.0)[0]
-    moments = 0.5 * n_plus * ((phi[..., 0] * rho + phi[..., 1] * v) ** 2 + (phi[..., 1] / rho) ** 2)
-    return moments[..., 0][()], moments[..., 1][()]
+    left, right = phi[..., 0] * rho + phi[..., 1] * v, phi[..., 1] / rho  # the columns of Phi M
+    moments = 0.5 * n_plus * (left**2 + right**2)
+    cross = 0.5 * n_plus * (left[..., 0] * left[..., 1] + right[..., 0] * right[..., 1])
+    return moments[..., 0][()], moments[..., 1][()], cross[()]

@@ -18,13 +18,14 @@ Every class answers damping(t), frequency(t), check() (the domain conditions),
 constraint() as (LHS, RHS, term magnitudes) of the relation named CONSTRAINT,
 rho(t) as (rho, rho', rho''), a(t) as (a, a'), b(t), c_terms(t) as the two
 radicands (rad1, rad2) of c = sqrt(rad1) + omega(t) sqrt(rad2), horizon()
-(None: unbounded, 0.0: empty), energy(t, n+m+1, n-m, c) (None where no closed
-form is published), _change(t), which makes Heisenberg's motion harmonic, and
-unit_phase(t), the integral of c - a/rho^2, as (value, validated): the flag
-marks the times the published form holds at, and value is nan at the others.
-No form is published for SetIIk with k != 2; the SetIa series holds only
-while |z| < 1 and where it settles, and not at zero frequency. The base class
-assembles c(t), phase_rate(t) = c - a/rho^2 and propagator(t) from those.
+(None: unbounded, 0.0: empty), energy(t, n+m+1, n-m, c), _change(t), which
+makes Heisenberg's motion harmonic, and unit_phase(t), the integral of
+c - a/rho^2, as (value, validated): the flag marks the times the published
+form holds at, and value is nan at the others. The SetIIk energy is the
+published k = 2 form written for every k; no phase form is published for
+k != 2. The SetIa series holds only while |z| < 1 and where it settles, and
+not at zero frequency. The base class assembles c(t), phase_rate(t) =
+c - a/rho^2 and propagator(t) from those.
 
 Every time-dependent method takes a float or a numpy array of times and answers
 in the same shape (Python scalars for a float). There is one path:
@@ -165,8 +166,6 @@ class Family:
         except OverflowError as exc:
             name = method.__name__[1:]
             raise OverflowError(f"{name}(t) overflows a float for t up to {t.max():g}") from exc
-        if out is None:
-            return None
         if isinstance(out, tuple):
             return tuple(_shaped(x, t.size, shape) for x in out)
         return _shaped(out, t.size, shape)
@@ -464,13 +463,12 @@ class SetIIk(_Rational):
         return max(0.0, (u_max - c.chi) / c.Gamma)
 
     def _energy(self, t, n_plus: int, n_minus: int, c):
-        """Published for k = 2 only."""
-        if self.k_exp != 2:
-            return None
+        """The published k = 2 form, written for every k: at k = 2 the factors are 2 and 8."""
         const = self.constants
+        k = float(self.k_exp)
         bracket = (
-            2.0 * (const.Delta * const.mu**2 + const.sigma / const.mu**2)
-            + const.mu**2 * const.Gamma**2 / (8.0 * const.sigma)
+            (k + 2.0) / k * (const.Delta * const.mu**2 + const.sigma / const.mu**2)
+            + const.mu**2 * const.Gamma**2 / (k * (k + 2.0) * const.sigma)
         )
         return n_plus / (2.0 * self._u(t)) * bracket + n_minus * c
 

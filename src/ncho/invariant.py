@@ -11,8 +11,11 @@ evaluated here, in natural units (hbar = 1). They are normalised to
 4*alpha*beta - gamma^2 = 4, the auxiliary constant xi = 1 of Lewis &
 Riesenfeld (J. Math. Phys. 10, 1458 (1969)): another xi multiplies I by xi
 and keeps its eigenstates.
-`invariant_ode_residuals` re-checks the three ODEs by central differencing,
-which is the computable surrogate for dI/dt = 0.
+The three ODEs say that C = [[alpha, -gamma/2], [-gamma/2, beta]] moves as
+Phi C Phi^T under Heisenberg's x' = a p, p' = -b x, so they hold exactly when
+the closed coefficients equal that transport of their values at t = 0.
+`invariant_ode_residuals` checks this against the exact propagator
+(`ermakov.heisenberg_moments`), which reads a, b, rho(0) and rho'(0) only.
 """
 
 from __future__ import annotations
@@ -22,10 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Scenario
-from .ermakov import coefficient_a, coefficient_b, rho_eval
-
-#: Step of the central differences in invariant_ode_residuals.
-ODE_STEP = 1e-5
+from .ermakov import coefficient_a, heisenberg_moments, rho_eval
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,7 @@ class InvariantCoeffs:
 
 @dataclass(frozen=True)
 class OdeResiduals:
-    """Relative residuals of the three coefficient ODEs at a time or on a grid."""
+    """Relative gaps between the closed coefficients and their exact transport, per time."""
 
     alpha_residual: float
     beta_residual: float
@@ -62,34 +62,16 @@ def invariant_coefficients(scenario: Scenario, t) -> InvariantCoeffs:
 
 
 def invariant_ode_residuals(scenario: Scenario, t) -> OdeResiduals:
-    """Central-difference check of the coefficient ODEs at a time or on a grid.
+    """The coefficient ODEs checked against the exact flow at a time or on a grid.
 
-    Each residual is |numerical derivative - ODE right side| divided by the
-    largest magnitude among the derivative, the right side, its constituent
-    terms, and 1 — so cancellations (e.g. gamma' = 0 for families with
-    constant gamma) are judged against the physics scale, not against 0.
+    At n+m+1 = 1 the propagated covariance is [[alpha, -gamma/2], [-gamma/2, beta]] / 2.
+    alpha and beta are judged against themselves, gamma against sqrt(alpha beta),
+    which is at least 1 because 4 alpha beta - gamma^2 = 4.
     """
-    h = ODE_STEP
-    t = np.asarray(t, dtype=float)[()]
-    minus = invariant_coefficients(scenario, t - h)
-    plus = invariant_coefficients(scenario, t + h)
-    here = invariant_coefficients(scenario, t)
-    a, _ = coefficient_a(scenario, t)
-    b = coefficient_b(scenario, t)
-
-    d_alpha = (plus.alpha - minus.alpha) / (2.0 * h)
-    d_beta = (plus.beta - minus.beta) / (2.0 * h)
-    d_gamma = (plus.gamma - minus.gamma) / (2.0 * h)
-
-    rhs_alpha = -a * here.gamma
-    rhs_beta = b * here.gamma
-    rhs_gamma = 2.0 * (b * here.alpha - a * here.beta)
-
-    def residual(derivative, rhs, *terms):
-        scale = np.max(np.abs(np.broadcast_arrays(derivative, rhs, *terms)), axis=0)
-        return (np.abs(derivative - rhs) / np.maximum(scale, 1.0))[()]
-
-    res_alpha = residual(d_alpha, rhs_alpha)
-    res_beta = residual(d_beta, rhs_beta)
-    res_gamma = residual(d_gamma, rhs_gamma, 2.0 * b * here.alpha, 2.0 * a * here.beta)
-    return OdeResiduals(res_alpha, res_beta, res_gamma)
+    co = invariant_coefficients(scenario, t)
+    x2, p2, cross = heisenberg_moments(scenario, t, 1)
+    return OdeResiduals(
+        np.abs(2.0 * x2 / co.alpha - 1.0)[()],
+        np.abs(2.0 * p2 / co.beta - 1.0)[()],
+        (np.abs(co.gamma + 4.0 * cross) / np.sqrt(co.alpha * co.beta))[()],
+    )

@@ -257,7 +257,8 @@ def _phi(sl: _Slice, gauss: complex, s: StateLabel, r, angle) -> np.ndarray:
     gauss = 0 because its Gauss-Laguerre weight e^{-w} is |Gaussian|^2. The
     normalisation's only scale is (hbar rho^2)^(1+l): a DomainError names hbar
     rho^2 where it underflows to 0 (it decays as e^{-Gamma t} on the
-    exponential families), and an overflow names that power or the label ratio.
+    exponential families), and an overflow names that power, the label ratio
+    or L_p^(l)(w).
     """
     p, l = min(s.n, s.m), abs(s.l)
     scale = named_power(sl.hr2, 1 + l, f"rho(t)^{2 + 2 * l}", sl.t)
@@ -271,7 +272,10 @@ def _phi(sl: _Slice, gauss: complex, s: StateLabel, r, angle) -> np.ndarray:
     )
     norm = 1.0 / math.sqrt(math.pi * ratio * scale)
     w = r**2 / sl.hr2
-    radial = _I_POW[(s.m + 2 * p) % 4] * norm * (r**l * laguerre(p, l, w))  # i^m (-1)^p
+    polynomial = laguerre(p, l, w)
+    if not np.isfinite(polynomial).all():  # inf - inf in the recurrence at large p and w
+        raise OverflowError(f"L_{p}^({l})(w) overflows a float for n={s.n}, m={s.m} at t={sl.t:g}")
+    radial = _I_POW[(s.m + 2 * p) % 4] * norm * (r**l * polynomial)  # i^m (-1)^p
     return radial * np.exp(1j * s.l * angle - gauss * w / 2.0)
 
 

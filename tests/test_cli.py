@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncho import cli, spectrum
+from ncho import cli, energy, families, spectrum
 from ncho.cli import build_parser, main
 from ncho.config import build_scenario, parse_scenario_file
 from ncho.ermakov import rho_eval
@@ -201,7 +201,7 @@ def test_verify_fails_on_broken_width_parameter(capsys, tmp_path):
     assert "FAIL" in out
     assert re.search(r"7 checks: \d+ passed, [1-9]\d* failed", out)
     # rho(0) with the wrong mu, carried by the exact motion, misses rho(t) by ~20%.
-    assert re.search(r"^heisenberg +2\.\d{3}e-01 +1\.000e-12 +FAIL$", out, re.MULTILINE), out
+    assert re.search(r"^invariant-ode +2\.\d{3}e-01 +1\.000e-12 +FAIL$", out, re.MULTILINE), out
 
 
 def test_verify_fails_the_heisenberg_check_on_overdamped_motion(capsys, tmp_path):
@@ -273,6 +273,72 @@ def test_verify_fails_a_nan_residual(capsys, monkeypatch):
     assert code == 1
     assert re.search(r"^orthonormality +nan +1\.000e-06 +FAIL$", out, re.MULTILINE), out
     assert "6 passed, 1 failed; worst residual nan" in out
+
+
+def test_verify_counts_a_dual_form_disagreement_as_a_failed_check(capsys, monkeypatch):
+    # energy_expectation raises RuntimeError when its two routes disagree; inside
+    # verify that fails the heisenberg row and the table is still printed.
+    original = families.SetIII._energy
+    monkeypatch.setattr(
+        families.SetIII, "_energy", lambda self, *args: (1.0 + 1e-6) * original(self, *args)
+    )
+    code, out, err = run_cli(capsys, "verify", "--scenario", III)
+    assert code == 1 and err == ""
+    assert re.search(r"^heisenberg +inf +1\.000e-12 +FAIL$", out, re.MULTILINE), out
+    assert "7 checks: 6 passed, 1 failed; worst residual inf" in out
+
+
+def _scale_rho_dot(monkeypatch):
+    # Each class that defines _rho, its rho' scaled and rho and rho'' kept.
+    for family in (families._Exponential, families.SetIIk, families.SetIII):
+        def scaled(self, t, original=family._rho):
+            rho, rho_dot, rho_ddot = original(self, t)
+            return rho, 1.01 * rho_dot, rho_ddot
+
+        monkeypatch.setattr(family, "_rho", scaled)
+
+
+def _scale_c(monkeypatch):
+    original = families.Family._c
+    monkeypatch.setattr(families.Family, "_c", lambda self, t: (1.0 + 1e-4) * original(self, t))
+
+
+def _scale_element_coefficient(monkeypatch):
+    original = spectrum._element_coefficient
+
+    def scaled(*labels):
+        exact = original(*labels)
+        return None if exact is None else ((1.0 + 1e-4) * exact[0], exact[1])
+
+    monkeypatch.setattr(spectrum, "_element_coefficient", scaled)
+
+
+def _drop_coupling(monkeypatch):
+    monkeypatch.setattr(energy, "c_complex", lambda scenario, t: 0j)
+
+
+# Each fault is a monkeypatch of one closed form, with the verify row that must fail
+# on it. The chirp sign of spectrum.eigenfunction is not here: no row catches it yet.
+MUTANTS = {
+    "rho_dot": (_scale_rho_dot, "invariant-ode"),
+    "c": (_scale_c, "phase-crossval"),
+    "element_coefficient": (_scale_element_coefficient, "matrix-oracle"),
+    "coupling": (_drop_coupling, "heisenberg"),
+}
+
+
+@pytest.mark.parametrize("fault", MUTANTS)
+def test_verify_fails_the_named_row_on_each_fault(capsys, monkeypatch, fault):
+    patch, row = MUTANTS[fault]
+    patch(monkeypatch)
+    for name in ("mild_iii", "set_iii", "set_ib"):
+        spectrum._slice.cache_clear()  # slices cached without the fault, or with it
+        try:
+            code, out, _ = run_cli(capsys, "verify", "--scenario", str(SCENARIO_DIR / f"{name}.scenario"))
+        finally:
+            spectrum._slice.cache_clear()
+        assert code == 1, (name, out)
+        assert re.search(rf"^{row} +\S+ +\S+ +FAIL$", out, re.MULTILINE), (name, out)
 
 
 # SetIa with omega0 = 1e4: the series argument z = 0.1 exp(2t) nears 1 at
@@ -542,16 +608,16 @@ def test_huge_finite_time_names_the_quantity_that_overflows(capsys, name):
 
 @pytest.mark.parametrize("argv, message", [
     (("wavefield", "set_iii", "--n", "200", "--m", "200", "--points", "2"),
-     "a value is not finite; no table written"),
+     "L_200^(0)(w) overflows a float for n=200, m=200 at t=0"),
     (("matelem", "set_iii", "--k", "400"),
      "the coefficient of rho(t)^400 overflows a float for n=0, m=0, m'=0, k=400"),
     (("wavefield", "set_iii", "--n", "0", "--m", "400", "--points", "2"),
      "max(n, m)!/min(n, m)! overflows a float for n=0, m=400 at t=0"),
 ])
 def test_huge_labels_name_the_quantity_that_overflows(capsys, argv, message):
-    # The exact coefficient of the closed element and the label ratio of the
-    # eigenfunction's normalisation leave the float range. L_200(w) is not finite
-    # at the wavefield's outer radii, so its table is refused without a name.
+    # The exact coefficient of the closed element, the label ratio of the
+    # eigenfunction's normalisation and L_200(w) at the wavefield's outer radii
+    # (inf - inf in its recurrence) leave the float range.
     command, name, *flags = argv
     path = str(SCENARIO_DIR / f"{name}.scenario")
     if command == "matelem":

@@ -121,10 +121,9 @@ def test_family_table_is_complete():
         assert math.isfinite(family.b(t)) and len(family.c_terms(t)) == 2, name
         horizon = family.horizon()
         assert horizon is None or horizon >= 0.0, name
-        # Nothing is published for k != 2; the SetIa series needs |z| < 1,
+        assert math.isfinite(family.energy(t, 2, 0, 0j).real), name
+        # No phase is published for k != 2; the SetIa series needs |z| < 1,
         # and the figure parameters put z at Delta/(M omega0^2) = 10.
-        energy = family.energy(t, 2, 0, 0j)
-        assert (energy is None) == (family.k_exp == 3), name
         value, validated = family.unit_phase(t)
         assert isinstance(value, complex) and isinstance(validated, bool), name
         assert validated == (name != "SetIa" and family.k_exp != 3), name

@@ -86,15 +86,26 @@ def test_cross_check_is_relative_to_the_term_magnitudes():
         energy_expectation(dataclasses.replace(scenario, family=family), t, s)
 
 
-def test_general_exponent_uses_assembled_route_only():
-    # No published closed form for the rational family away from exponent 2;
-    # the assembled route must still evaluate cleanly.
+def test_general_exponent_is_cross_checked():
+    # The rational family's energy form holds for every exponent, on and off
+    # the constraint, so k = 3 is cross-checked as k = 2 is, and a closed form
+    # off by 1e-8 of its value is caught.
     scenario = make_scenario(
         ScenarioKind.SET_II_K, k_exp=3, omega0=0.5, sigma=1.0, Delta=1.0, mu=1.0,
         enforce=False,
     )
-    res = energy_expectation(scenario, 0.5, StateLabel(1, 2))
-    assert math.isfinite(res.value.real)
+    t, s = 0.5, StateLabel(1, 2)
+    value = energy_expectation(scenario, t, s).value
+    closed = scenario.family.energy(t, s.n + s.m + 1, s.n - s.m, c_complex(scenario, t))
+    assert abs(value - closed) <= 1e-15 * abs(value)
+
+    class Perturbed(type(scenario.family)):
+        def energy(self, *args):
+            return (1.0 + 1e-8) * super().energy(*args)
+
+    family = Perturbed(scenario.family.constants, scenario.family.k_exp)
+    with pytest.raises(RuntimeError, match="disagree"):
+        energy_expectation(dataclasses.replace(scenario, family=family), t, s)
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ def test_ode_residuals_small_on_figures(fig_scenarios):
         worst = max(
             invariant_ode_residuals(scenario, t).worst for t in (0.05, 0.5, 1.0, 1.9)
         )
-        assert worst <= 1e-6, (name, worst)
+        assert worst <= 1e-12, (name, worst)
 
 
 def test_ode_residuals_detect_wrong_xi():

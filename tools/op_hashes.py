@@ -10,39 +10,25 @@ in-process through `ncho.cli.main` of the package under `--tree/src`, from
 the root of that tree, one after another in one process; the hashes go to
 stdout as JSON. The two figure scripts of `cold` are not run here:
 tests/test_scripts.py pins their files byte for byte. `--compare A B` prints
-each operation whose hash differs or that only one file holds, and exits 1
-if there is any.
+each operation whose hash differs or that only one file holds, then the
+count of such operations per subcommand, and exits 1 if there is any.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
+import collections
 import hashlib
-import io
 import json
 import os
 import sys
-import traceback
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
+from worker import run_op  # noqa: E402
 from workloads import WORKLOADS, make_ops  # noqa: E402
-
-
-def run_op(cli, argv) -> tuple[object, str, str]:
-    """Exit code, stdout and stderr of one `cli.main(argv)`; an escaped
-    exception gives exit code None and its traceback on stderr."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            rc = cli.main(list(argv))
-        except Exception:
-            rc = None
-            traceback.print_exc()
-    return rc, out.getvalue(), err.getvalue()
 
 
 def hash_ops(workloads, seeds, size: str = "full") -> dict[str, str]:
@@ -71,6 +57,13 @@ def compare(a: dict[str, str], b: dict[str, str]) -> list[str]:
     return lines
 
 
+def count_by_command(a: dict[str, str], b: dict[str, str]) -> list[str]:
+    """"<subcommand> <count>" of the operations compare lists, by subcommand name."""
+    keys = [key for key in {**a, **b} if a.get(key) != b.get(key)]
+    counts = collections.Counter(key.split(": ", 1)[1].split()[0] for key in keys)
+    return [f"{command} {count}" for command, count in sorted(counts.items())]
+
+
 def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--tree", type=Path, default=PERFBENCH.parent,
@@ -82,7 +75,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.compare:
         a, b = (json.loads(path.read_text())["hashes"] for path in args.compare)
         lines = compare(a, b)
-        print("\n".join(lines + [f"{len(a)} vs {len(b)} operations, {len(lines)} differ"]))
+        total = f"{len(a)} vs {len(b)} operations, {len(lines)} differ"
+        print("\n".join(lines + [total] + count_by_command(a, b)))
         return 1 if lines else 0
 
     tree = args.tree.resolve()
