@@ -191,9 +191,9 @@ def _check_invariant_ode(scenario: Scenario, t0: float, t1: float) -> float:
 def _check_heisenberg(scenario: Scenario, t0: float, t1: float) -> float:
     """energy_expectation of (n, m) = (0, 0), (1, 2), (2, 0) against (n+m+1)(a<p^2> + b<x^2>)
     + (n-m)c, the moments propagated once at n+m+1 = 1, relative to the two terms' sizes."""
-    grid, family = _linspace(t0, t1, 25), scenario.family
+    grid = _linspace(t0, t1, 25)
     x2, p2, _ = heisenberg_moments(scenario, grid, 1)
-    quadratic, c = family.a(grid)[0] * p2 + family.b(grid) * x2, family.c(grid)
+    quadratic, c = scenario.a(grid)[0] * p2 + scenario.b(grid) * x2, scenario.c(grid)
     residuals = []
     for s in (StateLabel(0, 0), StateLabel(1, 2), StateLabel(2, 0)):
         terms = ((s.n + s.m + 1) * quadratic, (s.n - s.m) * c)

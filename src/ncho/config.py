@@ -1,14 +1,11 @@
-"""Scenario definition, validation, and the flat key-value scenario file format.
+"""Scenario validation and the flat key-value scenario file format.
 
-A *scenario* binds the physical constants to one of five damped-oscillator
-setups, named by its ``ScenarioKind``. Each kind maps to one class of the
-family table in ``families``, which holds every closed form of that setup;
-`build_scenario` binds that class to the constants once and stores it as
-``Scenario.family``.
-
-Every accepted scenario satisfies its family's constant-constraint relation to
-a relative residual <= 1e-9; the residual is stored on the scenario for
-reporting.
+A *scenario* is one class of the family table in ``families`` (one per
+``ScenarioKind``, holding every closed form of that setup) bound to the
+physical constants; ``Scenario`` names the family base class. The bound class
+carries its kind, summary() and constraint_residual. `build_scenario` is the
+one place that binds and checks it: every accepted scenario satisfies its
+family's constant-constraint relation to a relative residual <= 1e-9.
 
 Units are natural (hbar = 1), the exponential families decay at the rate
 Gamma, and the invariant is normalised so that 4*alpha*beta - gamma^2 = 4
@@ -18,22 +15,15 @@ and the file format rejects it with the equivalent mu.
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConstraintViolation, DomainError, ScenarioFileError
-from .families import Family, SetIa, SetIb, SetIc, SetIII, SetIIk
+from .families import Family, ScenarioKind, SetIa, SetIb, SetIc, SetIII, SetIIk
 
 CONSTRAINT_RTOL = 1e-9
 
-
-class ScenarioKind(enum.Enum):
-    SET_IA = "SetIa"
-    SET_IB = "SetIb"
-    SET_IC = "SetIc"
-    SET_II_K = "SetII_k"
-    SET_III = "SetIII"
+Scenario = Family  # a validated scenario is its family class, bound
 
 
 @dataclass(frozen=True)
@@ -76,88 +66,34 @@ class PhysicalConstants:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Unvalidated scenario inputs.
-
-    ``k_exp`` is the rational-family exponent, used by SetII_k only.
-    """
+    """Unvalidated scenario inputs; ``k_exp`` is the rational-family exponent of SetII_k."""
 
     constants: PhysicalConstants
     kind: ScenarioKind
     k_exp: int = 2
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """A validated scenario. Immutable; safe to share across threads.
-
-    ``family`` is the kind's closed-form table bound to ``constants``; it is
-    derived from the other fields, so equality and hashing leave it out.
-    """
-
-    constants: PhysicalConstants
-    kind: ScenarioKind
-    k_exp: int
-    constraint_residual: float = field(compare=False)
-    family: Family = field(compare=False, repr=False)
-
-    def summary(self) -> str:
-        c = self.constants
-        bits = [
-            f"kind={self.kind.value}",
-            f"M={c.mass_M:g}", f"omega0={c.omega0:g}", f"Gamma={c.Gamma:g}",
-            f"chi={c.chi:g}", f"sigma={c.sigma:g}", f"Delta={c.Delta:g}", f"mu={c.mu:g}",
-        ]
-        if self.kind is ScenarioKind.SET_II_K:
-            bits.append(f"k_exp={self.k_exp}")
-        return " ".join(bits)
-
-
 _FAMILIES: dict[ScenarioKind, type[Family]] = {
-    ScenarioKind.SET_IA: SetIa,
-    ScenarioKind.SET_IB: SetIb,
-    ScenarioKind.SET_IC: SetIc,
-    ScenarioKind.SET_II_K: SetIIk,
-    ScenarioKind.SET_III: SetIII,
+    family.kind: family for family in (SetIa, SetIb, SetIc, SetIIk, SetIII)
 }
 
 
-def constraint_residual(family: Family) -> float:
-    """Relative residual of the family constraint.
-
-    The scale includes the individual term magnitudes, not just |LHS| and
-    |RHS|: at figure-sized parameters the two sides cancel to machine noise
-    against terms ~1e14, and the residual must reflect that cancellation.
-    """
-    try:
-        lhs, rhs, terms = family.constraint()
-    except OverflowError as exc:  # a constant's power leaves the float range
-        raise OverflowError(f"family constraint {family.CONSTRAINT} overflows a float") from exc
-    scale = max(1.0, abs(lhs), abs(rhs), *[abs(x) for x in terms])
-    return abs(lhs - rhs) / scale
-
-
 def build_scenario(spec: ScenarioSpec, enforce_constraint: bool = True) -> Scenario:
-    """Validate a ScenarioSpec into a Scenario.
+    """Validate a ScenarioSpec into a Scenario: the kind's family class, bound and checked.
 
-    Deterministic and idempotent: the same spec yields bit-identical
-    scenarios. With ``enforce_constraint=False`` the constraint residual is
-    recorded but not gated (used by the verification CLI, which reports a
-    broken constraint as a failed check rather than a config error).
+    Deterministic and idempotent: the same spec yields equal scenarios. With
+    ``enforce_constraint=False`` the constraint residual is formed but not
+    gated (used by the verification CLI, which reports a broken constraint
+    as a failed check rather than a config error).
     """
-    family = _FAMILIES[spec.kind](spec.constants, spec.k_exp)
-    family.check()
-    residual = constraint_residual(family)
+    scenario = _FAMILIES[spec.kind](spec.constants, spec.k_exp)
+    scenario.check()
+    residual = scenario.constraint_residual
     if enforce_constraint and residual > CONSTRAINT_RTOL:
         raise ConstraintViolation(
-            f"family constraint {family.CONSTRAINT} violated: relative residual {residual:.3e} > {CONSTRAINT_RTOL:g}"
+            f"family constraint {scenario.CONSTRAINT} violated: relative residual {residual:.3e} > {CONSTRAINT_RTOL:g}"
         )
-    return Scenario(
-        constants=spec.constants,
-        kind=spec.kind,
-        k_exp=spec.k_exp,
-        constraint_residual=residual,
-        family=family,
-    )
+    return scenario
 
 
 # ---------------------------------------------------------------------------
@@ -167,14 +103,17 @@ def build_scenario(spec: ScenarioSpec, enforce_constraint: bool = True) -> Scena
 _NUMERIC_KEYS = ("M", "omega0", "Gamma", "vartheta", "chi", "sigma", "Delta", "mu", "xi", "hbar")
 _ALL_KEYS = ("kind",) + _NUMERIC_KEYS + ("k_exp",)
 _REQUIRED_KEYS = ("kind", "M", "omega0", "Gamma", "sigma", "Delta", "mu")
+_FIXED_KEYS = ("vartheta", "xi", "hbar")
 
 
 def parse_scenario_text(text: str, source: str = "<string>") -> ScenarioSpec:
     """Parse the scenario grammar into a ScenarioSpec.
 
     Keys: kind, M, omega0, Gamma, vartheta, chi, sigma, Delta, mu, xi, hbar,
-    k_exp. Unknown or duplicate keys are errors. Defaults: chi=0 (so
-    rational/linear kinds fail loudly unless chi is set), k_exp=2.
+    k_exp. Unknown or duplicate keys are errors, and so is an optional key
+    that the kind's family class does not read (its ``OPTIONAL_KEYS``: chi
+    for the rational/linear kinds, k_exp for SetII_k only). Defaults: chi=0
+    (so rational/linear kinds fail loudly unless chi is set), k_exp=2.
     vartheta, xi and hbar are fixed by the model (`_check_fixed_keys`): a
     file may state them, but only at vartheta = Gamma, xi = 1 and hbar = 1.
     """
@@ -205,6 +144,10 @@ def parse_scenario_text(text: str, source: str = "<string>") -> ScenarioSpec:
     except ValueError:
         allowed = ", ".join(k.value for k in ScenarioKind)
         raise ScenarioFileError(f"{source}: unknown kind {kind_text!r} (allowed: {allowed})") from None
+    reads = _REQUIRED_KEYS + _FIXED_KEYS + _FAMILIES[kind].OPTIONAL_KEYS
+    for key in values:
+        if key not in reads:
+            raise ScenarioFileError(f"{source}: kind {kind.value} does not read key {key!r}")
 
     k_exp = 2
     if "k_exp" in values:

@@ -79,7 +79,7 @@ def energy_expectation(scenario: Scenario, t, s: StateLabel) -> EnergyResult:
     rho2 = st.rho * st.rho
     terms = (b * rho2, a / rho2, st.rho_dot * st.rho_dot / a)
     assembled = 0.5 * (s.n + s.m + 1) * (terms[0] + terms[1] + terms[2]) + (s.n - s.m) * c
-    closed = scenario.family.energy(t, s.n + s.m + 1, s.n - s.m, c)
+    closed = scenario.energy(t, s.n + s.m + 1, s.n - s.m, c)
     # Judged against the term magnitudes, not |assembled|: past the horizon terms of
     # ~1e7 can cancel to ~1e2, leaving rounding noise that is large against the result
     # but not against the terms. Their sum bounds |assembled|, so it is formed only

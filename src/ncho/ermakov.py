@@ -65,17 +65,17 @@ class EPResidual:
 
 def rho_eval(scenario: Scenario, t: float) -> RhoEval:
     """Analytic rho, rho', rho'' of the scenario's family at time t."""
-    return RhoEval(*scenario.family.rho(t), t)
+    return RhoEval(*scenario.rho(t), t)
 
 
 def coefficient_a(scenario: Scenario, t: float) -> tuple[float, float]:
     """Family momentum coefficient a(t) and its time derivative."""
-    return scenario.family.a(t)
+    return scenario.a(t)
 
 
 def coefficient_b(scenario: Scenario, t: float) -> float:
     """Family coordinate coefficient b(t)."""
-    return scenario.family.b(t)
+    return scenario.b(t)
 
 
 def ep_residual(scenario: Scenario, t) -> EPResidual:
@@ -107,8 +107,8 @@ def heisenberg_moments(scenario: Scenario, t, n_plus: int):
     a grid: the covariance n_plus/2 M M^T at t = 0, M = [[rho, 0], [rho'/a, 1/rho]], goes to t
     as Phi M (Phi M)^T, and Family.propagator's Phi rests on a and b alone. M M^T is the
     invariant's [[alpha, -gamma/2], [-gamma/2, beta]]."""
-    rho, rho_dot, _ = scenario.family.rho(0.0)
-    phi, v = scenario.family.propagator(t), rho_dot / scenario.family.a(0.0)[0]
+    rho, rho_dot, _ = scenario.rho(0.0)
+    phi, v = scenario.propagator(t), rho_dot / scenario.a(0.0)[0]
     left, right = phi[..., 0] * rho + phi[..., 1] * v, phi[..., 1] / rho  # the columns of Phi M
     moments = 0.5 * n_plus * (left**2 + right**2)
     cross = 0.5 * n_plus * (left[..., 0] * left[..., 1] + right[..., 0] * right[..., 1])

@@ -2,7 +2,8 @@
 
 The paper's five setups each pair a damping factor f(t) and a frequency
 omega(t) with one analytic solution of the auxiliary (Ermakov-Pinney)
-equation. Each pairing is one class, bound to the scenario's constants:
+equation. Each pairing is one class, and a scenario is an instance of it,
+bound to the constants and checked by ``config.build_scenario``:
 
 ============  ==========  ============================  =======================
 class         damping     frequency                     scale-function family
@@ -14,18 +15,20 @@ class         damping     frequency                     scale-function family
 ``SetIII``    f = 1       omega0/(Gamma*t + chi)        linear ("elementary")
 ============  ==========  ============================  =======================
 
-Every class answers damping(t), frequency(t), check() (the domain conditions),
-constraint() as (LHS, RHS, term magnitudes) of the relation named CONSTRAINT,
-rho(t) as (rho, rho', rho''), a(t) as (a, a'), b(t), c_terms(t) as the two
-radicands (rad1, rad2) of c = sqrt(rad1) + omega(t) sqrt(rad2), horizon()
-(None: unbounded, 0.0: empty), energy(t, n+m+1, n-m, c), _change(t), which
-makes Heisenberg's motion harmonic, and unit_phase(t), the integral of
-c - a/rho^2, as (value, validated): the flag marks the times the published
-form holds at, and value is nan at the others. The SetIIk energy is the
-published k = 2 form written for every k; no phase form is published for
-k != 2. The SetIa series holds only while |z| < 1 and where it settles, and
-not at zero frequency. The base class assembles c(t), phase_rate(t) =
-c - a/rho^2 and propagator(t) from those.
+Every class names its ``kind`` and the optional scenario keys it reads
+(``OPTIONAL_KEYS``), and answers damping(t), frequency(t), check() (the
+domain conditions), constraint() as (LHS, RHS, term magnitudes) of the
+relation named CONSTRAINT, rho(t) as (rho, rho', rho''), a(t) as (a, a'),
+b(t), c_terms(t) as the two radicands (rad1, rad2) of c = sqrt(rad1) +
+omega(t) sqrt(rad2), horizon() (None: unbounded, 0.0: empty), energy(t,
+n+m+1, n-m, c), _change(t), which makes Heisenberg's motion harmonic, and
+unit_phase(t), the integral of c - a/rho^2, as (value, validated): the flag
+marks the times the published form holds at, and value is nan at the others.
+The SetIIk energy is the published k = 2 form written for every k; no phase
+form is published for k != 2. The SetIa series holds only while |z| < 1 and
+where it settles, and not at zero frequency. The base class assembles c(t),
+phase_rate(t) = c - a/rho^2, propagator(t), constraint_residual and
+summary() from those.
 
 Every time-dependent method takes a float or a numpy array of times and answers
 in the same shape (Python scalars for a float). There is one path:
@@ -43,6 +46,7 @@ differently in the last bit, which would show in their noise columns.
 from __future__ import annotations
 
 import cmath
+import enum
 import itertools
 import math
 from dataclasses import dataclass
@@ -55,6 +59,14 @@ from .specfun import gauss_2f1
 
 if TYPE_CHECKING:
     from .config import PhysicalConstants
+
+
+class ScenarioKind(enum.Enum):
+    SET_IA = "SetIa"
+    SET_IB = "SetIb"
+    SET_IC = "SetIc"
+    SET_II_K = "SetII_k"
+    SET_III = "SetIII"
 
 
 def _exp(x):
@@ -97,7 +109,8 @@ def _shaped(value, size: int, shape: tuple | None):
 
 @dataclass(frozen=True)
 class Family:
-    """Closed forms of one scenario family; ``k_exp`` is read by SetIIk only.
+    """A scenario: one family's closed forms bound to its constants, immutable and
+    hashable; ``k_exp`` is read by SetIIk only.
 
     The public time-dependent methods take a float or an array of times and
     answer in the same shape. Each runs its ``_name`` implementation once on
@@ -105,8 +118,29 @@ class Family:
     (``_on_grid``); implementations call each other directly.
     """
 
+    OPTIONAL_KEYS = ()  # scenario keys read beyond the required ones; not a field
+
     constants: PhysicalConstants
     k_exp: int = 2
+
+    @property
+    def constraint_residual(self) -> float:
+        """Relative residual of the family constraint, against the largest of |LHS|, |RHS|
+        and the term magnitudes: at figure-sized parameters terms ~1e14 cancel to noise."""
+        try:
+            lhs, rhs, terms = self.constraint()
+        except OverflowError as exc:  # a constant's power leaves the float range
+            raise OverflowError(f"family constraint {self.CONSTRAINT} overflows a float") from exc
+        scale = max(1.0, abs(lhs), abs(rhs), *[abs(x) for x in terms])
+        return abs(lhs - rhs) / scale
+
+    def summary(self) -> str:
+        c = self.constants
+        return " ".join([
+            f"kind={self.kind.value}",
+            f"M={c.mass_M:g}", f"omega0={c.omega0:g}", f"Gamma={c.Gamma:g}",
+            f"chi={c.chi:g}", f"sigma={c.sigma:g}", f"Delta={c.Delta:g}", f"mu={c.mu:g}",
+        ])
 
     def damping(self, t):
         return self._on_grid(self._damping, t)
@@ -257,6 +291,8 @@ class _Exponential(Family):
 
 
 class SetIa(_Exponential):
+    kind = ScenarioKind.SET_IA
+
     def _c_terms(self, t):
         c = self.constants
         M, w0, G = c.mass_M, c.omega0, c.Gamma
@@ -320,6 +356,8 @@ class _ExpDamped(_Exponential):
 
 
 class SetIb(_ExpDamped):
+    kind = ScenarioKind.SET_IB
+
     def _frequency(self, t):
         return self.constants.omega0
 
@@ -340,6 +378,8 @@ class SetIb(_ExpDamped):
 
 
 class SetIc(_ExpDamped):
+    kind = ScenarioKind.SET_IC
+
     def _c_terms(self, t):
         c = self.constants
         M, w0, G = c.mass_M, c.omega0, c.Gamma
@@ -370,6 +410,8 @@ class SetIc(_ExpDamped):
 class _Rational(Family):
     """Unit damping and omega0/u with u = Gamma*t + chi, which must stay positive."""
 
+    OPTIONAL_KEYS = ("chi",)
+
     def _u(self, t):
         return self.constants.Gamma * t + self.constants.chi
 
@@ -394,6 +436,8 @@ class _Rational(Family):
 
 
 class SetIIk(_Rational):
+    kind = ScenarioKind.SET_II_K
+    OPTIONAL_KEYS = ("chi", "k_exp")
     CONSTRAINT = "Gamma^2*mu = (k+2)^2*(sigma*Delta*mu - sigma^2/mu^3)"
 
     def check(self) -> None:
@@ -402,6 +446,9 @@ class SetIIk(_Rational):
                 f"rational-family exponent k_exp must be an integer >= 1, got {self.k_exp!r}"
             )
         super().check()
+
+    def summary(self) -> str:
+        return f"{super().summary()} k_exp={self.k_exp}"
 
     def constraint(self) -> tuple[float, float, tuple[float, ...]]:
         c = self.constants
@@ -506,6 +553,7 @@ class SetIIk(_Rational):
 
 
 class SetIII(_Rational):
+    kind = ScenarioKind.SET_III
     CONSTRAINT = "Delta*mu^4 = sigma"
 
     def constraint(self) -> tuple[float, float, tuple[float, ...]]:

@@ -50,7 +50,7 @@ def reality_horizon_time(scenario: Scenario) -> float | None:
     None means unbounded; 0.0 means the window is empty (the reality
     conditions fail already at t = 0).
     """
-    return scenario.family.horizon()
+    return scenario.horizon()
 
 
 def in_reality_window(horizon: float | None, t):
@@ -70,7 +70,7 @@ def _outside(radicand, scale):
 
 def c_complex(scenario: Scenario, t):
     """c(t) continued past the reality window with principal-branch roots."""
-    return scenario.family.c(t)
+    return scenario.c(t)
 
 
 def _nc_inversion(scenario: Scenario, t):
@@ -88,13 +88,13 @@ def _nc_inversion(scenario: Scenario, t):
     if np.any(np.asarray(t) < 0.0):
         raise DomainError(f"deformation parameters are validated for t >= 0, got t={np.min(t):g}")
     M = scenario.constants.mass_M
-    f = scenario.family.damping(t)
-    w = scenario.family.frequency(t)
+    f = scenario.damping(t)
+    w = scenario.frequency(t)
     if scenario.constants.omega0 == 0.0:
         raise DomainError("theta_nc is undefined at zero frequency (omega(t) = 0)")
     a, _ = coefficient_a(scenario, t)
     b = coefficient_b(scenario, t)
-    rad1, rad2 = scenario.family.c_terms(t)
+    rad1, rad2 = scenario.c_terms(t)
 
     rad_theta = 4.0 * f * (M * a - f)
     scale_theta = 4.0 * f * (M * a + f)

@@ -29,8 +29,9 @@ def laguerre(n: int, zeta, w):
 
     Upward recurrence in the degree:
     k*L_k = (2k-1+zeta-w)*L_{k-1} - (k-1+zeta)*L_{k-2}.
-    Valid for any real superscript, including the negative integers used by
-    the matrix-element sums. ``w`` may be a scalar or a numpy array.
+    Its one caller, the eigenfunction (``spectrum._phi``), passes zeta = |l| >= 0;
+    the matrix-element sums use exact integrals instead. ``w`` may be a scalar or
+    a numpy array.
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"degree must be a nonnegative integer, got {n!r}")

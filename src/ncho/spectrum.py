@@ -166,7 +166,7 @@ def _unit_phase_quadrature(scenario: Scenario, t: np.ndarray) -> np.ndarray:
     """
     times = t.tolist()
     results = integrate_adaptive_many(
-        scenario.family.phase_rate, [(0.0, x) for x in times], PHASE_QUAD_TOL
+        scenario.phase_rate, [(0.0, x) for x in times], PHASE_QUAD_TOL
     )
     for x, (value, err) in zip(times, results):
         if err > max(PHASE_QUAD_TOL, _REL_FLOOR * (1.0 + abs(value))):
@@ -184,7 +184,7 @@ def phase_grid(scenario: Scenario, s: StateLabel, t, quadrature=None) -> tuple:
     t = np.asarray(t, dtype=float)
     unit, fallback = np.zeros(t.shape, dtype=complex), np.zeros(t.shape, dtype=bool)
     if s.m:
-        unit, validated = scenario.family.unit_phase(t)
+        unit, validated = scenario.unit_phase(t)
         fallback = ~validated
         if fallback.any():
             unit[fallback] = (

@@ -50,8 +50,8 @@ def phase_space_symbols(scenario: Scenario, t: float, x1, x2, p1, p2):
     c = c_complex(scenario, t)
     assert c.imag == 0.0, (scenario.kind, t, c)
     M = scenario.constants.mass_M
-    f = scenario.family.damping(t)
-    w = scenario.family.frequency(t)
+    f = scenario.damping(t)
+    w = scenario.frequency(t)
     kin1 = p1 + 0.5 * nc.omega_nc * x2
     kin2 = p2 - 0.5 * nc.omega_nc * x1
     pos1 = x1 - 0.5 * nc.theta_nc * p2

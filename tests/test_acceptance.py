@@ -67,14 +67,13 @@ def test_criterion_02_heisenberg_oracle(fig_scenarios, mild_scenarios):
     windows += [(mild_scenarios[name], t_end) for name, t_end in mild_windows]
     worst = 0.0
     for scenario, t_end in windows:
-        family = scenario.family
         t = np.linspace(0.0, t_end, 40)
-        rho, a, b = family.rho(t)[0], family.a(t)[0], family.b(t)
+        rho, a, b = scenario.rho(t)[0], scenario.a(t)[0], scenario.b(t)
         for s in (StateLabel(0, 0), StateLabel(1, 2)):
             n_plus = s.n + s.m + 1
             x2, p2, _ = heisenberg_moments(scenario, t, n_plus)
             # The Heisenberg side reads no rho(t > 0): Phi, then a, b and c.
-            energy = a * p2 + b * x2 + (s.n - s.m) * family.c(t)
+            energy = a * p2 + b * x2 + (s.n - s.m) * scenario.c(t)
             expected = energy_expectation(scenario, t, s).value
             worst = max(
                 worst,

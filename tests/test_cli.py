@@ -317,13 +317,40 @@ def _drop_coupling(monkeypatch):
     monkeypatch.setattr(energy, "c_complex", lambda scenario, t: 0j)
 
 
+def _scale_b(monkeypatch):
+    for family in (families._Exponential, families.SetIIk, families.SetIII):
+        def scaled(self, t, original=family._b):
+            return (1.0 + 1e-4) * original(self, t)
+
+        monkeypatch.setattr(family, "_b", scaled)
+
+
+def _scale_phi(monkeypatch):
+    original = spectrum._phi
+    monkeypatch.setattr(spectrum, "_phi", lambda *args: (1.0 + 1e-4) * original(*args))
+
+
+def _scale_constraint_lhs(monkeypatch):
+    for family in (families._Exponential, families.SetIIk, families.SetIII):
+        def scaled(self, original=family.constraint):
+            lhs, rhs, terms = original(self)
+            return (1.0 + 1e-4) * lhs, rhs, terms
+
+        monkeypatch.setattr(family, "constraint", scaled)
+
+
 # Each fault is a monkeypatch of one closed form, with the verify row that must fail
-# on it. The chirp sign of spectrum.eigenfunction is not here: no row catches it yet.
+# on it; every row fails on at least one. Not here, because no row catches them yet:
+# the chirp sign of spectrum.eigenfunction, and the damping f(t) scaled by 1 + 1e-4
+# (no row reads theta_nc or Omega_nc; ncparams refuses it).
 MUTANTS = {
     "rho_dot": (_scale_rho_dot, "invariant-ode"),
     "c": (_scale_c, "phase-crossval"),
     "element_coefficient": (_scale_element_coefficient, "matrix-oracle"),
     "coupling": (_drop_coupling, "heisenberg"),
+    "b": (_scale_b, "ep-residual"),
+    "phi": (_scale_phi, "orthonormality"),
+    "constraint_lhs": (_scale_constraint_lhs, "family-constraint"),
 }
 
 
@@ -339,6 +366,10 @@ def test_verify_fails_the_named_row_on_each_fault(capsys, monkeypatch, fault):
             spectrum._slice.cache_clear()
         assert code == 1, (name, out)
         assert re.search(rf"^{row} +\S+ +\S+ +FAIL$", out, re.MULTILINE), (name, out)
+
+
+def test_every_verify_row_fails_on_a_fault():
+    assert {row for _, row in MUTANTS.values()} == {name for name, _, _ in cli._VERIFY_CHECKS}
 
 
 # SetIa with omega0 = 1e4: the series argument z = 0.1 exp(2t) nears 1 at
@@ -914,6 +945,19 @@ def test_fixed_keys_exit_two_on_every_subcommand(capsys, tmp_path, key, value):
     )
     assert proc.returncode == 2
     assert f"{key} must" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command, name, line, kind", [
+    ("verify", "set_iii", "k_exp = 7", "SetIII"),  # the linear family has no exponent
+    ("energy", "set_ib", "chi = 5", "SetIb"),  # SetIb's profiles carry no offset
+])
+def test_a_key_the_kind_does_not_read_exits_two(capsys, tmp_path, command, name, line, kind):
+    path = tmp_path / f"{name}.scenario"
+    path.write_text((SCENARIO_DIR / f"{name}.scenario").read_text() + line + "\n")
+    code, out, err = run_cli(capsys, command, "--scenario", str(path))
+    assert (code, out) == (2, "")
+    key = line.partition(" ")[0]
+    assert err.startswith("error: ") and err.rstrip().endswith(f"kind {kind} does not read key '{key}'")
 
 
 def test_help_exits_zero(capsys):

@@ -14,7 +14,6 @@ from ncho.config import (
     ScenarioKind,
     ScenarioSpec,
     build_scenario,
-    constraint_residual,
     parse_scenario_file,
     parse_scenario_text,
 )
@@ -110,8 +109,8 @@ def test_constants_domain_errors():
 def test_family_table_is_complete():
     """Every kind (and a k = 3 rational family) answers every table question."""
     t = 0.3
-    families = [make_scenario(kind).family for kind in ScenarioKind]
-    families.append(make_scenario(ScenarioKind.SET_II_K, k_exp=3, enforce=False).family)
+    families = [make_scenario(kind) for kind in ScenarioKind]
+    families.append(make_scenario(ScenarioKind.SET_II_K, k_exp=3, enforce=False))
     for family in families:
         name = type(family).__name__
         family.check()
@@ -153,8 +152,7 @@ def test_profile_table():
 
 def test_figure_scenarios_satisfy_constraints(fig_scenarios):
     for name, scenario in fig_scenarios.items():
-        residual = constraint_residual(scenario.family)
-        assert residual <= CONSTRAINT_RTOL, name
+        assert scenario.constraint_residual <= CONSTRAINT_RTOL, name
 
 
 def test_constraint_enforcement_rejects_perturbed_mu():
@@ -188,6 +186,24 @@ def test_shipped_scenario_files_build():
         assert scenario.constraint_residual <= CONSTRAINT_RTOL, path.name
 
 
+# The optional keys each kind reads: chi offsets the rational/linear
+# profiles, and k_exp is the exponent of SetII_k alone.
+READS_CHI = {ScenarioKind.SET_II_K, ScenarioKind.SET_III}
+
+
+def _optional_lines(kind: ScenarioKind, chi, k_exp: int) -> str:
+    """The chi and k_exp lines of a scenario file, for the keys the kind reads."""
+    text = f"chi = {chi!r}\n" if kind in READS_CHI else ""
+    return text + (f"k_exp = {k_exp}\n" if kind is ScenarioKind.SET_II_K else "")
+
+
+@pytest.mark.parametrize("kind, line", [("SetIa", "chi = 0"), ("SetIc", "k_exp = 2")])
+def test_parse_rejects_a_key_the_kind_does_not_read_even_at_its_default(kind, line):
+    key = line.partition(" ")[0]
+    with pytest.raises(ScenarioFileError, match=f"kind {kind} does not read key '{key}'$"):
+        parse_scenario_text(MINIMAL.replace("SetIb", kind) + line + "\n")
+
+
 def test_vartheta_within_1e12_of_gamma_is_gamma():
     # The exact values vartheta = Gamma, xi = 1, hbar = 1 go through the round trip below.
     parse_scenario_text(MINIMAL + "vartheta = 1.0000000000001\n")
@@ -219,8 +235,8 @@ def test_rejected_xi_names_the_equivalent_mu(kind, k_exp, gamma, sigma, mu, xi):
     # names the second, and it satisfies the xi = 1 constraint.
     delta = _xi_form_delta(kind, k_exp, gamma, sigma, mu, xi)
     text = (
-        f"kind = {kind.value}\nM = 1\nomega0 = 1\nGamma = {gamma!r}\nchi = 1\n"
-        f"sigma = {sigma!r}\nDelta = {delta!r}\nk_exp = {k_exp}\n"
+        f"kind = {kind.value}\nM = 1\nomega0 = 1\nGamma = {gamma!r}\n"
+        f"sigma = {sigma!r}\nDelta = {delta!r}\n" + _optional_lines(kind, 1.0, k_exp)
     )
     with pytest.raises(ScenarioFileError, match="xi must be 1") as err:
         parse_scenario_text(text + f"mu = {mu!r}\nxi = {xi!r}\n")
@@ -237,13 +253,11 @@ def format_scenario_text(spec: ScenarioSpec) -> str:
     lines = [f"kind = {spec.kind.value}"]
     for key, value in (
         ("M", c.mass_M), ("omega0", c.omega0), ("Gamma", c.Gamma),
-        ("vartheta", c.Gamma), ("chi", c.chi), ("sigma", c.sigma),
+        ("vartheta", c.Gamma), ("sigma", c.sigma),
         ("Delta", c.Delta), ("mu", c.mu), ("xi", 1.0), ("hbar", 1.0),
     ):
         lines.append(f"{key} = {value!r}")
-    if spec.kind is ScenarioKind.SET_II_K:
-        lines.append(f"k_exp = {spec.k_exp}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n" + _optional_lines(spec.kind, c.chi, spec.k_exp)
 
 
 @st.composite
@@ -254,7 +268,7 @@ def scenario_specs(draw):
         mass_M=draw(pos),
         omega0=draw(st.one_of(st.just(0.0), pos)),
         Gamma=draw(pos),
-        chi=draw(pos),
+        chi=draw(pos) if kind in READS_CHI else 0.0,  # 0 is the default of the other kinds
         sigma=draw(pos),
         Delta=draw(pos),
         mu=draw(pos),

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import pytest
@@ -77,13 +76,12 @@ def test_cross_check_is_relative_to_the_term_magnitudes():
     assert scale > 1e7
 
     # A closed form off by 1e-8 of that scale is still caught.
-    class Perturbed(type(scenario.family)):
+    class Perturbed(type(scenario)):
         def energy(self, *args):
             return super().energy(*args) + 1e-8 * scale
 
-    family = Perturbed(scenario.family.constants, scenario.family.k_exp)
     with pytest.raises(RuntimeError, match="disagree"):
-        energy_expectation(dataclasses.replace(scenario, family=family), t, s)
+        energy_expectation(Perturbed(scenario.constants, scenario.k_exp), t, s)
 
 
 def test_general_exponent_is_cross_checked():
@@ -96,16 +94,15 @@ def test_general_exponent_is_cross_checked():
     )
     t, s = 0.5, StateLabel(1, 2)
     value = energy_expectation(scenario, t, s).value
-    closed = scenario.family.energy(t, s.n + s.m + 1, s.n - s.m, c_complex(scenario, t))
+    closed = scenario.energy(t, s.n + s.m + 1, s.n - s.m, c_complex(scenario, t))
     assert abs(value - closed) <= 1e-15 * abs(value)
 
-    class Perturbed(type(scenario.family)):
+    class Perturbed(type(scenario)):
         def energy(self, *args):
             return (1.0 + 1e-8) * super().energy(*args)
 
-    family = Perturbed(scenario.family.constants, scenario.family.k_exp)
     with pytest.raises(RuntimeError, match="disagree"):
-        energy_expectation(dataclasses.replace(scenario, family=family), t, s)
+        energy_expectation(Perturbed(scenario.constants, scenario.k_exp), t, s)
 
 
 # ---------------------------------------------------------------------------

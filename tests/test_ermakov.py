@@ -118,7 +118,7 @@ def test_ep_residual_large_when_constraint_broken():
 
 def test_propagator_is_the_identity_at_zero():
     for name, scenario in PROPAGATED.items():
-        propagator = scenario.family.propagator
+        propagator = scenario.propagator
         assert np.array_equal(propagator(0.0), np.eye(2)), name
         assert np.array_equal(propagator(np.array([0.0, 0.5]))[0], np.eye(2)), name
 
@@ -128,7 +128,7 @@ def test_propagator_is_the_identity_at_zero():
 def test_propagator_keeps_phase_space_area(t):
     # The generator [[0, a], [-b, 0]] of x' = a p, p' = -b x has trace 0.
     for name, scenario in PROPAGATED.items():
-        phi = scenario.family.propagator(t)
+        phi = scenario.propagator(t)
         det = phi[0, 0] * phi[1, 1] - phi[0, 1] * phi[1, 0]
         assert abs(det - 1.0) <= 1e-14, (name, det)
 
@@ -138,8 +138,7 @@ def test_propagator_keeps_phase_space_area(t):
 def test_propagator_solves_heisenbergs_equations(t):
     # Central differences of Phi against [[0, a], [-b, 0]] Phi, row by row,
     # with a step of 1e-3 over the fastest frequency sqrt(ab) of the window.
-    for name, scenario in PROPAGATED.items():
-        family = scenario.family
+    for name, family in PROPAGATED.items():
         window = np.linspace(0.0, 2.0, 21)
         h = 1e-3 / np.sqrt(family.a(window)[0] * family.b(window)).max()
         before, here, after = family.propagator(np.array([t - h, t, t + h]))
@@ -154,8 +153,7 @@ def test_propagator_solves_heisenbergs_equations(t):
 def test_propagator_rotates_the_scale_frame(t):
     # With M = [[rho, 0], [rho'/a, 1/rho]], M(t)^-1 Phi(t) M(0) is orthogonal:
     # the motion carries the invariant's eigenstate widths along rho.
-    for name, scenario in PROPAGATED.items():
-        family = scenario.family
+    for name, family in PROPAGATED.items():
         rho, rho_dot, _ = family.rho(t)
         rho0, rho0_dot, _ = family.rho(0.0)
         inverse = np.array([[1.0 / rho, 0.0], [-rho_dot / family.a(t)[0], rho]])

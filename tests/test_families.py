@@ -34,7 +34,7 @@ METHODS = ("damping", "frequency", "rho", "a", "b", "c_terms", "c", "phase_rate"
 
 def _window_end(scenario) -> float:
     """Past the reality horizon, where one exists, so complex values are covered."""
-    horizon = scenario.family.horizon()
+    horizon = scenario.horizon()
     return 3.0 if not horizon else min(2.0 * horizon, 40.0)
 
 
@@ -57,7 +57,7 @@ def _assert_same_bits(whole, single: list, where) -> None:
 @given(data=st.data())
 def test_grid_and_single_times_agree_bit_for_bit(data):
     name = data.draw(st.sampled_from(sorted(SCENARIOS)))
-    family = SCENARIOS[name].family
+    family = SCENARIOS[name]
     times = data.draw(
         st.lists(st.floats(0.0, _window_end(SCENARIOS[name])), min_size=1, max_size=12)
     )
@@ -80,7 +80,7 @@ SINGLE_TYPES = {
 
 @pytest.mark.parametrize("name", sorted(SHIPPED))
 def test_a_single_time_runs_as_a_one_point_grid(monkeypatch, name):
-    family = SCENARIOS[name].family
+    family = SCENARIOS[name]
     t = 0.5
     seen = []
 
@@ -113,7 +113,7 @@ def test_a_single_time_runs_as_a_one_point_grid(monkeypatch, name):
 
 
 def test_outputs_keep_the_shape_of_the_times():
-    family = SCENARIOS["set_iii"].family
+    family = SCENARIOS["set_iii"]
     grid = np.linspace(0.0, 1.0, 6).reshape(2, 3)
     assert all(x.shape == (2, 3) for x in family.rho(grid))
     assert family.c(grid).shape == (2, 3) and family.c(grid).dtype == complex
@@ -124,22 +124,22 @@ def test_outputs_keep_the_shape_of_the_times():
 
 
 def test_series_domain_is_reported_per_time():
-    family = STEEP_IA.family
+    family = STEEP_IA
     edge = math.log(10.0) / 2.0  # where z = 0.1 exp(2t) reaches 1
     # Just below the edge (t = 1.14) the series does not settle, so the
     # published form stands down there too.
     times = np.array([0.0, 0.5 * edge, 0.9 * edge, 1.14, 1.01 * edge, 3.0])
     _, validated = family.unit_phase(times)
     assert validated.tolist() == [True, True, True, False, False, False]
-    assert SCENARIOS["set_ia"].family.unit_phase(0.5)[1] is False  # z starts at 10
+    assert SCENARIOS["set_ia"].unit_phase(0.5)[1] is False  # z starts at 10
 
 
 def test_unit_phase_answers_everywhere_and_flags_where_no_closed_form_holds():
     grid = np.linspace(0.0, 1.0, 6).reshape(2, 3)
     no_closed_form = {
-        "set_ia": SCENARIOS["set_ia"].family,  # z0 = 10
-        "set_ia_omega0_0": make_scenario(ScenarioKind.SET_IA, omega0=0.0).family,
-        "set_ii_k3": SCENARIOS["set_ii_k3"].family,
+        "set_ia": SCENARIOS["set_ia"],  # z0 = 10
+        "set_ia_omega0_0": make_scenario(ScenarioKind.SET_IA, omega0=0.0),
+        "set_ii_k3": SCENARIOS["set_ii_k3"],
     }
     for name, family in no_closed_form.items():
         value, validated = family.unit_phase(grid)

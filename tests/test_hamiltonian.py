@@ -23,14 +23,14 @@ def test_profiles_per_family(fig_scenarios):
     t = 0.7
     ia, ib, iii = fig_scenarios["Ia"], fig_scenarios["Ib"], fig_scenarios["III"]
     c = ia.constants
-    assert ia.family.damping(t) == 1.0
+    assert ia.damping(t) == 1.0
     assert math.isclose(
-        ia.family.frequency(t), c.omega0 * math.exp(-0.5 * c.Gamma * t), rel_tol=1e-15
+        ia.frequency(t), c.omega0 * math.exp(-0.5 * c.Gamma * t), rel_tol=1e-15
     )
-    assert math.isclose(ib.family.damping(t), math.exp(-c.Gamma * t), rel_tol=1e-15)
-    assert ib.family.frequency(t) == c.omega0
+    assert math.isclose(ib.damping(t), math.exp(-c.Gamma * t), rel_tol=1e-15)
+    assert ib.frequency(t) == c.omega0
     assert math.isclose(
-        iii.family.frequency(t), c.omega0 / (c.Gamma * t + c.chi), rel_tol=1e-15
+        iii.frequency(t), c.omega0 / (c.Gamma * t + c.chi), rel_tol=1e-15
     )
 
 
@@ -72,8 +72,8 @@ def test_c_is_real_across_the_reported_window(name, frac):
 
 def _c_composed(scenario, t):
     # Reference: c(t) composed from the family's radicands and frequency.
-    rad1, rad2 = scenario.family.c_terms(t)
-    weight = scenario.family.frequency(t)
+    rad1, rad2 = scenario.c_terms(t)
+    weight = scenario.frequency(t)
     term2 = 0.0 if weight == 0.0 else weight * cmath.sqrt(complex(rad2))
     return cmath.sqrt(complex(rad1)) + term2
 
@@ -96,11 +96,11 @@ def test_family_c_and_phase_rate_are_bit_identical_to_composition(fig_scenarios)
             rho = rho_eval(scenario, t).rho
             want_c = _c_composed(scenario, t)
             assert repr(c_complex(scenario, t)) == repr(want_c), (name, t)
-            assert repr(scenario.family.c(t)) == repr(want_c), (name, t)
+            assert repr(scenario.c(t)) == repr(want_c), (name, t)
             want_rate = want_c - a / rho**2
-            assert repr(scenario.family.phase_rate(t)) == repr(want_rate), (name, t)
+            assert repr(scenario.phase_rate(t)) == repr(want_rate), (name, t)
         if horizon:
-            assert scenario.family.c(1.5 * horizon).imag != 0.0, name
+            assert scenario.c(1.5 * horizon).imag != 0.0, name
 
 
 def test_c_complex_is_complex_beyond_horizon(fig_ia):

@@ -333,10 +333,10 @@ def test_eigenfunction_chirp_carries_the_propagated_xp_moment():
     # goes to t as Phi M M^T Phi^T. With the chirp's sign flipped the two differ by
     # twice the moment, O(1) on the mild scenarios.
     for name, scenario in _shipped_scenarios():
-        rho, rho_dot, _ = scenario.family.rho(0.0)
-        m0 = np.array([[rho, 0.0], [rho_dot / scenario.family.a(0.0)[0], 1.0 / rho]])
+        rho, rho_dot, _ = scenario.rho(0.0)
+        m0 = np.array([[rho, 0.0], [rho_dot / scenario.a(0.0)[0], 1.0 / rho]])
         for t in (0.0, 0.3, 0.7):
-            phi_t = scenario.family.propagator(t)
+            phi_t = scenario.propagator(t)
             covariance = phi_t @ m0 @ m0.T @ phi_t.T
             for s in (StateLabel(0, 0), StateLabel(1, 2), StateLabel(2, 0)):
                 want = 0.5 * (s.n + s.m + 1) * covariance[0, 1]

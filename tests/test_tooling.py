@@ -5,7 +5,7 @@ from __future__ import annotations
 import ast
 import importlib
 
-from ncho import cli, errors
+from ncho import cli, errors, families
 
 from conftest import SCENARIO_DIR
 
@@ -398,3 +398,72 @@ def test_no_code_reads_a_fixed_constant():
         for name, line in fixed_constant_reads(path.read_text())
     ]
     assert reads == []
+
+
+def family_reads(source: str) -> list[int]:
+    """Lines that read an attribute named ``family``."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "family"
+    )
+
+
+# Each name that makes a scenario when called: the family classes, the Scenario
+# alias of their base, and the dataclass copy with changed fields.
+FAMILY_MAKERS = {
+    name for name, value in vars(families).items()
+    if isinstance(value, type) and issubclass(value, families.Family)
+} | {"Scenario", "replace"}
+
+
+def family_instantiations(source: str) -> list[tuple[str, int]]:
+    """(enclosing function, line) of each call that makes a scenario: a name in
+    FAMILY_MAKERS, dataclasses.replace or a class looked up in ``_FAMILIES``;
+    the function is "" at module level."""
+    found = []
+
+    def visit(node: ast.AST, function: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (
+                (isinstance(func, ast.Name) and func.id in FAMILY_MAKERS)
+                or (isinstance(func, ast.Attribute) and func.attr in FAMILY_MAKERS
+                    and isinstance(func.value, ast.Name) and func.value.id in ("families", "dataclasses"))
+                or (isinstance(func, ast.Subscript) and "_FAMILIES" in _referenced(func.value))
+            ):
+                found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_a_scenario_is_read_directly_and_made_in_one_place():
+    # A scenario is its bound family class: no code hops through a .family, and
+    # config.build_scenario is the one door that makes and checks one.
+    source = (
+        "import dataclasses\n"
+        "x = scenario.family.rho(t)\n"
+        "y = SetIb(c)\n"
+        "def build(spec):\n"
+        "    return _FAMILIES[spec.kind](spec.constants, spec.k_exp)\n"
+        "def copy(s):\n"
+        "    return dataclasses.replace(s, k_exp=3), families.SetIII(c), text.replace('a', 'b')\n"
+    )
+    assert family_reads(source) == [2]
+    assert family_instantiations(source) == [("", 3), ("build", 5), ("copy", 7), ("copy", 7)]
+    reads = [
+        f"{path.relative_to(ROOT)}:{line}"
+        for path in SOURCES + sorted((ROOT / "tools").glob("*.py"))
+        for line in family_reads(path.read_text())
+    ]
+    assert reads == []
+    makers = [
+        f"{path.relative_to(ROOT)}: {function}"
+        for path in SOURCES
+        for function, _ in family_instantiations(path.read_text())
+    ]
+    assert makers == ["src/ncho/config.py: build_scenario"]
