@@ -27,6 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import Scenario
+from .errors import ToleranceNotMet
 from .ermakov import coefficient_a, coefficient_b, rho_eval
 from .hamiltonian import c_complex, in_reality_window, reality_horizon_time
 from .spectrum import StateLabel
@@ -70,7 +71,7 @@ def energy_expectation(scenario: Scenario, t, s: StateLabel) -> EnergyResult:
     The assembled route and the family closed form must agree to 1e-10
     relative to the summed term magnitudes at every point (the identity is
     algebraic in the family's analytic rho and holds beyond the reality
-    horizon as well); a mismatch raises RuntimeError.
+    horizon as well); a mismatch raises ToleranceNotMet.
     """
     st = rho_eval(scenario, t)
     a, _ = coefficient_a(scenario, t)
@@ -94,7 +95,7 @@ def energy_expectation(scenario: Scenario, t, s: StateLabel) -> EnergyResult:
             i = np.argmax(bad)
             at = (assembled, closed, mismatch, t)
             got, want, rel, when = (np.ravel(x)[i].item() for x in at)
-            raise RuntimeError(
+            raise ToleranceNotMet(
                 f"assembled energy {got!r} and closed form {want!r} "
                 f"disagree (rel {rel:.3e}) at t={when:g}"
             )

@@ -60,7 +60,9 @@ class EPResidual:
 
     @property
     def relative(self) -> float:
-        return np.abs(self.value) / np.maximum(self.scale, 1.0)
+        """|value| / max(scale, 1), and inf where the value is inf."""
+        scale = np.where(np.isinf(self.value), 1.0, self.scale)  # not inf / inf = nan
+        return np.abs(self.value) / np.maximum(scale, 1.0)
 
 
 def rho_eval(scenario: Scenario, t: float) -> RhoEval:
@@ -83,7 +85,8 @@ def ep_residual(scenario: Scenario, t) -> EPResidual:
 
     The scale is the largest magnitude among the four contributing terms, so
     `relative` reports cancellation against the dominant physics rather than
-    against 1. Each point's four terms are summed exactly (math.fsum).
+    against 1. Each point's four terms are summed exactly (math.fsum); a point
+    whose terms are not all finite has residual inf.
     """
     ev = rho_eval(scenario, t)
     a, a_dot = coefficient_a(scenario, t)
@@ -97,7 +100,9 @@ def ep_residual(scenario: Scenario, t) -> EPResidual:
         ),
         axis=-1,
     )
-    value = np.array(list(map(math.fsum, terms.reshape(-1, 4).tolist())))
+    rows = terms.reshape(-1, 4)
+    finite = np.isfinite(rows).all(axis=1).tolist()
+    value = np.array([math.fsum(r) if ok else math.inf for r, ok in zip(rows.tolist(), finite)])
     scale = np.abs(terms).max(axis=-1)
     return EPResidual(value=value.reshape(scale.shape)[()], scale=scale[()])
 

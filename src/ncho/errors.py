@@ -24,10 +24,6 @@ class DomainError(NchoError):
     """Inputs lie outside the validated parameter/time domain."""
 
 
-class OutsideRealityWindow(NchoError):
-    """A square-root expression turned complex at the requested time."""
-
-
 class OutOfValidatedDomain(NchoError):
     """A series evaluation was requested outside its validated region."""
 
@@ -37,7 +33,7 @@ class NoConvergence(NchoError):
 
 
 class ToleranceNotMet(NchoError):
-    """Adaptive quadrature could not reach the requested tolerance."""
+    """A quadrature missed its tolerance, or two routes to one quantity disagree."""
 
 
 class InvalidLabel(NchoError):

@@ -237,10 +237,11 @@ class Family:
         return np.array([complex("nan") if v is None else v for v in values], complex), validated
 
     def _phase_point(self, x: float) -> complex | None:
-        """_phase_at(x); a math domain error (SetIII's atan pole at t = 1e20) names the time."""
+        """_phase_at(x); a math domain error (SetIII's atan pole at t = 1e20) or a division
+        by zero (SetIII's mu^2 chi u at t = 0 when chi underflows it) names the time."""
         try:
             return self._phase_at(x)
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"unit_phase(t) is not defined at t={x:g}: {exc}") from exc
 
 

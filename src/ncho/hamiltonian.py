@@ -20,28 +20,14 @@ horizon' of those roots comes from the family table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import Scenario
-from .errors import DomainError, OutsideRealityWindow
+from .errors import DomainError, ToleranceNotMet
 from .ermakov import coefficient_a, coefficient_b
 
 RADICAND_CLAMP = 1e-12  # negative radicands within this relative margin snap to 0
 _AGREE_RTOL = 1e-12  # generic-inversion vs closed-form agreement gate
-
-
-@dataclass(frozen=True)
-class NCParams:
-    """Deformation parameters at a time or on a grid.
-
-    theta_nc is the coordinate-coordinate deformation (length^2), omega_nc
-    the momentum-momentum one (momentum^2).
-    """
-
-    theta_nc: float
-    omega_nc: float
 
 
 def reality_horizon_time(scenario: Scenario) -> float | None:
@@ -83,7 +69,7 @@ def _nc_inversion(scenario: Scenario, t):
     negative. The outside masks mark points whose inversion radicand is
     negative beyond the clamp, where the inversion is meaningless. Points
     inside both windows are checked against the published squares and a
-    disagreement raises RuntimeError. Each family method runs once.
+    disagreement raises ToleranceNotMet. Each family method runs once.
     """
     if np.any(np.asarray(t) < 0.0):
         raise DomainError(f"deformation parameters are validated for t >= 0, got t={np.min(t):g}")
@@ -115,21 +101,24 @@ def _nc_inversion(scenario: Scenario, t):
         bad = inside & (np.abs(value * value - published) > _AGREE_RTOL * np.maximum(scale, 1e-300))
         if np.any(bad):
             when = np.ravel(np.broadcast_to(t, np.shape(bad)))[np.argmax(np.ravel(bad))]
-            raise RuntimeError(
+            raise ToleranceNotMet(
                 f"generic inversion disagrees with the closed form for {name} at t={when:g}"
             )
     return theta, omega, theta2, omega2, theta_out, omega_out
 
 
-def nc_parameters(scenario: Scenario, t) -> NCParams:
+def nc_parameters(scenario: Scenario, t) -> tuple:
     """Deformation parameters (theta_nc, omega_nc) at a time or on a grid.
+
+    theta_nc is the coordinate-coordinate deformation (length^2), omega_nc
+    the momentum-momentum one (momentum^2).
 
     Computed from the generic inversion
         theta_nc = sqrt(4 f (M a - f)) / (M omega),
         omega_nc = sqrt(4 M (b f - M omega^2)) / f,
     then checked against the scenario's published closed form (squared
     comparison, so the gate stays meaningful where the radicand vanishes).
-    Raises OutsideRealityWindow if any point lies beyond the window.
+    Raises DomainError naming the deformation if any point lies beyond the window.
     """
     theta, omega, _, _, theta_out, omega_out = _nc_inversion(scenario, t)
     for what, outside in (
@@ -137,8 +126,8 @@ def nc_parameters(scenario: Scenario, t) -> NCParams:
         ("the momentum deformation omega_nc", omega_out),
     ):
         if np.any(outside):
-            raise OutsideRealityWindow(f"{what} has a negative radicand; quantity is complex here")
-    return NCParams(theta_nc=theta, omega_nc=omega)
+            raise DomainError(f"{what} has a negative radicand; quantity is complex here")
+    return theta, omega
 
 
 def nc_table(scenario: Scenario, t) -> tuple:

@@ -4,6 +4,8 @@ Everything Laguerre-shaped is evaluated two independent ways somewhere in the
 test suite: a stable recurrence against an explicit binomial sum, and exact
 rational-arithmetic integrals against an adaptive-quadrature oracle. The
 module itself keeps the fast/exact routes; the oracles live in the callers.
+The exact routes serve the eigenstates' symmetric form L_p^(l), so they take
+nonnegative superscripts and powers only.
 """
 
 from __future__ import annotations
@@ -74,49 +76,26 @@ def gauss_2f1(a: float, b: float, c: float, z: complex) -> complex:
 
 
 @lru_cache(maxsize=None)
-def laguerre_coefficients(n: int, zeta: int) -> tuple[Fraction, ...]:
-    """Exact monomial coefficients of L_n^(zeta): coefficient of w^j at index j.
+def laguerre_coefficients(n: int, l: int) -> tuple[Fraction, ...]:  # noqa: E741
+    """Exact monomial coefficients of L_n^(l), l >= 0: (-1)^j C(n+l, n-j) / j! at index j."""
+    if n < 0 or l < 0:
+        raise ValueError(f"L_n^(l) needs n, l >= 0, got n={n}, l={l}")
+    return tuple(
+        Fraction((-1) ** j * math.comb(n + l, n - j), math.factorial(j)) for j in range(n + 1)
+    )
 
-    coeff_j = (-1)^j / j! * C(n+zeta, n-j), with the generalized binomial
-    evaluated as a falling factorial so negative integer superscripts work
-    (they produce leading zeros — the polynomial then has a zero of order
-    |zeta| at w=0, which is what makes the weighted integrals below finite).
+
+def laguerre_weighted_integral_exact(q: int, n1: int, l1: int, n2: int, l2: int) -> Fraction:
+    """Exact value of integral_0^inf w^q e^-w L_n1^(l1) L_n2^(l2) dw for q, l1, l2 >= 0.
+
+    Expands both polynomials and uses integral w^p e^-w dw = p!.
     """
-    coeffs = []
-    for j in range(n + 1):
-        k = n - j
-        num = 1
-        for i in range(k):
-            num *= n + zeta - i
-        binom = Fraction(num, math.factorial(k))
-        coeffs.append(Fraction((-1) ** j, math.factorial(j)) * binom)
-    return tuple(coeffs)
-
-
-def laguerre_weighted_integral_exact(q: int, n1: int, zeta1: int, n2: int, zeta2: int) -> Fraction:
-    """Exact value of integral_0^inf w^q e^-w L_n1^(zeta1) L_n2^(zeta2) dw.
-
-    Expands both polynomials and uses integral w^p e^-w dw = p!. ``q`` may be
-    negative provided every monomial with a nonzero coefficient still has a
-    nonnegative total power (guaranteed when negative superscripts supply
-    compensating zeros at w=0); otherwise the integral diverges and a
-    ValueError is raised.
-    """
-    c1 = laguerre_coefficients(n1, zeta1)
-    c2 = laguerre_coefficients(n2, zeta2)
+    if q < 0:
+        raise ValueError(f"the weight's power must be nonnegative, got w^{q}")
     total = Fraction(0)
-    for j1, a1 in enumerate(c1):
-        if a1 == 0:
-            continue
-        for j2, a2 in enumerate(c2):
-            if a2 == 0:
-                continue
-            p = q + j1 + j2
-            if p < 0:
-                raise ValueError(
-                    f"divergent integrand: power w^{p} survives with nonzero coefficient"
-                )
-            total += a1 * a2 * math.factorial(p)
+    for j1, a1 in enumerate(laguerre_coefficients(n1, l1)):
+        for j2, a2 in enumerate(laguerre_coefficients(n2, l2)):
+            total += a1 * a2 * math.factorial(q + j1 + j2)
     return total
 
 

@@ -32,13 +32,15 @@ column is that quadrature, so the error there is 0 by construction. A single
 time's rho, hbar rho^2, unit phase and oracle columns are formed once, in a
 cached slice (``_Slice``) that its phase, eigenfunctions and elements share.
 Matrix elements of x^k and y^k reduce to finite sums of exactly evaluated
-Laguerre-weighted integrals. The oracle (and ``overlap``) recomputes them from
-the defining 2-D integral on one tensor rule: 48-node Gauss-Laguerre in
-w = r^2/rho^2, exact to degree 95 (Golub & Welsch, Math. Comp. 23, 221
-(1969)), times a 96-point trapezoid, exact below angular degree 96. A validated
-element has degree n + (m + m' + k)/2 <= 9 in w and |m' - m| + k <= 7 in angle,
-so only rounding is left. A bound on it certifies the oracle; its sum of |f| is
-separable, as each state is a 48-point radial column times a row e^{i l theta}.
+integrals of L_p^(l) pairs, the same form: the published L_m^(n-m)(w) is
+(-w)^(m-n) n!/m! L_n^(m-n)(w) for m > n. The oracle (and ``overlap``)
+recomputes them from the defining 2-D integral on one tensor rule: 48-node
+Gauss-Laguerre in w = r^2/rho^2, exact to degree 95 (Golub & Welsch, Math.
+Comp. 23, 221 (1969)), times a 96-point trapezoid, exact below angular degree
+96. A validated element has degree n + (m + m' + k)/2 <= 9 in w and
+|m' - m| + k <= 7 in angle, so only rounding is left. A bound on it certifies
+the oracle; its sum of |f| is separable, as each state is a 48-point radial
+column times a row e^{i l theta}.
 """
 
 from __future__ import annotations
@@ -433,9 +435,16 @@ def _element_coefficient(n: int, m: int, m_prime: int, k_pow: int) -> tuple[floa
     if abs(diff) > k_pow or (diff + k_pow) % 2:
         return None
     r_idx = (diff + k_pow) // 2
+    # The published pair L_m^(n-m) L_m'^(n-m') in the eigenstates' form L_p^(l):
+    # L_m^(n-m)(w) = (-w)^(m-n) n!/m! L_n^(m-n)(w) for m > n (Szego, Orthogonal
+    # Polynomials, sec. 5.2), so the weight's power is (l + l' + k)/2 >= 0.
+    l1, l2 = abs(m - n), abs(m_prime - n)
     integral = laguerre_weighted_integral_exact(
-        n - m - r_idx + k_pow, m, n - m, m_prime, n - m_prime
+        (l1 + l2 + k_pow) // 2, min(n, m), l1, min(n, m_prime), l2
     )
+    for label in (m, m_prime):
+        if label > n:
+            integral *= Fraction((-1) ** (label - n) * math.factorial(n), math.factorial(label))
     # pi/2^k * lam_n^2 rho^(2n+k+2) collapses to rho^k / (2^k n!); everything
     # else is exact rational except sqrt(m! m'!) = lo! sqrt(hi!/lo!), whose
     # lo! joins the rational, so only the root of an exact integer ratio of

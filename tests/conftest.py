@@ -44,7 +44,7 @@ def phase_space_symbols(scenario: Scenario, t: float, x1, x2, p1, p2):
     tell the same story. One library call each; t must lie inside the
     reality window, where c is real.
     """
-    nc = nc_parameters(scenario, t)
+    theta_nc, omega_nc = nc_parameters(scenario, t)
     a, _ = coefficient_a(scenario, t)
     b = coefficient_b(scenario, t)
     c = c_complex(scenario, t)
@@ -52,10 +52,10 @@ def phase_space_symbols(scenario: Scenario, t: float, x1, x2, p1, p2):
     M = scenario.constants.mass_M
     f = scenario.damping(t)
     w = scenario.frequency(t)
-    kin1 = p1 + 0.5 * nc.omega_nc * x2
-    kin2 = p2 - 0.5 * nc.omega_nc * x1
-    pos1 = x1 - 0.5 * nc.theta_nc * p2
-    pos2 = x2 + 0.5 * nc.theta_nc * p1
+    kin1 = p1 + 0.5 * omega_nc * x2
+    kin2 = p2 - 0.5 * omega_nc * x1
+    pos1 = x1 - 0.5 * theta_nc * p2
+    pos2 = x2 + 0.5 * theta_nc * p1
     bopp = (f / (2.0 * M)) * (kin1**2 + kin2**2) + (M * w**2 / (2.0 * f)) * (pos1**2 + pos2**2)
     abc = 0.5 * a * (p1**2 + p2**2) + 0.5 * b * (x1**2 + x2**2) + c.real * (p1 * x2 - p2 * x1)
     return bopp, abc

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncho import cli, energy, families, spectrum
+from ncho import cli, energy, families, specfun, spectrum
 from ncho.cli import build_parser, main
 from ncho.config import build_scenario, parse_scenario_file
 from ncho.ermakov import rho_eval
@@ -267,16 +267,17 @@ def test_verify_counts_an_overflow_as_a_failed_check(capsys, tmp_path):
 
 
 def test_verify_fails_a_nan_residual(capsys, monkeypatch):
-    # Python's max(0.0, nan) is 0.0; the residual fold must keep the nan.
+    # Python's max(0.0, nan) is 0.0; the residual fold must keep the nan,
+    # and the row prints it as inf, as it prints a check that raised.
     monkeypatch.setattr(cli, "overlap", lambda *args: complex(math.nan, 0.0))
     code, out, _ = run_cli(capsys, "verify", "--scenario", IB)
     assert code == 1
-    assert re.search(r"^orthonormality +nan +1\.000e-06 +FAIL$", out, re.MULTILINE), out
-    assert "6 passed, 1 failed; worst residual nan" in out
+    assert re.search(r"^orthonormality +inf +1\.000e-06 +FAIL$", out, re.MULTILINE), out
+    assert "6 passed, 1 failed; worst residual inf" in out
 
 
 def test_verify_counts_a_dual_form_disagreement_as_a_failed_check(capsys, monkeypatch):
-    # energy_expectation raises RuntimeError when its two routes disagree; inside
+    # energy_expectation raises ToleranceNotMet when its two routes disagree; inside
     # verify that fails the heisenberg row and the table is still printed.
     original = families.SetIII._energy
     monkeypatch.setattr(
@@ -704,6 +705,39 @@ def test_closed_form_phase_pole_names_the_time(capsys):
             code, out, err = run_cli(capsys, *argv, "--scenario", path, *at)
             assert code == 2 and out == "", (argv, at)
             assert err == "error: unit_phase(t) is not defined at t=1e+20: math domain error\n", (argv, at)
+
+
+# A SetIII scenario on its constraint whose chi = 1e-300 makes chi u and chi^2 underflow to 0.
+_TINY_CHI = (
+    "kind = SetIII\nM = 1\nomega0 = 0.5\nGamma = 1\nchi = 1e-300\n"
+    "sigma = 2\nDelta = 2\nmu = 1\n"
+)
+
+
+def test_verify_prints_its_table_where_residual_terms_are_not_finite(capsys, tmp_path, monkeypatch):
+    # At t = 0 the scale equation's terms hold inf of both signs, where math.fsum
+    # raised; that row reads inf, and so do the rows whose residual is nan there.
+    # Each of phase-crossval's 50 quadratures bisects toward the near-pole at
+    # t = -chi until the panel limit: 26 s at 10000 panels, and the same row at 200.
+    monkeypatch.setattr(specfun, "_PANEL_LIMIT", 200)
+    path = tmp_path / "tiny_chi.scenario"
+    path.write_text(_TINY_CHI)
+    code, out, err = run_cli(capsys, "verify", "--scenario", str(path))
+    assert code == 1 and err == ""
+    rows = [line.split() for line in out.splitlines() if line.endswith(("PASS", "FAIL"))]
+    assert [row[0] for row in rows if row[-1] == "PASS"] == ["family-constraint", "orthonormality"]
+    assert [row[1] for row in rows if row[-1] == "FAIL"] == ["inf"] * 5
+    assert "7 checks: 2 passed, 5 failed; worst residual inf" in out
+
+
+def test_closed_form_phase_division_by_zero_names_the_time(capsys, tmp_path):
+    path = tmp_path / "tiny_chi.scenario"
+    path.write_text(_TINY_CHI)
+    for argv in (("phase", "--m", "1", "--points", "3"),
+                 ("matelem", "--mprime", "1", "--k", "1", "--points", "2")):
+        code, out, err = run_cli(capsys, *argv, "--scenario", str(path))
+        assert code == 2 and out == "", argv
+        assert err == "error: unit_phase(t) is not defined at t=0: float division by zero\n", argv
 
 
 def test_matelem_past_the_oracle_range_prints_the_closed_form(capsys):

@@ -8,6 +8,7 @@ import pytest
 
 from ncho.config import ScenarioKind, build_scenario, parse_scenario_file
 from ncho.energy import EnergyResult, energy_expectation, energy_series
+from ncho.errors import ToleranceNotMet
 from ncho.ermakov import coefficient_a, coefficient_b, rho_eval
 from ncho.hamiltonian import c_complex, reality_horizon_time
 from ncho.spectrum import StateLabel
@@ -80,7 +81,7 @@ def test_cross_check_is_relative_to_the_term_magnitudes():
         def energy(self, *args):
             return super().energy(*args) + 1e-8 * scale
 
-    with pytest.raises(RuntimeError, match="disagree"):
+    with pytest.raises(ToleranceNotMet, match="disagree"):
         energy_expectation(Perturbed(scenario.constants, scenario.k_exp), t, s)
 
 
@@ -101,7 +102,7 @@ def test_general_exponent_is_cross_checked():
         def energy(self, *args):
             return (1.0 + 1e-8) * super().energy(*args)
 
-    with pytest.raises(RuntimeError, match="disagree"):
+    with pytest.raises(ToleranceNotMet, match="disagree"):
         energy_expectation(Perturbed(scenario.constants, scenario.k_exp), t, s)
 
 

@@ -116,6 +116,16 @@ def test_ep_residual_large_when_constraint_broken():
     assert ep_residual(scenario, 0.5).relative > 1e-4
 
 
+def test_ep_residual_is_inf_where_its_terms_are_not_finite():
+    # chi = 1e-300 leaves rho(0) = mu chi with rho^3 = 0: the terms hold inf of
+    # both signs at t = 0, which math.fsum refuses; later times keep their residual.
+    scenario = make_scenario(ScenarioKind.SET_III, omega0=0.5, sigma=2.0, Delta=2.0, chi=1e-300)
+    with np.errstate(all="ignore"):
+        res = ep_residual(scenario, np.array([0.0, 0.5]))
+    assert res.value[0] == math.inf and res.relative[0] == math.inf
+    assert np.isfinite(res.value[1]) and res.relative[1] <= 1e-12
+
+
 def test_propagator_is_the_identity_at_zero():
     for name, scenario in PROPAGATED.items():
         propagator = scenario.propagator

@@ -68,13 +68,6 @@ def test_laguerre_recurrence_matches_binomial(n, zeta, w):
     assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
 
-def test_negative_superscript_leading_zeros():
-    # L_n^(-j) has a zero of order j at w = 0 for 1 <= j <= n.
-    coeffs = laguerre_coefficients(3, -2)
-    assert coeffs[0] == 0 and coeffs[1] == 0
-    assert coeffs[2] != 0
-
-
 def test_tricomi_reduces_to_laguerre():
     # U(-m, b, w) = (-1)^m m! L_m^(b-1)(w) (DLMF 13.6.19), the identity that
     # turns the published U form of the eigenstates into the Laguerre one.
@@ -117,26 +110,29 @@ def test_first_moment_identity():
 
 
 def test_weighted_integral_symmetry_and_exact_route():
-    exact = laguerre_weighted_integral_exact(2, 3, 1, 2, -1)
-    assert exact == laguerre_weighted_integral_exact(2, 2, -1, 3, 1)
+    exact = laguerre_weighted_integral_exact(2, 3, 1, 2, 0)
+    assert exact == laguerre_weighted_integral_exact(2, 2, 0, 3, 1)
     assert isinstance(exact, Fraction)
 
 
-def test_weighted_integral_negative_q():
-    # q < 0 is accepted whenever compensating zeros keep every surviving
-    # power nonnegative.
-    val = laguerre_weighted_integral_exact(-1, 2, -2, 2, 0)
-    assert isinstance(val, Fraction)
-    with pytest.raises(ValueError, match="divergent"):
+def test_negative_superscript_or_power_raises():
+    # The exact routes serve the eigenstates' form L_p^(l), l >= 0, at a
+    # nonnegative power; the published negative superscripts are a test reference.
+    with pytest.raises(ValueError, match="n, l >= 0"):
+        laguerre_coefficients(3, -2)
+    for args in ((2, 2, -2, 2, 0), (2, 2, 0, 2, -1)):
+        with pytest.raises(ValueError, match="n, l >= 0"):
+            laguerre_weighted_integral_exact(*args)
+    with pytest.raises(ValueError, match="power must be nonnegative"):
         laguerre_weighted_integral_exact(-1, 2, 0, 2, 0)
 
 
 @given(
     q=st.integers(0, 4),
     n1=st.integers(0, 5),
-    z1=st.integers(-2, 3),
+    z1=st.integers(0, 3),
     n2=st.integers(0, 5),
-    z2=st.integers(-2, 3),
+    z2=st.integers(0, 3),
 )
 @settings(max_examples=80)
 def test_weighted_integral_vs_quadrature(q, n1, z1, n2, z2):

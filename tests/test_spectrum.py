@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import cmath
+import functools
 import gc
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -20,7 +22,6 @@ from ncho.config import ScenarioKind, build_scenario, parse_scenario_file
 from ncho.ermakov import coefficient_a, rho_eval
 from ncho.errors import InvalidLabel, ToleranceNotMet
 from ncho.hamiltonian import c_complex, reality_horizon_time
-from ncho.specfun import laguerre_weighted_integral_exact
 from ncho.spectrum import (
     Coordinate,
     PhaseMethod,
@@ -461,14 +462,73 @@ def test_elements_hermitian_in_real_regime(fig_ib):
                 assert abs(left - right.conjugate()) <= 1e-12 * max(1.0, abs(left))
 
 
-def _element_uncached(scenario, t, n, m, mp, k, x_units, invariant_basis):
-    # Reference: the exact sum recomputed on every call, with no cache.
+@functools.cache
+def _published_laguerre_coefficients(n, zeta):
+    """Monomial coefficients of L_n^(zeta) for any integer zeta: C(n+zeta, n-j) as a
+    falling factorial, so a negative zeta gives L_n^(zeta) leading zeros."""
+    return tuple(
+        Fraction((-1) ** j * math.prod(n + zeta - i for i in range(n - j)),
+                 math.factorial(n - j) * math.factorial(j))
+        for j in range(n + 1)
+    )
+
+
+def _published_base(n, m, mp, k):
+    """(base, r index) of <n,m-n| coord^k |n,m'-n> from the published pair
+    L_m^(n-m) L_m'^(n-m') at the weight's power n - m - r + k, which may be
+    negative; None under the selection rule."""
     diff = mp - m
     if abs(diff) > k or (diff + k) % 2:
-        return 0.0 + 0.0j
+        return None
     r_idx = (diff + k) // 2
-    integral = laguerre_weighted_integral_exact(n - m - r_idx + k, m, n - m, mp, n - mp)
-    base = Fraction(math.comb(k, r_idx), 2**k) * integral / math.factorial(n)
+    q = n - m - r_idx + k
+    integral = Fraction(0)
+    for j1, a1 in enumerate(_published_laguerre_coefficients(m, n - m)):
+        for j2, a2 in enumerate(_published_laguerre_coefficients(mp, n - mp)):
+            if a1 and a2:  # a negative superscript's zeros lift a negative power
+                assert q + j1 + j2 >= 0, (n, m, mp, k)
+                integral += a1 * a2 * math.factorial(q + j1 + j2)
+    return Fraction(math.comb(k, r_idx), 2**k) * integral / math.factorial(n), r_idx
+
+
+def test_element_coefficient_is_the_published_rational(monkeypatch):
+    # The eigenstates' form L_p^(l) gives the published pair's exact rational on
+    # every label set with n, m, m' <= 12 and k <= 10 that the selection rule
+    # keeps, and so the same float. _as_float is where the rational base * min(m, m')!
+    # becomes a float; it is recorded there.
+    rationals, as_float = [], spectrum._as_float
+
+    def recording(x, name, labels):
+        if name.startswith("the coefficient"):
+            rationals.append(x)
+        return as_float(x, name, labels)
+
+    monkeypatch.setattr(spectrum, "_as_float", recording)
+    _element_coefficient.cache_clear()
+    kept = 0
+    for n, m, mp, k in itertools.product(range(13), range(13), range(13), range(11)):
+        rationals.clear()
+        got = _element_coefficient(n, m, mp, k)
+        want = _published_base(n, m, mp, k)
+        if want is None:
+            assert got is None and rationals == [], (n, m, mp, k)
+            continue
+        kept += 1
+        base, r_idx = want
+        lo, hi = min(m, mp), max(m, mp)
+        assert rationals == [base * math.factorial(lo)], (n, m, mp, k)
+        coeff = float(base * math.factorial(lo)) * math.sqrt(math.perm(hi, hi - lo))
+        assert repr(got) == repr((coeff, r_idx)), (n, m, mp, k)
+    assert kept == 7904
+
+
+def _element_uncached(scenario, t, n, m, mp, k, x_units, invariant_basis):
+    # Reference: the published exact sum recomputed on every call, with no cache.
+    published = _published_base(n, m, mp, k)
+    if published is None:
+        return 0.0 + 0.0j
+    base, r_idx = published
+    diff = mp - m
     lo, hi = min(m, mp), max(m, mp)
     coeff = float(base * math.factorial(lo)) * math.sqrt(math.factorial(hi) // math.factorial(lo))
     value = complex(coeff * rho_eval(scenario, t).rho ** k)

@@ -354,14 +354,38 @@ def test_every_error_type_has_a_raiser():
     assert len(subclasses) > 5 and sorted(subclasses - raised) == []
 
 
+def caught_names(source: str) -> set[str]:
+    """The names a module catches, as ``except Name`` or ``except (Name, ...)``."""
+    caught = (
+        node.type for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ExceptHandler) and node.type is not None
+    )
+    types = (elt for exc in caught for elt in (exc.elts if isinstance(exc, ast.Tuple) else [exc]))
+    return {elt.id for elt in types if isinstance(elt, ast.Name)}
+
+
+def test_no_code_raises_or_catches_runtime_error():
+    # A failed cross-check raises ToleranceNotMet (exit 1). A caught RuntimeError
+    # would read RecursionError and NotImplementedError, programming errors, as one.
+    source = (
+        "try:\n    raise RuntimeError('x')\n"
+        "except (ValueError, KeyError):\n    pass\nexcept E:\n    pass\n"
+    )
+    assert raised_names(source) == {"RuntimeError"}
+    assert caught_names(source) == {"ValueError", "KeyError", "E"}
+    found = [
+        path.name for path in (ROOT / "src" / "ncho").glob("*.py")
+        if "RuntimeError" in raised_names(path.read_text()) | caught_names(path.read_text())
+    ]
+    assert found == []
+
+
 # What only the benchmark's span targets keep alive. The set may only shrink:
 # a definition that leaves production for the benchmark alone shows here.
 BENCHMARK_ONLY = {
     "spectrum.phase_quadrature",
     "specfun.integrate_adaptive_full",
     "hamiltonian.nc_parameters",
-    "hamiltonian.NCParams",
-    "errors.OutsideRealityWindow",
 }
 
 
