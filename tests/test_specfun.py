@@ -68,6 +68,32 @@ def test_laguerre_recurrence_matches_binomial(n, zeta, w):
     assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
 
+def _published_coefficients(n: int, zeta: int) -> list[Fraction]:
+    """Exact monomial coefficients of L_n^(zeta) for any integer zeta, with
+    C(n+zeta, n-j) as a falling factorial (the published superscript n - m < 0)."""
+    return [
+        Fraction((-1) ** j * math.prod(n + zeta - i for i in range(n - j)),
+                 math.factorial(n - j) * math.factorial(j))
+        for j in range(n + 1)
+    ]
+
+
+def test_negative_superscript_leading_zeros():
+    # L_n^(-j) has a zero of order j at w = 0 for 1 <= j <= n: it is
+    # (-w)^j (n-j)!/n! L_(n-j)^(j)(w), the form the exact routes serve, and they
+    # refuse the negative superscript itself.
+    coeffs = _published_coefficients(3, -2)
+    assert coeffs[0] == 0 and coeffs[1] == 0
+    assert coeffs[2] != 0
+    scale = Fraction(math.factorial(1), math.factorial(3))
+    assert coeffs[2:] == [scale * c for c in laguerre_coefficients(1, 2)]
+    with pytest.raises(ValueError, match="n, l >= 0"):
+        laguerre_coefficients(3, -2)
+    for args in ((2, 2, -2, 2, 0), (2, 2, 0, 2, -1)):
+        with pytest.raises(ValueError, match="n, l >= 0"):
+            laguerre_weighted_integral_exact(*args)
+
+
 def test_tricomi_reduces_to_laguerre():
     # U(-m, b, w) = (-1)^m m! L_m^(b-1)(w) (DLMF 13.6.19), the identity that
     # turns the published U form of the eigenstates into the Laguerre one.
@@ -115,14 +141,19 @@ def test_weighted_integral_symmetry_and_exact_route():
     assert isinstance(exact, Fraction)
 
 
-def test_negative_superscript_or_power_raises():
-    # The exact routes serve the eigenstates' form L_p^(l), l >= 0, at a
-    # nonnegative power; the published negative superscripts are a test reference.
-    with pytest.raises(ValueError, match="n, l >= 0"):
-        laguerre_coefficients(3, -2)
-    for args in ((2, 2, -2, 2, 0), (2, 2, 0, 2, -1)):
-        with pytest.raises(ValueError, match="n, l >= 0"):
-            laguerre_weighted_integral_exact(*args)
+def test_weighted_integral_negative_q():
+    # The published pair reaches a negative power, integral w^-1 e^-w L_2^(-2) L_2^(0),
+    # kept finite by L_2^(-2)(w) = w^2/2 (the zeros above). In the eigenstates'
+    # form it is (1/2) integral w e^-w L_0^(2) L_2^(0), at a nonnegative power;
+    # the exact route refuses the negative power itself.
+    published = sum(
+        a1 * a2 * math.factorial(-1 + j1 + j2)
+        for j1, a1 in enumerate(_published_coefficients(2, -2))
+        for j2, a2 in enumerate(_published_coefficients(2, 0))
+        if a1 and a2
+    )
+    val = laguerre_weighted_integral_exact(1, 0, 2, 2, 0) / 2
+    assert isinstance(val, Fraction) and val == published
     with pytest.raises(ValueError, match="power must be nonnegative"):
         laguerre_weighted_integral_exact(-1, 2, 0, 2, 0)
 
