@@ -4,8 +4,10 @@ Subcommands
 -----------
 verify     -- run the cross-validation suites (constraint, scale-function
               residual, invariant ODEs and energy against the exact motion,
-              phase closed form vs quadrature, matrix-element oracle,
-              orthonormality) and print a pass/fail table; exit 0 iff all pass.
+              phase closed form vs quadrature, matrix-element oracle and
+              orthonormality on one tensor rule, deformation parameters'
+              squares vs their inversion); print a pass/fail table, exit 0
+              iff all pass.
 energy     -- energy-expectation table over a time grid (Figs-style, scaled
               by 1/omega0).
 phase      -- evolution phase over a time grid, with the method per row.
@@ -48,7 +50,7 @@ from .config import CONSTRAINT_RTOL, Scenario, build_scenario, parse_scenario_fi
 from .energy import energy_expectation, energy_series
 from .errors import NchoError, ToleranceNotMet
 from .ermakov import ep_residual, heisenberg_moments, rho_eval
-from .hamiltonian import in_reality_window, nc_table, reality_horizon_time
+from .hamiltonian import in_reality_window, nc_squares, nc_table, reality_horizon_time
 from .invariant import invariant_ode_residuals
 from .spectrum import (
     ORACLE_MAX_LABEL,
@@ -209,6 +211,8 @@ def _check_phase(scenario: Scenario, t0: float, t1: float) -> float:
 # Residuals are folded with np.max, which keeps a nan: max(0.0, nan) is 0.0.
 
 def _check_matrix_oracle(scenario: Scenario, t0: float, t1: float) -> float:
+    """x^k and y^k elements against the tensor oracle at two times, and the overlaps of
+    the nine states n, m <= 2 at mid-window on the same rule."""
     times = (t0 + 0.3 * (t1 - t0), t0 + 0.8 * (t1 - t0))
     residuals = []
     for t, n, m, mp, k in itertools.product(times, (0, 1), (0, 1), (0, 1), (1, 2)):
@@ -220,18 +224,19 @@ def _check_matrix_oracle(scenario: Scenario, t0: float, t1: float) -> float:
             abs(closed_x - oracle_x) / max(1.0, abs(closed_x)),
             abs(closed_y - oracle_y) / max(1.0, abs(closed_y)),
         )
-    return float(np.max(residuals))
-
-
-def _check_orthonormality(scenario: Scenario, t0: float, t1: float) -> float:
     t = t0 + 0.5 * (t1 - t0)
     labels = [StateLabel(n, m) for n in range(3) for m in range(3)]
-    residuals = [
+    residuals += [
         abs(overlap(scenario, t, s1, s2) - (1.0 if s1 == s2 else 0.0))
         for i, s1 in enumerate(labels)
         for s2 in labels[i:]
     ]
     return float(np.max(residuals))
+
+
+def _check_deformation(scenario: Scenario, t0: float, t1: float) -> float:
+    _, _, gaps = nc_squares(scenario, _linspace(t0, t1, 25))
+    return float(np.max(gaps))
 
 
 # (name, default tolerance, check); a --tol override replaces every tolerance.
@@ -242,7 +247,7 @@ _VERIFY_CHECKS = (
     ("heisenberg", 1e-12, _check_heisenberg),
     ("phase-crossval", 1e-7, _check_phase),
     ("matrix-oracle", 1e-6, _check_matrix_oracle),
-    ("orthonormality", 1e-6, _check_orthonormality),
+    ("deformation", 1e-12, _check_deformation),
 )
 
 

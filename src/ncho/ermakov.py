@@ -88,6 +88,7 @@ def ep_residual(scenario: Scenario, t) -> EPResidual:
     against 1. Each point's four terms are summed exactly (math.fsum); a point
     whose terms are not all finite has residual inf.
     """
+    t = np.asarray(t, dtype=float)  # a float runs as a 0-d grid: its divisions read inf too
     ev = rho_eval(scenario, t)
     a, a_dot = coefficient_a(scenario, t)
     b = coefficient_b(scenario, t)

@@ -8,11 +8,13 @@ Hamiltonian
 
 with a = f/M + M w^2 th^2/(4f), b = f Om^2/(4M) + M w^2/f and
 c = (f Om/M + M w^2 th/f)/2, where f is the damping factor, w the frequency
-profile, and (th, Om) the coordinate/momentum deformation parameters. This
-module inverts those relations (the deformation parameters that realize the
-scenario's analytic a, b) and checks the inversion against the published
-squares, which the family table (``families``) gives through the two
-radicands of c. c(t) itself is the family table's ``Family.c``.
+profile, and (th, Om) the coordinate/momentum deformation parameters. The
+deformation parameters have one route: the published squares, which the
+family table (``families``) gives through the two radicands of c. Inverting
+the first two relations for th^2 and Om^2 from the scenario's analytic a and
+b is their gate, checked at every time: the identity between the two is
+algebraic, so it holds past the reality window too. c(t) itself is the
+family table's ``Family.c``.
 
 Several square roots go complex past a scenario-dependent time; the 'reality
 horizon' of those roots comes from the family table.
@@ -26,8 +28,8 @@ from .config import Scenario
 from .errors import DomainError, ToleranceNotMet
 from .ermakov import coefficient_a, coefficient_b
 
-RADICAND_CLAMP = 1e-12  # negative radicands within this relative margin snap to 0
-_AGREE_RTOL = 1e-12  # generic-inversion vs closed-form agreement gate
+RADICAND_CLAMP = 1e-12  # squares negative within this margin of their scale count as 0
+_AGREE_RTOL = 1e-12  # published squares vs generic-inversion agreement gate
 
 
 def reality_horizon_time(scenario: Scenario) -> float | None:
@@ -49,27 +51,23 @@ def in_reality_window(horizon: float | None, t):
     return (horizon > 0.0) & (np.asarray(t) <= horizon)
 
 
-def _outside(radicand, scale):
-    """Points whose radicand is negative beyond the clamp for boundary noise (or nan)."""
-    return ~(radicand >= -RADICAND_CLAMP * np.maximum(scale, 1.0))
-
-
 def c_complex(scenario: Scenario, t):
     """c(t) continued past the reality window with principal-branch roots."""
     return scenario.c(t)
 
 
-def _nc_inversion(scenario: Scenario, t):
-    """theta_nc and omega_nc by the generic inversion, on a time or a grid.
+def nc_squares(scenario: Scenario, t) -> tuple:
+    """theta_nc^2 and omega_nc^2 on a time or a grid, with their scales and their gaps.
 
-    Returns (theta, omega, theta2, omega2, theta_outside, omega_outside).
-    theta2 and omega2 are the published squares
+    Returns (squares, scales, gaps), each a (theta_nc, omega_nc) pair. The
+    squares are the published ones,
         theta_nc^2 = (2f/(M w))^2 rad2,  omega_nc^2 = (2M/f)^2 rad1,
-    with rad1, rad2 the radicands of c; past the horizon a square may be
-    negative. The outside masks mark points whose inversion radicand is
-    negative beyond the clamp, where the inversion is meaningless. Points
-    inside both windows are checked against the published squares and a
-    disagreement raises ToleranceNotMet. Each family method runs once.
+    with rad1, rad2 the radicands of c; past the horizon a square is
+    negative. The scales are 4f(Ma + f)/(M w)^2 and 4M(bf + M w^2)/f^2, the
+    sizes of the terms of the generic inversion
+        theta_nc^2 = 4f(Ma - f)/(M w)^2,  omega_nc^2 = 4M(bf - M w^2)/f^2,
+    and each gap is |inversion - published square| / scale. Each family
+    method runs once.
     """
     if np.any(np.asarray(t) < 0.0):
         raise DomainError(f"deformation parameters are validated for t >= 0, got t={np.min(t):g}")
@@ -82,67 +80,57 @@ def _nc_inversion(scenario: Scenario, t):
     b = coefficient_b(scenario, t)
     rad1, rad2 = scenario.c_terms(t)
 
-    rad_theta = 4.0 * f * (M * a - f)
-    scale_theta = 4.0 * f * (M * a + f)
-    theta = np.sqrt(np.maximum(rad_theta, 0.0)) / (M * w)
-    rad_omega = 4.0 * M * (b * f - M * w**2)
-    scale_omega = 4.0 * M * (b * f + M * w**2)
-    omega = np.sqrt(np.maximum(rad_omega, 0.0)) / f
-    theta_out = _outside(rad_theta, scale_theta)
-    omega_out = _outside(rad_omega, scale_omega)
-    theta2 = (2.0 * f / (M * w)) ** 2 * rad2
-    omega2 = (2.0 * M / f) ** 2 * rad1
+    squares = ((2.0 * f / (M * w)) ** 2 * rad2, (2.0 * M / f) ** 2 * rad1)
+    scales = (4.0 * f * (M * a + f) / (M * w) ** 2, 4.0 * M * (b * f + M * w**2) / f**2)
+    inversions = (4.0 * f * (M * a - f) / (M * w) ** 2, 4.0 * M * (b * f - M * w**2) / f**2)
+    gaps = tuple(
+        np.abs(inversion - square) / np.maximum(scale, 1e-300)
+        for inversion, square, scale in zip(inversions, squares, scales)
+    )
+    return squares, scales, gaps
 
-    inside = ~(theta_out | omega_out)
-    for name, value, published, scale in (
-        ("theta_nc", theta, theta2, scale_theta / (M * w) ** 2),
-        ("omega_nc", omega, omega2, scale_omega / f**2),
-    ):
-        bad = inside & (np.abs(value * value - published) > _AGREE_RTOL * np.maximum(scale, 1e-300))
+
+def _gated(scenario: Scenario, t) -> tuple:
+    """The published squares and their reality flags, square >= -RADICAND_CLAMP * scale.
+
+    A gap above _AGREE_RTOL, at any time, raises ToleranceNotMet naming the
+    parameter and the first such time.
+    """
+    squares, scales, gaps = nc_squares(scenario, t)
+    for name, gap in zip(("theta_nc", "omega_nc"), gaps):
+        bad = gap > _AGREE_RTOL
         if np.any(bad):
             when = np.ravel(np.broadcast_to(t, np.shape(bad)))[np.argmax(np.ravel(bad))]
             raise ToleranceNotMet(
                 f"generic inversion disagrees with the closed form for {name} at t={when:g}"
             )
-    return theta, omega, theta2, omega2, theta_out, omega_out
+    return squares, [square >= -RADICAND_CLAMP * scale for square, scale in zip(squares, scales)]
 
 
 def nc_parameters(scenario: Scenario, t) -> tuple:
     """Deformation parameters (theta_nc, omega_nc) at a time or on a grid.
 
     theta_nc is the coordinate-coordinate deformation (length^2), omega_nc
-    the momentum-momentum one (momentum^2).
-
-    Computed from the generic inversion
-        theta_nc = sqrt(4 f (M a - f)) / (M omega),
-        omega_nc = sqrt(4 M (b f - M omega^2)) / f,
-    then checked against the scenario's published closed form (squared
-    comparison, so the gate stays meaningful where the radicand vanishes).
-    Raises DomainError naming the deformation if any point lies beyond the window.
+    the momentum-momentum one (momentum^2): the roots of the published
+    squares, gated by the generic inversion (nc_squares). A square negative
+    within its clamp reads 0. Raises DomainError naming the deformation if
+    any point lies beyond the window.
     """
-    theta, omega, _, _, theta_out, omega_out = _nc_inversion(scenario, t)
-    for what, outside in (
-        ("the coordinate deformation theta_nc", theta_out),
-        ("the momentum deformation omega_nc", omega_out),
+    squares, real = _gated(scenario, t)
+    for what, inside in zip(
+        ("the coordinate deformation theta_nc", "the momentum deformation omega_nc"), real
     ):
-        if np.any(outside):
+        if not np.all(inside):
             raise DomainError(f"{what} has a negative radicand; quantity is complex here")
-    return theta, omega
+    return tuple(np.sqrt(np.maximum(square, 0.0)) for square in squares)
 
 
 def nc_table(scenario: Scenario, t) -> tuple:
     """The ncparams columns on a time grid: (theta_nc, omega_nc, theta_real, omega_real).
 
-    Inside the window the values are the checked generic inversion, flagged
-    real. Beyond it they are magnitudes of the (now complex) published
-    closed forms, flagged per column by the sign of the published square;
-    never nan.
+    Each value is the root of the magnitude of its published square, gated by
+    the generic inversion at every time, and flagged real where the square is
+    not negative beyond its clamp; never nan.
     """
-    theta, omega, theta2, omega2, theta_out, omega_out = _nc_inversion(scenario, t)
-    outside = theta_out | omega_out
-    return (
-        np.where(outside, np.sqrt(np.abs(theta2)), theta),
-        np.where(outside, np.sqrt(np.abs(omega2)), omega),
-        ~outside | (theta2 >= 0.0),
-        ~outside | (omega2 >= 0.0),
-    )
+    squares, real = _gated(scenario, t)
+    return (*(np.sqrt(np.abs(square)) for square in squares), *real)

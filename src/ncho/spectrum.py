@@ -164,8 +164,11 @@ def _unit_phase_quadrature(scenario: Scenario, t: np.ndarray) -> np.ndarray:
     """integral_0^t (c - a/rho^2) dT at each time by adaptive quadrature, complex-valued.
 
     The integrals run side by side (integrate_adaptive_many); a time whose
-    error estimate misses the tolerance raises ToleranceNotMet.
+    error estimate misses the tolerance raises ToleranceNotMet, and so does a
+    rate that is not finite at t = 0, where every integral starts.
     """
+    if not np.isfinite(scenario.phase_rate(0.0)):
+        raise ToleranceNotMet("phase rate c - a/rho^2 is not finite at t=0, where quadrature starts")
     times = t.tolist()
     results = integrate_adaptive_many(
         scenario.phase_rate, [(0.0, x) for x in times], PHASE_QUAD_TOL

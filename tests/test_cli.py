@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncho import cli, energy, families, specfun, spectrum
+from ncho import cli, energy, families, spectrum
 from ncho.cli import build_parser, main
 from ncho.config import build_scenario, parse_scenario_file
 from ncho.ermakov import rho_eval
@@ -272,7 +272,7 @@ def test_verify_fails_a_nan_residual(capsys, monkeypatch):
     monkeypatch.setattr(cli, "overlap", lambda *args: complex(math.nan, 0.0))
     code, out, _ = run_cli(capsys, "verify", "--scenario", IB)
     assert code == 1
-    assert re.search(r"^orthonormality +inf +1\.000e-06 +FAIL$", out, re.MULTILINE), out
+    assert re.search(r"^matrix-oracle +inf +1\.000e-06 +FAIL$", out, re.MULTILINE), out
     assert "6 passed, 1 failed; worst residual inf" in out
 
 
@@ -331,6 +331,14 @@ def _scale_phi(monkeypatch):
     monkeypatch.setattr(spectrum, "_phi", lambda *args: (1.0 + 1e-4) * original(*args))
 
 
+def _scale_damping(monkeypatch):
+    for family in (families.Family, families._ExpDamped):
+        def scaled(self, t, original=family._damping):
+            return (1.0 + 1e-4) * original(self, t)
+
+        monkeypatch.setattr(family, "_damping", scaled)
+
+
 def _scale_constraint_lhs(monkeypatch):
     for family in (families._Exponential, families.SetIIk, families.SetIII):
         def scaled(self, original=family.constraint):
@@ -341,17 +349,17 @@ def _scale_constraint_lhs(monkeypatch):
 
 
 # Each fault is a monkeypatch of one closed form, with the verify row that must fail
-# on it; every row fails on at least one. Not here, because no row catches them yet:
-# the chirp sign of spectrum.eigenfunction, and the damping f(t) scaled by 1 + 1e-4
-# (no row reads theta_nc or Omega_nc; ncparams refuses it).
+# on it; every row fails on at least one. Not here, because no row catches it yet:
+# the chirp sign of spectrum.eigenfunction.
 MUTANTS = {
     "rho_dot": (_scale_rho_dot, "invariant-ode"),
     "c": (_scale_c, "phase-crossval"),
     "element_coefficient": (_scale_element_coefficient, "matrix-oracle"),
     "coupling": (_drop_coupling, "heisenberg"),
     "b": (_scale_b, "ep-residual"),
-    "phi": (_scale_phi, "orthonormality"),
+    "phi": (_scale_phi, "matrix-oracle"),
     "constraint_lhs": (_scale_constraint_lhs, "family-constraint"),
+    "damping": (_scale_damping, "deformation"),
 }
 
 
@@ -714,20 +722,19 @@ _TINY_CHI = (
 )
 
 
-def test_verify_prints_its_table_where_residual_terms_are_not_finite(capsys, tmp_path, monkeypatch):
+def test_verify_prints_its_table_where_residual_terms_are_not_finite(capsys, tmp_path):
     # At t = 0 the scale equation's terms hold inf of both signs, where math.fsum
     # raised; that row reads inf, and so do the rows whose residual is nan there.
-    # Each of phase-crossval's 50 quadratures bisects toward the near-pole at
-    # t = -chi until the panel limit: 26 s at 10000 panels, and the same row at 200.
-    monkeypatch.setattr(specfun, "_PANEL_LIMIT", 200)
+    # The phase rate is nan at t = 0, so phase-crossval fails before its quadratures,
+    # which would bisect toward the near-pole at t = -chi until the panel limit.
     path = tmp_path / "tiny_chi.scenario"
     path.write_text(_TINY_CHI)
     code, out, err = run_cli(capsys, "verify", "--scenario", str(path))
     assert code == 1 and err == ""
     rows = [line.split() for line in out.splitlines() if line.endswith(("PASS", "FAIL"))]
-    assert [row[0] for row in rows if row[-1] == "PASS"] == ["family-constraint", "orthonormality"]
-    assert [row[1] for row in rows if row[-1] == "FAIL"] == ["inf"] * 5
-    assert "7 checks: 2 passed, 5 failed; worst residual inf" in out
+    assert [row[0] for row in rows if row[-1] == "PASS"] == ["family-constraint"]
+    assert [row[1] for row in rows if row[-1] == "FAIL"] == ["inf"] * 6
+    assert "7 checks: 1 passed, 6 failed; worst residual inf" in out
 
 
 def test_closed_form_phase_division_by_zero_names_the_time(capsys, tmp_path):
@@ -781,6 +788,52 @@ def test_ncparams_reality_flags_flip_at_horizon(capsys):
     assert flags[0] == "1" and flags[-1] == "0"
     for row in rows:
         assert float(row[1]) > 0.0 and float(row[2]) > 0.0
+
+
+@pytest.mark.parametrize("name, t", [("mild_iii", "1e6"), ("set_iii", "2e9")])
+def test_ncparams_flags_a_late_negative_square_against_its_scale(capsys, name, t):
+    # Omega_nc's square is negative here, and its terms are ~1e-12: the flag
+    # reads it against the terms' scale, and the gate passes.
+    path = str(SCENARIO_DIR / f"{name}.scenario")
+    code, out, err = run_cli(capsys, "ncparams", "--scenario", path, "--t0", t, "--t1", t, "--points", "1")
+    assert (code, err) == (0, "")
+    assert [row[3:] for row in csv_rows(out)[1]] == [["1", "0"]]
+
+
+def test_ncparams_prints_a_vanishing_square_as_zero(capsys):
+    # Delta = M omega0^2 makes Omega_nc's square exactly 0, with no root of noise.
+    path = str(SCENARIO_DIR / "mild_ib.scenario")
+    code, out, _ = run_cli(capsys, "ncparams", "--scenario", path, "--t1", "5", "--points", "2001")
+    assert code == 0
+    rows = csv_rows(out)[1]
+    assert len(rows) == 2001 and {row[2] for row in rows} == {"0.000000000000e+00"}
+    assert {row[4] for row in rows} == {"1"}
+
+
+def test_ncparams_gates_past_the_horizon(capsys, monkeypatch):
+    # The generic inversion checks the published squares at every time, so a
+    # wrong damping factor fails a grid that lies wholly past the horizon.
+    _scale_damping(monkeypatch)
+    for name, t0, t1 in (("mild_iii", "3", "5"), ("set_iii", "3", "5"), ("set_ia", "17", "20")):
+        path = str(SCENARIO_DIR / f"{name}.scenario")
+        code, out, err = run_cli(capsys, "ncparams", "--scenario", path, "--t0", t0, "--t1", t1)
+        assert (code, out) == (1, ""), name
+        assert err == (
+            f"check failed: generic inversion disagrees with the closed form for theta_nc at t={t0}\n"
+        ), name
+
+
+def test_verify_fails_the_deformation_row_at_zero_frequency(capsys, tmp_path):
+    # theta_nc is undefined at omega0 = 0: ncparams exits 2, and the verify row
+    # fails like any row whose check raises.
+    path = tmp_path / "free.scenario"
+    path.write_text("kind = SetIII\nM = 1\nomega0 = 0\nGamma = 1\nchi = 1\nsigma = 2\nDelta = 2\nmu = 1\n")
+    code, out, err = run_cli(capsys, "ncparams", "--scenario", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: theta_nc is undefined at zero frequency (omega(t) = 0)\n"
+    code, out, err = run_cli(capsys, "verify", "--scenario", str(path))
+    assert code == 1 and err == ""
+    assert re.search(r"^deformation +inf +1\.000e-12 +FAIL$", out, re.MULTILINE), out
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,19 @@ def test_ep_residual_is_inf_where_its_terms_are_not_finite():
     assert np.isfinite(res.value[1]) and res.relative[1] <= 1e-12
 
 
+def test_ep_residual_at_a_float_matches_a_one_point_grid(fig_scenarios):
+    # One path serves both: at chi = 1e-300 a float time reads inf where it raised
+    # ZeroDivisionError, and elsewhere the two agree to the bit.
+    tiny_chi = make_scenario(ScenarioKind.SET_III, omega0=0.5, sigma=2.0, Delta=2.0, chi=1e-300)
+    for scenario in (tiny_chi, *fig_scenarios.values()):
+        for t in (0.0, 0.5):
+            with np.errstate(all="ignore"):
+                alone, grid = ep_residual(scenario, t), ep_residual(scenario, np.array([t]))
+            assert alone.value == grid.value[0] and alone.scale == grid.scale[0]
+    with np.errstate(all="ignore"):
+        assert ep_residual(tiny_chi, 0.0).relative == math.inf
+
+
 def test_propagator_is_the_identity_at_zero():
     for name, scenario in PROPAGATED.items():
         propagator = scenario.propagator
