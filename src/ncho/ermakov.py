@@ -39,13 +39,12 @@ class RhoEval:
         return named_power(self.rho, k, f"rho(t)^{k}", self.t)
 
 
-def named_power(base, k, name: str, t: float | None = None):
-    """base**k; an OverflowError names the power (``name``) and, if given, the time t."""
+def named_power(base, k, name: str, t: float):
+    """base**k; an OverflowError names the power (``name``) and the time t."""
     try:
         return base**k
     except OverflowError as exc:
-        at = "" if t is None else f" at t={t:g}"
-        raise OverflowError(f"{name} overflows a float{at}") from exc
+        raise OverflowError(f"{name} overflows a float at t={t:g}") from exc
 
 
 @dataclass(frozen=True)

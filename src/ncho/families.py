@@ -20,8 +20,9 @@ Every class names its ``kind`` and the optional scenario keys it reads
 domain conditions), constraint() as (LHS, RHS, term magnitudes) of the
 relation named CONSTRAINT, rho(t) as (rho, rho', rho''), a(t) as (a, a'),
 b(t), c_terms(t) as the two radicands (rad1, rad2) of c = sqrt(rad1) +
-omega(t) sqrt(rad2), horizon() (None: unbounded, 0.0: empty), energy(t,
-n+m+1, n-m, c), _change(t), which makes Heisenberg's motion harmonic, and
+omega(t) sqrt(rad2), horizon() (None: unbounded, 0.0: empty),
+ground_energy(t), the published <E_00>(t) (``energy`` adds the labels and
+the coupling), _change(t), which makes Heisenberg's motion harmonic, and
 unit_phase(t), the integral of c - a/rho^2, as (value, validated): the flag
 marks the times the published form holds at, and value is nan at the others.
 The SetIIk energy is the published k = 2 form written for every k; no phase
@@ -54,7 +55,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DomainError, NoConvergence
+from .errors import DomainError, NoConvergence, OutOfValidatedDomain
 from .specfun import gauss_2f1
 
 if TYPE_CHECKING:
@@ -168,9 +169,9 @@ class Family:
         """c - a/rho^2, the integrand of the unit phase."""
         return self._on_grid(self._phase_rate, t)
 
-    def energy(self, t, n_plus: int, n_minus: int, c):
-        """Closed-form energy from the label sums n+m+1, n-m and c at the same times."""
-        return self._on_grid(self._energy, t, n_plus, n_minus, c)
+    def ground_energy(self, t):
+        """The published <E_00>(t); every level is (n+m+1) times it plus (n-m) c(t)."""
+        return self._on_grid(self._ground_energy, t)
 
     def unit_phase(self, t):
         return self._on_grid(self._unit_phase, t)
@@ -187,16 +188,15 @@ class Family:
         rad1, rad2 = self.c_terms(0.0)
         return 0.0 if rad1 < 0.0 or rad2 < 0.0 else self._horizon()
 
-    def _on_grid(self, method, t, *args):
-        """Run ``method`` once on the times as a flat float array (array arguments
-        flattened alike); answer in the shape of ``t``, with Python scalars for a
-        float, the one place a float is told from an array. Names an overflow."""
+    def _on_grid(self, method, t):
+        """Run ``method`` once on the times as a flat float array; answer in the shape
+        of ``t``, with Python scalars for a float, the one place a float is told from
+        an array. Names an overflow."""
         shape = None if isinstance(t, (int, float)) else np.shape(t)
         t = np.asarray(t, dtype=float).reshape(-1)
-        args = [a.reshape(-1) if isinstance(a, np.ndarray) else a for a in args]
         self._check_times(t)
         try:
-            out = method(t, *args)
+            out = method(t)
         except OverflowError as exc:
             name = method.__name__[1:]
             raise OverflowError(f"{name}(t) overflows a float for t up to {t.max():g}") from exc
@@ -286,9 +286,8 @@ class _Exponential(Family):
         c = self.constants
         return c.Delta * _exp(c.Gamma * t)
 
-    def _energy(self, t, n_plus: int, n_minus: int, c):
-        const = self.constants
-        return n_plus * const.mu**2 * const.Delta + n_minus * c
+    def _ground_energy(self, t):
+        return self.constants.mu**2 * self.constants.Delta
 
 
 class SetIa(_Exponential):
@@ -316,13 +315,11 @@ class SetIa(_Exponential):
             return None
         z0 = dl / (mass * w0**2)
         zt = z0 * math.exp(2.0 * g * t)
-        if not abs(zt) < 1.0:
-            return None
         try:
             series = math.exp(-0.5 * g * t) * gauss_2f1(-0.25, 0.5, 0.75, zt) - gauss_2f1(
                 -0.25, 0.5, 0.75, z0
             )
-        except NoConvergence:
+        except (NoConvergence, OutOfValidatedDomain):
             return None
         ms = mass * sg
         e_gt = math.exp(g * t)
@@ -510,7 +507,7 @@ class SetIIk(_Rational):
         u_max = ((k + 2.0) / k) * (c.mass_M * c.sigma) ** (k / (k + 2.0))
         return max(0.0, (u_max - c.chi) / c.Gamma)
 
-    def _energy(self, t, n_plus: int, n_minus: int, c):
+    def _ground_energy(self, t):
         """The published k = 2 form, written for every k: at k = 2 the factors are 2 and 8."""
         const = self.constants
         k = float(self.k_exp)
@@ -518,7 +515,7 @@ class SetIIk(_Rational):
             (k + 2.0) / k * (const.Delta * const.mu**2 + const.sigma / const.mu**2)
             + const.mu**2 * const.Gamma**2 / (k * (k + 2.0) * const.sigma)
         )
-        return n_plus / (2.0 * self._u(t)) * bracket + n_minus * c
+        return bracket / (2.0 * self._u(t))
 
     def _phase_at(self, t: float) -> complex | None:
         """Published for k = 2 only."""
@@ -591,13 +588,13 @@ class SetIII(_Rational):
         u_max = math.sqrt(c.Delta / c.mass_M) / c.omega0
         return max(0.0, (u_max - c.chi) / c.Gamma)
 
-    def _energy(self, t, n_plus: int, n_minus: int, c):
+    def _ground_energy(self, t):
         const = self.constants
         bracket = (
             (const.Delta * const.mu**2 + const.sigma / const.mu**2) / _pow(self._u(t), 2.0)
             + const.mu**2 * const.Gamma**2 / const.sigma
         )
-        return 0.5 * n_plus * bracket + n_minus * c
+        return 0.5 * bracket
 
     def _phase_at(self, t: float) -> complex:
         c = self.constants

@@ -422,12 +422,6 @@ def overlap(scenario: Scenario, t: float, s1: StateLabel, s2: StateLabel) -> com
 # Matrix elements of coordinate powers
 # --------------------------------------------------------------------------
 
-def _element_labels(n: int, m: int, m_prime: int, k_pow: int) -> tuple[StateLabel, StateLabel]:
-    """The bra and ket labels of <n,m-n| coord^k |n,m'-n>, each label and k_pow validated."""
-    _check_labels(("k_pow", k_pow), ("n", n), ("m", m), ("m'", m_prime))
-    return StateLabel(n, m), StateLabel(n, m_prime)
-
-
 @lru_cache(maxsize=1024)
 def _element_coefficient(n: int, m: int, m_prime: int, k_pow: int) -> tuple[float, int] | None:
     """The exact, time-independent part of an element: (coefficient, r index).
@@ -464,7 +458,7 @@ def _matrix_element_sum(
     scenario: Scenario, t: float, n: int, m: int, m_prime: int, k_pow: int,
     x_units: bool, invariant_basis: bool,
 ) -> complex:
-    _element_labels(n, m, m_prime, k_pow)
+    _check_labels(("k_pow", k_pow), ("n", n), ("m", m), ("m'", m_prime))
     exact = _element_coefficient(n, m, m_prime, k_pow)
     if exact is None:
         return 0.0 + 0.0j
@@ -510,13 +504,14 @@ def matrix_element_oracle(
     coordinate: Coordinate | str,
 ) -> complex:
     """Brute-force oracle: 2-D quadrature of the defining matrix-element integral."""
-    s1, s2 = _element_labels(n, m, m_prime, k_pow)
+    _check_labels(("k_pow", k_pow), ("n", n), ("m", m), ("m'", m_prime))
     if not oracle_validated(n, m, m_prime, k_pow):
         raise InvalidLabel(
             f"oracle quadrature validated for n, m, m' <= {ORACLE_MAX_LABEL} "
             f"and power <= {ORACLE_MAX_POWER} only"
         )
     sl = _slice(scenario, float(t))
+    s1, s2 = StateLabel(n, m), StateLabel(n, m_prime)
     value = _certified_integral(sl, s1, s2, k_pow, Coordinate(coordinate))
     if m_prime != m:
         value *= cmath.exp(1j * (m_prime - m) * sl.unit.value)

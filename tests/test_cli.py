@@ -279,9 +279,9 @@ def test_verify_fails_a_nan_residual(capsys, monkeypatch):
 def test_verify_counts_a_dual_form_disagreement_as_a_failed_check(capsys, monkeypatch):
     # energy_expectation raises ToleranceNotMet when its two routes disagree; inside
     # verify that fails the heisenberg row and the table is still printed.
-    original = families.SetIII._energy
+    original = families.SetIII._ground_energy
     monkeypatch.setattr(
-        families.SetIII, "_energy", lambda self, *args: (1.0 + 1e-6) * original(self, *args)
+        families.SetIII, "_ground_energy", lambda self, t: (1.0 + 1e-6) * original(self, t)
     )
     code, out, err = run_cli(capsys, "verify", "--scenario", III)
     assert code == 1 and err == ""

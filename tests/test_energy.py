@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from ncho.config import ScenarioKind, build_scenario, parse_scenario_file
-from ncho.energy import EnergyResult, energy_expectation, energy_series
+from ncho.energy import energy_expectation, energy_series
 from ncho.errors import ToleranceNotMet
 from ncho.ermakov import coefficient_a, coefficient_b, rho_eval
-from ncho.hamiltonian import c_complex, reality_horizon_time
+from ncho.hamiltonian import c_complex, in_reality_window, reality_horizon_time
 from ncho.spectrum import StateLabel
 
 from conftest import SCENARIO_DIR, make_scenario
@@ -78,8 +79,8 @@ def test_cross_check_is_relative_to_the_term_magnitudes():
 
     # A closed form off by 1e-8 of that scale is still caught.
     class Perturbed(type(scenario)):
-        def energy(self, *args):
-            return super().energy(*args) + 1e-8 * scale
+        def ground_energy(self, t):
+            return super().ground_energy(t) + 1e-8 * scale / (s.n + s.m + 1)
 
     with pytest.raises(ToleranceNotMet, match="disagree"):
         energy_expectation(Perturbed(scenario.constants, scenario.k_exp), t, s)
@@ -95,15 +96,42 @@ def test_general_exponent_is_cross_checked():
     )
     t, s = 0.5, StateLabel(1, 2)
     value = energy_expectation(scenario, t, s).value
-    closed = scenario.energy(t, s.n + s.m + 1, s.n - s.m, c_complex(scenario, t))
+    closed = (s.n + s.m + 1) * scenario.ground_energy(t) + (s.n - s.m) * c_complex(scenario, t)
     assert abs(value - closed) <= 1e-15 * abs(value)
 
     class Perturbed(type(scenario)):
-        def energy(self, *args):
-            return (1.0 + 1e-8) * super().energy(*args)
+        def ground_energy(self, t):
+            return (1.0 + 1e-8) * super().ground_energy(t)
 
     with pytest.raises(ToleranceNotMet, match="disagree"):
         energy_expectation(Perturbed(scenario.constants, scenario.k_exp), t, s)
+
+
+# Every kind's <E_00>(t), with the k = 3 form beside k = 2.
+GROUND_FORMS = {
+    name: build_scenario(parse_scenario_file(SCENARIO_DIR / f"{name}.scenario"))
+    for name in ("set_ia", "set_ib", "set_ic", "set_ii_k2", "set_iii")
+}
+GROUND_FORMS["set_ii_k3"] = make_scenario(
+    ScenarioKind.SET_II_K, k_exp=3, omega0=0.5, sigma=1.0, Delta=1.0, mu=1.0, enforce=False
+)
+
+
+@pytest.mark.parametrize("name", sorted(GROUND_FORMS))
+@pytest.mark.parametrize("s", [StateLabel(1, 1), StateLabel(1, 2)], ids=str)
+def test_a_ground_energy_fault_fails_the_gate(monkeypatch, name, s):
+    # The closed form is (n+m+1) <E_00> + (n-m) c; a fault of 1e-8 in <E_00> alone is
+    # caught on the diagonal, where the coupling drops out, and beside the coupling.
+    scenario = GROUND_FORMS[name]
+    t = np.linspace(0.0, 1.0, 5)
+    energy_expectation(scenario, t, s)
+    family = type(scenario)
+    original = family._ground_energy
+    monkeypatch.setattr(
+        family, "_ground_energy", lambda self, t: (1.0 + 1e-8) * original(self, t)
+    )
+    with pytest.raises(ToleranceNotMet, match="disagree"):
+        energy_expectation(scenario, t, s)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +169,7 @@ def test_energy_real_inside_window_complex_beyond(fig_iii):
 def test_in_window_boundary_is_inclusive(fig_iii):
     horizon = reality_horizon_time(fig_iii)
     assert energy_expectation(fig_iii, horizon, GROUND).in_window
-    assert EnergyResult(0j, 1.0, None).in_window
+    assert in_reality_window(None, 1.0)
 
 
 def test_empty_window_flags_no_time():
@@ -154,7 +182,7 @@ def test_empty_window_flags_no_time():
     series = energy_series(scenario, StateLabel(1, 0), [0.0, 0.25, 0.5])
     assert series.in_window.tolist() == [False, False, False]
     assert series.e_im_scaled[0] != 0.0
-    assert not EnergyResult(0j, 0.0, 0.0).in_window
+    assert not in_reality_window(0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,10 @@ SCENARIOS["set_ib_omega0_0"] = make_scenario(ScenarioKind.SET_IB, omega0=0.0)
 STEEP_IA = make_scenario(
     ScenarioKind.SET_IA, omega0=1.0e4, mu=(1.0e14 / (1.0e14 - 0.25)) ** 0.25
 )
-METHODS = ("damping", "frequency", "rho", "a", "b", "c_terms", "c", "phase_rate", "unit_phase")
+METHODS = (
+    "damping", "frequency", "rho", "a", "b", "c_terms", "c", "phase_rate", "unit_phase",
+    "ground_energy",
+)
 
 
 def _window_end(scenario) -> float:
@@ -65,16 +68,13 @@ def test_grid_and_single_times_agree_bit_for_bit(data):
     for method in METHODS:
         whole = getattr(family, method)(grid)
         _assert_same_bits(whole, [getattr(family, method)(t) for t in times], (name, method))
-    whole = family.energy(grid, 4, -1, family.c(grid))
-    single = [family.energy(t, 4, -1, family.c(t)) for t in times]
-    _assert_same_bits(whole, single, (name, "energy"))
 
 
 # What each public method answers for a float time: Python scalars only.
 SINGLE_TYPES = {
     "damping": float, "frequency": float, "rho": (float, float, float), "a": (float, float),
     "b": float, "c_terms": (float, float), "c": complex, "phase_rate": complex,
-    "unit_phase": (complex, bool), "energy": complex,
+    "unit_phase": (complex, bool), "ground_energy": float,
 }
 
 
@@ -85,9 +85,9 @@ def test_a_single_time_runs_as_a_one_point_grid(monkeypatch, name):
     seen = []
 
     def spy(impl):
-        def spied(self, times, *args):
+        def spied(self, times):
             seen.append((impl.__name__, times))
-            return impl(self, times, *args)
+            return impl(self, times)
 
         spied.__name__ = impl.__name__
         return spied
@@ -98,16 +98,14 @@ def test_a_single_time_runs_as_a_one_point_grid(monkeypatch, name):
     grid = np.array([0.25, t, 1.0])
     for method, want in SINGLE_TYPES.items():
         seen.clear()
-        args = (4, -1, family.c(t)) if method == "energy" else ()
-        single = getattr(family, method)(t, *args)
+        single = getattr(family, method)(t)
         assert seen, (name, method)
         for impl, times in seen:
             assert type(times) is np.ndarray and times.dtype == np.float64, (name, impl)
             assert times.shape == (1,) and times[0] == t, (name, impl)
         # Python scalars, with the bits of the same time inside a grid.
         assert [type(x) for x in _parts(single)] == _parts(want), (name, method)
-        grid_args = (4, -1, family.c(grid)) if method == "energy" else ()
-        whole = getattr(family, method)(grid, *grid_args)
+        whole = getattr(family, method)(grid)
         for x, column in zip(_parts(single), _parts(whole)):
             assert np.array([x], column.dtype).tobytes() == column[1:2].tobytes(), (name, method)
 
