@@ -353,7 +353,9 @@ def _sci_words(x: np.ndarray) -> np.ndarray:
     under a power of ten, or the clip for |x| < 1e-99) leaves y under 1e12,
     or so close above that %.12e rounds up to 1.000000000000 too; one too
     low leaves rint(y) >= 1e13. Every other value (a near tie, an e off by
-    one, a three-digit exponent or a subnormal) goes to '%.12e' % v. The
+    one, a three-digit exponent or a subnormal) goes to '%.12e' % v, once
+    per distinct value; an unsigned one after a NUL, so that its text lines
+    up with the kernel's words, whose first byte is the sign or NUL. The
     last byte of each value's words is NUL.
     """
     head, quad, tail, expo, scale = _digit_words()
@@ -373,7 +375,8 @@ def _sci_words(x: np.ndarray) -> np.ndarray:
         mantissa -= group * unit
         groups.append(group.astype(np.intp))
     inexact = np.flatnonzero(~exact)
-    fallback = ["%.12e" % v for v in x.ravel()[inexact].tolist()]
+    distinct, where = np.unique(x.ravel()[inexact].view(np.uint64), return_inverse=True)
+    fallback = ["%.12e" % v if v < 0.0 else "\0%.12e" % v for v in distinct.view(float).tolist()]
     size = 24 if any(len(text) > 19 for text in fallback) else 20
     words = np.zeros(x.shape + (size // 4,), dtype=np.uint32)
     words[..., 0] = head[groups[0] + 100 * np.signbit(x)]
@@ -382,7 +385,7 @@ def _sci_words(x: np.ndarray) -> np.ndarray:
     words[..., 3] = tail[mantissa.astype(np.intp)]
     words[..., 4] = expo[e]
     text = np.array(fallback, dtype=f"S{size}")
-    words.reshape(-1, size // 4)[inexact] = text.view(np.uint32).reshape(-1, size // 4)
+    words.reshape(-1, size // 4)[inexact] = text.view(np.uint32).reshape(-1, size // 4)[where]
     return words
 
 
@@ -408,15 +411,17 @@ def _format_block(specs: list[str], block: list) -> str | None:
     %s column is not one it takes, and the block goes through % instead.
 
     Each row is laid out in a zeroed uint8 buffer, one cell per field with
-    its separator in the cell's last byte; the NUL padding is deleted from
-    the finished text.
+    its separator in the cell's last byte. A float column with no sign bit
+    set leaves out its sign byte. The NUL padding is deleted from the
+    finished text; a buffer with no NUL left is the text as it stands.
     """
-    floats = [column for spec, column in zip(specs, block) if spec == "%.12e"]
-    words = iter(_sci_words(np.stack(floats)) if floats else ())
+    floats = np.array([c for s, c in zip(specs, block) if s == "%.12e"], float).reshape(-1, len(block[0]))
+    words, signed = iter(_sci_words(floats)), iter(np.signbit(floats).any(axis=1))
     cells = []  # (bytes per row, bytes the cell and its separator take)
     for spec, column in zip(specs, block):
         if spec == "%.12e":
             cell = next(words).view(np.uint8)
+            cell = cell if next(signed) else cell[:, 1:]
             cells.append((cell, cell.shape[1]))  # the last byte is NUL
             continue
         cell = _flag_bytes(column) if spec == "%d" else _text_bytes(column)
@@ -431,6 +436,8 @@ def _format_block(specs: list[str], block: list) -> str | None:
         offset += span
         seps.append(offset - 1)
     buf[:, seps] = np.frombuffer(b"," * (len(seps) - 1) + b"\n", dtype=np.uint8)
+    if buf.all():
+        return str(buf.data, "ascii")
     return buf.tobytes().translate(None, b"\0").decode("ascii")
 
 

@@ -37,8 +37,9 @@ in the same shape (Python scalars for a float). There is one path:
 float as a one-point grid, so a time alone and inside a grid agree to the bit.
 Each closed form is written once, as + - * / on float arrays, with exp, log and
 pow mapped from math over the elements (``_exp``, ``_log``, ``_pow``) and
-numpy's complex square root, which rounds as cmath.sqrt does (``_sq``); the
-complex phase forms (``_phase_at``) are cmath code run point by point. That
+numpy's complex square root, which rounds as cmath.sqrt does (``_sq``). Each
+complex phase form is cmath code (``_phase_form``), built once per grid with its
+time-independent terms and mapped over the times. That
 keeps the committed figure data under out/ byte-identical: numpy's own exp,
 log, pow and arctan and its fused complex products and divisions round
 differently in the last bit, which would show in their noise columns.
@@ -81,7 +82,9 @@ def _log(x):
 
 
 def _pow(x, p: float):
-    """x**p for each element of an array, as Python's power."""
+    """x**p for each element of an array, as Python's power; x**0 is 1 for every x."""
+    if p == 0.0:
+        return np.ones(x.size)
     return np.fromiter(map(pow, x.tolist(), itertools.repeat(p)), float, x.size)
 
 
@@ -120,6 +123,7 @@ class Family:
     """
 
     OPTIONAL_KEYS = ()  # scenario keys read beyond the required ones; not a field
+    _PHASE_GAPS = False  # whether the phase form answers None at some times; not a field
 
     constants: PhysicalConstants
     k_exp: int = 2
@@ -232,17 +236,30 @@ class Family:
                 kappa / kappa0 * (cos + eta * sin))
 
     def _unit_phase(self, t):
-        values = [self._phase_point(x) for x in t.tolist()]
+        """The phase form over the times; a math domain error (SetIII's atan pole at 1e20) or
+        a division by zero (chi underflowing mu^2 chi u) names the first time it fails at."""
+        times, form = t.tolist(), None
+        try:
+            form = self._phase_form() if times else None
+            values = list(map(form, times)) if form else None
+        except (ValueError, ZeroDivisionError) as exc:
+            x = times[0] if form is None else next(x for x in times if _fails(form, x))
+            raise DomainError(f"unit_phase(t) is not defined at t={x:g}: {exc}") from exc
+        if values is None:
+            return np.full(t.size, complex("nan")), np.zeros(t.size, dtype=bool)
+        if not self._PHASE_GAPS:
+            return np.array(values, complex), np.ones(t.size, dtype=bool)
         validated = np.array([v is not None for v in values], dtype=bool)
         return np.array([complex("nan") if v is None else v for v in values], complex), validated
 
-    def _phase_point(self, x: float) -> complex | None:
-        """_phase_at(x); a math domain error (SetIII's atan pole at t = 1e20) or a division
-        by zero (SetIII's mu^2 chi u at t = 0 when chi underflows it) names the time."""
-        try:
-            return self._phase_at(x)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DomainError(f"unit_phase(t) is not defined at t={x:g}: {exc}") from exc
+
+def _fails(form, x: float) -> bool:
+    """Whether the phase form raises a math domain error or a division by zero at x."""
+    try:
+        form(x)
+    except (ValueError, ZeroDivisionError):
+        return True
+    return False
 
 
 class _Exponential(Family):
@@ -292,6 +309,7 @@ class _Exponential(Family):
 
 class SetIa(_Exponential):
     kind = ScenarioKind.SET_IA
+    _PHASE_GAPS = True
 
     def _c_terms(self, t):
         c = self.constants
@@ -304,9 +322,9 @@ class SetIa(_Exponential):
         c = self.constants
         return math.log(c.mass_M * c.sigma) / c.Gamma
 
-    def _phase_at(self, t: float) -> complex | None:
-        """None at zero frequency, once the hypergeometric argument
-        z = z0 exp(2 Gamma t) >= z0 leaves |z| < 1, and where the series
+    def _phase_form(self):
+        """None at zero frequency; the form answers None once the hypergeometric
+        argument z = z0 exp(2 Gamma t) >= z0 leaves |z| < 1, and where the series
         does not settle near |z| = 1."""
         c = self.constants
         mass, w0, g = c.mass_M, c.omega0, c.Gamma
@@ -314,33 +332,36 @@ class SetIa(_Exponential):
         if w0 == 0.0:
             return None
         z0 = dl / (mass * w0**2)
-        zt = z0 * math.exp(2.0 * g * t)
         try:
-            series = math.exp(-0.5 * g * t) * gauss_2f1(-0.25, 0.5, 0.75, zt) - gauss_2f1(
-                -0.25, 0.5, 0.75, z0
-            )
+            series0 = gauss_2f1(-0.25, 0.5, 0.75, z0)
         except (NoConvergence, OutOfValidatedDomain):
-            return None
-        ms = mass * sg
-        e_gt = math.exp(g * t)
-        num = e_gt - 2.0 * ms - 2.0 * cmath.sqrt(ms * (ms - e_gt))
-        den = 1.0 - 2.0 * ms - 2.0 * cmath.sqrt(ms * (ms - 1.0))
-        brk1 = (
-            cmath.log(num / den)
-            - g * t
-            - 2.0 * cmath.sqrt(ms * (ms * math.exp(-2.0 * g * t) - math.exp(-g * t)))
-            + 2.0 * cmath.sqrt(ms * (ms - 1.0))
-        )
-        # The hypergeometric pair integrates the frequency-like radical; with
-        # principal-branch roots its prefactor is -2i*w0 (the antiderivative
-        # identity d/dw[w^(-1/4) 2F1(-1/4,1/2;3/4;w)] = -(1/4) w^(-5/4) (1-w)^(-1/2)
-        # fixes the sign, and quadrature confirms it).
-        brk2 = (
-            cmath.sqrt(dl / mass * e_gt - w0**2 * math.exp(-g * t))
-            - cmath.sqrt(dl / mass - w0**2)
-            - 2.0j * w0 * series
-        )
-        return w0 / (2.0 * math.sqrt(ms) * g) * brk1 + 2.0 / g * brk2 - (sg / mu**2) * t
+            # No time has the series, but exp(2 Gamma t) still overflows at late times.
+            return lambda t: math.exp(2.0 * g * t) and None
+        ms, w0_sq, dl_m = mass * sg, w0**2, dl / mass
+        root1 = cmath.sqrt(ms * (ms - 1.0))
+        den, end1, end2 = 1.0 - 2.0 * ms - 2.0 * root1, 2.0 * root1, cmath.sqrt(dl_m - w0_sq)
+        pre1, pre2, rate, i2w0 = w0 / (2.0 * math.sqrt(ms) * g), 2.0 / g, sg / mu**2, 2.0j * w0
+
+        def form(t):
+            zt = z0 * math.exp(2.0 * g * t)
+            try:
+                series = math.exp(-0.5 * g * t) * gauss_2f1(-0.25, 0.5, 0.75, zt) - series0
+            except (NoConvergence, OutOfValidatedDomain):
+                return None
+            e_gt, e_neg = math.exp(g * t), math.exp(-g * t)
+            num = e_gt - 2.0 * ms - 2.0 * cmath.sqrt(ms * (ms - e_gt))
+            brk1 = (
+                cmath.log(num / den) - g * t
+                - 2.0 * cmath.sqrt(ms * (ms * math.exp(-2.0 * g * t) - e_neg)) + end1
+            )
+            # The hypergeometric pair integrates the frequency-like radical; with
+            # principal-branch roots its prefactor is -2i*w0 (the antiderivative
+            # identity d/dw[w^(-1/4) 2F1(-1/4,1/2;3/4;w)] = -(1/4) w^(-5/4) (1-w)^(-1/2)
+            # fixes the sign, and quadrature confirms it).
+            brk2 = cmath.sqrt(dl_m * e_gt - w0_sq * e_neg) - end2 - i2w0 * series
+            return pre1 * brk1 + pre2 * brk2 - rate * t
+
+        return form
 
 
 class _ExpDamped(_Exponential):
@@ -364,7 +385,7 @@ class SetIb(_ExpDamped):
         M, w0 = c.mass_M, c.omega0
         return (c.Delta - M * w0**2) / M, M * c.sigma - 1.0
 
-    def _phase_at(self, t: float) -> complex:
+    def _phase_form(self):
         """Linear in t."""
         c = self.constants
         slope = (
@@ -372,7 +393,7 @@ class SetIb(_ExpDamped):
             + cmath.sqrt((c.Delta - c.mass_M * c.omega0**2) / c.mass_M)
             + c.omega0 * cmath.sqrt(c.mass_M * c.sigma - 1.0)
         )
-        return slope * t
+        return slope.__mul__
 
 
 class SetIc(_ExpDamped):
@@ -383,26 +404,25 @@ class SetIc(_ExpDamped):
         M, w0, G = c.mass_M, c.omega0, c.Gamma
         return (c.Delta - M * w0**2 * _exp(-G * t)) / M, M * c.sigma - 1.0
 
-    def _phase_at(self, t: float) -> complex:
+    def _phase_form(self):
         c = self.constants
         mass, w0, g = c.mass_M, c.omega0, c.Gamma
         sg, dl, mu = c.sigma, c.Delta, c.mu
-        e_neg = math.exp(-g * t)
-        brk = (
-            math.sqrt(dl) * g * t
-            + 2.0 * cmath.sqrt(dl - mass * w0**2)
-            - 2.0 * cmath.sqrt(dl - mass * w0**2 * e_neg)
-            + 2.0
-            * math.sqrt(dl)
-            * cmath.log(
-                (dl + cmath.sqrt(dl * (dl - mass * w0**2 * e_neg)))
-                / (dl + cmath.sqrt(dl * (dl - mass * w0**2)))
+        slope, mw_sq, pre_log = math.sqrt(dl) * g, mass * w0**2, 2.0 * math.sqrt(dl)
+        end, den = 2.0 * cmath.sqrt(dl - mw_sq), dl + cmath.sqrt(dl * (dl - mw_sq))
+        mu_sq, pre_exp, root = mu**2, 2.0 / g * w0, cmath.sqrt(mass * sg - 1.0)
+        scale = g * math.sqrt(mass)
+
+        def form(t):
+            rad = dl - mw_sq * math.exp(-g * t)
+            brk = (
+                slope * t + end - 2.0 * cmath.sqrt(rad)
+                + pre_log * cmath.log((dl + cmath.sqrt(dl * rad)) / den)
             )
-        )
-        lin = sg * t / mu**2 + 2.0 / g * w0 * (math.exp(-0.5 * g * t) - 1.0) * cmath.sqrt(
-            mass * sg - 1.0
-        )
-        return brk / (g * math.sqrt(mass)) - lin
+            lin = sg * t / mu_sq + pre_exp * (math.exp(-0.5 * g * t) - 1.0) * root
+            return brk / scale - lin
+
+        return form
 
 
 class _Rational(Family):
@@ -517,37 +537,37 @@ class SetIIk(_Rational):
         )
         return bracket / (2.0 * self._u(t))
 
-    def _phase_at(self, t: float) -> complex | None:
+    def _phase_form(self):
         """Published for k = 2 only."""
         if self.k_exp != 2:
             return None
         c = self.constants
         mass, w0, g = c.mass_M, c.omega0, c.Gamma
         sg, mu, chi = c.sigma, c.mu, c.chi
-        dm = c.Delta / mass
-        u = g * t + chi
-        rad_u = dm * u**2 - w0**2
-        rad_chi = dm * chi**2 - w0**2
-        brk1 = (
-            w0 * cmath.atan(w0 / cmath.sqrt(rad_u))
-            + cmath.sqrt(rad_u)
-            - 2.0 * sg / mu**2 * cmath.log(u / chi)
-            - cmath.sqrt(rad_chi)
-            - w0 * cmath.atan(w0 / cmath.sqrt(rad_chi))
-        )
-        # The log pairs with the deformation radical; the lower-half-plane root
-        # makes the closed form an exact antiderivative of c - a/rho^2 (the
-        # principal branch flips the real part inside the reality window).
-        brk2 = (
-            cmath.sqrt(4.0 * sg * mass - chi**2) / chi
-            - cmath.sqrt(4.0 * sg * mass - u**2) / u
-            + 1.0j
-            * cmath.log(
-                (u + _sqrt_lower(u**2 - 4.0 * sg * mass))
-                / (chi + _sqrt_lower(chi**2 - 4.0 * sg * mass))
+        dm, w0_sq, pre_log, pre2 = c.Delta / mass, w0**2, 2.0 * sg / mu**2, w0 / g
+        rad_chi = dm * chi**2 - w0_sq
+        end_root, end_atan = cmath.sqrt(rad_chi), w0 * cmath.atan(w0 / cmath.sqrt(rad_chi))
+        m4 = 4.0 * sg * mass
+        end2, den = cmath.sqrt(m4 - chi**2) / chi, chi + _sqrt_lower(chi**2 - m4)
+
+        def form(t):
+            u = g * t + chi
+            u_sq = u**2
+            root_u = cmath.sqrt(dm * u_sq - w0_sq)
+            brk1 = (
+                w0 * cmath.atan(w0 / root_u) + root_u
+                - pre_log * cmath.log(u / chi) - end_root - end_atan
             )
-        )
-        return brk1 / g + w0 / g * brk2
+            # The log pairs with the deformation radical; the lower-half-plane root
+            # makes the closed form an exact antiderivative of c - a/rho^2 (the
+            # principal branch flips the real part inside the reality window).
+            brk2 = (
+                end2 - cmath.sqrt(m4 - u_sq) / u
+                + 1.0j * cmath.log((u + _sqrt_lower(u_sq - m4)) / den)
+            )
+            return brk1 / g + pre2 * brk2
+
+        return form
 
 
 class SetIII(_Rational):
@@ -596,21 +616,23 @@ class SetIII(_Rational):
         )
         return 0.5 * bracket
 
-    def _phase_at(self, t: float) -> complex:
+    def _phase_form(self):
         c = self.constants
         mass, w0, g = c.mass_M, c.omega0, c.Gamma
         sg, dl, mu, chi = c.sigma, c.Delta, c.mu, c.chi
-        u = g * t + chi
-        part1 = w0 * cmath.sqrt(mass * sg - 1.0) / g * cmath.log(u / chi) - sg * t / (
-            mu**2 * chi * u
-        )
-        brk = (
-            cmath.sqrt(dl / (mass * chi**2) - w0**2)
-            - cmath.sqrt(dl / (mass * u**2) - w0**2)
-            + w0
-            * (
-                cmath.atan(w0 * chi / cmath.sqrt(dl / mass - chi**2 * w0**2))
-                - cmath.atan(w0 * u / cmath.sqrt(dl / mass - w0**2 * u**2))
+        pre_log = w0 * cmath.sqrt(mass * sg - 1.0) / g
+        mu_chi, w0_sq, dl_m = mu**2 * chi, w0**2, dl / mass
+        end = cmath.sqrt(dl / (mass * chi**2) - w0_sq)
+        end_atan = cmath.atan(w0 * chi / cmath.sqrt(dl_m - chi**2 * w0_sq))
+
+        def form(t):
+            u = g * t + chi
+            part1 = pre_log * cmath.log(u / chi) - sg * t / (mu_chi * u)
+            u_sq = u**2
+            brk = (
+                end - cmath.sqrt(dl / (mass * u_sq) - w0_sq)
+                + w0 * (end_atan - cmath.atan(w0 * u / cmath.sqrt(dl_m - w0_sq * u_sq)))
             )
-        )
-        return part1 + brk / g
+            return part1 + brk / g
+
+        return form

@@ -163,6 +163,8 @@ _GK21_V = (
 )
 
 _GK21_NODES = np.array(_GK21_X, dtype=float)
+_GK21_V_COL = np.array(_GK21_V)[:, None]
+_GK21_W_COL = np.array(_GK21_W)[:, None]
 
 #: Most panels bisected per pass, and the panel count that stops refinement.
 _BATCH = 128
@@ -171,6 +173,9 @@ _PANEL_LIMIT = 10000
 #: side by side; both bound the memory a long grid of integrals holds.
 _PANELS_PER_CALL = 512
 _INTEGRALS_PER_RUN = 128
+#: Panels per integrand call from which one numpy pass forms their sums; under
+#: it the per-panel loop costs less.
+_ARRAY_PANELS = 8
 
 
 def _gk21(f, edges: list[tuple[float, float]]) -> list[tuple[complex, float, float]]:
@@ -180,7 +185,8 @@ def _gk21(f, edges: list[tuple[float, float]]) -> list[tuple[complex, float, flo
     at once. The error is QUADPACK's: the Kronrod-Gauss difference scaled
     against the integral of |f - mean|, and never below 50 eps times the
     integral of |f|. Each panel's sums run left to right, as quad_vec runs
-    them, so the results keep its bits.
+    them, so the results keep its bits: in a Python loop per panel, or from
+    _ARRAY_PANELS panels on in one numpy pass over them all.
     """
     results = []
     for start in range(0, len(edges), _PANELS_PER_CALL):
@@ -189,8 +195,45 @@ def _gk21(f, edges: list[tuple[float, float]]) -> list[tuple[complex, float, flo
         half = 0.5 * (hi - lo)
         nodes = c[:, None] + half[:, None] * _GK21_NODES
         values = np.broadcast_to(f(nodes.ravel()), (nodes.size,)).reshape(nodes.shape)
-        results += map(_gk21_sums, values.tolist(), half.tolist())
+        if len(half) >= _ARRAY_PANELS:
+            results += _gk21_pass(values, half)
+        else:
+            results += map(_gk21_sums, values.tolist(), half.tolist())
     return results
+
+
+@np.errstate(all="ignore")  # a non-finite panel takes the loop
+def _gk21_pass(values: np.ndarray, half: np.ndarray) -> list[tuple[complex, float, float]]:
+    """_gk21_sums of every panel in one numpy pass, with the same bits.
+
+    Each sum runs left to right over the nodes on the real and imaginary
+    parts, as Python's complex sums do; |f| is hypot, as in Python's complex
+    abs; the error's power, min and max stay Python floats. A panel whose
+    sums are not all finite takes the loop, which raises where abs overflows.
+    """
+    cplx = values.dtype.kind == "c"
+    re, im = values.real.T, values.imag.T if cplx else np.zeros((len(_GK21_V), 1))
+    k_re, k_im = _left_sum(_GK21_V_COL, re), _left_sum(_GK21_V_COL, im)
+    g_re, g_im = _left_sum(_GK21_W_COL, re[1::2]), _left_sum(_GK21_W_COL, im[1::2])
+    k_abs = _left_sum(_GK21_V_COL, np.hypot(re, im) if cplx else np.abs(re))
+    d_abs = _left_sum(_GK21_V_COL, np.hypot(re - k_re / 2.0, im - k_im / 2.0))
+    err = np.hypot((k_re - g_re) * half, (k_im - g_im) * half)
+    dabs = np.abs(d_abs * half)
+    round_err = np.abs(50 * sys.float_info.epsilon * half * k_abs)
+    bad = ~(np.isfinite(k_abs) & np.isfinite(d_abs) & np.isfinite(err))
+    value = (half * k_re).tolist()
+    if cplx:  # h * s_k as Python forms it, with h as h + 0j
+        value = map(complex, (half * k_re - 0.0 * k_im).tolist(), (half * k_im + 0.0 * k_re).tolist())
+    rows = zip(value, half.tolist(), bad.tolist(), err.tolist(), dabs.tolist(), round_err.tolist())
+    return [
+        _gk21_sums(values[i].tolist(), h) if b else (x, *_gk21_error(*e))
+        for i, (x, h, b, *e) in enumerate(rows)
+    ]
+
+
+def _left_sum(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """0.0 + w0 x0 + w1 x1 + ... down the first axis, in that order: a zero sum is +0.0."""
+    return np.add.accumulate(weights * x, axis=0)[-1] + 0.0
 
 
 def _gk21_sums(fv: list, h: float) -> tuple[complex, float, float]:
@@ -209,12 +252,17 @@ def _gk21_sums(fv: list, h: float) -> tuple[complex, float, float]:
         s_k_dabs += v * abs(ff - y0)
     err = float(abs((s_k - s_g) * h))
     dabs = float(abs(s_k_dabs * h))
+    round_err = float(abs(50 * sys.float_info.epsilon * h * s_k_abs))
+    return (h * s_k, *_gk21_error(err, dabs, round_err))
+
+
+def _gk21_error(err: float, dabs: float, round_err: float) -> tuple[float, float]:
+    """QUADPACK's error from the raw difference, the integral of |f - mean| and the floor."""
     if dabs != 0 and err != 0:
         err = dabs * min(1.0, (200 * err / dabs) ** 1.5)
-    round_err = float(abs(50 * sys.float_info.epsilon * h * s_k_abs))
     if round_err > sys.float_info.min:
         err = max(err, round_err)
-    return h * s_k, err, round_err
+    return err, round_err
 
 
 class _Adaptive:

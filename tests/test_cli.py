@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import contextlib
+import cProfile
 import io
 import json
 import math
 import os
+import pstats
 import re
 import subprocess
 import sys
@@ -104,11 +106,35 @@ def _adversarial_doubles(rng, size):
     return np.where(rng.random(size) < 0.5, -values, values)
 
 
+def _unsigned_with_negative_zeros(rng, size):
+    column = np.abs(_adversarial_doubles(rng, size))
+    column[rng.random(size) < 0.05] = -0.0  # a sign bit: the column keeps its sign byte
+    return column
+
+
+def _wavefield_radii(rng, size):
+    """r_max k/n, each repeated n times, as wavefield prints its radii: near ties recur."""
+    n = int(rng.integers(1, 200))
+    r_max = rng.random() * 10.0 ** rng.integers(-5, 5)
+    return np.resize(np.repeat(r_max * np.arange(1, n + 1) / n, n), size)
+
+
+# Float columns of either sign, with no sign bit set, all negative (zeros as -0.0),
+# with -0.0 among unsigned values, and recurring near ties.
+_FLOAT_COLUMNS = {
+    "mixed": _adversarial_doubles,
+    "unsigned": lambda rng, size: np.abs(_adversarial_doubles(rng, size)),
+    "negative": lambda rng, size: -np.abs(_adversarial_doubles(rng, size)),
+    "negative_zeros": _unsigned_with_negative_zeros,
+    "radii": _wavefield_radii,
+}
+
+
 def _drawn_column(data, rng, spec, size):
     """One column of a spec, as a list or an array: bool and int flags,
     str lists and arrays, float lists and arrays."""
     if spec == "%.12e":
-        column = _adversarial_doubles(rng, size)
+        column = _FLOAT_COLUMNS[data.draw(st.sampled_from(sorted(_FLOAT_COLUMNS)))](rng, size)
         return column if data.draw(st.booleans()) else column.tolist()
     if spec == "%d":
         flags = rng.random(size) < 0.5
@@ -157,6 +183,40 @@ def test_format_table_kernel_takes_every_table():
         text = cli._format_block(specs, block)
         assert text is not None, table
         assert table[0] + "\n" + text == _per_field_csv(table, _python_rows(block))
+
+
+def _calls_translate(specs, block) -> tuple[str, bool]:
+    """_format_block's text, and whether it ran the NUL pass (bytes.translate)."""
+    profile = cProfile.Profile()
+    profile.enable()
+    text = cli._format_block(specs, block)
+    profile.disable()
+    names = {name for _, _, name in pstats.Stats(profile).stats}
+    return text, "<method 'translate' of 'bytes' objects>" in names
+
+
+def test_format_block_without_sign_bits_skips_the_nul_pass():
+    rng = np.random.default_rng(29)
+    size = 3000
+    for table in TABLES:
+        specs = table[1].split(",")
+        block = [
+            np.abs(_adversarial_doubles(rng, size)) if f == "%.12e"
+            else rng.random(size) < 0.5 if f == "%d"
+            else np.where(rng.random(size) < 0.5, "ClosedForm", "Quadrature")
+            for f in specs
+        ]
+        # Three-digit exponents and subnormals take 24-byte cells, which keep NULs.
+        for column, f in zip(block, specs):
+            if f == "%.12e":
+                column[(column != 0.0) & ((column < 1e-99) | (column >= 9.9e99))] = 1.0
+        want = _per_field_csv(table, _python_rows(block))
+        text, translated = _calls_translate(specs, block)
+        assert table[0] + "\n" + text == want and not translated, table
+        first = specs.index("%.12e")
+        block[first][5] = -block[first][5] or -0.0  # one sign bit brings the sign byte back
+        text, translated = _calls_translate(specs, block)
+        assert table[0] + "\n" + text == _per_field_csv(table, _python_rows(block)) and translated
 
 
 @pytest.mark.parametrize("bad", (math.inf, -math.inf, math.nan))

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad_vec
 
+from ncho import specfun
 from ncho.ermakov import coefficient_a, rho_eval
 from ncho.errors import InvalidLabel, NoConvergence, OutOfValidatedDomain
 from ncho.hamiltonian import c_complex
@@ -312,3 +313,40 @@ def test_side_by_side_integrals_keep_their_bits(fig_ia):
 
     integrate_adaptive_many(counted, [(0.0, x) for x in np.linspace(0.1, 2.0, 40)])
     assert len(calls) < 10 and sum(calls) % 21 == 0
+
+
+def _panel_values(rng, panels: int, complex_values: bool) -> np.ndarray:
+    """Integrand values on GK21 nodes over many decades, with zeros, infs and nans."""
+    scale = 10.0 ** rng.integers(-300, 300, (panels, 21))
+    values = rng.standard_normal((panels, 21)) * scale
+    if complex_values:
+        values = values + 1j * rng.standard_normal((panels, 21)) * scale
+    pick = rng.random((panels, 21))
+    values[pick < 0.002] = math.inf
+    values[(pick > 0.3) & (pick < 0.302)] = -math.inf
+    values[pick > 0.998] = math.nan
+    values[(pick > 0.5) & (pick < 0.55)] = 0.0
+    return values
+
+
+@pytest.mark.parametrize("complex_values", (False, True))
+def test_gk21_panel_pass_keeps_the_loops_bits(complex_values):
+    # repr tells every bit apart, the sign of a zero and the type included.
+    rng = np.random.default_rng(29 + complex_values)
+    counts = list(range(1, 2 * specfun._ARRAY_PANELS + 2)) + [64, 511, 512, 600]
+    for panels in counts:
+        values = _panel_values(rng, panels, complex_values)
+        half = rng.standard_normal(panels) * 10.0 ** rng.integers(-12, 12, panels)
+        loop = list(map(specfun._gk21_sums, values.tolist(), half.tolist()))
+        assert repr(specfun._gk21_pass(values, half)) == repr(loop), panels
+
+
+def test_gk21_takes_the_pass_from_the_crossover_on(monkeypatch):
+    passes = []
+    real_pass = specfun._gk21_pass
+    monkeypatch.setattr(specfun, "_gk21_pass", lambda v, h: passes.append(len(h)) or real_pass(v, h))
+    for panels in (1, specfun._ARRAY_PANELS - 1, specfun._ARRAY_PANELS, 600):
+        edges = [(float(i), i + 1.0) for i in range(panels)]
+        results = specfun._gk21(np.sin, edges)
+        assert len(results) == panels
+    assert passes == [specfun._ARRAY_PANELS, specfun._PANELS_PER_CALL, 600 - specfun._PANELS_PER_CALL]
