@@ -88,15 +88,20 @@ def laguerre_coefficients(n: int, l: int) -> tuple[Fraction, ...]:  # noqa: E741
 def laguerre_weighted_integral_exact(q: int, n1: int, l1: int, n2: int, l2: int) -> Fraction:
     """Exact value of integral_0^inf w^q e^-w L_n1^(l1) L_n2^(l2) dw for q, l1, l2 >= 0.
 
-    Expands both polynomials and uses integral w^p e^-w dw = p!.
+    Expands L_n1^(l1) only and integrates each term against L_n2^(l2) in closed
+    form: integral w^s e^-w L_n^(l)(w) dw = s! (-1)^n C(s - l, n).
     """
     if q < 0:
         raise ValueError(f"the weight's power must be nonnegative, got w^{q}")
-    total = Fraction(0)
-    for j1, a1 in enumerate(laguerre_coefficients(n1, l1)):
-        for j2, a2 in enumerate(laguerre_coefficients(n2, l2)):
-            total += a1 * a2 * math.factorial(q + j1 + j2)
-    return total
+    if n2 < 0 or l2 < 0:
+        raise ValueError(f"L_n^(l) needs n, l >= 0, got n={n2}, l={l2}")
+    terms = enumerate(laguerre_coefficients(n1, l1))
+    return (-1) ** n2 * sum(a * math.factorial(q + j) * _binomial(q + j - l2, n2) for j, a in terms)
+
+
+def _binomial(top: int, n: int) -> int:
+    """C(top, n) for any integer top: (-1)^n C(n - top - 1, n) when top < 0."""
+    return math.comb(top, n) if top >= 0 else (-1) ** n * math.comb(n - top - 1, n)
 
 
 # Gauss-Kronrod 21-point rule on [-1, 1]: Kronrod nodes, the 10-point Gauss

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ from ncho.specfun import (
     laguerre_coefficients,
     laguerre_weighted_integral_exact,
 )
-from ncho.spectrum import StateLabel
+from ncho.spectrum import StateLabel, matrix_element_x_pow
 
 # Frozen oracle values (mpmath, 50 digits, rounded to double):
 TWO_LN_TWO = 1.3862943611198906  # 2F1(1,1;2;1/2) = -ln(1-z)/z at z = 1/2
@@ -186,6 +187,31 @@ def test_weighted_integral_vs_quadrature(q, n1, z1, n2, z2):
     approx, err = integrate_adaptive_full(integrand, 0.0, 80.0, tol=tol)
     assert err <= tol
     assert abs(approx.real - exact) <= 1e-8 * max(1.0, scale)
+
+
+def _double_sum(q: int, n1: int, l1: int, n2: int, l2: int) -> Fraction:
+    """Reference: expand both polynomials and use integral w^p e^-w dw = p!."""
+    total = Fraction(0)
+    for j1, a1 in enumerate(laguerre_coefficients(n1, l1)):
+        for j2, a2 in enumerate(laguerre_coefficients(n2, l2)):
+            total += a1 * a2 * math.factorial(q + j1 + j2)
+    return total
+
+
+def test_weighted_integral_is_the_double_sum():
+    # The one-sum route returns the same Fraction as the double sum, so every
+    # float formed from it keeps its bits; l2 > q + j reaches negative binomial tops.
+    for args in itertools.product(range(6), range(5), range(5), range(5), range(5)):
+        got = laguerre_weighted_integral_exact(*args)
+        assert isinstance(got, Fraction) and got == _double_sum(*args), args
+    assert laguerre_weighted_integral_exact(2, 200, 0, 200, 0) == _double_sum(2, 200, 0, 200, 0)
+
+
+@pytest.mark.parametrize("n", [0, 1, 50, 800])
+def test_large_label_diagonal_x_squared(mild_iii, n):
+    # <n,0| x^2 |n,0> = (2n + 1)/2 rho^2; the double sum took about 51 s at n = 800.
+    rho = rho_eval(mild_iii, 0.0).rho
+    assert matrix_element_x_pow(mild_iii, 0.0, n, n, n, 2) == (2 * n + 1) / 2 * rho**2
 
 
 def test_2f1_log_identity_at_half():

@@ -1,10 +1,9 @@
-"""tools/op_hashes.py hashes every benchmark CLI operation's output reproducibly, and
-tools/ab_rounds.py runs two trees' rounds side by side."""
+"""tools/ab_rounds.py hashes every benchmark CLI operation's output reproducibly, names
+the operations whose output differs between two trees, and times their rounds side by side."""
 
 from __future__ import annotations
 
 import importlib.util
-import json
 import re
 import sys
 
@@ -15,53 +14,12 @@ from conftest import SCENARIO_DIR
 ROOT = SCENARIO_DIR.parent
 
 
-def _load_op_hashes(monkeypatch):
-    return _load_tool(monkeypatch, "op_hashes")
-
-
-def _load_tool(monkeypatch, name):
+def _load_tool(monkeypatch, name="ab_rounds"):
     monkeypatch.setattr(sys, "path", list(sys.path))  # the tool puts perfbench/ on it
     spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-def test_two_runs_of_a_workload_hash_equal(monkeypatch, tmp_path, capsys):
-    op_hashes = _load_op_hashes(monkeypatch)
-    monkeypatch.chdir(ROOT)
-    first = op_hashes.hash_ops(["grid"], [0], "tiny")
-    second = op_hashes.hash_ops(["grid"], [0], "tiny")
-    assert len(first) == 41 and first == second
-    assert len(set(first.values())) == len(first)  # every operation printed its own table
-
-    paths = [tmp_path / "a.json", tmp_path / "b.json"]
-    key = next(iter(second))
-    second[key] = "0" * 64
-    for path, hashes in zip(paths, (first, second)):
-        path.write_text(json.dumps({"hashes": hashes}))
-    assert op_hashes.main(["--compare", str(paths[0]), str(paths[0])]) == 0
-    assert op_hashes.main(["--compare", *map(str, paths)]) == 1
-    out = capsys.readouterr().out
-    command = key.split(": ", 1)[1].split()[0]
-    assert out.endswith(f"differs: {key}\n41 vs 41 operations, 1 differ\n{command} 1\n")
-
-
-def test_compare_counts_the_differing_operations_per_subcommand(monkeypatch):
-    op_hashes = _load_op_hashes(monkeypatch)
-    a = {"grid seed 0 op 0: verify --scenario s": "0", "grid seed 0 op 1: energy --n 1": "0",
-         "grid seed 0 op 2: verify --scenario t": "0", "cold seed 0 op 0: --help": "0"}
-    b = {**a, "grid seed 0 op 0: verify --scenario s": "1", "grid seed 0 op 2: verify --scenario t": "1"}
-    del b["grid seed 0 op 1: energy --n 1"]
-    b["cold seed 0 op 1: phase --m 1"] = "0"
-    assert op_hashes.count_by_command(a, b) == ["energy 1", "phase 1", "verify 2"]
-    assert op_hashes.count_by_command(a, a) == []
-
-
-def test_operations_run_through_the_benchmark_worker(monkeypatch):
-    # One run_op for both, so a hash and the benchmark see the same captured output.
-    op_hashes = _load_op_hashes(monkeypatch)
-    assert op_hashes.run_op is sys.modules["worker"].run_op
 
 
 @pytest.fixture
@@ -72,31 +30,97 @@ def two_package_names():
         del sys.modules[name]
 
 
+def _tiny(monkeypatch, ab):
+    """ab_rounds on the workloads' `tiny` size, run from the tree's root as main runs."""
+    monkeypatch.chdir(ROOT)
+    full = ab.make_ops
+    monkeypatch.setattr(ab, "make_ops", lambda workload, seed, size: full(workload, seed, "tiny"))
+    return ab
+
+
+def test_two_runs_of_a_workload_hash_equal(monkeypatch, capsys, two_package_names):
+    ab = _tiny(monkeypatch, _load_tool(monkeypatch))
+    cli = ab.load_cli(ROOT, "ncho_change")
+    argvs = [op.argv for op in ab.make_ops("grid", 0, "tiny") if not op.script]
+    first, second = ab.run_round(cli, argvs)[2], ab.run_round(cli, argvs)[2]
+    assert len(first) == 41 and first == second
+    assert len(set(first)) == len(first)  # every operation printed its own table
+
+    # A changed output is named, then counted by subcommand, and main exits 1.
+    command = argvs[0][0]
+    load_cli = ab.load_cli
+
+    def load_with_extra_line(tree, name):
+        cli = load_cli(tree, name)
+        if name == "ncho_change":
+            real_main = cli.main
+            monkeypatch.setattr(cli, "main", lambda argv: argv[0] == command and print("extra")
+                                or real_main(argv))
+        return cli
+
+    monkeypatch.setattr(ab, "load_cli", load_with_extra_line)
+    assert ab.main(["--parent", str(ROOT), "--reps", "0"]) == 1
+    changed = [f"differs: grid seed 0 op {i}: {' '.join(argv)}"
+               for i, argv in enumerate(argvs) if argv[0] == command]
+    out = capsys.readouterr().out.splitlines()
+    assert out == changed + [f"41 operations, {len(changed)} differ", f"{command} {len(changed)}"]
+
+
+def test_compare_counts_the_differing_operations_per_subcommand(monkeypatch):
+    ab = _load_tool(monkeypatch)
+    keys = ["grid seed 0 op 0: verify --scenario s", "grid seed 0 op 1: energy --n 1",
+            "grid seed 3 op 2: verify --scenario t", "cold seed 0 op 1: phase --m 1"]
+    assert ab.count_by_command(keys) == ["energy 1", "phase 1", "verify 2"]
+    assert ab.count_by_command([]) == []
+
+
+def test_operations_run_through_the_benchmark_worker(monkeypatch):
+    # One run_op for both, so a hash and the benchmark see the same captured output.
+    ab = _load_tool(monkeypatch)
+    assert ab.run_op is sys.modules["worker"].run_op
+
+
 def test_ab_rounds_runs_two_trees_under_two_names(monkeypatch, two_package_names):
-    ab = _load_tool(monkeypatch, "ab_rounds")
+    ab = _load_tool(monkeypatch)
     monkeypatch.chdir(ROOT)
     parent, change = ab.load_cli(ROOT, "ncho_parent"), ab.load_cli(ROOT, "ncho_change")
     assert parent.__name__ == "ncho_parent.cli" and change.__name__ == "ncho_change.cli"
     assert parent.main is not change.main and parent.format_table is not change.format_table
     result = ab.ab_rounds(parent, change, "grid", 0, 3, "tiny")
     assert [len(result[k][side]) for k in ("rounds", "op_p50") for side in ("parent", "change")] == [3] * 4
-    assert 0 <= result["wins"] <= 3 and result["differ"] == []
+    assert result["ops"] == 41 and 0 <= result["wins"] <= 3 and result["differ"] == []
     # Output that differs between the trees is named, operation by operation.
     real_main = change.main
     monkeypatch.setattr(change, "main", lambda argv: print("extra") or real_main(argv))
     result = ab.ab_rounds(parent, change, "grid", 0, 1, "tiny")
-    assert len(result["differ"]) == 41
+    assert len(result["differ"]) == 41 and result["differ"][0].startswith("grid seed 0 op 0: ")
 
 
 def test_ab_rounds_prints_medians_ratios_and_wins(monkeypatch, capsys, two_package_names):
-    ab = _load_tool(monkeypatch, "ab_rounds")
-    monkeypatch.chdir(ROOT)  # main runs from the tree's root
-    tiny = ab.make_ops
-    monkeypatch.setattr(ab, "make_ops", lambda workload, seed, size: tiny(workload, seed, "tiny"))
+    ab = _tiny(monkeypatch, _load_tool(monkeypatch))
     assert ab.main(["--parent", str(ROOT), "--workload", "crosscheck", "--reps", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split(":")[0] for line in lines] == ["parent", "change", "change/parent"]
+    assert [line.split(":")[0] for line in lines[:3]] == [
+        "crosscheck seed 0 parent", "crosscheck seed 0 change", "crosscheck seed 0 change/parent"]
     assert re.fullmatch(
-        r"change/parent: round \d+\.\d{3}, op p50 \d+\.\d{3}; change faster in [012] of 2 pairs",
+        r"crosscheck seed 0 change/parent: round \d+\.\d{3}, op p50 \d+\.\d{3}; "
+        r"change faster in [012] of 2 pairs",
         lines[2],
     )
+    assert re.fullmatch(r"\d+ operations, 0 differ", lines[3]) and len(lines) == 4
+
+
+def test_reps_zero_checks_every_workload_only(monkeypatch, capsys, two_package_names):
+    ab = _tiny(monkeypatch, _load_tool(monkeypatch))
+    workloads = ["grid", "crosscheck", "cold"]
+    count = sum(not op.script for w in workloads for op in ab.make_ops(w, 0, "tiny"))
+    assert ab.main(["--parent", str(ROOT), "--workload", *workloads, "--reps", "0"]) == 0
+    assert capsys.readouterr().out == f"{count} operations, 0 differ\n"
+
+
+def test_negative_reps_is_refused(monkeypatch, capsys):
+    ab = _load_tool(monkeypatch)
+    with pytest.raises(SystemExit) as exit_info:
+        ab.main(["--parent", str(ROOT), "--reps", "-1"])
+    assert exit_info.value.code == 2
+    assert "--reps must not be negative" in capsys.readouterr().err

@@ -1,21 +1,26 @@
-"""Interleaved warm in-process A/B rounds of one benchmark workload: parent vs this tree.
+"""Parent vs this tree on the benchmark's CLI operations: every output compared, then warm A/B rounds.
 
-    python3 tools/ab_rounds.py --parent ../parent --workload grid --seed 5 --reps 20
+    python3 tools/ab_rounds.py --parent ../parent --workload grid crosscheck cold --seeds 0 3 --reps 0
+    python3 tools/ab_rounds.py --parent ../parent --workload grid --seeds 5 --reps 20
 
 The `ncho` packages under `--parent/src/ncho` and this tree's `src/ncho` are
 loaded into one process under two package names (`ncho_parent` and
-`ncho_change`; the package imports itself only relatively). Each round runs
-the workload's CLI operations (the seeded lists of perfbench/workloads.py,
-read and never changed; the figure scripts of `cold` are left out, as in
-tools/op_hashes.py) through one tree's `cli.main`, from the root of this
-tree, so both sides read the same scenario files. The two trees alternate
-which goes first in each pair of rounds, after one untimed warm-up round
-each.
+`ncho_change`; the package imports itself only relatively). For each workload
+and seed, the workload's CLI operations (the seeded lists of
+perfbench/workloads.py, read and never changed) run through each tree's
+`cli.main`. The two figure scripts of `cold` are left out: tests/test_scripts.py
+pins their files byte for byte. Both trees run from the root of this tree, so
+both read this tree's scenario files; a change to `scenarios/` shows in those
+pinned files, not here.
 
-It prints each side's median round time and median op p50 (the median op
-time of a round), the change's ratios to the parent, and in how many pairs
-the change's round was faster. It exits 1 if any operation's exit code,
-stdout or stderr differs between the trees.
+The first round of each tree is untimed: it hashes each operation's exit
+code, stdout and stderr, and prints each operation whose hash differs between
+the trees. Then `--reps` pairs of timed rounds follow, the trees alternating
+which goes first, and each side's median round time and median op p50 (the
+median op time of a round), the change's ratios to the parent, and in how many
+pairs the change's round was faster; `--reps 0` checks the outputs only. Last
+come the count of operations and of those that differ, then the differing
+ones per subcommand. It exits 1 if any operation differs.
 
 These are warm rounds in one long-lived process, not perfbench's fresh
 worker process per round, so import, set-up and first-call costs do not
@@ -26,6 +31,7 @@ replace the benchmark.
 from __future__ import annotations
 
 import argparse
+import collections
 import hashlib
 import importlib.util
 import json
@@ -67,10 +73,11 @@ def run_round(cli, argvs) -> tuple[float, list[float], list[str]]:
 
 
 def ab_rounds(parent_cli, change_cli, workload: str, seed: int, reps: int, size: str = "full") -> dict:
-    """Alternate `reps` pairs of rounds; each side's round times and op p50s, the
-    change's wins, and the operations whose output differs between the trees."""
-    ops = [op for op in make_ops(workload, seed, size) if not op.script]
-    argvs = [op.argv for op in ops]
+    """One untimed round per tree, then `reps` alternating pairs: the operation
+    count, the "<workload> seed <s> op <i>: <argv>" keys of the operations whose
+    output differs, each side's round times and op p50s, and the change's wins."""
+    ops = [(i, op) for i, op in enumerate(make_ops(workload, seed, size)) if not op.script]
+    argvs = [op.argv for _, op in ops]
     sides = {"parent": parent_cli, "change": change_cli}
     rounds = {name: [] for name in sides}
     p50s = {name: [] for name in sides}
@@ -81,37 +88,56 @@ def ab_rounds(parent_cli, change_cli, workload: str, seed: int, reps: int, size:
             wall, times, _ = run_round(sides[name], argvs)
             rounds[name].append(wall)
             p50s[name].append(statistics.median(times))
-    differ = [op.key for op, a, b in zip(ops, digests["parent"], digests["change"]) if a != b]
+    differ = [f"{workload} seed {seed} op {i}: {op.key}"
+              for (i, op), a, b in zip(ops, digests["parent"], digests["change"]) if a != b]
     wins = sum(c < p for p, c in zip(rounds["parent"], rounds["change"]))
-    return {"rounds": rounds, "op_p50": p50s, "wins": wins, "differ": differ}
+    return {"ops": len(ops), "differ": differ, "rounds": rounds, "op_p50": p50s, "wins": wins}
 
 
-def main(argv: list[str] | None = None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--parent", type=Path, required=True, help="repository root of the parent tree")
-    p.add_argument("--workload", choices=sorted(WORKLOADS), default="grid")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--reps", type=int, default=10, help="pairs of rounds (default 10)")
-    args = p.parse_args(argv)
-    if args.reps < 1:
-        p.error("--reps must be at least 1")
+def count_by_command(keys: list[str]) -> list[str]:
+    """"<subcommand> <count>" of the operation keys, by subcommand name."""
+    counts = collections.Counter(key.split(": ", 1)[1].split()[0] for key in keys)
+    return [f"{command} {count}" for command, count in sorted(counts.items())]
 
-    os.chdir(ROOT)
-    os.environ["COLUMNS"] = "80"  # argparse wraps --help to the terminal width
-    result = ab_rounds(load_cli(args.parent, "ncho_parent"), load_cli(ROOT, "ncho_change"),
-                       args.workload, args.seed, args.reps)
+
+def print_timing(label: str, result: dict, reps: int) -> None:
+    """Each side's median round and op p50, the change's ratios and its wins."""
     medians = {}
     for name in ("parent", "change"):
         medians[name] = (statistics.median(result["rounds"][name]),
                          statistics.median(result["op_p50"][name]))
         round_s, op_s = medians[name]
-        print(f"{name}: median round {round_s * 1e3:.2f} ms, median op p50 {op_s * 1e3:.3f} ms")
+        print(f"{label} {name}: median round {round_s * 1e3:.2f} ms, median op p50 {op_s * 1e3:.3f} ms")
     ratios = [c / p for p, c in zip(medians["parent"], medians["change"])]
-    print(f"change/parent: round {ratios[0]:.3f}, op p50 {ratios[1]:.3f}; "
-          f"change faster in {result['wins']} of {args.reps} pairs")
-    for key in result["differ"]:
-        print(f"differs: {key}")
-    return 1 if result["differ"] else 0
+    print(f"{label} change/parent: round {ratios[0]:.3f}, op p50 {ratios[1]:.3f}; "
+          f"change faster in {result['wins']} of {reps} pairs", flush=True)
+
+
+def main(argv: list[str] | None = None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--parent", type=Path, required=True, help="repository root of the parent tree")
+    p.add_argument("--workload", nargs="+", choices=sorted(WORKLOADS), default=["grid"])
+    p.add_argument("--seeds", nargs="+", type=int, default=[0])
+    p.add_argument("--reps", type=int, default=10, help="pairs of timed rounds (default 10)")
+    args = p.parse_args(argv)
+    if args.reps < 0:
+        p.error("--reps must not be negative")
+
+    os.chdir(ROOT)
+    os.environ["COLUMNS"] = "80"  # argparse wraps --help to the terminal width
+    parent, change = load_cli(args.parent, "ncho_parent"), load_cli(ROOT, "ncho_change")
+    total, differ = 0, []
+    for workload in args.workload:
+        for seed in args.seeds:
+            result = ab_rounds(parent, change, workload, seed, args.reps)
+            total += result["ops"]
+            differ += result["differ"]
+            for key in result["differ"]:
+                print(f"differs: {key}", flush=True)
+            if args.reps:
+                print_timing(f"{workload} seed {seed}", result, args.reps)
+    print("\n".join([f"{total} operations, {len(differ)} differ", *count_by_command(differ)]))
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
