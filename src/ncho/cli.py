@@ -33,6 +33,15 @@ is capped at 10**6 time points (MAX_POINTS) and 1000 per wavefield axis
 (MAX_AXIS_POINTS). phase notes on stderr when rows lie outside the reality
 window, and verify prints the window it checked. Exit codes: 0 success, 1 a
 verification or cross-check failed, 2 usage/config errors.
+
+main parses an argv that starts with a subcommand name with that
+subcommand's parser alone, and reports what it leaves over through the
+top-level parser, so every namespace, usage line and error is the one the
+top-level parser gives; any other argv (none, -h, an unknown command, an
+option before the command) goes to the top-level parser. A scenario file is
+read on every call, so an edit shows at once; each distinct text (with its
+path and whether the constraint is enforced) is parsed and built once per
+process, as a Scenario is frozen. A file that fails is not remembered.
 """
 
 from __future__ import annotations
@@ -46,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import CONSTRAINT_RTOL, Scenario, build_scenario, parse_scenario_file
+from .config import CONSTRAINT_RTOL, Scenario, build_scenario, parse_scenario_text
 from .energy import energy_expectation, energy_series
 from .errors import NchoError, ToleranceNotMet
 from .ermakov import ep_residual, heisenberg_moments, rho_eval
@@ -123,7 +132,18 @@ def _linspace(t0: float, t1: float, points: int) -> np.ndarray:
 
 
 def _load_scenario(path: str, enforce_constraint: bool = True) -> Scenario:
-    return build_scenario(parse_scenario_file(path), enforce_constraint=enforce_constraint)
+    """The scenario in the file at ``path``. The file is read on every call, so
+    an edit shows at once; each distinct text is parsed and built once."""
+    with open(path, "r", encoding="utf-8") as handle:
+        text = handle.read()
+    return _built_scenario(text, str(path), enforce_constraint)
+
+
+@functools.lru_cache(maxsize=16)
+def _built_scenario(text: str, source: str, enforce_constraint: bool) -> Scenario:
+    # A Scenario is frozen, so one object serves every call with this text.
+    # lru_cache keeps no exception: a bad file fails the same way every time.
+    return build_scenario(parse_scenario_text(text, source), enforce_constraint=enforce_constraint)
 
 
 def _finite(flag: str, value: float) -> float:
@@ -537,13 +557,18 @@ def _add_grid(p: argparse.ArgumentParser, points: int = 100) -> None:
     p.add_argument("--points", type=int, default=points, help=f"grid size (default {points})")
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``ncho`` parser, built once per process.
 
     Reuse is safe: each ``parse_args`` call fills a fresh namespace, and
     every default is immutable.
     """
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The ``ncho`` parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="ncho",
         description="Damped oscillator on a time-dependent noncommutative "
@@ -584,7 +609,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t0", type=float, default=0.0, help="evaluation time (default 0)")
     p.add_argument("--points", type=int, default=32, help="grid size per axis (default 32)")
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, in one argparse pass when argv[0] names a
+    subcommand: the top-level parser would hand every later argument to that
+    subcommand's parser, and report what it leaves over as unrecognized."""
+    command = _parsers()[1].get(argv[0]) if argv else None
+    if command is None:  # no argv, -h, an unknown command or an option before it
+        return build_parser().parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 _DISPATCH = {
@@ -598,9 +636,8 @@ _DISPATCH = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

@@ -358,10 +358,16 @@ def _slice(scenario: Scenario, t: float) -> _Slice:
 _THETA = np.arange(96) * (2.0 * math.pi / 96)
 
 
-@lru_cache(maxsize=128)
 def _angular_row(l: int) -> np.ndarray:  # noqa: E741 - established symbol
     """e^{i l theta} on the angular nodes: the angular factor of every state with this l."""
     return np.exp(1j * l * _THETA)
+
+
+@lru_cache(maxsize=16)
+def _angular_tile(l: int) -> np.ndarray:  # noqa: E741 - established symbol
+    """_angular_row(l) on every radial node, a (48, 96) array: a (48, 1) column times
+    it runs as one loop, where against the (96,) row numpy loops row by row."""
+    return np.tile(_angular_row(l), (_LAGUERRE_48_NODES.size, 1))
 
 
 @lru_cache(maxsize=128)
@@ -392,9 +398,16 @@ def _tensor_integral(
     the full grid in the 2-D operations' order to keep their bits, and a rounding bound."""
     r1, r2, power = sl.radial(s1), sl.radial(s2), sl.power(k_pow)
     trig, trig_abs = _trig_row(k_pow, coordinate)
-    f = np.conjugate(r1 * _angular_row(s1.l)) * (r2 * _angular_row(s2.l))
+    # conj(r1 row1) (r2 row2), formed in place. numpy's complex multiply need not
+    # commute bit for bit (its AVX-512 loop rounds A*r and r*A differently), so
+    # every product keeps the operand order of that expression.
+    f = r1 * _angular_tile(s1.l)
+    np.conjugate(f, out=f)
+    f *= r2 * _angular_tile(s2.l)
     if k_pow:  # real factors scale re and im alike, so through the float view
-        f = (f.view(float) * power * trig).view(complex)
+        scaled = f.view(float)
+        scaled *= power
+        scaled *= trig
     total = _LAGUERRE_48_WEIGHTS @ f.sum(axis=1)
     magnitude = (_LAGUERRE_48_WEIGHTS @ (np.abs(r1) * np.abs(r2) * power)[:, 0]) * trig_abs
     value = complex(total * (sl.hr2 / 2.0) * (2.0 * math.pi / _THETA.size))

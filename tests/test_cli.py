@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import cProfile
+import importlib.util
 import io
 import json
 import math
@@ -1176,6 +1178,110 @@ def test_reused_parser_answers_like_a_fresh_interpreter(capsys, monkeypatch):
             capture_output=True, text=True, timeout=120, env=_child_env(),
         )
         assert got == (proc.returncode, proc.stdout, proc.stderr), argv
+
+
+def _benchmark_workloads(monkeypatch):
+    """perfbench/workloads.py, loaded from its file (it imports nothing of the package)."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", SCENARIO_DIR.parent / "perfbench" / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclass looks itself up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def _top_level_route(argv):
+    """How main parsed before the subcommand shortcut: the top-level parser alone."""
+    return build_parser().parse_args(argv)
+
+
+def test_main_parses_every_benchmark_argv_as_the_top_level_parser(monkeypatch):
+    workloads = _benchmark_workloads(monkeypatch)
+    dispatched = []
+    monkeypatch.setattr(cli, "_DISPATCH", collections.defaultdict(
+        lambda: lambda args: dispatched.append(args) or 0
+    ))
+    argvs = [
+        list(op.argv)
+        for workload in ("grid", "crosscheck", "cold")
+        for seed in range(3)
+        for op in workloads.make_ops(workload, seed, "tiny")
+        if op.argv and op.argv[0] != "--help"
+    ]
+    assert len(argvs) > 100
+    for argv in argvs:
+        assert main(argv) == 0, argv
+        assert dispatched.pop() == _top_level_route(argv), argv
+    assert dispatched == []
+
+
+# Usage errors, help and an abbreviated flag: whatever the top-level parser
+# would have printed, main prints.
+_PARSE_CASES = (
+    (),
+    ("--help",),
+    ("-h", "matelem"),
+    ("matelem", "--help"),
+    ("bogus",),
+    ("matel",),
+    ("matelem",),
+    ("matelem", "--scenario", IB, "--points", "x"),
+    ("matelem", "--scenario", IB, "--bogus", "1"),
+    ("--scenario", IB, "verify"),
+    ("verify", "--scenario", IB, "--tol"),
+    ("energy", "--scen", IB, "--points", "3"),
+)
+
+
+@pytest.mark.parametrize("argv", _PARSE_CASES, ids=" ".join)
+def test_main_answers_parse_cases_as_the_top_level_parser(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # the help and usage text wrap to it
+    got = run_cli(capsys, *argv)
+    monkeypatch.setattr(cli, "_parse_args", _top_level_route)
+    assert got == run_cli(capsys, *argv)
+    assert "Traceback" not in got[2]
+    if argv[-2:] == ("--bogus", "1"):  # leftovers are the top-level parser's to report
+        assert got[2].startswith("usage: ncho [-h] {verify,")
+        assert got[2].endswith("ncho: error: unrecognized arguments: --bogus 1\n")
+
+
+def test_a_rewritten_scenario_file_is_read_again(capsys, tmp_path):
+    path = tmp_path / "edited.scenario"
+    text = (SCENARIO_DIR / "set_iii.scenario").read_text()
+    argv = ("energy", "--scenario", str(path), "--points", "3")
+    outputs = []
+    for omega0 in ("0.5", "0.75"):
+        path.write_text(re.sub(r"(?m)^omega0 = .*$", f"omega0 = {omega0}", text))
+        fresh = tmp_path / f"fresh_{omega0}.scenario"
+        fresh.write_text(path.read_text())
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert (code, out) == run_cli(capsys, "energy", "--scenario", str(fresh), "--points", "3")[:2]
+        outputs.append(out)
+    assert outputs[0] != outputs[1]
+
+
+def test_an_unparsable_scenario_fails_the_same_way_twice(capsys, tmp_path):
+    bad = tmp_path / "bad.scenario"
+    bad.write_text("kind = SetIb\nM = 1.0\nM 2.0\n")
+    first = run_cli(capsys, "verify", "--scenario", str(bad))
+    assert first[0] == 2 and ":3:" in first[2]
+    assert run_cli(capsys, "verify", "--scenario", str(bad)) == first
+
+
+@pytest.mark.parametrize("order", [("verify", "energy"), ("energy", "verify")])
+def test_a_constraint_violation_is_gated_whichever_command_reads_it_first(capsys, tmp_path, order):
+    path = tmp_path / f"{order[0]}_first.scenario"
+    path.write_text((SCENARIO_DIR / "set_iii.scenario").read_text().replace("mu = 1", "mu = 1.05"))
+    for command in order:
+        code, out, err = run_cli(capsys, command, "--scenario", str(path))
+        if command == "verify":  # the constraint is a failed row, not a usage error
+            assert code == 1 and err == ""
+            assert re.search(r"^family-constraint +\S+ +\S+ +FAIL$", out, re.MULTILINE), out
+        else:
+            assert (code, out) == (2, "")
+            assert err.startswith("error: family constraint ") and "violated" in err
 
 
 # Runs each entry point in one fresh interpreter and prints, per step, the

@@ -623,6 +623,41 @@ def test_factored_eigenfunction_is_the_full_one_bit_for_bit():
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (name, t, s)
 
 
+def _broadcast_tensor_integral(sl, s1, s2, k_pow, coordinate):
+    """_tensor_integral as first written: the (48, 1) columns broadcast against the
+    (96,) rows, and each real scaling into a new array."""
+    r1, r2, power = sl.radial(s1), sl.radial(s2), sl.power(k_pow)
+    trig, trig_abs = spectrum._trig_row(k_pow, coordinate)
+    f = np.conjugate(r1 * _angular_row(s1.l)) * (r2 * _angular_row(s2.l))
+    if k_pow:
+        f = (f.view(float) * power * trig).view(complex)
+    total = _LAGUERRE_48_WEIGHTS @ f.sum(axis=1)
+    magnitude = (_LAGUERRE_48_WEIGHTS @ (np.abs(r1) * np.abs(r2) * power)[:, 0]) * trig_abs
+    value = complex(total * (sl.hr2 / 2.0) * (2.0 * math.pi / _THETA.size))
+    bound = _C_EPS * magnitude * (sl.hr2 / 2.0) * (2.0 * math.pi / _THETA.size)
+    return value, bound
+
+
+def test_tensor_integral_keeps_the_broadcast_bits():
+    # The in-place form on tiled rows against the broadcast one, bit for bit: numpy's
+    # complex multiply need not commute in its last bit, so operand order matters.
+    states = [StateLabel(n, m) for n in range(3) for m in range(5)]
+    compared = 0
+    for name, scenario in _shipped_scenarios():
+        for t in (0.0, 0.05, 0.3, 0.77, 1.2):
+            grid = _Slice(scenario, t)
+            for s1, s2 in itertools.product(states, repeat=2):
+                if s1.n != s2.n:
+                    continue
+                for k, coord in itertools.product(range(4), Coordinate):
+                    got = _tensor_integral(grid, s1, s2, k, coord)
+                    want = _broadcast_tensor_integral(grid, s1, s2, k, coord)
+                    bits = [np.array([v.real, v.imag, b]).view(np.uint64) for v, b in (got, want)]
+                    assert np.array_equal(*bits), (name, t, s1, s2, k, coord)
+                    compared += 1
+    assert compared == 8 * 5 * 3 * 5 * 5 * 4 * 2
+
+
 def test_separable_rounding_bound_matches_the_two_dimensional_sum():
     # Reference: sum_i wt_i sum_j |f_ij| over the full 2-D integrand.
     w, wt = _LAGUERRE_48_NODES, _LAGUERRE_48_WEIGHTS

@@ -1,9 +1,11 @@
 """tools/ab_rounds.py hashes every benchmark CLI operation's output reproducibly, names
-the operations whose output differs between two trees, and times their rounds side by side."""
+the operations whose output differs between two trees, and times their rounds side by side.
+tools/bench_record.py appends perfbench's end-to-end results to the BENCH_*.json files."""
 
 from __future__ import annotations
 
 import importlib.util
+import json
 import re
 import sys
 
@@ -124,3 +126,49 @@ def test_negative_reps_is_refused(monkeypatch, capsys):
         ab.main(["--parent", str(ROOT), "--reps", "-1"])
     assert exit_info.value.code == 2
     assert "--reps must not be negative" in capsys.readouterr().err
+
+
+_END_TO_END = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+
+
+def _perfbench_result(metrics):
+    return {"correct": True, "attempted": 10, "failed": 0,
+            "metrics": {name: {"value": 1.5, "unit": "s"} for name in metrics}}
+
+
+def test_bench_record_appends_one_record_per_workload(monkeypatch, tmp_path, capsys):
+    tool = _load_tool(monkeypatch, "bench_record")
+    monkeypatch.setattr(tool, "ROOT", tmp_path)
+    monkeypatch.setattr(tool, "commit_of", lambda tree: ("a" * 40, False))
+    ran = []
+
+    def fake_run(tree, workload, seed, seconds):
+        ran.append((tree, workload, seed, seconds))
+        return _perfbench_result(_END_TO_END if workload != "cold" else _END_TO_END[:-1])
+
+    monkeypatch.setattr(tool, "run_perfbench", fake_run)
+    argv = ["--workload", "grid", "cold", "--seed", "3", "--seconds", "2", "--tree", str(ROOT)]
+    assert tool.main(argv) == 1  # cold reported no peak_rss_mb: not recorded
+    assert tool.main(argv[:2] + argv[3:]) == 0
+    assert ran == [(ROOT, "grid", 3, 2.0), (ROOT, "cold", 3, 2.0), (ROOT, "grid", 3, 2.0)]
+    assert "cold: no end-to-end metrics" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["BENCH_grid.json"]
+    records = json.loads((tmp_path / "BENCH_grid.json").read_text())
+    assert len(records) == 2
+    assert {k: v for k, v in records[0].items() if k != "date"} == {
+        "commit": "a" * 40, "dirty": False, "seed": 3, "seconds": 2.0,
+        "correct": True, "attempted": 10, "failed": 0,
+        "metrics": dict.fromkeys(_END_TO_END, 1.5),
+    }
+    assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", records[1]["date"])
+
+
+def test_bench_record_reads_the_commit_and_a_dirty_tree(monkeypatch):
+    tool = _load_tool(monkeypatch, "bench_record")
+    commit, _ = tool.commit_of(ROOT)
+    assert re.fullmatch(r"[0-9a-f]{40}", commit)
+    answers = {"rev-parse": "f" * 40 + "\n", "status": " M src/ncho/cli.py\n"}
+    monkeypatch.setattr(tool, "git", lambda tree, command, *args: answers[command])
+    assert tool.commit_of(ROOT) == ("f" * 40, True)
+    answers["status"] = ""
+    assert tool.commit_of(ROOT) == ("f" * 40, False)
