@@ -131,6 +131,19 @@ def test_negative_reps_is_refused(monkeypatch, capsys):
 _END_TO_END = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
 
 
+def test_every_bench_record_names_a_commit_and_the_end_to_end_metrics():
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    assert [p.name for p in paths] == ["BENCH_cold.json", "BENCH_crosscheck.json", "BENCH_grid.json"]
+    for path in paths:
+        records = json.loads(path.read_text())
+        assert records, path.name
+        for record in records:
+            assert re.fullmatch(r"[0-9a-f]{40}", record["commit"]), (path.name, record)
+            assert isinstance(record["dirty"], bool) and isinstance(record["seed"], int)
+            assert 0 <= record["failed"] <= record["attempted"], (path.name, record)
+            assert list(record["metrics"]) == _END_TO_END, (path.name, record)
+
+
 def _perfbench_result(metrics):
     return {"correct": True, "attempted": 10, "failed": 0,
             "metrics": {name: {"value": 1.5, "unit": "s"} for name in metrics}}
