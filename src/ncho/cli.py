@@ -213,7 +213,7 @@ def _check_invariant_ode(scenario: Scenario, t0: float, t1: float) -> float:
 def _check_heisenberg(scenario: Scenario, t0: float, t1: float) -> float:
     """energy_expectation of (n, m) = (0, 0), (1, 2), (2, 0) against (n+m+1)(a<p^2> + b<x^2>)
     + (n-m)c, the moments propagated once at n+m+1 = 1, relative to the two terms' sizes."""
-    grid = _linspace(t0, t1, 25)
+    grid = scenario.grid(_linspace(t0, t1, 25))  # one record for every quantity below
     x2, p2, _ = heisenberg_moments(scenario, grid, 1)
     quadratic, c = scenario.a(grid)[0] * p2 + scenario.b(grid) * x2, scenario.c(grid)
     residuals = []

@@ -64,23 +64,24 @@ class EnergySeries(NamedTuple):
 
 
 def energy_expectation(scenario: Scenario, t, s: StateLabel) -> EnergyResult:
-    """<E_{n,m-n}> at a time or on a time grid, assembled from expectation
-    values and cross-checked against (n+m+1) <E_00>(t) + (n-m) c(t).
+    """<E_{n,m-n}> at a time, on a time grid or on its record (``Family.grid``), assembled
+    from expectation values and cross-checked against (n+m+1) <E_00>(t) + (n-m) c(t).
 
     The assembled route and that closed form must agree to 1e-10
     relative to the summed term magnitudes at every point (the identity is
     algebraic in the family's analytic rho and holds beyond the reality
     horizon as well); a mismatch raises ToleranceNotMet.
     """
-    st = rho_eval(scenario, t)
-    a, _ = coefficient_a(scenario, t)
-    b = coefficient_b(scenario, t)
-    c = c_complex(scenario, t)
+    grid = scenario.grid(t)  # one record: each map is formed once for all five quantities
+    st = rho_eval(scenario, grid)
+    a, _ = coefficient_a(scenario, grid)
+    b = coefficient_b(scenario, grid)
+    c = c_complex(scenario, grid)
     rho2 = st.rho * st.rho
     terms = (b * rho2, a / rho2, st.rho_dot * st.rho_dot / a)
     n_plus, n_minus = s.n + s.m + 1, s.n - s.m
     assembled = 0.5 * n_plus * (terms[0] + terms[1] + terms[2]) + n_minus * c
-    closed = n_plus * scenario.ground_energy(t) + n_minus * c
+    closed = n_plus * scenario.ground_energy(grid) + n_minus * c
     # Judged against the term magnitudes, not |assembled|: past the horizon terms of
     # ~1e7 can cancel to ~1e2, leaving rounding noise that is large against the result
     # but not against the terms.
@@ -89,13 +90,13 @@ def energy_expectation(scenario: Scenario, t, s: StateLabel) -> EnergyResult:
     bad = np.ravel(mismatch > _CROSS_RTOL)
     if bad.any():
         i = np.argmax(bad)
-        at = (assembled, closed, mismatch, t)
+        at = (assembled, closed, mismatch, grid.times)
         got, want, rel, when = (np.ravel(x)[i].item() for x in at)
         raise ToleranceNotMet(
             f"assembled energy {got!r} and closed form {want!r} "
             f"disagree (rel {rel:.3e}) at t={when:g}"
         )
-    return EnergyResult(assembled, in_reality_window(reality_horizon_time(scenario), t))
+    return EnergyResult(assembled, in_reality_window(reality_horizon_time(scenario), grid.times))
 
 
 def energy_series(scenario: Scenario, s: StateLabel, t_grid) -> EnergySeries:

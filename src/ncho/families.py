@@ -31,18 +31,20 @@ where it settles, and not at zero frequency. The base class assembles c(t),
 phase_rate(t) = c - a/rho^2, propagator(t), constraint_residual and
 summary() from those.
 
-Every time-dependent method takes a float or a numpy array of times and answers
-in the same shape (Python scalars for a float). There is one path:
-``Family._on_grid`` runs each closed form on the times as a flat float array, a
-float as a one-point grid, so a time alone and inside a grid agree to the bit.
-Each closed form is written once, as + - * / on float arrays, with exp, log and
-pow mapped from math over the elements (``_exp``, ``_log``, ``_pow``) and
-numpy's complex square root, which rounds as cmath.sqrt does (``_sq``). Each
-complex phase form is cmath code (``_phase_form``), built once per grid with its
-time-independent terms and mapped over the times. That
-keeps the committed figure data under out/ byte-identical: numpy's own exp,
-log, pow and arctan and its fused complex products and divisions round
-differently in the last bit, which would show in their noise columns.
+Every time-dependent method takes a float, an array of times or their grid record
+(``Family.grid``) and answers in the shape of the times (Python scalars for a
+float). There is one path: ``Family._on_grid`` runs each closed form on the
+record's times as a flat float array, a float as a one-point grid, so a time
+alone and inside a grid agree to the bit. Each closed form is written once, as
++ - * / on float arrays, with exp, log and pow mapped from math over the
+elements (``_exp``, ``_log``, ``_pow``), each map at most once per grid record
+(a caller that needs several quantities on one grid passes one record to each;
+it lives no longer than that call), and numpy's complex square root, which
+rounds as cmath.sqrt does (``_sq``). Each complex phase form is cmath code
+(``_phase_form``), built once per grid with its time-independent terms and
+mapped over the times. That keeps the committed figure data under out/
+byte-identical: numpy's own exp, log, pow and arctan and its fused complex
+products and divisions round differently in the last bit, in their noise columns.
 """
 
 from __future__ import annotations
@@ -101,14 +103,31 @@ def _sqrt_lower(x: complex) -> complex:
     return -r if r.imag > 0.0 else r
 
 
-def _shaped(value, size: int, shape: tuple | None):
-    """One output on the flat grid in the caller's shape, or a Python scalar for a float."""
-    value = np.asarray(value)
-    if shape is None:
-        return value.item()
-    if value.shape != (size,):
-        value = np.full(size, value)  # a time-independent term
-    return value.reshape(shape)
+class Grid:
+    """A per-call grid record: the caller's ``times``, checked once against the family's
+    domain, as the flat float array ``t`` (a float as a one-point grid), and each map of
+    ``_exp``, ``_log`` or ``_pow`` formed on them, keyed by function, argument bytes, exponent."""
+
+    def __init__(self, family: Family, times):
+        self.times, self.shape = times, None if isinstance(times, (int, float)) else np.shape(times)
+        self.t, self._maps = np.asarray(times, dtype=float).reshape(-1), {}
+        family._check_times(self.t)
+
+    def map(self, fn, x, *p):
+        """fn(x, *p) for one of the maps, formed on the first call with these arguments."""
+        key = (fn, x.tobytes(), *p)
+        if key not in self._maps:
+            self._maps[key] = fn(x, *p)
+        return self._maps[key]
+
+    def shaped(self, value):
+        """One output on the flat grid in the caller's shape, or a Python scalar for a float."""
+        value = np.asarray(value)
+        if self.shape is None:
+            return value.item()
+        if value.shape != self.t.shape:
+            value = np.full(self.t.size, value)  # a time-independent term
+        return value.reshape(self.shape)
 
 
 @dataclass(frozen=True)
@@ -116,10 +135,10 @@ class Family:
     """A scenario: one family's closed forms bound to its constants, immutable and
     hashable; ``k_exp`` is read by SetIIk only.
 
-    The public time-dependent methods take a float or an array of times and
-    answer in the same shape. Each runs its ``_name`` implementation once on
-    the times as a flat float array, a float as a one-point grid
-    (``_on_grid``); implementations call each other directly.
+    The public time-dependent methods take a float, an array of times or their
+    grid record and answer in the shape of the times. Each runs its ``_name``
+    implementation once on the grid record (``_on_grid``); implementations call
+    each other directly, on the same record.
     """
 
     OPTIONAL_KEYS = ()  # scenario keys read beyond the required ones; not a field
@@ -182,7 +201,9 @@ class Family:
 
     def propagator(self, t):
         """Phi(t), the exact map of (x, p) from time 0 to t, shaped t.shape + (2, 2)."""
-        return np.stack(self._on_grid(self._propagator, t), axis=-1).reshape(np.shape(t) + (2, 2))
+        grid = self.grid(t)
+        phi = np.stack(self._on_grid(self._propagator, grid), axis=-1)
+        return phi.reshape((grid.shape or ()) + (2, 2))
 
     def horizon(self) -> float | None:
         """Last time the roots of c stay real; None (unbounded) at zero frequency,
@@ -192,41 +213,40 @@ class Family:
         rad1, rad2 = self.c_terms(0.0)
         return 0.0 if rad1 < 0.0 or rad2 < 0.0 else self._horizon()
 
+    def grid(self, t) -> Grid:
+        """The grid record of the times ``t``, to pass in their place; a record passes as it is."""
+        return t if isinstance(t, Grid) else Grid(self, t)
+
     def _on_grid(self, method, t):
-        """Run ``method`` once on the times as a flat float array; answer in the shape
-        of ``t``, with Python scalars for a float, the one place a float is told from
-        an array. Names an overflow."""
-        shape = None if isinstance(t, (int, float)) else np.shape(t)
-        t = np.asarray(t, dtype=float).reshape(-1)
-        self._check_times(t)
+        """Run ``method`` once on the grid record of ``t``; answer in the shape of ``t``,
+        with Python scalars for a float. Names an overflow."""
+        grid = self.grid(t)
         try:
-            out = method(t)
+            out = method(grid)
         except OverflowError as exc:
             name = method.__name__[1:]
-            raise OverflowError(f"{name}(t) overflows a float for t up to {t.max():g}") from exc
-        if isinstance(out, tuple):
-            return tuple(_shaped(x, t.size, shape) for x in out)
-        return _shaped(out, t.size, shape)
+            raise OverflowError(f"{name}(t) overflows a float for t up to {grid.t.max():g}") from exc
+        return tuple(map(grid.shaped, out)) if isinstance(out, tuple) else grid.shaped(out)
 
     def _check_times(self, t) -> None:
         """Raise DomainError for times outside the family's domain (none here)."""
 
-    def _damping(self, t):
+    def _damping(self, grid):
         return 1.0
 
-    def _c(self, t):
-        rad1, rad2 = self._c_terms(t)
+    def _c(self, grid):
+        rad1, rad2 = self._c_terms(grid)
         # At zero frequency the deformation root drops out: 0 * sqrt(rad2) = 0.
-        return _sq(rad1) + self._frequency(t) * _sq(rad2)
+        return _sq(rad1) + self._frequency(grid) * _sq(rad2)
 
-    def _phase_rate(self, t):
-        return self._c(t) - self._a(t)[0] / _pow(self._rho(t)[0], 2.0)
+    def _phase_rate(self, grid):
+        return self._c(grid) - self._a(grid)[0] / grid.map(_pow, self._rho(grid)[0], 2.0)
 
-    def _propagator(self, t):
+    def _propagator(self, grid):
         """T(t) R T(0)^-1: R is the cos/sin flow of y_ss + omega^2 y = 0 over s(t) - s(0), and
         T takes (y, y_s) to (x, p) = (g y, kappa (eta y + y_s)); eta = g'/(g s'), kappa = g s'/a."""
-        omega2, g, eta, s, kappa = self._change(t)
-        _, g0, eta0, _, kappa0 = self._change(np.zeros(1))
+        omega2, g, eta, s, kappa = self._change(grid)
+        _, g0, eta0, _, kappa0 = self._change(Grid(self, 0.0))
         if not omega2 > 0.0:  # overdamped: only a SetIIk off its constraint
             raise DomainError(f"Heisenberg's motion does not oscillate: omega^2 = {omega2:g}")
         omega = math.sqrt(omega2)
@@ -235,10 +255,10 @@ class Family:
                 kappa / g0 * ((eta - eta0) * cos - (omega2 + eta * eta0) * sin),
                 kappa / kappa0 * (cos + eta * sin))
 
-    def _unit_phase(self, t):
+    def _unit_phase(self, grid):
         """The phase form over the times; a math domain error (SetIII's atan pole at 1e20) or
         a division by zero (chi underflowing mu^2 chi u) names the first time it fails at."""
-        times, form = t.tolist(), None
+        times, form = grid.t.tolist(), None
         try:
             form = self._phase_form() if times else None
             values = list(map(form, times)) if form else None
@@ -246,9 +266,9 @@ class Family:
             x = times[0] if form is None else next(x for x in times if _fails(form, x))
             raise DomainError(f"unit_phase(t) is not defined at t={x:g}: {exc}") from exc
         if values is None:
-            return np.full(t.size, complex("nan")), np.zeros(t.size, dtype=bool)
+            return np.full(grid.t.size, complex("nan")), np.zeros(grid.t.size, dtype=bool)
         if not self._PHASE_GAPS:
-            return np.array(values, complex), np.ones(t.size, dtype=bool)
+            return np.array(values, complex), np.ones(grid.t.size, dtype=bool)
         validated = np.array([v is not None for v in values], dtype=bool)
         return np.array([complex("nan") if v is None else v for v in values], complex), validated
 
@@ -265,9 +285,9 @@ def _fails(form, x: float) -> bool:
 class _Exponential(Family):
     CONSTRAINT = "mu^4*(sigma*Delta - Gamma^2/4) = sigma^2"
 
-    def _frequency(self, t):
+    def _frequency(self, grid):
         c = self.constants
-        return c.omega0 * _exp(-c.Gamma * t / 2.0)
+        return c.omega0 * grid.map(_exp, -c.Gamma * grid.t / 2.0)
 
     def check(self) -> None:
         c = self.constants
@@ -283,27 +303,27 @@ class _Exponential(Family):
         rhs = c.sigma**2
         return lhs, rhs, (c.mu**4 * c.sigma * c.Delta, c.mu**4 * c.Gamma**2 / 4.0, rhs)
 
-    def _change(self, t):
+    def _change(self, grid):
         """x = exp(-Gamma t/2) y(t), as (omega^2, g, eta, s - s(0), kappa)."""
         c = self.constants
-        g = _exp(-c.Gamma * t / 2.0)
-        return c.sigma * c.Delta - c.Gamma**2 / 4.0, g, -0.5 * c.Gamma, t, g / self._a(t)[0]
+        g = grid.map(_exp, -c.Gamma * grid.t / 2.0)
+        return c.sigma * c.Delta - c.Gamma**2 / 4.0, g, -0.5 * c.Gamma, grid.t, g / self._a(grid)[0]
 
-    def _rho(self, t):
+    def _rho(self, grid):
         c = self.constants
-        rho = c.mu * _exp(-c.Gamma * t / 2.0)
+        rho = c.mu * grid.map(_exp, -c.Gamma * grid.t / 2.0)
         return rho, -0.5 * c.Gamma * rho, 0.25 * c.Gamma**2 * rho
 
-    def _a(self, t):
+    def _a(self, grid):
         c = self.constants
-        a = c.sigma * _exp(-c.Gamma * t)
+        a = c.sigma * grid.map(_exp, -c.Gamma * grid.t)
         return a, -c.Gamma * a
 
-    def _b(self, t):
+    def _b(self, grid):
         c = self.constants
-        return c.Delta * _exp(c.Gamma * t)
+        return c.Delta * grid.map(_exp, c.Gamma * grid.t)
 
-    def _ground_energy(self, t):
+    def _ground_energy(self, grid):
         return self.constants.mu**2 * self.constants.Delta
 
 
@@ -311,10 +331,10 @@ class SetIa(_Exponential):
     kind = ScenarioKind.SET_IA
     _PHASE_GAPS = True
 
-    def _c_terms(self, t):
+    def _c_terms(self, grid):
         c = self.constants
         M, w0, G = c.mass_M, c.omega0, c.Gamma
-        e_up, e_dn = _exp(G * t), _exp(-G * t)
+        e_up, e_dn = grid.map(_exp, G * grid.t), grid.map(_exp, -G * grid.t)
         return (c.Delta * e_up - M * w0**2 * e_dn) / M, M * c.sigma * e_dn - 1.0
 
     def _horizon(self) -> float:
@@ -367,8 +387,8 @@ class SetIa(_Exponential):
 class _ExpDamped(_Exponential):
     """SetIb and SetIc: roots of c real at t = 0 stay real, so the window is empty or unbounded."""
 
-    def _damping(self, t):
-        return _exp(-self.constants.Gamma * t)
+    def _damping(self, grid):
+        return grid.map(_exp, -self.constants.Gamma * grid.t)
 
     def _horizon(self) -> None:
         return None
@@ -377,10 +397,10 @@ class _ExpDamped(_Exponential):
 class SetIb(_ExpDamped):
     kind = ScenarioKind.SET_IB
 
-    def _frequency(self, t):
+    def _frequency(self, grid):
         return self.constants.omega0
 
-    def _c_terms(self, t):
+    def _c_terms(self, grid):
         c = self.constants
         M, w0 = c.mass_M, c.omega0
         return (c.Delta - M * w0**2) / M, M * c.sigma - 1.0
@@ -399,10 +419,10 @@ class SetIb(_ExpDamped):
 class SetIc(_ExpDamped):
     kind = ScenarioKind.SET_IC
 
-    def _c_terms(self, t):
+    def _c_terms(self, grid):
         c = self.constants
         M, w0, G = c.mass_M, c.omega0, c.Gamma
-        return (c.Delta - M * w0**2 * _exp(-G * t)) / M, M * c.sigma - 1.0
+        return (c.Delta - M * w0**2 * grid.map(_exp, -G * grid.t)) / M, M * c.sigma - 1.0
 
     def _phase_form(self):
         c = self.constants
@@ -442,8 +462,8 @@ class _Rational(Family):
                 f"rational/linear family needs Gamma*t + chi > 0, got {u[i]:g} at t={t[i]:g}"
             )
 
-    def _frequency(self, t):
-        return self.constants.omega0 / self._u(t)
+    def _frequency(self, grid):
+        return self.constants.omega0 / self._u(grid.t)
 
     def check(self) -> None:
         if self.constants.chi <= 0.0:
@@ -480,45 +500,46 @@ class SetIIk(_Rational):
         )
         return lhs, rhs, terms
 
-    def _change(self, t):
+    def _change(self, grid):
         """x = u^(-1/k) y(ln u), as (omega^2, g, eta, s - s(0), kappa)."""
-        c, k, u = self.constants, float(self.k_exp), self._u(t)
-        g, omega2 = _pow(u, -1.0 / k), (c.sigma * c.Delta * (k + 2) ** 2 / c.Gamma**2 - 1.0) / k**2
-        return omega2, g, -1.0 / k, _log(u / c.chi), g * c.Gamma / (u * self._a(t)[0])
+        c, k, u = self.constants, float(self.k_exp), self._u(grid.t)
+        g = grid.map(_pow, u, -1.0 / k)
+        omega2 = (c.sigma * c.Delta * (k + 2) ** 2 / c.Gamma**2 - 1.0) / k**2
+        return omega2, g, -1.0 / k, grid.map(_log, u / c.chi), g * c.Gamma / (u * self._a(grid)[0])
 
-    def _rho(self, t):
+    def _rho(self, grid):
         c = self.constants
         k = float(self.k_exp)
-        u = self._u(t)
+        u = self._u(grid.t)
         amp = c.mu * (1.0 + 2.0 / k) ** (1.0 / k)
-        rho = amp * _pow(u, -1.0 / k)
-        rho_dot = -(c.Gamma / k) * amp * _pow(u, -1.0 / k - 1.0)
-        rho_ddot = (c.Gamma**2 * (k + 1.0) / k**2) * amp * _pow(u, -1.0 / k - 2.0)
+        rho = amp * grid.map(_pow, u, -1.0 / k)
+        rho_dot = -(c.Gamma / k) * amp * grid.map(_pow, u, -1.0 / k - 1.0)
+        rho_ddot = (c.Gamma**2 * (k + 1.0) / k**2) * amp * grid.map(_pow, u, -1.0 / k - 2.0)
         return rho, rho_dot, rho_ddot
 
-    def _a(self, t):
+    def _a(self, grid):
         c = self.constants
         k = float(self.k_exp)
-        u = self._u(t)
+        u = self._u(grid.t)
         power = (k + 2.0) / k
-        a = c.sigma * (1.0 + 2.0 / k) ** power * _pow(u, -power)
+        a = c.sigma * (1.0 + 2.0 / k) ** power * grid.map(_pow, u, -power)
         return a, -power * c.Gamma * a / u
 
-    def _b(self, t):
+    def _b(self, grid):
         c = self.constants
         k = float(self.k_exp)
         power = (k - 2.0) / k
-        return c.Delta * (1.0 + 2.0 / k) ** power * _pow(self._u(t), -power)
+        return c.Delta * (1.0 + 2.0 / k) ** power * grid.map(_pow, self._u(grid.t), -power)
 
-    def _c_terms(self, t):
+    def _c_terms(self, grid):
         c = self.constants
         M, w0 = c.mass_M, c.omega0
         k = float(self.k_exp)
-        u = self._u(t)
+        u = self._u(grid.t)
         ratio = (k + 2.0) / (k * u)
-        balance = (c.Delta / M) * _pow(ratio, (k - 2.0) / k)
-        frequency2 = w0**2 / _pow(u, 2.0)
-        deformation = M * c.sigma * _pow(ratio, (k + 2.0) / k)
+        balance = (c.Delta / M) * grid.map(_pow, ratio, (k - 2.0) / k)
+        frequency2 = w0**2 / grid.map(_pow, u, 2.0)
+        deformation = M * c.sigma * grid.map(_pow, ratio, (k + 2.0) / k)
         return balance - frequency2, deformation - 1.0
 
     def _horizon(self) -> float:
@@ -527,7 +548,7 @@ class SetIIk(_Rational):
         u_max = ((k + 2.0) / k) * (c.mass_M * c.sigma) ** (k / (k + 2.0))
         return max(0.0, (u_max - c.chi) / c.Gamma)
 
-    def _ground_energy(self, t):
+    def _ground_energy(self, grid):
         """The published k = 2 form, written for every k: at k = 2 the factors are 2 and 8."""
         const = self.constants
         k = float(self.k_exp)
@@ -535,7 +556,7 @@ class SetIIk(_Rational):
             (k + 2.0) / k * (const.Delta * const.mu**2 + const.sigma / const.mu**2)
             + const.mu**2 * const.Gamma**2 / (k * (k + 2.0) * const.sigma)
         )
-        return bracket / (2.0 * self._u(t))
+        return bracket / (2.0 * self._u(grid.t))
 
     def _phase_form(self):
         """Published for k = 2 only."""
@@ -579,27 +600,27 @@ class SetIII(_Rational):
         lhs = c.Delta * c.mu**4
         return lhs, c.sigma, (lhs, c.sigma)
 
-    def _change(self, t):
+    def _change(self, grid):
         """x = u y(1/u), as (omega^2, g, eta, s - s(0), kappa)."""
-        c, u = self.constants, self._u(t)
+        c, u = self.constants, self._u(grid.t)
         return c.sigma * c.Delta / c.Gamma**2, u, -u, 1.0 / u - 1.0 / c.chi, -c.Gamma / c.sigma / u
 
-    def _rho(self, t):
+    def _rho(self, grid):
         c = self.constants
-        return c.mu * self._u(t), c.mu * c.Gamma, 0.0
+        return c.mu * self._u(grid.t), c.mu * c.Gamma, 0.0
 
-    def _a(self, t):
+    def _a(self, grid):
         return self.constants.sigma, 0.0
 
-    def _b(self, t):
-        return self.constants.Delta / _pow(self._u(t), 4.0)
+    def _b(self, grid):
+        return self.constants.Delta / grid.map(_pow, self._u(grid.t), 4.0)
 
-    def _c_terms(self, t):
+    def _c_terms(self, grid):
         c = self.constants
         M, w0 = c.mass_M, c.omega0
-        u = self._u(t)
-        balance = c.Delta / (M * _pow(u, 4.0))
-        frequency2 = w0**2 / _pow(u, 2.0)
+        u = self._u(grid.t)
+        balance = c.Delta / (M * grid.map(_pow, u, 4.0))
+        frequency2 = w0**2 / grid.map(_pow, u, 2.0)
         return balance - frequency2, M * c.sigma - 1.0
 
     def _horizon(self) -> float:
@@ -608,10 +629,10 @@ class SetIII(_Rational):
         u_max = math.sqrt(c.Delta / c.mass_M) / c.omega0
         return max(0.0, (u_max - c.chi) / c.Gamma)
 
-    def _ground_energy(self, t):
-        const = self.constants
+    def _ground_energy(self, grid):
+        const, u2 = self.constants, grid.map(_pow, self._u(grid.t), 2.0)
         bracket = (
-            (const.Delta * const.mu**2 + const.sigma / const.mu**2) / _pow(self._u(t), 2.0)
+            (const.Delta * const.mu**2 + const.sigma / const.mu**2) / u2
             + const.mu**2 * const.Gamma**2 / const.sigma
         )
         return 0.5 * bracket

@@ -67,18 +67,18 @@ def nc_squares(scenario: Scenario, t) -> tuple:
     sizes of the terms of the generic inversion
         theta_nc^2 = 4f(Ma - f)/(M w)^2,  omega_nc^2 = 4M(bf - M w^2)/f^2,
     and each gap is |inversion - published square| / scale. Each family
-    method runs once.
+    method runs once, all on one grid record.
     """
     if np.any(np.asarray(t) < 0.0):
         raise DomainError(f"deformation parameters are validated for t >= 0, got t={np.min(t):g}")
-    M = scenario.constants.mass_M
-    f = scenario.damping(t)
-    w = scenario.frequency(t)
+    M, grid = scenario.constants.mass_M, scenario.grid(t)
+    f = scenario.damping(grid)
+    w = scenario.frequency(grid)
     if scenario.constants.omega0 == 0.0:
         raise DomainError("theta_nc is undefined at zero frequency (omega(t) = 0)")
-    a, _ = coefficient_a(scenario, t)
-    b = coefficient_b(scenario, t)
-    rad1, rad2 = scenario.c_terms(t)
+    a, _ = coefficient_a(scenario, grid)
+    b = coefficient_b(scenario, grid)
+    rad1, rad2 = scenario.c_terms(grid)
 
     squares = ((2.0 * f / (M * w)) ** 2 * rad2, (2.0 * M / f) ** 2 * rad1)
     scales = (4.0 * f * (M * a + f) / (M * w) ** 2, 4.0 * M * (b * f + M * w**2) / f**2)

@@ -52,8 +52,9 @@ class OdeResiduals:
 
 def invariant_coefficients(scenario: Scenario, t) -> InvariantCoeffs:
     """alpha = rho^2, gamma = -2 rho rho'/a, beta = rho'^2/a^2 + 1/rho^2."""
-    ev = rho_eval(scenario, t)
-    a, _ = coefficient_a(scenario, t)
+    grid = scenario.grid(t)
+    ev = rho_eval(scenario, grid)
+    a, _ = coefficient_a(scenario, grid)
     velocity, width = ev.rho_dot / a, 1.0 / ev.rho
     alpha = ev.rho * ev.rho
     gamma = -2.0 * ev.rho * ev.rho_dot / a
@@ -68,8 +69,9 @@ def invariant_ode_residuals(scenario: Scenario, t) -> OdeResiduals:
     alpha and beta are judged against themselves, gamma against sqrt(alpha beta),
     which is at least 1 because 4 alpha beta - gamma^2 = 4.
     """
-    co = invariant_coefficients(scenario, t)
-    x2, p2, cross = heisenberg_moments(scenario, t, 1)
+    grid = scenario.grid(t)  # rho, a and the propagator share each map
+    co = invariant_coefficients(scenario, grid)
+    x2, p2, cross = heisenberg_moments(scenario, grid, 1)
     return OdeResiduals(
         np.abs(2.0 * x2 / co.alpha - 1.0)[()],
         np.abs(2.0 * p2 / co.beta - 1.0)[()],

@@ -512,6 +512,12 @@ def oracle_validated(n: int, m: int, m_prime: int, k_pow: int) -> bool:
     return max(n, m, m_prime) <= ORACLE_MAX_LABEL and k_pow <= ORACLE_MAX_POWER
 
 
+@lru_cache(maxsize=128)
+def _states(n: int, m: int, m_prime: int) -> tuple[StateLabel, StateLabel]:
+    """The oracle's two states, made once per label triple its caller has checked."""
+    return StateLabel(n, m), StateLabel(n, m_prime)
+
+
 def matrix_element_oracle(
     scenario: Scenario, t: float, n: int, m: int, m_prime: int, k_pow: int,
     coordinate: Coordinate | str,
@@ -524,8 +530,7 @@ def matrix_element_oracle(
             f"and power <= {ORACLE_MAX_POWER} only"
         )
     sl = _slice(scenario, float(t))
-    s1, s2 = StateLabel(n, m), StateLabel(n, m_prime)
-    value = _certified_integral(sl, s1, s2, k_pow, Coordinate(coordinate))
+    value = _certified_integral(sl, *_states(n, m, m_prime), k_pow, Coordinate(coordinate))
     if m_prime != m:
         value *= cmath.exp(1j * (m_prime - m) * sl.unit.value)
     return value

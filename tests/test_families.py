@@ -2,15 +2,22 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ncho import families
 from ncho.cli import main
 from ncho.config import ScenarioKind, build_scenario, parse_scenario_file
-from ncho.families import Family
+from ncho.energy import energy_expectation
+from ncho.ermakov import ep_residual
+from ncho.families import Family, Grid
+from ncho.hamiltonian import nc_table
+from ncho.spectrum import StateLabel
 
 from conftest import SCENARIO_DIR, make_scenario
 
@@ -85,9 +92,9 @@ def test_a_single_time_runs_as_a_one_point_grid(monkeypatch, name):
     seen = []
 
     def spy(impl):
-        def spied(self, times):
-            seen.append((impl.__name__, times))
-            return impl(self, times)
+        def spied(self, grid):
+            seen.append((impl.__name__, grid))
+            return impl(self, grid)
 
         spied.__name__ = impl.__name__
         return spied
@@ -100,7 +107,10 @@ def test_a_single_time_runs_as_a_one_point_grid(monkeypatch, name):
         seen.clear()
         single = getattr(family, method)(t)
         assert seen, (name, method)
-        for impl, times in seen:
+        for impl, record in seen:
+            # Each implementation reads the times of its grid record as a flat float array.
+            assert type(record) is Grid and record.shape is None, (name, impl)
+            times = record.t
             assert type(times) is np.ndarray and times.dtype == np.float64, (name, impl)
             assert times.shape == (1,) and times[0] == t, (name, impl)
         # Python scalars, with the bits of the same time inside a grid.
@@ -170,3 +180,78 @@ def test_grid_commands_make_a_fixed_number_of_family_calls(monkeypatch, capsys, 
     if argv[0] == "ncparams":
         # One pass: the inversion and the published squares share every input.
         assert made[0] == ["_a", "_b", "_c_terms", "_damping", "_frequency"]
+
+
+# Distinct maps of one call on a 300-point grid, per family: energy_expectation,
+# nc_table, phase_rate and ep_residual. Each is also the number of maps made.
+DISTINCT_MAPS = {
+    "SetIa": (5, 3, 4, 3), "SetIb": (3, 2, 3, 3), "SetIc": (4, 3, 3, 3),
+    "SetII_k": (11, 5, 8, 5), "SetIII": (4, 2, 2, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+def test_each_map_runs_once_per_call(monkeypatch, name):
+    family, t = SCENARIOS[name], np.linspace(0.0, 1.0, 300)
+    maps = []
+    for helper in ("_exp", "_log", "_pow"):
+        def counted(x, *p, helper=helper, original=getattr(families, helper)):
+            maps.append((helper, p, x.tobytes()))
+            return original(x, *p)
+
+        monkeypatch.setattr(families, helper, counted)
+    calls = (
+        lambda: energy_expectation(family, t, StateLabel(1, 2)),
+        lambda: nc_table(family, t),
+        lambda: family.phase_rate(t),
+        lambda: ep_residual(family, t),
+    )
+    made = []
+    for call in calls:
+        maps.clear()
+        call()
+        assert len(set(maps)) == len(maps), (name, maps)  # no (function, exponent, argument) twice
+        made.append(len(maps))
+    assert tuple(made) == DISTINCT_MAPS[family.kind.value], name
+
+
+def _hexes(out) -> list:
+    """Each part's type, dtype, shape and the float.hex of every real and imaginary part,
+    so a signed zero or a last bit shows."""
+    return [
+        (type(x), np.asarray(x).dtype, np.shape(x),
+         [(float(v.real).hex(), float(v.imag).hex()) for v in np.ravel(x).tolist()])
+        for x in _parts(out)
+    ]
+
+
+TIME_METHODS = METHODS + ("propagator",)
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+def test_a_shared_grid_record_answers_as_separate_calls(name):
+    family = SCENARIOS[name]
+    grids = (0.5, np.array(0.5), np.linspace(0.0, 1.0, 7), np.linspace(0.0, 1.0, 6).reshape(2, 3))
+    for times in grids:
+        for order in (TIME_METHODS, TIME_METHODS[::-1]):
+            record = family.grid(times)  # every method of one order shares its maps
+            for method in order:
+                shared, alone = getattr(family, method)(record), getattr(family, method)(times)
+                assert _hexes(shared) == _hexes(alone), (name, method, np.shape(times))
+    assert isinstance(family.b(family.grid(0.5)), float)  # Python scalars for a float
+
+
+def test_no_grid_record_outlives_its_call(monkeypatch, capsys):
+    records = []
+    original = Grid.__init__
+
+    def tracked(self, *args):
+        records.append(weakref.ref(self))
+        original(self, *args)
+
+    monkeypatch.setattr(Grid, "__init__", tracked)
+    for argv in (("energy", "--n", "1", "--m", "2"), ("ncparams",), ("verify",)):
+        assert main([*argv, "--scenario", str(SCENARIO_DIR / "set_ia.scenario")]) == 0
+    capsys.readouterr()
+    gc.collect()
+    assert records and all(ref() is None for ref in records)

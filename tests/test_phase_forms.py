@@ -170,8 +170,8 @@ def _family_route(family, t):
 
 def _published_route(family, t):
     # Through the same grid entry, so overflows carry the same message.
-    def _unit_phase(times):
-        return _published_unit_phase(family, times)
+    def _unit_phase(grid):
+        return _published_unit_phase(family, grid.t)
 
     return family._on_grid(_unit_phase, t)
 

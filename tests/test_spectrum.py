@@ -68,6 +68,42 @@ def test_state_label_validation():
         StateLabel(0.5, 0)
 
 
+@pytest.mark.parametrize("bad", [-1, True, 0.5])
+@pytest.mark.parametrize("which", ["n", "m"])
+def test_a_bad_label_reads_the_same_through_every_entry(fig_ib, which, bad):
+    # Valid labels first, so the oracle's states for (1, 1, 1) are already made:
+    # True == 1 must still be refused.
+    matrix_element_oracle(fig_ib, 0.5, 1, 1, 1, 1, Coordinate.X)
+    labels = {"n": 1, "m": 1, which: bad}
+    n, m = labels["n"], labels["m"]
+    calls = (
+        lambda: matrix_element_x_pow(fig_ib, 0.5, n, m, 1, 1),
+        lambda: matrix_element_y_pow(fig_ib, 0.5, n, m, 1, 1),
+        lambda: matrix_element_oracle(fig_ib, 0.5, n, m, 1, 1, Coordinate.X),
+        lambda: StateLabel(n, m),
+    )
+    for call in calls:
+        with pytest.raises(InvalidLabel) as info:
+            call()
+        assert str(info.value) == f"{which} must be a nonnegative integer, got {bad!r}"
+
+
+def test_each_element_call_checks_its_labels_once(monkeypatch, fig_ib, capsys):
+    checked = []
+    original = spectrum._check_labels
+    monkeypatch.setattr(spectrum, "_check_labels", lambda *labels: checked.append(labels)
+                        or original(*labels))
+    for call in (matrix_element_x_pow, matrix_element_y_pow, matrix_element_oracle):
+        args = (Coordinate.Y,) if call is matrix_element_oracle else ()
+        call(fig_ib, 0.5, 1, 2, 0, 2, *args)  # makes the oracle's states once
+        checked.clear()
+        call(fig_ib, 0.25, 1, 2, 0, 2, *args)
+        assert checked == [(("k_pow", 2), ("n", 1), ("m", 2), ("m'", 0))], call.__name__
+    # The command line still names the label it refuses, with exit code 2.
+    assert cli.main(["matelem", "--scenario", str(SCENARIO_DIR / "set_ib.scenario"), "--n", "-1"]) == 2
+    assert capsys.readouterr() == ("", "error: n must be a nonnegative integer, got -1\n")
+
+
 # ---------------------------------------------------------------------------
 # Phases
 # ---------------------------------------------------------------------------

@@ -109,7 +109,17 @@ def test_ab_rounds_prints_medians_ratios_and_wins(monkeypatch, capsys, two_packa
         r"change faster in [012] of 2 pairs",
         lines[2],
     )
-    assert re.fullmatch(r"\d+ operations, 0 differ", lines[3]) and len(lines) == 4
+    # Then one line per subcommand, in name order: each side's median op time and the ratio.
+    commands = sorted({op.argv[0] for op in ab.make_ops("crosscheck", 0, "tiny") if not op.script})
+    assert commands == ["matelem", "phase", "verify"]
+    assert [line.split(":")[0] for line in lines[3:-1]] == [f"crosscheck seed 0 {c}" for c in commands]
+    for line in lines[3:-1]:
+        assert re.fullmatch(
+            r"crosscheck seed 0 \w+: median op parent \d+\.\d{3} ms, change \d+\.\d{3} ms, "
+            r"change/parent \d+\.\d{3}",
+            line,
+        ), line
+    assert re.fullmatch(r"\d+ operations, 0 differ", lines[-1]) and len(lines) == 4 + len(commands)
 
 
 def test_reps_zero_checks_every_workload_only(monkeypatch, capsys, two_package_names):

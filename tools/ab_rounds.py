@@ -18,7 +18,9 @@ code, stdout and stderr, and prints each operation whose hash differs between
 the trees. Then `--reps` pairs of timed rounds follow, the trees alternating
 which goes first, and each side's median round time and median op p50 (the
 median op time of a round), the change's ratios to the parent, and in how many
-pairs the change's round was faster; `--reps 0` checks the outputs only. Last
+pairs the change's round was faster; then, per subcommand, each side's median
+op time over all its timed operations and the change's ratio, so a change shows
+which commands moved. `--reps 0` checks the outputs only. Last
 come the count of operations and of those that differ, then the differing
 ones per subcommand. It exits 1 if any operation differs.
 
@@ -75,12 +77,14 @@ def run_round(cli, argvs) -> tuple[float, list[float], list[str]]:
 def ab_rounds(parent_cli, change_cli, workload: str, seed: int, reps: int, size: str = "full") -> dict:
     """One untimed round per tree, then `reps` alternating pairs: the operation
     count, the "<workload> seed <s> op <i>: <argv>" keys of the operations whose
-    output differs, each side's round times and op p50s, and the change's wins."""
+    output differs, each side's round times, op p50s and op times by subcommand,
+    and the change's wins."""
     ops = [(i, op) for i, op in enumerate(make_ops(workload, seed, size)) if not op.script]
     argvs = [op.argv for _, op in ops]
     sides = {"parent": parent_cli, "change": change_cli}
     rounds = {name: [] for name in sides}
     p50s = {name: [] for name in sides}
+    by_command = {name: collections.defaultdict(list) for name in sides}
     digests = {name: run_round(cli, argvs)[2] for name, cli in sides.items()}  # warm-up
     for rep in range(reps):
         order = ("parent", "change") if rep % 2 == 0 else ("change", "parent")
@@ -88,10 +92,13 @@ def ab_rounds(parent_cli, change_cli, workload: str, seed: int, reps: int, size:
             wall, times, _ = run_round(sides[name], argvs)
             rounds[name].append(wall)
             p50s[name].append(statistics.median(times))
+            for argv, op_s in zip(argvs, times):
+                by_command[name][argv[0]].append(op_s)
     differ = [f"{workload} seed {seed} op {i}: {op.key}"
               for (i, op), a, b in zip(ops, digests["parent"], digests["change"]) if a != b]
     wins = sum(c < p for p, c in zip(rounds["parent"], rounds["change"]))
-    return {"ops": len(ops), "differ": differ, "rounds": rounds, "op_p50": p50s, "wins": wins}
+    return {"ops": len(ops), "differ": differ, "rounds": rounds, "op_p50": p50s,
+            "by_command": by_command, "wins": wins}
 
 
 def count_by_command(keys: list[str]) -> list[str]:
@@ -101,7 +108,8 @@ def count_by_command(keys: list[str]) -> list[str]:
 
 
 def print_timing(label: str, result: dict, reps: int) -> None:
-    """Each side's median round and op p50, the change's ratios and its wins."""
+    """Each side's median round and op p50, the change's ratios and its wins, then
+    each side's median op time per subcommand and the change's ratio."""
     medians = {}
     for name in ("parent", "change"):
         medians[name] = (statistics.median(result["rounds"][name]),
@@ -111,6 +119,10 @@ def print_timing(label: str, result: dict, reps: int) -> None:
     ratios = [c / p for p, c in zip(medians["parent"], medians["change"])]
     print(f"{label} change/parent: round {ratios[0]:.3f}, op p50 {ratios[1]:.3f}; "
           f"change faster in {result['wins']} of {reps} pairs", flush=True)
+    for command, parent_s in sorted(result["by_command"]["parent"].items()):
+        p, c = statistics.median(parent_s), statistics.median(result["by_command"]["change"][command])
+        print(f"{label} {command}: median op parent {p * 1e3:.3f} ms, change {c * 1e3:.3f} ms, "
+              f"change/parent {c / p:.3f}", flush=True)
 
 
 def main(argv: list[str] | None = None) -> int:
