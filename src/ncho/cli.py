@@ -51,7 +51,6 @@ import functools
 import itertools
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,19 +107,6 @@ set ylabel 'energy (scaled by 1/omega0)'
 plot 'energy.csv' using 2:3 with lines title 'Re, scaled', \\
      'energy.csv' using 2:4 with lines dashtype 2 title 'Im, scaled'
 """
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    """Outcome of one verify check."""
-
-    name: str
-    worst: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.worst <= self.tolerance
 
 
 def _linspace(t0: float, t1: float, points: int) -> np.ndarray:
@@ -203,23 +189,23 @@ def verify_window(scenario: Scenario) -> tuple[float, float]:
 # Each check returns its worst residual over the verify window [t0, t1].
 
 def _check_ep(scenario: Scenario, t0: float, t1: float) -> float:
-    return float(np.max(ep_residual(scenario, _linspace(t0, t1, 200)).relative))
+    return float(np.max(ep_residual(scenario, _linspace(t0, t1, 200))))
 
 
 def _check_invariant_ode(scenario: Scenario, t0: float, t1: float) -> float:
-    return float(np.max(invariant_ode_residuals(scenario, _linspace(t0, t1, 25)).worst))
+    return float(np.max(invariant_ode_residuals(scenario, _linspace(t0, t1, 25))))
 
 
 def _check_heisenberg(scenario: Scenario, t0: float, t1: float) -> float:
     """energy_expectation of (n, m) = (0, 0), (1, 2), (2, 0) against (n+m+1)(a<p^2> + b<x^2>)
     + (n-m)c, the moments propagated once at n+m+1 = 1, relative to the two terms' sizes."""
     grid = scenario.grid(_linspace(t0, t1, 25))  # one record for every quantity below
-    x2, p2, _ = heisenberg_moments(scenario, grid, 1)
+    x2, p2, _ = heisenberg_moments(scenario, grid)
     quadratic, c = scenario.a(grid)[0] * p2 + scenario.b(grid) * x2, scenario.c(grid)
     residuals = []
     for s in (StateLabel(0, 0), StateLabel(1, 2), StateLabel(2, 0)):
         terms = ((s.n + s.m + 1) * quadratic, (s.n - s.m) * c)
-        gap = energy_expectation(scenario, grid, s).value - sum(terms)
+        gap = energy_expectation(scenario, grid, s) - sum(terms)
         residuals.append(np.abs(gap) / np.maximum(sum(map(np.abs, terms)), 1.0))
     return float(np.max(residuals))
 
@@ -276,7 +262,7 @@ def cmd_verify(args) -> int:
         _positive("--tol", args.tol)
     scenario = _load_scenario(args.scenario, enforce_constraint=False)
     t0, t1 = verify_window(scenario)
-    results: list[CheckResult] = []
+    results = []  # (name, worst, tolerance)
     for name, default_tol, check in _VERIFY_CHECKS:
         try:
             worst = check(scenario, t0, t1)
@@ -285,19 +271,18 @@ def cmd_verify(args) -> int:
             # dual-form gate's disagreement is a failed check, not a usage error.
             worst = math.inf
         worst = math.inf if math.isnan(worst) else worst  # a residual that is not a number
-        results.append(CheckResult(name, worst, default_tol if args.tol is None else args.tol))
+        results.append((name, worst, default_tol if args.tol is None else args.tol))
 
     print(f"scenario: {scenario.summary()}")
     print(f"window: t in [{t0:g}, {t1:g}]")
     if reality_horizon_time(scenario) == 0.0:
         print("reality window: empty (horizon 0); c(t) is complex on the whole window")
     print(f"{'check':<22} {'worst':>12} {'tolerance':>12}   status")
-    for res in results:
-        status = "PASS" if res.passed else "FAIL"
-        print(f"{res.name:<22} {res.worst:>12.3e} {res.tolerance:>12.3e}   {status}")
-    passed = sum(res.passed for res in results)
+    for name, worst, tol in results:
+        print(f"{name:<22} {worst:>12.3e} {tol:>12.3e}   {'PASS' if worst <= tol else 'FAIL'}")
+    passed = sum(worst <= tol for _, worst, tol in results)
     failed = len(results) - passed
-    worst = float(np.max([res.worst for res in results]))
+    worst = max(worst for _, worst, _ in results)
     print(f"{len(results)} checks: {passed} passed, {failed} failed; worst residual {worst:.3e}")
     return 0 if failed == 0 else 1
 

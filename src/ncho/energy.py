@@ -21,8 +21,8 @@ and the family table (``families``) holds only <E_00>(t), as
 two routes are compared on every evaluation (the closed form is algebra on
 the family's analytic rho, so disagreement means a transcription bug, not
 physics). Past a family-dependent horizon the coupling c(t) goes complex and
-so does the energy; that bound is reported alongside the value rather than
-raised as an error.
+so does the energy; ``energy_series`` reports that bound alongside the value,
+as its in_window column, rather than raising an error.
 """
 
 from __future__ import annotations
@@ -41,18 +41,6 @@ from .spectrum import StateLabel
 _CROSS_RTOL = 1e-10
 
 
-class EnergyResult(NamedTuple):
-    """Energy expectation value at a time or on a time grid; complex past the reality horizon.
-
-    ``in_window`` flags the times inside the reality window, which does not
-    depend on the labels: for m = n the coupling term drops out and the value
-    stays real past it.
-    """
-
-    value: complex
-    in_window: bool
-
-
 class EnergySeries(NamedTuple):
     """A scaled energy table (figure-style output): one array per column, in column order."""
 
@@ -63,7 +51,7 @@ class EnergySeries(NamedTuple):
     in_window: np.ndarray
 
 
-def energy_expectation(scenario: Scenario, t, s: StateLabel) -> EnergyResult:
+def energy_expectation(scenario: Scenario, t, s: StateLabel):
     """<E_{n,m-n}> at a time, on a time grid or on its record (``Family.grid``), assembled
     from expectation values and cross-checked against (n+m+1) <E_00>(t) + (n-m) c(t).
 
@@ -96,14 +84,16 @@ def energy_expectation(scenario: Scenario, t, s: StateLabel) -> EnergyResult:
             f"assembled energy {got!r} and closed form {want!r} "
             f"disagree (rel {rel:.3e}) at t={when:g}"
         )
-    return EnergyResult(assembled, in_reality_window(reality_horizon_time(scenario), grid.times))
+    return assembled
 
 
 def energy_series(scenario: Scenario, s: StateLabel, t_grid) -> EnergySeries:
     """Scaled energy table over a sorted, nonnegative time grid.
 
     Values are scaled by 1/omega0 (dimensionless, as plotted); when omega0
-    is zero the scale is 1.
+    is zero the scale is 1. ``in_window`` flags the times inside the reality
+    window, inclusive at the horizon; it does not depend on the labels: for
+    m = n the coupling term drops out and the value stays real past it.
     """
     t = np.asarray(t_grid, dtype=float)
     # Against a leading 0, one difference test covers sign and order.
@@ -111,6 +101,7 @@ def energy_series(scenario: Scenario, s: StateLabel, t_grid) -> EnergySeries:
         raise ValueError("time grid must be nonnegative and sorted ascending")
     w0 = scenario.constants.omega0
     scale = w0 if w0 > 0.0 else 1.0
-    res = energy_expectation(scenario, t, s)
+    value = energy_expectation(scenario, t, s)
     gamma_t = scenario.constants.Gamma * t
-    return EnergySeries(t, gamma_t, res.value.real / scale, res.value.imag / scale, res.in_window)
+    in_window = in_reality_window(reality_horizon_time(scenario), t)
+    return EnergySeries(t, gamma_t, value.real / scale, value.imag / scale, in_window)

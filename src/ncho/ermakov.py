@@ -47,23 +47,6 @@ def named_power(base, k, name: str, t: float):
         raise OverflowError(f"{name} overflows a float at t={t:g}") from exc
 
 
-@dataclass(frozen=True)
-class EPResidual:
-    """Residual of the scale-function equation and the scale it lives on.
-
-    Fields are floats for one time and arrays for a time grid.
-    """
-
-    value: float
-    scale: float
-
-    @property
-    def relative(self) -> float:
-        """|value| / max(scale, 1), and inf where the value is inf."""
-        scale = np.where(np.isinf(self.value), 1.0, self.scale)  # not inf / inf = nan
-        return np.abs(self.value) / np.maximum(scale, 1.0)
-
-
 def rho_eval(scenario: Scenario, t: float) -> RhoEval:
     """Analytic rho, rho', rho'' of the scenario's family at time t."""
     return RhoEval(*scenario.rho(t), t)
@@ -79,13 +62,13 @@ def coefficient_b(scenario: Scenario, t: float) -> float:
     return scenario.b(t)
 
 
-def ep_residual(scenario: Scenario, t) -> EPResidual:
-    """Residual rho'' - (a'/a) rho' + a*b*rho - a^2/rho^3 at a time or a grid.
+def ep_residual(scenario: Scenario, t):
+    """Relative residual of rho'' - (a'/a) rho' + a*b*rho - a^2/rho^3 at a time or a grid.
 
-    The scale is the largest magnitude among the four contributing terms, so
-    `relative` reports cancellation against the dominant physics rather than
-    against 1. Each point's four terms are summed exactly (math.fsum); a point
-    whose terms are not all finite has residual inf.
+    The residual is judged against max(1, the largest magnitude among the four
+    contributing terms), so it reports cancellation against the dominant
+    physics rather than against 1. Each point's four terms are summed exactly
+    (math.fsum); a point whose terms are not all finite has residual inf.
     """
     grid = scenario.grid(np.asarray(t, dtype=float))  # a float as a 0-d grid reads inf too
     ev = rho_eval(scenario, grid)
@@ -103,18 +86,24 @@ def ep_residual(scenario: Scenario, t) -> EPResidual:
     rows = terms.reshape(-1, 4)
     finite = np.isfinite(rows).all(axis=1).tolist()
     value = np.array([math.fsum(r) if ok else math.inf for r, ok in zip(rows.tolist(), finite)])
-    scale = np.abs(terms).max(axis=-1)
-    return EPResidual(value=value.reshape(scale.shape)[()], scale=scale[()])
+    value = value.reshape(terms.shape[:-1])
+    scale = np.where(np.isinf(value), 1.0, np.abs(terms).max(axis=-1))  # not inf / inf = nan
+    return (np.abs(value) / np.maximum(scale, 1.0))[()]
 
 
-def heisenberg_moments(scenario: Scenario, t, n_plus: int):
-    """<x_j^2>, <p_j^2> and <(x_j p_j + p_j x_j)/2> in |n, m> (n_plus = n+m+1) at a time or on
-    a grid: the covariance n_plus/2 M M^T at t = 0, M = [[rho, 0], [rho'/a, 1/rho]], goes to t
-    as Phi M (Phi M)^T, and Family.propagator's Phi rests on a and b alone. M M^T is the
-    invariant's [[alpha, -gamma/2], [-gamma/2, beta]]."""
+def heisenberg_moments(scenario: Scenario, t):
+    """<x_j^2>, <p_j^2> and <(x_j p_j + p_j x_j)/2> in |0, 0> at a time or on a grid; in |n, m>
+    each is n+m+1 times as large. The covariance M M^T / 2 at t = 0, M = [[rho, 0],
+    [rho'/a, 1/rho]], goes to t as Phi M (Phi M)^T / 2, and Family.propagator's Phi rests on
+    a and b alone. M M^T is the invariant's [[alpha, -gamma/2], [-gamma/2, beta]]."""
     rho, rho_dot, _ = scenario.rho(0.0)
-    phi, v = scenario.propagator(t), rho_dot / scenario.a(0.0)[0]
-    left, right = phi[..., 0] * rho + phi[..., 1] * v, phi[..., 1] / rho  # the columns of Phi M
-    moments = 0.5 * n_plus * (left**2 + right**2)
-    cross = 0.5 * n_plus * (left[..., 0] * left[..., 1] + right[..., 0] * right[..., 1])
-    return moments[..., 0][()], moments[..., 1][()], cross[()]
+    v = rho_dot / scenario.a(0.0)[0]
+    # Arrays for a float too, so a width that underflows to 0 reads nan there as on a grid.
+    p11, p12, p21, p22 = map(np.asarray, scenario.propagator(t))
+    x_left, p_left = p11 * rho + p12 * v, p21 * rho + p22 * v  # the columns of Phi M
+    x_right, p_right = p12 / rho, p22 / rho
+    return (
+        0.5 * (x_left * x_left + x_right * x_right),
+        0.5 * (p_left * p_left + p_right * p_right),
+        0.5 * (x_left * p_left + x_right * p_right),
+    )

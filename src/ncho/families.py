@@ -200,10 +200,8 @@ class Family:
         return self._on_grid(self._unit_phase, t)
 
     def propagator(self, t):
-        """Phi(t), the exact map of (x, p) from time 0 to t, shaped t.shape + (2, 2)."""
-        grid = self.grid(t)
-        phi = np.stack(self._on_grid(self._propagator, grid), axis=-1)
-        return phi.reshape((grid.shape or ()) + (2, 2))
+        """Phi(t), the exact map of (x, p) from time 0 to t, as (Phi11, Phi12, Phi21, Phi22)."""
+        return self._on_grid(self._propagator, t)
 
     def horizon(self) -> float | None:
         """Last time the roots of c stay real; None (unbounded) at zero frequency,

@@ -20,38 +20,15 @@ the closed coefficients equal that transport of their values at t = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import Scenario
 from .ermakov import coefficient_a, heisenberg_moments, rho_eval
 
 
-@dataclass(frozen=True)
-class InvariantCoeffs:
-    """Invariant coefficients at a time or on a grid; 4*alpha*beta - gamma^2 = 4."""
-
-    alpha: float
-    beta: float
-    gamma: float
-
-
-@dataclass(frozen=True)
-class OdeResiduals:
-    """Relative gaps between the closed coefficients and their exact transport, per time."""
-
-    alpha_residual: float
-    beta_residual: float
-    gamma_residual: float
-
-    @property
-    def worst(self) -> float:
-        return np.maximum(np.maximum(self.alpha_residual, self.beta_residual), self.gamma_residual)
-
-
-def invariant_coefficients(scenario: Scenario, t) -> InvariantCoeffs:
-    """alpha = rho^2, gamma = -2 rho rho'/a, beta = rho'^2/a^2 + 1/rho^2."""
+def invariant_coefficients(scenario: Scenario, t) -> tuple:
+    """(alpha, beta, gamma) at a time or on a grid: alpha = rho^2, beta = rho'^2/a^2 + 1/rho^2,
+    gamma = -2 rho rho'/a, so 4*alpha*beta - gamma^2 = 4."""
     grid = scenario.grid(t)
     ev = rho_eval(scenario, grid)
     a, _ = coefficient_a(scenario, grid)
@@ -59,21 +36,23 @@ def invariant_coefficients(scenario: Scenario, t) -> InvariantCoeffs:
     alpha = ev.rho * ev.rho
     gamma = -2.0 * ev.rho * ev.rho_dot / a
     beta = velocity * velocity + width * width
-    return InvariantCoeffs(alpha=alpha, beta=beta, gamma=gamma)
+    return alpha, beta, gamma
 
 
-def invariant_ode_residuals(scenario: Scenario, t) -> OdeResiduals:
-    """The coefficient ODEs checked against the exact flow at a time or on a grid.
+def invariant_ode_residuals(scenario: Scenario, t):
+    """The largest relative gap between the closed coefficients and their exact transport,
+    at a time or on a grid.
 
     At n+m+1 = 1 the propagated covariance is [[alpha, -gamma/2], [-gamma/2, beta]] / 2.
     alpha and beta are judged against themselves, gamma against sqrt(alpha beta),
     which is at least 1 because 4 alpha beta - gamma^2 = 4.
     """
     grid = scenario.grid(t)  # rho, a and the propagator share each map
-    co = invariant_coefficients(scenario, grid)
-    x2, p2, cross = heisenberg_moments(scenario, grid, 1)
-    return OdeResiduals(
-        np.abs(2.0 * x2 / co.alpha - 1.0)[()],
-        np.abs(2.0 * p2 / co.beta - 1.0)[()],
-        (np.abs(co.gamma + 4.0 * cross) / np.sqrt(co.alpha * co.beta))[()],
+    alpha, beta, gamma = invariant_coefficients(scenario, grid)
+    x2, p2, cross = heisenberg_moments(scenario, grid)
+    gaps = (
+        np.abs(2.0 * x2 / alpha - 1.0),
+        np.abs(2.0 * p2 / beta - 1.0),
+        np.abs(gamma + 4.0 * cross) / np.sqrt(alpha * beta),
     )
+    return np.maximum(np.maximum(gaps[0], gaps[1]), gaps[2])[()]

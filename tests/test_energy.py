@@ -27,10 +27,10 @@ def test_exponential_family_value(fig_ib):
     # (n+m+1) mu^2 Delta with mu=1, Delta=1e7; the assembled route carries the
     # width-velocity term Gamma^2 mu^2/(8 sigma) ~ 1e-8 on top, which the
     # family constraint folds into the closed form exactly.
-    res = energy_expectation(fig_ib, 0.0, GROUND)
-    assert res.value.real == pytest.approx(1.0e7, rel=1e-14)
-    assert res.value.imag == 0.0
-    assert energy_expectation(fig_ib, 0.0, StateLabel(1, 1)).value.real == pytest.approx(
+    value = energy_expectation(fig_ib, 0.0, GROUND)
+    assert value.real == pytest.approx(1.0e7, rel=1e-14)
+    assert value.imag == 0.0
+    assert energy_expectation(fig_ib, 0.0, StateLabel(1, 1)).real == pytest.approx(
         3.0e7, rel=1e-14
     )
 
@@ -38,26 +38,26 @@ def test_exponential_family_value(fig_ib):
 def test_rational_family_value_at_origin(fig_ii):
     # u(0) = chi = 1: (1/2)[2(Delta mu^2 + sigma/mu^2) + mu^2 Gamma^2/(8 sigma)]
     # = 2e7 + 1/(1.6e8).
-    res = energy_expectation(fig_ii, 0.0, GROUND)
-    assert res.value.real == pytest.approx(2.0e7 + 6.25e-9, rel=1e-15)
-    assert res.value.imag == 0.0
+    value = energy_expectation(fig_ii, 0.0, GROUND)
+    assert value.real == pytest.approx(2.0e7 + 6.25e-9, rel=1e-15)
+    assert value.imag == 0.0
 
 
 def test_linear_width_family_value_at_origin(fig_iii):
     # (1/2)[(Delta mu^2 + sigma/mu^2)/u^2 + mu^2 Gamma^2/sigma] = 1e7 + 5e-8.
-    res = energy_expectation(fig_iii, 0.0, GROUND)
-    assert res.value.real == pytest.approx(1.0e7 + 5.0e-8, rel=1e-15)
-    assert res.value.imag == 0.0
+    value = energy_expectation(fig_iii, 0.0, GROUND)
+    assert value.real == pytest.approx(1.0e7 + 5.0e-8, rel=1e-15)
+    assert value.imag == 0.0
 
 
 def test_constant_coefficient_energy_is_constant(fig_ib):
     # b rho^2, a/rho^2 and rho'^2/a are each time-independent products here,
     # so diagonal-label energies are bit-identical across times; the coupling
     # term for n != m is constant up to roundoff in its radicals.
-    base = energy_expectation(fig_ib, 0.0, StateLabel(2, 2)).value
+    base = energy_expectation(fig_ib, 0.0, StateLabel(2, 2))
     for t in (0.5, 3.0, 10.0):
-        assert energy_expectation(fig_ib, t, StateLabel(2, 2)).value == base
-    excited = [energy_expectation(fig_ib, t, StateLabel(1, 0)).value for t in (0.0, 2.0, 10.0)]
+        assert energy_expectation(fig_ib, t, StateLabel(2, 2)) == base
+    excited = [energy_expectation(fig_ib, t, StateLabel(1, 0)) for t in (0.0, 2.0, 10.0)]
     spread = max(abs(v - excited[0]) for v in excited)
     assert spread <= 1e-12 * abs(excited[0])
 
@@ -68,7 +68,7 @@ def test_cross_check_is_relative_to_the_term_magnitudes():
     # to |E| alone rejected.
     scenario = build_scenario(parse_scenario_file(SCENARIO_DIR / "set_ia.scenario"))
     t, s = 18.890661118182727, StateLabel(1, 2)
-    assert abs(energy_expectation(scenario, t, s).value) < 1e3
+    assert abs(energy_expectation(scenario, t, s)) < 1e3
     state = rho_eval(scenario, t)
     a, _ = coefficient_a(scenario, t)
     terms = (coefficient_b(scenario, t) * state.rho**2, a / state.rho**2, state.rho_dot**2 / a)
@@ -95,7 +95,7 @@ def test_general_exponent_is_cross_checked():
         enforce=False,
     )
     t, s = 0.5, StateLabel(1, 2)
-    value = energy_expectation(scenario, t, s).value
+    value = energy_expectation(scenario, t, s)
     closed = (s.n + s.m + 1) * scenario.ground_energy(t) + (s.n - s.m) * c_complex(scenario, t)
     assert abs(value - closed) <= 1e-15 * abs(value)
 
@@ -153,22 +153,20 @@ def test_reality_horizons_match_published_bounds(fig_scenarios):
 
 
 def test_energy_real_inside_window_complex_beyond(fig_iii):
-    horizon = reality_horizon_time(fig_iii)
-    inside = energy_expectation(fig_iii, 1.0, StateLabel(1, 0))
-    assert inside.in_window
-    assert inside.value.imag == 0.0
-    beyond = energy_expectation(fig_iii, horizon + 0.5, StateLabel(1, 0))
-    assert not beyond.in_window
-    assert beyond.value.imag != 0.0
+    grid = [1.0, reality_horizon_time(fig_iii) + 0.5]  # inside, then beyond
+    series = energy_series(fig_iii, StateLabel(1, 0), grid)
+    assert series.in_window.tolist() == [True, False]
+    assert series.e_im_scaled[0] == 0.0 and series.e_im_scaled[1] != 0.0
     # Equal labels drop the coupling term and stay real past the bound.
-    diag = energy_expectation(fig_iii, horizon + 0.5, StateLabel(1, 1))
-    assert diag.value.imag == 0.0
-    assert not diag.in_window  # the reported bound is label-independent
+    diag = energy_series(fig_iii, StateLabel(1, 1), grid)
+    assert diag.e_im_scaled.tolist() == [0.0, 0.0]
+    assert diag.in_window.tolist() == [True, False]  # the reported bound is label-independent
 
 
 def test_in_window_boundary_is_inclusive(fig_iii):
     horizon = reality_horizon_time(fig_iii)
-    assert energy_expectation(fig_iii, horizon, GROUND).in_window
+    series = energy_series(fig_iii, GROUND, [horizon, math.nextafter(horizon, math.inf)])
+    assert series.in_window.tolist() == [True, False]
     assert in_reality_window(None, 1.0)
 
 
@@ -196,17 +194,17 @@ def test_energy_series_scaling_and_flags(fig_iii):
     gamma = fig_iii.constants.Gamma
     assert series.in_window.tolist() == [True, True, True, False]
     for i, t in enumerate(grid):
-        res = energy_expectation(fig_iii, t, StateLabel(1, 0))
+        value = energy_expectation(fig_iii, t, StateLabel(1, 0))
         assert series.t[i] == t
         assert series.gamma_t[i] == gamma * t
-        assert series.e_re_scaled[i] == res.value.real / w0
-        assert series.e_im_scaled[i] == res.value.imag / w0
+        assert series.e_re_scaled[i] == value.real / w0
+        assert series.e_im_scaled[i] == value.imag / w0
 
 
 def test_energy_series_zero_frequency_scale_is_unity():
     scenario = make_scenario(ScenarioKind.SET_IB, omega0=0.0)
     series = energy_series(scenario, GROUND, [0.0, 1.0])
-    direct = energy_expectation(scenario, 0.0, GROUND).value
+    direct = energy_expectation(scenario, 0.0, GROUND)
     assert series.e_re_scaled[0] == direct.real
 
 

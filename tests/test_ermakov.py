@@ -106,14 +106,14 @@ def test_coefficient_a_dot_consistent(t):
 def test_ep_residual_tiny_on_figures(fig_scenarios):
     for name, scenario in fig_scenarios.items():
         worst = max(
-            ep_residual(scenario, i * 2.0 / 199).relative for i in range(200)
+            ep_residual(scenario, i * 2.0 / 199) for i in range(200)
         )
         assert worst <= 1e-12, name
 
 
 def test_ep_residual_large_when_constraint_broken():
     scenario = make_scenario(ScenarioKind.SET_IB, mu=1.05, enforce=False)
-    assert ep_residual(scenario, 0.5).relative > 1e-4
+    assert ep_residual(scenario, 0.5) > 1e-4
 
 
 def test_ep_residual_is_inf_where_its_terms_are_not_finite():
@@ -122,8 +122,7 @@ def test_ep_residual_is_inf_where_its_terms_are_not_finite():
     scenario = make_scenario(ScenarioKind.SET_III, omega0=0.5, sigma=2.0, Delta=2.0, chi=1e-300)
     with np.errstate(all="ignore"):
         res = ep_residual(scenario, np.array([0.0, 0.5]))
-    assert res.value[0] == math.inf and res.relative[0] == math.inf
-    assert np.isfinite(res.value[1]) and res.relative[1] <= 1e-12
+    assert res[0] == math.inf and res[1] <= 1e-12
 
 
 def test_ep_residual_at_a_float_matches_a_one_point_grid(fig_scenarios):
@@ -134,16 +133,17 @@ def test_ep_residual_at_a_float_matches_a_one_point_grid(fig_scenarios):
         for t in (0.0, 0.5):
             with np.errstate(all="ignore"):
                 alone, grid = ep_residual(scenario, t), ep_residual(scenario, np.array([t]))
-            assert alone.value == grid.value[0] and alone.scale == grid.scale[0]
+            assert np.ndim(alone) == 0 and grid.shape == (1,)
+            assert np.array([alone]).tobytes() == grid.tobytes(), (scenario.kind, t)
     with np.errstate(all="ignore"):
-        assert ep_residual(tiny_chi, 0.0).relative == math.inf
+        assert ep_residual(tiny_chi, 0.0) == math.inf
 
 
 def test_propagator_is_the_identity_at_zero():
     for name, scenario in PROPAGATED.items():
         propagator = scenario.propagator
-        assert np.array_equal(propagator(0.0), np.eye(2)), name
-        assert np.array_equal(propagator(np.array([0.0, 0.5]))[0], np.eye(2)), name
+        assert propagator(0.0) == (1.0, 0.0, 0.0, 1.0), name
+        assert [x[0] for x in propagator(np.array([0.0, 0.5]))] == [1.0, 0.0, 0.0, 1.0], name
 
 
 @given(t=TIMES)
@@ -151,24 +151,27 @@ def test_propagator_is_the_identity_at_zero():
 def test_propagator_keeps_phase_space_area(t):
     # The generator [[0, a], [-b, 0]] of x' = a p, p' = -b x has trace 0.
     for name, scenario in PROPAGATED.items():
-        phi = scenario.propagator(t)
-        det = phi[0, 0] * phi[1, 1] - phi[0, 1] * phi[1, 0]
+        p11, p12, p21, p22 = scenario.propagator(t)
+        det = p11 * p22 - p12 * p21
         assert abs(det - 1.0) <= 1e-14, (name, det)
 
 
 @given(t=TIMES)
 @settings(max_examples=30)
 def test_propagator_solves_heisenbergs_equations(t):
-    # Central differences of Phi against [[0, a], [-b, 0]] Phi, row by row,
+    # Central differences of Phi against [[0, a], [-b, 0]] Phi, row by row:
+    # (Phi11, Phi12)' = a (Phi21, Phi22) and (Phi21, Phi22)' = -b (Phi11, Phi12),
     # with a step of 1e-3 over the fastest frequency sqrt(ab) of the window.
     for name, family in PROPAGATED.items():
         window = np.linspace(0.0, 2.0, 21)
         h = 1e-3 / np.sqrt(family.a(window)[0] * family.b(window)).max()
-        before, here, after = family.propagator(np.array([t - h, t, t + h]))
-        want = np.array([[0.0, family.a(t)[0]], [-family.b(t), 0.0]]) @ here
-        derivative = (after - before) / (2.0 * h)
-        residual = np.abs(derivative - want).max(axis=1) / np.abs(want).max(axis=1)
-        assert residual.max() <= 1e-4, (name, t, residual)
+        p11, p12, p21, p22 = family.propagator(np.array([t - h, t, t + h]))
+        a, b = family.a(t)[0], family.b(t)
+        for row, want in (((p11, p12), (a * p21[1], a * p22[1])),
+                          ((p21, p22), (-b * p11[1], -b * p12[1]))):
+            derivative = [(x[2] - x[0]) / (2.0 * h) for x in row]
+            gap = max(abs(d - w) for d, w in zip(derivative, want))
+            assert gap <= 1e-4 * max(map(abs, want)), (name, t, gap)
 
 
 @given(t=TIMES)
@@ -181,6 +184,7 @@ def test_propagator_rotates_the_scale_frame(t):
         rho0, rho0_dot, _ = family.rho(0.0)
         inverse = np.array([[1.0 / rho, 0.0], [-rho_dot / family.a(t)[0], rho]])
         start = np.array([[rho0, 0.0], [rho0_dot / family.a(0.0)[0], 1.0 / rho0]])
-        rotation = inverse @ family.propagator(t) @ start
+        phi = np.reshape(family.propagator(t), (2, 2))  # [[Phi11, Phi12], [Phi21, Phi22]]
+        rotation = inverse @ phi @ start
         gap = np.abs(rotation @ rotation.T - np.eye(2)).max()
         assert gap <= 1e-13, (name, t, gap)

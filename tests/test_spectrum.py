@@ -373,7 +373,7 @@ def test_eigenfunction_chirp_carries_the_propagated_xp_moment():
         rho, rho_dot, _ = scenario.rho(0.0)
         m0 = np.array([[rho, 0.0], [rho_dot / scenario.a(0.0)[0], 1.0 / rho]])
         for t in (0.0, 0.3, 0.7):
-            phi_t = scenario.propagator(t)
+            phi_t = np.reshape(scenario.propagator(t), (2, 2))  # [[Phi11, Phi12], [Phi21, Phi22]]
             covariance = phi_t @ m0 @ m0.T @ phi_t.T
             for s in (StateLabel(0, 0), StateLabel(1, 2), StateLabel(2, 0)):
                 want = 0.5 * (s.n + s.m + 1) * covariance[0, 1]
