@@ -301,18 +301,20 @@ def format_table(table: tuple[str, str], columns) -> str:
     """
     header, row_format = table
     specs = row_format.split(",")
+    rows = len(columns[0]) if columns else 0
     floats = np.array([c for f, c in zip(specs, columns) if f == "%.12e"], dtype=float)
+    floats = floats.reshape(specs.count("%.12e"), rows)  # (float columns, rows), even for none
     if not np.isfinite(floats).all():
         raise ArithmeticError("a value is not finite; no table written")
     float_rows = iter(floats)
     columns = [next(float_rows) if f == "%.12e" else c for f, c in zip(specs, columns)]
     line = row_format + "\n"
-    rows = len(columns[0]) if columns else 0
     parts = [header + "\n"]
     # Blocks bound the temporaries; a small block costs less through % alone.
     for start in range(0, rows, _FORMAT_BLOCK):
-        block = [c[start:start + _FORMAT_BLOCK] for c in columns]
-        text = _format_block(specs, block) if len(block[0]) >= _KERNEL_MIN_ROWS else None
+        cut = slice(start, start + _FORMAT_BLOCK)
+        block = [c[cut] for c in columns]
+        text = _format_block(specs, block, floats[:, cut]) if len(block[0]) >= _KERNEL_MIN_ROWS else None
         if text is None:
             values = [b.tolist() if isinstance(b, np.ndarray) else b for b in block]
             text = "".join([line % row for row in zip(*values)])
@@ -411,16 +413,16 @@ def _text_bytes(column) -> np.ndarray | None:
     return codes.astype(np.uint8) if codes.max() < 128 else None
 
 
-def _format_block(specs: list[str], block: list) -> str | None:
+def _format_block(specs: list[str], block: list, floats: np.ndarray) -> str | None:
     """The rows of one block through the vector kernel; None when a %d or
     %s column is not one it takes, and the block goes through % instead.
+    ``floats`` holds the block's %.12e columns, one row each, in table order.
 
     Each row is laid out in a zeroed uint8 buffer, one cell per field with
     its separator in the cell's last byte. A float column with no sign bit
     set leaves out its sign byte. The NUL padding is deleted from the
     finished text; a buffer with no NUL left is the text as it stands.
     """
-    floats = np.array([c for s, c in zip(specs, block) if s == "%.12e"], float).reshape(-1, len(block[0]))
     words, signed = iter(_sci_words(floats)), iter(np.signbit(floats).any(axis=1))
     cells = []  # (bytes per row, bytes the cell and its separator take)
     for spec, column in zip(specs, block):

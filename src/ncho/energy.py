@@ -27,8 +27,6 @@ as its in_window column, rather than raising an error.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .config import Scenario
@@ -39,16 +37,6 @@ from .spectrum import StateLabel
 
 #: Relative tolerance for the assembled-vs-closed-form agreement assertion.
 _CROSS_RTOL = 1e-10
-
-
-class EnergySeries(NamedTuple):
-    """A scaled energy table (figure-style output): one array per column, in column order."""
-
-    t: np.ndarray
-    gamma_t: np.ndarray
-    e_re_scaled: np.ndarray
-    e_im_scaled: np.ndarray
-    in_window: np.ndarray
 
 
 def energy_expectation(scenario: Scenario, t, s: StateLabel):
@@ -78,7 +66,7 @@ def energy_expectation(scenario: Scenario, t, s: StateLabel):
     bad = np.ravel(mismatch > _CROSS_RTOL)
     if bad.any():
         i = np.argmax(bad)
-        at = (assembled, closed, mismatch, grid.times)
+        at = (assembled, closed, mismatch, grid.t)
         got, want, rel, when = (np.ravel(x)[i].item() for x in at)
         raise ToleranceNotMet(
             f"assembled energy {got!r} and closed form {want!r} "
@@ -87,8 +75,9 @@ def energy_expectation(scenario: Scenario, t, s: StateLabel):
     return assembled
 
 
-def energy_series(scenario: Scenario, s: StateLabel, t_grid) -> EnergySeries:
-    """Scaled energy table over a sorted, nonnegative time grid.
+def energy_series(scenario: Scenario, s: StateLabel, t_grid) -> tuple[np.ndarray, ...]:
+    """Scaled energy table over a sorted, nonnegative time grid: one array per column
+    of ``cli.ENERGY_TABLE``, (t, gamma_t, e_re_scaled, e_im_scaled, in_window).
 
     Values are scaled by 1/omega0 (dimensionless, as plotted); when omega0
     is zero the scale is 1. ``in_window`` flags the times inside the reality
@@ -104,4 +93,4 @@ def energy_series(scenario: Scenario, s: StateLabel, t_grid) -> EnergySeries:
     value = energy_expectation(scenario, t, s)
     gamma_t = scenario.constants.Gamma * t
     in_window = in_reality_window(reality_horizon_time(scenario), t)
-    return EnergySeries(t, gamma_t, value.real / scale, value.imag / scale, in_window)
+    return (t, gamma_t, value.real / scale, value.imag / scale, in_window)

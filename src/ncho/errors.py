@@ -25,11 +25,8 @@ class DomainError(NchoError):
 
 
 class OutOfValidatedDomain(NchoError):
-    """A series evaluation was requested outside its validated region."""
-
-
-class NoConvergence(NchoError):
-    """An iterative summation exceeded its term budget."""
+    """A series was evaluated outside its validated region, or did not settle
+    within its term budget there."""
 
 
 class ToleranceNotMet(NchoError):

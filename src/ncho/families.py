@@ -58,7 +58,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DomainError, NoConvergence, OutOfValidatedDomain
+from .errors import DomainError, OutOfValidatedDomain
 from .specfun import gauss_2f1
 
 if TYPE_CHECKING:
@@ -104,12 +104,12 @@ def _sqrt_lower(x: complex) -> complex:
 
 
 class Grid:
-    """A per-call grid record: the caller's ``times``, checked once against the family's
+    """A per-call grid record: the caller's times, checked once against the family's
     domain, as the flat float array ``t`` (a float as a one-point grid), and each map of
     ``_exp``, ``_log`` or ``_pow`` formed on them, keyed by function, argument bytes, exponent."""
 
     def __init__(self, family: Family, times):
-        self.times, self.shape = times, None if isinstance(times, (int, float)) else np.shape(times)
+        self.shape = None if isinstance(times, (int, float)) else np.shape(times)
         self.t, self._maps = np.asarray(times, dtype=float).reshape(-1), {}
         family._check_times(self.t)
 
@@ -256,28 +256,19 @@ class Family:
     def _unit_phase(self, grid):
         """The phase form over the times; a math domain error (SetIII's atan pole at 1e20) or
         a division by zero (chi underflowing mu^2 chi u) names the first time it fails at."""
-        times, form = grid.t.tolist(), None
+        times, values = grid.t.tolist(), []
         try:
             form = self._phase_form() if times else None
-            values = list(map(form, times)) if form else None
+            if form:
+                values.extend(map(form, times))  # keeps the values formed before a failure
         except (ValueError, ZeroDivisionError) as exc:
-            x = times[0] if form is None else next(x for x in times if _fails(form, x))
-            raise DomainError(f"unit_phase(t) is not defined at t={x:g}: {exc}") from exc
-        if values is None:
+            raise DomainError(f"unit_phase(t) is not defined at t={times[len(values)]:g}: {exc}") from exc
+        if not values:
             return np.full(grid.t.size, complex("nan")), np.zeros(grid.t.size, dtype=bool)
         if not self._PHASE_GAPS:
             return np.array(values, complex), np.ones(grid.t.size, dtype=bool)
         validated = np.array([v is not None for v in values], dtype=bool)
         return np.array([complex("nan") if v is None else v for v in values], complex), validated
-
-
-def _fails(form, x: float) -> bool:
-    """Whether the phase form raises a math domain error or a division by zero at x."""
-    try:
-        form(x)
-    except (ValueError, ZeroDivisionError):
-        return True
-    return False
 
 
 class _Exponential(Family):
@@ -352,7 +343,7 @@ class SetIa(_Exponential):
         z0 = dl / (mass * w0**2)
         try:
             series0 = gauss_2f1(-0.25, 0.5, 0.75, z0)
-        except (NoConvergence, OutOfValidatedDomain):
+        except OutOfValidatedDomain:
             # No time has the series, but exp(2 Gamma t) still overflows at late times.
             return lambda t: math.exp(2.0 * g * t) and None
         ms, w0_sq, dl_m = mass * sg, w0**2, dl / mass
@@ -364,7 +355,7 @@ class SetIa(_Exponential):
             zt = z0 * math.exp(2.0 * g * t)
             try:
                 series = math.exp(-0.5 * g * t) * gauss_2f1(-0.25, 0.5, 0.75, zt) - series0
-            except (NoConvergence, OutOfValidatedDomain):
+            except OutOfValidatedDomain:
                 return None
             e_gt, e_neg = math.exp(g * t), math.exp(-g * t)
             num = e_gt - 2.0 * ms - 2.0 * cmath.sqrt(ms * (ms - e_gt))

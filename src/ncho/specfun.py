@@ -19,9 +19,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NoConvergence, OutOfValidatedDomain
+from .errors import OutOfValidatedDomain
 
-DEFAULT_QUAD_TOL = 1e-10
 #: Term budget of the direct 2F1 series.
 _2F1_MAX_TERMS = 500
 
@@ -72,7 +71,7 @@ def gauss_2f1(a: float, b: float, c: float, z: complex) -> complex:
                 return total
         else:
             quiet = 0
-    raise NoConvergence(f"series did not settle within {_2F1_MAX_TERMS} terms at z={z!r}")
+    raise OutOfValidatedDomain(f"series did not settle within {_2F1_MAX_TERMS} terms at z={z!r}")
 
 
 @lru_cache(maxsize=None)
@@ -312,29 +311,27 @@ class _Adaptive:
 
 
 def integrate_adaptive_full(
-    f: Callable[[np.ndarray], np.ndarray], t0: float, t1: float, tol: float = DEFAULT_QUAD_TOL
+    f: Callable[[np.ndarray], np.ndarray], t0: float, t1: float, tol: float
 ) -> tuple[complex, float]:
-    """Adaptive quadrature of a (possibly complex) integrand on [t0, t1].
-
-    ``f`` takes an array of nodes and returns the integrand there, in the
-    same shape; it is called once for the first panel and once per pass.
-
-    Returns (value, error_estimate) without enforcing the tolerance; callers
-    decide what error they accept. GK21 panels under global error control:
-    each pass bisects the panels with the largest errors (at most 128, and
-    only as many as the excess over tol/8 needs) until the summed error is
-    below tol/8 or below the rounding floor, or 10000 panels exist. This is
-    the path of scipy's ``quad_vec(f, t0, t1, epsabs=tol, epsrel=0,
-    norm="max")`` for a scalar integrand, operation for operation, so the
-    results are bit-identical to it.
-    """
+    """integrate_adaptive_many on the one interval [t0, t1]: (value, error_estimate)."""
     return integrate_adaptive_many(f, [(t0, t1)], tol)[0]
 
 
 def integrate_adaptive_many(
-    f: Callable[[np.ndarray], np.ndarray], bounds, tol: float = DEFAULT_QUAD_TOL
+    f: Callable[[np.ndarray], np.ndarray], bounds, tol: float
 ) -> list[tuple[complex, float]]:
-    """integrate_adaptive_full on each (t0, t1) of ``bounds``, run side by side.
+    """Adaptive quadrature of a (possibly complex) integrand on each (t0, t1)
+    of ``bounds``, run side by side: a list of (value, error_estimate).
+
+    ``f`` takes an array of nodes and returns the integrand there, in the
+    same shape. The tolerance is not enforced; callers decide what error
+    they accept. GK21 panels under global error control: each pass bisects
+    an integral's panels with the largest errors (at most 128, and only as
+    many as the excess over tol/8 needs) until its summed error is below
+    tol/8 or below the rounding floor, or 10000 panels exist. This is the
+    path of scipy's ``quad_vec(f, t0, t1, epsabs=tol, epsrel=0,
+    norm="max")`` for a scalar integrand, operation for operation, so each
+    result is bit-identical to it.
 
     Up to _INTEGRALS_PER_RUN integrals at a time share their passes: each
     pass evaluates the panels of all their unfinished integrals in shared

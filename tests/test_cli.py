@@ -149,6 +149,11 @@ def _python_rows(columns):
     return list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)))
 
 
+def _float_rows(specs, block):
+    """The block's %.12e columns stacked, one row each, as format_table hands them on."""
+    return np.array([c for f, c in zip(specs, block) if f == "%.12e"], float).reshape(-1, len(block[0]))
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_format_table_matches_per_field_join(data):
@@ -182,16 +187,22 @@ def test_format_table_kernel_takes_every_table():
             else np.where(rng.random(size) < 0.5, "ClosedForm", "Quadrature")
             for f in specs
         ]
-        text = cli._format_block(specs, block)
+        text = cli._format_block(specs, block, _float_rows(specs, block))
         assert text is not None, table
         assert table[0] + "\n" + text == _per_field_csv(table, _python_rows(block))
+    # A table with no %.12e column: format_table slices an empty float stack.
+    table = ("a,b", "%d,%s")
+    block = [rng.random(size) < 0.5, np.where(rng.random(size) < 0.5, "ClosedForm", "Quadrature")]
+    assert cli._format_block(["%d", "%s"], block, _float_rows(["%d", "%s"], block)) is not None
+    assert cli.format_table(table, block) == _per_field_csv(table, _python_rows(block))
 
 
 def _calls_translate(specs, block) -> tuple[str, bool]:
     """_format_block's text, and whether it ran the NUL pass (bytes.translate)."""
+    floats = _float_rows(specs, block)
     profile = cProfile.Profile()
     profile.enable()
-    text = cli._format_block(specs, block)
+    text = cli._format_block(specs, block, floats)
     profile.disable()
     names = {name for _, _, name in pstats.Stats(profile).stats}
     return text, "<method 'translate' of 'bytes' objects>" in names
@@ -767,10 +778,12 @@ def test_overflowing_constraint_names_the_family_constraint(capsys, tmp_path, na
 
 def test_closed_form_phase_pole_names_the_time(capsys):
     # SetIII's atan argument rounds to exactly -i at t = 1e20, the pole of cmath.atan.
-    # The message names the first time that fails, not the grid's last one.
+    # The message names the first time that fails, not the grid's last one, also
+    # where the times before it have their phases.
     path = str(SCENARIO_DIR / "set_iii.scenario")
     for at in (("--t0", "1e20", "--t1", "1e20", "--points", "1"),
-               ("--t0", "1e20", "--t1", "1e25", "--points", "4")):
+               ("--t0", "1e20", "--t1", "1e25", "--points", "4"),
+               ("--t0", "0", "--t1", "1e20", "--points", "2")):
         for argv in (("phase", "--m", "1"), ("matelem", "--mprime", "1", "--k", "1")):
             code, out, err = run_cli(capsys, *argv, "--scenario", path, *at)
             assert code == 2 and out == "", (argv, at)

@@ -154,19 +154,19 @@ def test_reality_horizons_match_published_bounds(fig_scenarios):
 
 def test_energy_real_inside_window_complex_beyond(fig_iii):
     grid = [1.0, reality_horizon_time(fig_iii) + 0.5]  # inside, then beyond
-    series = energy_series(fig_iii, StateLabel(1, 0), grid)
-    assert series.in_window.tolist() == [True, False]
-    assert series.e_im_scaled[0] == 0.0 and series.e_im_scaled[1] != 0.0
+    *_, e_im, in_window = energy_series(fig_iii, StateLabel(1, 0), grid)
+    assert in_window.tolist() == [True, False]
+    assert e_im[0] == 0.0 and e_im[1] != 0.0
     # Equal labels drop the coupling term and stay real past the bound.
-    diag = energy_series(fig_iii, StateLabel(1, 1), grid)
-    assert diag.e_im_scaled.tolist() == [0.0, 0.0]
-    assert diag.in_window.tolist() == [True, False]  # the reported bound is label-independent
+    *_, e_im, in_window = energy_series(fig_iii, StateLabel(1, 1), grid)
+    assert e_im.tolist() == [0.0, 0.0]
+    assert in_window.tolist() == [True, False]  # the reported bound is label-independent
 
 
 def test_in_window_boundary_is_inclusive(fig_iii):
     horizon = reality_horizon_time(fig_iii)
-    series = energy_series(fig_iii, GROUND, [horizon, math.nextafter(horizon, math.inf)])
-    assert series.in_window.tolist() == [True, False]
+    *_, in_window = energy_series(fig_iii, GROUND, [horizon, math.nextafter(horizon, math.inf)])
+    assert in_window.tolist() == [True, False]
     assert in_reality_window(None, 1.0)
 
 
@@ -177,9 +177,9 @@ def test_empty_window_flags_no_time():
         ScenarioKind.SET_IB, mass_M=1.0, omega0=3.0, Gamma=1.0, sigma=1.0, Delta=1.25, mu=1.0
     )
     assert reality_horizon_time(scenario) == 0.0
-    series = energy_series(scenario, StateLabel(1, 0), [0.0, 0.25, 0.5])
-    assert series.in_window.tolist() == [False, False, False]
-    assert series.e_im_scaled[0] != 0.0
+    *_, e_im, in_window = energy_series(scenario, StateLabel(1, 0), [0.0, 0.25, 0.5])
+    assert in_window.tolist() == [False, False, False]
+    assert e_im[0] != 0.0
     assert not in_reality_window(0.0, 0.0)
 
 
@@ -189,23 +189,23 @@ def test_empty_window_flags_no_time():
 
 def test_energy_series_scaling_and_flags(fig_iii):
     grid = [0.0, 1.0, 2.0, 2.5]
-    series = energy_series(fig_iii, StateLabel(1, 0), grid)
+    times, gamma_t, e_re, e_im, in_window = energy_series(fig_iii, StateLabel(1, 0), grid)
     w0 = fig_iii.constants.omega0
     gamma = fig_iii.constants.Gamma
-    assert series.in_window.tolist() == [True, True, True, False]
+    assert in_window.tolist() == [True, True, True, False]
     for i, t in enumerate(grid):
         value = energy_expectation(fig_iii, t, StateLabel(1, 0))
-        assert series.t[i] == t
-        assert series.gamma_t[i] == gamma * t
-        assert series.e_re_scaled[i] == value.real / w0
-        assert series.e_im_scaled[i] == value.imag / w0
+        assert times[i] == t
+        assert gamma_t[i] == gamma * t
+        assert e_re[i] == value.real / w0
+        assert e_im[i] == value.imag / w0
 
 
 def test_energy_series_zero_frequency_scale_is_unity():
     scenario = make_scenario(ScenarioKind.SET_IB, omega0=0.0)
-    series = energy_series(scenario, GROUND, [0.0, 1.0])
+    _, _, e_re, _, _ = energy_series(scenario, GROUND, [0.0, 1.0])
     direct = energy_expectation(scenario, 0.0, GROUND)
-    assert series.e_re_scaled[0] == direct.real
+    assert e_re[0] == direct.real
 
 
 def test_energy_series_rejects_bad_grids(fig_ib):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ncho.config import ScenarioKind
-from ncho.errors import DomainError, NoConvergence, OutOfValidatedDomain
+from ncho.errors import DomainError, OutOfValidatedDomain
 from ncho.families import _sqrt_lower
 from ncho.specfun import gauss_2f1
 
@@ -36,7 +36,7 @@ def _set_ia(family, t: float) -> complex | None:
         series = math.exp(-0.5 * g * t) * gauss_2f1(-0.25, 0.5, 0.75, zt) - gauss_2f1(
             -0.25, 0.5, 0.75, z0
         )
-    except (NoConvergence, OutOfValidatedDomain):
+    except OutOfValidatedDomain:
         return None
     ms = mass * sg
     e_gt = math.exp(g * t)

@@ -152,6 +152,7 @@ def test_every_bench_record_names_a_commit_and_the_end_to_end_metrics():
             assert isinstance(record["dirty"], bool) and isinstance(record["seed"], int)
             assert 0 <= record["failed"] <= record["attempted"], (path.name, record)
             assert list(record["metrics"]) == _END_TO_END, (path.name, record)
+            assert record.get("calibration_s", 1.0) > 0.0, (path.name, record)  # older records lack it
 
 
 def _perfbench_result(metrics):
@@ -178,12 +179,13 @@ def test_bench_record_appends_one_record_per_workload(monkeypatch, tmp_path, cap
     assert [p.name for p in tmp_path.iterdir()] == ["BENCH_grid.json"]
     records = json.loads((tmp_path / "BENCH_grid.json").read_text())
     assert len(records) == 2
-    assert {k: v for k, v in records[0].items() if k != "date"} == {
+    assert {k: v for k, v in records[0].items() if k not in ("date", "calibration_s")} == {
         "commit": "a" * 40, "dirty": False, "seed": 3, "seconds": 2.0,
         "correct": True, "attempted": 10, "failed": 0,
         "metrics": dict.fromkeys(_END_TO_END, 1.5),
     }
     assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", records[1]["date"])
+    assert all(record["calibration_s"] > 0.0 for record in records)
 
 
 def test_bench_record_reads_the_commit_and_a_dirty_tree(monkeypatch):

@@ -9,12 +9,18 @@ code, and one record is appended to BENCH_<workload>.json at the root of this
 tree. A record holds the tree's commit, whether its tracked or untracked files
 other than the BENCH_*.json files differ from that commit (`dirty`), the UTC
 date, the seed, the run length, perfbench's `correct`, `attempted` and `failed`,
-and the five end-to-end metrics of BENCHMARK.json. A run that reports no
-metrics (a worker process failed) is not recorded, and the tool exits 1.
+the five end-to-end metrics of BENCHMARK.json, and `calibration_s`. A run that
+reports no metrics (a worker process failed) is not recorded, and the tool
+exits 1.
+
+`calibration_s` is the best of 5 runs of a fixed loop in this process (10**6
+Python float additions, then one np.exp over 10**6 doubles), timed just before
+each perfbench run: a measure of the host's speed at that moment, so records
+from different sessions compare as ratios to it. Older records have none.
 
 A change is sized against its parent by recording the parent tree and this
 one in turn, alternating the two, on one host; the host's speed drifts, so
-only records taken side by side compare.
+only records taken side by side compare directly.
 """
 
 from __future__ import annotations
@@ -24,7 +30,10 @@ import datetime
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -50,7 +59,22 @@ def run_perfbench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def make_record(commit: str, dirty: bool, seed: int, seconds: float, result: dict) -> dict:
+def calibration_s() -> float:
+    """Best of 5 runs of 10**6 Python float additions and one np.exp over 10**6 doubles."""
+    x = np.linspace(0.0, 1.0, 10**6)
+    runs = []
+    for _ in range(5):
+        start = time.perf_counter()
+        total = 0.0
+        for _ in range(10**6):
+            total += 1.5
+        np.exp(x)
+        runs.append(time.perf_counter() - start)
+    return min(runs)
+
+
+def make_record(commit: str, dirty: bool, seed: int, seconds: float, result: dict,
+                calibration: float) -> dict:
     """One trajectory record; KeyError if the result lacks an end-to-end metric."""
     return {
         "commit": commit,
@@ -62,6 +86,7 @@ def make_record(commit: str, dirty: bool, seed: int, seconds: float, result: dic
         "attempted": result["attempted"],
         "failed": result["failed"],
         "metrics": {name: result["metrics"][name]["value"] for name in METRICS},
+        "calibration_s": calibration,
     }
 
 
@@ -82,9 +107,10 @@ def main(argv: list[str] | None = None) -> int:
     commit, dirty = commit_of(args.tree)
     status = 0
     for workload in args.workload:
+        calibration = calibration_s()
         result = run_perfbench(args.tree, workload, args.seed, args.seconds)
         try:
-            record = make_record(commit, dirty, args.seed, args.seconds, result)
+            record = make_record(commit, dirty, args.seed, args.seconds, result, calibration)
         except KeyError:
             print(f"{workload}: no end-to-end metrics (a worker process failed); nothing recorded",
                   file=sys.stderr)
