@@ -33,15 +33,16 @@ SIN_ONE = 0.8414709848078965  # integral_0^1 cos
 ONE_MINUS_COS_ONE = 0.4596976941318603  # integral_0^1 sin
 
 
-def _laguerre_binomial(n: int, zeta: float, w: float) -> float:
-    """Independent route: explicit binomial sum for L_n^(zeta)."""
-    total = 0.0
+def _laguerre_binomial(n: int, zeta: int, w: float) -> float:
+    """Independent route: explicit binomial sum for L_n^(zeta), in exact rationals
+    (in floats its terms cancel: at n = 8, zeta = 5, w = 17.14 it is off by 5e-10)."""
+    total = Fraction(0)
     for j in range(n + 1):
-        binom = 1.0
+        binom = Fraction(1)
         for i in range(n - j):
-            binom *= (n + zeta - i) / (n - j - i)
-        total += (-1) ** j * binom * w**j / math.factorial(j)
-    return total
+            binom *= Fraction(n + zeta - i, n - j - i)
+        total += (-1) ** j * binom * Fraction(w) ** j / math.factorial(j)
+    return float(total)
 
 
 def test_laguerre_point_values():
