@@ -57,7 +57,7 @@ import numpy as np
 from .config import CONSTRAINT_RTOL, Scenario, build_scenario, parse_scenario_text
 from .energy import energy_expectation, energy_series
 from .errors import NchoError, ToleranceNotMet
-from .ermakov import ep_residual, heisenberg_moments, rho_eval
+from .ermakov import ep_residual, heisenberg_moments, named_power, rho_eval
 from .hamiltonian import in_reality_window, nc_squares, nc_table, reality_horizon_time
 from .invariant import invariant_ode_residuals
 from .spectrum import (
@@ -514,7 +514,8 @@ def cmd_wavefield(args) -> int:
     t = _start_time(args.t0)
     # Radius capturing the bulk of the state (the Gaussian scale times the
     # label-dependent spread), so the grid needs no extra flag.
-    r_max = 4.0 * math.sqrt(rho_eval(scenario, t).power(2) * (s.n + s.m + 1))
+    rho, _, _ = rho_eval(scenario, t)
+    r_max = 4.0 * math.sqrt(named_power(rho, 2, "rho(t)^2", t) * (s.n + s.m + 1))
     r = r_max * np.arange(1, n_grid + 1) / n_grid
     angle = 2.0 * math.pi * np.arange(n_grid) / n_grid
     # psi = e^{i Theta} phi, with the same phase as the `phase` subcommand.

@@ -49,12 +49,12 @@ def energy_expectation(scenario: Scenario, t, s: StateLabel):
     horizon as well); a mismatch raises ToleranceNotMet.
     """
     grid = scenario.grid(t)  # one record: each map is formed once for all five quantities
-    st = rho_eval(scenario, grid)
+    rho, rho_dot, _ = rho_eval(scenario, grid)
     a, _ = coefficient_a(scenario, grid)
     b = coefficient_b(scenario, grid)
     c = c_complex(scenario, grid)
-    rho2 = st.rho * st.rho
-    terms = (b * rho2, a / rho2, st.rho_dot * st.rho_dot / a)
+    rho2 = rho * rho
+    terms = (b * rho2, a / rho2, rho_dot * rho_dot / a)
     n_plus, n_minus = s.n + s.m + 1, s.n - s.m
     assembled = 0.5 * n_plus * (terms[0] + terms[1] + terms[2]) + n_minus * c
     closed = n_plus * scenario.ground_energy(grid) + n_minus * c

@@ -18,25 +18,10 @@ eigenstate's moments along the exact flow of x' = a p, p' = -b x.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .config import Scenario
-
-
-@dataclass(frozen=True)
-class RhoEval:
-    """Scale function and derivatives at one time."""
-
-    rho: float
-    rho_dot: float
-    rho_ddot: float
-    t: float
-
-    def power(self, k: int) -> float:
-        """rho^k; an overflow names rho(t)^k and the time."""
-        return named_power(self.rho, k, f"rho(t)^{k}", self.t)
 
 
 def named_power(base, k, name: str, t: float):
@@ -47,9 +32,9 @@ def named_power(base, k, name: str, t: float):
         raise OverflowError(f"{name} overflows a float at t={t:g}") from exc
 
 
-def rho_eval(scenario: Scenario, t: float) -> RhoEval:
-    """Analytic rho, rho', rho'' of the scenario's family at time t."""
-    return RhoEval(*scenario.rho(t), t)
+def rho_eval(scenario: Scenario, t: float) -> tuple[float, float, float]:
+    """Analytic (rho, rho', rho'') of the scenario's family at time t: scenario.rho(t)."""
+    return scenario.rho(t)
 
 
 def coefficient_a(scenario: Scenario, t: float) -> tuple[float, float]:
@@ -71,15 +56,15 @@ def ep_residual(scenario: Scenario, t):
     (math.fsum); a point whose terms are not all finite has residual inf.
     """
     grid = scenario.grid(np.asarray(t, dtype=float))  # a float as a 0-d grid reads inf too
-    ev = rho_eval(scenario, grid)
+    rho, rho_dot, rho_ddot = rho_eval(scenario, grid)
     a, a_dot = coefficient_a(scenario, grid)
     b = coefficient_b(scenario, grid)
     terms = np.stack(
         np.broadcast_arrays(
-            ev.rho_ddot,
-            -(a_dot / a) * ev.rho_dot,
-            a * b * ev.rho,
-            -(a * a) / (ev.rho * ev.rho * ev.rho),
+            rho_ddot,
+            -(a_dot / a) * rho_dot,
+            a * b * rho,
+            -(a * a) / (rho * rho * rho),
         ),
         axis=-1,
     )

@@ -30,11 +30,11 @@ def invariant_coefficients(scenario: Scenario, t) -> tuple:
     """(alpha, beta, gamma) at a time or on a grid: alpha = rho^2, beta = rho'^2/a^2 + 1/rho^2,
     gamma = -2 rho rho'/a, so 4*alpha*beta - gamma^2 = 4."""
     grid = scenario.grid(t)
-    ev = rho_eval(scenario, grid)
+    rho, rho_dot, _ = rho_eval(scenario, grid)
     a, _ = coefficient_a(scenario, grid)
-    velocity, width = ev.rho_dot / a, 1.0 / ev.rho
-    alpha = ev.rho * ev.rho
-    gamma = -2.0 * ev.rho * ev.rho_dot / a
+    velocity, width = rho_dot / a, 1.0 / rho
+    alpha = rho * rho
+    gamma = -2.0 * rho * rho_dot / a
     beta = velocity * velocity + width * width
     return alpha, beta, gamma
 

@@ -14,7 +14,6 @@ import heapq
 import math
 import sys
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -74,7 +73,6 @@ def gauss_2f1(a: float, b: float, c: float, z: complex) -> complex:
     raise OutOfValidatedDomain(f"series did not settle within {_2F1_MAX_TERMS} terms at z={z!r}")
 
 
-@lru_cache(maxsize=None)
 def laguerre_coefficients(n: int, l: int) -> tuple[Fraction, ...]:  # noqa: E741
     """Exact monomial coefficients of L_n^(l), l >= 0: (-1)^j C(n+l, n-j) / j! at index j."""
     if n < 0 or l < 0:
@@ -177,9 +175,6 @@ _PANEL_LIMIT = 10000
 #: side by side; both bound the memory a long grid of integrals holds.
 _PANELS_PER_CALL = 512
 _INTEGRALS_PER_RUN = 128
-#: Panels per integrand call from which one numpy pass forms their sums; under
-#: it the per-panel loop costs less.
-_ARRAY_PANELS = 8
 
 
 def _gk21(f, edges: list[tuple[float, float]]) -> list[tuple[complex, float, float]]:
@@ -188,9 +183,9 @@ def _gk21(f, edges: list[tuple[float, float]]) -> list[tuple[complex, float, flo
     The integrand is called on the nodes of up to _PANELS_PER_CALL panels
     at once. The error is QUADPACK's: the Kronrod-Gauss difference scaled
     against the integral of |f - mean|, and never below 50 eps times the
-    integral of |f|. Each panel's sums run left to right, as quad_vec runs
-    them, so the results keep its bits: in a Python loop per panel, or from
-    _ARRAY_PANELS panels on in one numpy pass over them all.
+    integral of |f|. Every call forms its panels' sums in one numpy pass;
+    each sum runs left to right, as quad_vec runs them, so the results keep
+    its bits. A panel whose sums are not all finite takes the per-panel loop.
     """
     results = []
     for start in range(0, len(edges), _PANELS_PER_CALL):
@@ -199,10 +194,7 @@ def _gk21(f, edges: list[tuple[float, float]]) -> list[tuple[complex, float, flo
         half = 0.5 * (hi - lo)
         nodes = c[:, None] + half[:, None] * _GK21_NODES
         values = np.broadcast_to(f(nodes.ravel()), (nodes.size,)).reshape(nodes.shape)
-        if len(half) >= _ARRAY_PANELS:
-            results += _gk21_pass(values, half)
-        else:
-            results += map(_gk21_sums, values.tolist(), half.tolist())
+        results += _gk21_pass(values, half)
     return results
 
 
@@ -241,7 +233,8 @@ def _left_sum(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _gk21_sums(fv: list, h: float) -> tuple[complex, float, float]:
-    """One panel's GK21 result from its 21 integrand values and half-width h."""
+    """One panel's GK21 result from its 21 integrand values and half-width h, in
+    Python's complex arithmetic: _gk21_pass's route for a non-finite panel."""
     s_k = 0.0
     s_k_abs = 0.0
     for v, ff in zip(_GK21_V, fv):

@@ -57,7 +57,7 @@ import numpy as np
 
 from .config import Scenario
 from .errors import DomainError, InvalidLabel, ToleranceNotMet
-from .ermakov import RhoEval, coefficient_a, named_power, rho_eval
+from .ermakov import coefficient_a, named_power, rho_eval
 from .specfun import integrate_adaptive_many, laguerre, laguerre_weighted_integral_exact
 
 #: Absolute tolerance of the phase quadrature.
@@ -294,7 +294,8 @@ def eigenfunction(scenario: Scenario, t: float, s: StateLabel, r, angle) -> np.n
     a, _ = coefficient_a(scenario, t)
     if a == 0.0:
         raise DomainError(f"inputs out of numerical range: a(t) underflows to 0 at t={t:g}")
-    return _phi(sl, 1.0 - 1j * sl.st.rho * sl.st.rho_dot / a, s, r, angle)
+    rho, rho_dot, _ = sl.rho
+    return _phi(sl, 1.0 - 1j * rho * rho_dot / a, s, r, angle)
 
 
 def hamiltonian_eigenfunction(scenario: Scenario, t: float, s: StateLabel, r, angle) -> np.ndarray:
@@ -309,21 +310,21 @@ def hamiltonian_eigenfunction(scenario: Scenario, t: float, s: StateLabel, r, an
 # --------------------------------------------------------------------------
 
 class _Slice:
-    """What spectrum forms at one (scenario, t), once and on first use: rho, hbar rho^2,
-    the unit phase with its route, and the tensor rule's (48, 1) columns: each state's
-    radial one (times its angular row, phi on the grid) and each (rho^2 w)^(k/2)."""
+    """What spectrum forms at one (scenario, t), once and on first use: (rho, rho', rho''),
+    hbar rho^2, the unit phase with its route, and the tensor rule's (48, 1) columns: each
+    state's radial one (times its angular row, phi on the grid) and each (rho^2 w)^(k/2)."""
 
     def __init__(self, scenario: Scenario, t: float):
         self.scenario, self.t = scenario, t
         self._radial, self._powers = {}, {}  # keyed by StateLabel and by k
 
     @cached_property
-    def st(self) -> RhoEval:
+    def rho(self) -> tuple[float, float, float]:
         return rho_eval(self.scenario, self.t)
 
     @cached_property
     def hr2(self) -> float:
-        return self.st.power(2)
+        return named_power(self.rho[0], 2, "rho(t)^2", self.t)
 
     @cached_property
     def unit(self) -> PhaseResult:
@@ -477,7 +478,7 @@ def _matrix_element_sum(
         return 0.0 + 0.0j
     coeff, r_idx = exact
     sl = _slice(scenario, float(t))
-    value = complex(coeff * sl.st.power(k_pow))
+    value = complex(coeff * named_power(sl.rho[0], k_pow, f"rho(t)^{k_pow}", sl.t))
     if x_units:
         sign = -1.0 if (k_pow + r_idx) % 2 else 1.0
         value *= sign * _I_POW[-k_pow % 4]  # i^(-k)

@@ -150,7 +150,8 @@ def test_criterion_06_matrix_element_oracle(fig_scenarios):
     times = (0.3, 0.6, 0.9)
     for scenario in fig_scenarios.values():
         for t in times:
-            hr2 = rho_eval(scenario, t).rho ** 2
+            rho, _, _ = rho_eval(scenario, t)
+            hr2 = rho**2
             for n in range(4):
                 for m in range(4):
                     # Diagonal second power is exact in closed form.

@@ -942,7 +942,8 @@ def test_wavefield_matches_scalar_eigenfunction(capsys, n, m):
     )
     assert code == 0
     _, rows = csv_rows(out)
-    r_max = 4.0 * math.sqrt(rho_eval(scenario, t).rho ** 2 * (n + m + 1))
+    rho, _, _ = rho_eval(scenario, t)
+    r_max = 4.0 * math.sqrt(rho**2 * (n + m + 1))
     # Radial index 0 is the smallest radius, r_max / points, next to the origin.
     for i, j in ((0, 0), (0, 5), (1, 17), (20, 40), (points // 2, 3), (points - 1, points - 1)):
         r, angle = r_max * (i + 1) / points, 2.0 * math.pi * j / points

@@ -69,9 +69,9 @@ def test_cross_check_is_relative_to_the_term_magnitudes():
     scenario = build_scenario(parse_scenario_file(SCENARIO_DIR / "set_ia.scenario"))
     t, s = 18.890661118182727, StateLabel(1, 2)
     assert abs(energy_expectation(scenario, t, s)) < 1e3
-    state = rho_eval(scenario, t)
+    rho, rho_dot, _ = rho_eval(scenario, t)
     a, _ = coefficient_a(scenario, t)
-    terms = (coefficient_b(scenario, t) * state.rho**2, a / state.rho**2, state.rho_dot**2 / a)
+    terms = (coefficient_b(scenario, t) * rho**2, a / rho**2, rho_dot**2 / a)
     scale = 0.5 * (s.n + s.m + 1) * sum(map(abs, terms)) + abs(
         (s.n - s.m) * c_complex(scenario, t)
     )

@@ -32,15 +32,15 @@ PROPAGATED.update(
 def test_rho_closed_forms_at_origin(fig_scenarios):
     for name, scenario in fig_scenarios.items():
         c = scenario.constants
-        ev = rho_eval(scenario, 0.0)
+        rho, rho_dot, _ = rho_eval(scenario, 0.0)
         if name in ("Ia", "Ib", "Ic"):
-            assert math.isclose(ev.rho, c.mu, rel_tol=1e-15)
-            assert math.isclose(ev.rho_dot, -0.5 * c.Gamma * c.mu, rel_tol=1e-15)
+            assert math.isclose(rho, c.mu, rel_tol=1e-15)
+            assert math.isclose(rho_dot, -0.5 * c.Gamma * c.mu, rel_tol=1e-15)
         elif name == "II":
-            assert math.isclose(ev.rho, math.sqrt(2.0 * c.mu**2 / c.chi), rel_tol=1e-15)
+            assert math.isclose(rho, math.sqrt(2.0 * c.mu**2 / c.chi), rel_tol=1e-15)
         else:
-            assert math.isclose(ev.rho, c.mu * c.chi, rel_tol=1e-15)
-            assert math.isclose(ev.rho_dot, c.mu * c.Gamma, rel_tol=1e-15)
+            assert math.isclose(rho, c.mu * c.chi, rel_tol=1e-15)
+            assert math.isclose(rho_dot, c.mu * c.Gamma, rel_tol=1e-15)
 
 
 def test_coefficient_profiles(fig_scenarios):
@@ -65,8 +65,8 @@ def test_exponential_family_time_dependence(fig_ia, fig_ib):
         a, _ = coefficient_a(fig_ia, t)
         assert math.isclose(a, c.sigma * math.exp(-c.Gamma * t), rel_tol=1e-14)
         assert math.isclose(coefficient_b(fig_ia, t), c.Delta * math.exp(c.Gamma * t), rel_tol=1e-14)
-        ev = rho_eval(fig_ib, t)
-        assert math.isclose(ev.rho, c.mu * math.exp(-0.5 * c.Gamma * t), rel_tol=1e-14)
+        rho, _, _ = rho_eval(fig_ib, t)
+        assert math.isclose(rho, c.mu * math.exp(-0.5 * c.Gamma * t), rel_tol=1e-14)
 
 
 @given(t=TIMES)
@@ -79,13 +79,13 @@ def test_rho_derivatives_consistent(t):
         make_scenario(ScenarioKind.SET_II_K),
         make_scenario(ScenarioKind.SET_III),
     ):
-        ev = rho_eval(scenario, t)
-        lo = rho_eval(scenario, t - h).rho
-        hi = rho_eval(scenario, t + h).rho
+        rho, rho_dot, rho_ddot = rho_eval(scenario, t)
+        lo, _, _ = rho_eval(scenario, t - h)
+        hi, _, _ = rho_eval(scenario, t + h)
         d1 = (hi - lo) / (2.0 * h)
-        d2 = (hi - 2.0 * ev.rho + lo) / h**2
-        assert abs(d1 - ev.rho_dot) <= 1e-6 * max(1.0, abs(ev.rho_dot))
-        assert abs(d2 - ev.rho_ddot) <= 1e-3 * max(1.0, abs(ev.rho_ddot))
+        d2 = (hi - 2.0 * rho + lo) / h**2
+        assert abs(d1 - rho_dot) <= 1e-6 * max(1.0, abs(rho_dot))
+        assert abs(d2 - rho_ddot) <= 1e-3 * max(1.0, abs(rho_ddot))
 
 
 @given(t=TIMES)

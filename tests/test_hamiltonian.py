@@ -93,7 +93,7 @@ def test_family_c_and_phase_rate_are_bit_identical_to_composition(fig_scenarios)
             times = (0.0, 0.5 * horizon, 0.99 * horizon, 1.5 * horizon, 3.0 * horizon)
         for t in times:
             a, _ = coefficient_a(scenario, t)
-            rho = rho_eval(scenario, t).rho
+            rho, _, _ = rho_eval(scenario, t)
             want_c = _c_composed(scenario, t)
             assert repr(c_complex(scenario, t)) == repr(want_c), (name, t)
             assert repr(scenario.c(t)) == repr(want_c), (name, t)

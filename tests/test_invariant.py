@@ -28,12 +28,12 @@ def test_coefficients_built_from_scale_function(fig_scenarios):
     for scenario in fig_scenarios.values():
         for t in (0.0, 0.6, 1.8):
             alpha, beta, gamma = invariant_coefficients(scenario, t)
-            ev = rho_eval(scenario, t)
+            rho, rho_dot, _ = rho_eval(scenario, t)
             a, _ = coefficient_a(scenario, t)
-            assert alpha == ev.rho**2
-            assert gamma == -2.0 * ev.rho * ev.rho_dot / a
+            assert alpha == rho**2
+            assert gamma == -2.0 * rho * rho_dot / a
             assert math.isclose(
-                beta, (ev.rho_dot / a) ** 2 + (1.0 / ev.rho) ** 2,
+                beta, (rho_dot / a) ** 2 + (1.0 / rho) ** 2,
                 rel_tol=1e-15,
             )
 

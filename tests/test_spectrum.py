@@ -205,7 +205,8 @@ def test_phase_linear_for_constant_frequency(fig_ib):
     # The unit phase integrand c - a/rho^2 is time-independent for this
     # family, so the phase is exactly linear in t.
     a, _ = coefficient_a(fig_ib, 0.0)
-    slope = c_complex(fig_ib, 0.0).real - a / rho_eval(fig_ib, 0.0).rho**2
+    rho, _, _ = rho_eval(fig_ib, 0.0)
+    slope = c_complex(fig_ib, 0.0).real - a / rho**2
     for t in (0.25, 1.0, 3.0):
         got = phase_closed_form(fig_ib, UNIT, t).value
         assert abs(got - slope * t) <= 1e-12 * max(1.0, abs(got))
@@ -263,7 +264,7 @@ def test_phase_beyond_reality_window_is_complex(fig_iii):
 # ---------------------------------------------------------------------------
 
 def test_ground_state_value_at_origin(fig_ia):
-    rho = rho_eval(fig_ia, 0.3).rho
+    rho, _, _ = rho_eval(fig_ia, 0.3)
     got = eigenfunction(fig_ia, 0.3, StateLabel(0, 0), 0.0, 1.2)
     assert abs(got - 1.0 / math.sqrt(math.pi * rho**2)) <= 1e-15
 
@@ -303,7 +304,8 @@ def test_eigenfunction_norm_pins_gaussian_width(fig_ii):
     # overlap() strips the Gaussian, so integrate |phi|^2 r dr dangle of the
     # eigenfunction itself: |phi| is angle-independent, leaving a radial quad.
     t = 0.6
-    r_max = 12.0 * rho_eval(fig_ii, t).rho
+    rho, _, _ = rho_eval(fig_ii, t)
+    r_max = 12.0 * rho
     for s in (StateLabel(0, 0), StateLabel(1, 2), StateLabel(2, 0)):
         norm, _ = quad(
             lambda r: 2.0 * math.pi * r * abs(eigenfunction(fig_ii, t, s, r, 0.0)) ** 2,
@@ -315,10 +317,10 @@ def test_eigenfunction_norm_pins_gaussian_width(fig_ii):
 def _published_eigenfunction(scenario, t, s, r, angle) -> complex:
     """The paper's form lam_n (i rho)^m / sqrt(m!) r^(n-m) U(-m, 1-m+n, w) times its
     Gaussian and chirp, w = r^2/rho^2, with U from mpmath.hyperu at 30 digits."""
-    st, (a, _) = rho_eval(scenario, t), coefficient_a(scenario, t)
+    (rho, rho_dot, _), (a, _) = rho_eval(scenario, t), coefficient_a(scenario, t)
     n, m = s.n, s.m
     with mpmath.workdps(30):
-        rho, r = mpmath.mpf(st.rho), mpmath.mpf(r)
+        rho, r = mpmath.mpf(rho), mpmath.mpf(r)
         w = r**2 / rho**2
         lam = 1 / mpmath.sqrt(mpmath.pi * mpmath.factorial(n) * rho ** (2 + 2 * n))
         # At r = 0, n > m the form is r^(n-m) times the polynomial's finite constant
@@ -326,7 +328,7 @@ def _published_eigenfunction(scenario, t, s, r, angle) -> complex:
         u = mpmath.hyperu(-m, 1 - m + n, w) if r or n == m else 0
         radial = lam * (1j * rho) ** m / mpmath.sqrt(mpmath.factorial(m))
         radial *= r ** (n - m) * u if n >= m else u / r ** (m - n)
-        gauss = 1 - 1j * rho * mpmath.mpf(st.rho_dot) / mpmath.mpf(a)
+        gauss = 1 - 1j * rho * mpmath.mpf(rho_dot) / mpmath.mpf(a)
         return complex(radial * mpmath.exp(1j * (m - n) * angle - gauss * w / 2))
 
 
@@ -351,7 +353,7 @@ def _dilation_moment(scenario, t, s) -> float:
     """<(xp + px)/2> of phi from the eigenfunction: Re <phi| -i r d/dr |phi> over the
     plane (the symmetrised x p_x + y p_y), halved. Gauss-Legendre on [0, 12 rho], and
     d/dr by the five-point central difference at h = 1e-3 rho."""
-    rho = rho_eval(scenario, t).rho
+    rho, _, _ = rho_eval(scenario, t)
     nodes, weights = _LEGENDRE_200
     r, wt, h = 6.0 * rho * (nodes + 1.0), 6.0 * rho * weights, 1e-3 * rho
 
@@ -433,7 +435,7 @@ def test_huge_time_names_the_prefactor_power_that_overflows():
 def test_first_power_ladder_forms(fig_scenarios):
     t = 0.4
     for name, scenario in fig_scenarios.items():
-        rho = rho_eval(scenario, t).rho
+        rho, _, _ = rho_eval(scenario, t)
         unit = phase_closed_form(scenario, UNIT, t).value
         up = cmath.exp(1j * unit)
         # x raises/lowers the second label by one with an alternating unit.
@@ -451,7 +453,8 @@ def test_first_power_ladder_forms(fig_scenarios):
 def test_second_power_diagonal_is_exact(fig_scenarios):
     for scenario in fig_scenarios.values():
         for t in (0.0, 0.7, 1.6):
-            hr2 = rho_eval(scenario, t).rho ** 2
+            rho, _, _ = rho_eval(scenario, t)
+            hr2 = rho**2
             for n in range(3):
                 for m in range(3):
                     got = matrix_element_x_pow(scenario, t, n, m, m, 2)
@@ -462,7 +465,8 @@ def test_second_power_diagonal_is_exact(fig_scenarios):
 def test_second_power_off_diagonal_forms(fig_scenarios):
     t = 0.4
     for scenario in fig_scenarios.values():
-        hr2 = rho_eval(scenario, t).rho ** 2
+        rho, _, _ = rho_eval(scenario, t)
+        hr2 = rho**2
         unit = phase_closed_form(scenario, UNIT, t).value
         up2 = cmath.exp(2j * unit)
         got_x = matrix_element_x_pow(scenario, t, 0, 0, 2, 2)
@@ -567,7 +571,8 @@ def _element_uncached(scenario, t, n, m, mp, k, x_units, invariant_basis):
     diff = mp - m
     lo, hi = min(m, mp), max(m, mp)
     coeff = float(base * math.factorial(lo)) * math.sqrt(math.factorial(hi) // math.factorial(lo))
-    value = complex(coeff * rho_eval(scenario, t).rho ** k)
+    rho, _, _ = rho_eval(scenario, t)
+    value = complex(coeff * rho**k)
     if x_units:
         value *= (-1.0 if (k + r_idx) % 2 else 1.0) * (1 + 0j, -1j, -1 + 0j, 1j)[k % 4]
     if diff and not invariant_basis:
@@ -597,7 +602,7 @@ def test_first_power_element_stays_finite_at_large_labels(mild_iii):
     # <m|x|m+1> = i sqrt(m+1)/2 rho in the invariant basis: sqrt(m! (m+1)!) is formed
     # as m! sqrt(m+1), so the labels past 170, where m! leaves the float range, answer.
     t = 0.0
-    rho = rho_eval(mild_iii, t).rho
+    rho, _, _ = rho_eval(mild_iii, t)
     for m in range(301):
         got = matrix_element_x_pow(mild_iii, t, 0, m, m + 1, 1, invariant_basis=True)
         want = math.sqrt(m + 1) / 2.0 * rho

@@ -1,6 +1,7 @@
 """tools/ab_rounds.py hashes every benchmark CLI operation's output reproducibly, names
 the operations whose output differs between two trees, and times their rounds side by side.
-tools/bench_record.py appends perfbench's end-to-end results to the BENCH_*.json files."""
+tools/bench_record.py appends perfbench's end-to-end and per-layer results to the BENCH_*.json
+files."""
 
 from __future__ import annotations
 
@@ -138,7 +139,9 @@ def test_negative_reps_is_refused(monkeypatch, capsys):
     assert "--reps must not be negative" in capsys.readouterr().err
 
 
-_END_TO_END = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+_BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+_END_TO_END = [m["name"] for m in _BENCHMARK["end_to_end"]]
+_PER_LAYER = [m["name"] for m in _BENCHMARK["per_layer"]]
 
 
 def test_every_bench_record_names_a_commit_and_the_end_to_end_metrics():
@@ -153,6 +156,8 @@ def test_every_bench_record_names_a_commit_and_the_end_to_end_metrics():
             assert 0 <= record["failed"] <= record["attempted"], (path.name, record)
             assert list(record["metrics"]) == _END_TO_END, (path.name, record)
             assert record.get("calibration_s", 1.0) > 0.0, (path.name, record)  # older records lack it
+            if "per_layer" in record:  # older records lack it too
+                assert list(record["per_layer"]) == _PER_LAYER, (path.name, record)
 
 
 def _perfbench_result(metrics):
@@ -166,16 +171,19 @@ def test_bench_record_appends_one_record_per_workload(monkeypatch, tmp_path, cap
     monkeypatch.setattr(tool, "commit_of", lambda tree: ("a" * 40, False))
     ran = []
 
-    def fake_run(tree, workload, seed, seconds):
-        ran.append((tree, workload, seed, seconds))
+    def fake_run(tree, workload, seed, seconds, trace):
+        ran.append((tree, workload, seed, seconds, trace))
+        if trace:
+            return _perfbench_result(_PER_LAYER)
         return _perfbench_result(_END_TO_END if workload != "cold" else _END_TO_END[:-1])
 
     monkeypatch.setattr(tool, "run_perfbench", fake_run)
     argv = ["--workload", "grid", "cold", "--seed", "3", "--seconds", "2", "--tree", str(ROOT)]
     assert tool.main(argv) == 1  # cold reported no peak_rss_mb: not recorded
     assert tool.main(argv[:2] + argv[3:]) == 0
-    assert ran == [(ROOT, "grid", 3, 2.0), (ROOT, "cold", 3, 2.0), (ROOT, "grid", 3, 2.0)]
-    assert "cold: no end-to-end metrics" in capsys.readouterr().err
+    # Each workload runs untraced, then traced with the same seed and length.
+    assert ran == [(ROOT, w, 3, 2.0, trace) for w in ("grid", "cold", "grid") for trace in (0, 1)]
+    assert "cold: no end-to-end or per-layer metrics" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["BENCH_grid.json"]
     records = json.loads((tmp_path / "BENCH_grid.json").read_text())
     assert len(records) == 2
@@ -183,6 +191,7 @@ def test_bench_record_appends_one_record_per_workload(monkeypatch, tmp_path, cap
         "commit": "a" * 40, "dirty": False, "seed": 3, "seconds": 2.0,
         "correct": True, "attempted": 10, "failed": 0,
         "metrics": dict.fromkeys(_END_TO_END, 1.5),
+        "per_layer": dict.fromkeys(_PER_LAYER, 1.5),
     }
     assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", records[1]["date"])
     assert all(record["calibration_s"] > 0.0 for record in records)

@@ -5,13 +5,16 @@
 
 For each workload, `python3 perfbench/run.py --workload W --seed S --seconds N
 --trace 0` runs from the root of `--tree` (default: this tree), on that tree's
-code, and one record is appended to BENCH_<workload>.json at the root of this
-tree. A record holds the tree's commit, whether its tracked or untracked files
-other than the BENCH_*.json files differ from that commit (`dirty`), the UTC
-date, the seed, the run length, perfbench's `correct`, `attempted` and `failed`,
-the five end-to-end metrics of BENCHMARK.json, and `calibration_s`. A run that
-reports no metrics (a worker process failed) is not recorded, and the tool
-exits 1.
+code, and right after it the same run with `--trace 1`; one record is appended
+to BENCH_<workload>.json at the root of this tree. A record holds the tree's
+commit, whether its tracked or untracked files other than the BENCH_*.json
+files differ from that commit (`dirty`), the UTC date, the seed, the run
+length, the untraced run's `correct`, `attempted` and `failed` and its five
+end-to-end metrics of BENCHMARK.json, `calibration_s`, and `per_layer`: the
+traced run's per-layer metrics of BENCHMARK.json (call counts, self time per
+call, import times, ratios and the trace overhead). A run that reports no
+metrics (a worker process failed) is not recorded, and the tool exits 1.
+Records from before the traced run have no `per_layer`.
 
 `calibration_s` is the best of 5 runs of a fixed loop in this process (10**6
 Python float additions, then one np.exp over 10**6 doubles), timed just before
@@ -39,6 +42,7 @@ ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = tuple(w["name"] for w in BENCHMARK["workloads"])
 METRICS = tuple(m["name"] for m in BENCHMARK["end_to_end"])
+PER_LAYER = tuple(m["name"] for m in BENCHMARK["per_layer"])
 
 
 def git(tree: Path, *args: str) -> str:
@@ -51,10 +55,10 @@ def commit_of(tree: Path) -> tuple[str, bool]:
     return git(tree, "rev-parse", "HEAD").strip(), bool(changed.strip())
 
 
-def run_perfbench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_perfbench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """perfbench's JSON result, the last line it prints."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -74,8 +78,9 @@ def calibration_s() -> float:
 
 
 def make_record(commit: str, dirty: bool, seed: int, seconds: float, result: dict,
-                calibration: float) -> dict:
-    """One trajectory record; KeyError if the result lacks an end-to-end metric."""
+                traced: dict, calibration: float) -> dict:
+    """One trajectory record from an untraced and a traced result; KeyError if the first
+    lacks an end-to-end metric or the second a per-layer one."""
     return {
         "commit": commit,
         "dirty": dirty,
@@ -87,6 +92,7 @@ def make_record(commit: str, dirty: bool, seed: int, seconds: float, result: dic
         "failed": result["failed"],
         "metrics": {name: result["metrics"][name]["value"] for name in METRICS},
         "calibration_s": calibration,
+        "per_layer": {name: traced["metrics"][name]["value"] for name in PER_LAYER},
     }
 
 
@@ -108,12 +114,13 @@ def main(argv: list[str] | None = None) -> int:
     status = 0
     for workload in args.workload:
         calibration = calibration_s()
-        result = run_perfbench(args.tree, workload, args.seed, args.seconds)
+        result = run_perfbench(args.tree, workload, args.seed, args.seconds, 0)
+        traced = run_perfbench(args.tree, workload, args.seed, args.seconds, 1)
         try:
-            record = make_record(commit, dirty, args.seed, args.seconds, result, calibration)
+            record = make_record(commit, dirty, args.seed, args.seconds, result, traced, calibration)
         except KeyError:
-            print(f"{workload}: no end-to-end metrics (a worker process failed); nothing recorded",
-                  file=sys.stderr)
+            print(f"{workload}: no end-to-end or per-layer metrics (a worker process failed); "
+                  "nothing recorded", file=sys.stderr)
             status = 1
             continue
         append_record(ROOT / f"BENCH_{workload}.json", record)
